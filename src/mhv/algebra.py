@@ -17,14 +17,19 @@ Centerless mode works on the quotient by the center: C and L are rejected
 in inputs and the central output terms are dropped.  Elements produced by
 the bracket are never truncated to any index window; windows only bound
 the loops of verification sweeps.
+
+bilinear(table, x, y) is the one bilinear extension of a table on basis
+pairs to arbitrary elements.  The bracket, the left-symmetric product,
+the biderivation tables, Upsilon and the coefficient oracle's product
+all go through it; linear does the same for maps given on basis vectors.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterator
 
 from .scalars import ONE, ZERO, Scalar, sc
 
@@ -187,13 +192,7 @@ class Element:
         if not other._terms:
             return self
         acc = dict(self._terms)
-        for bv, coeff in other._terms.items():
-            prev = acc.get(bv)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                acc.pop(bv, None)
-            else:
-                acc[bv] = total
+        _add_scaled(acc, other, ONE)
         return Element(acc, _clean=True)
 
     def __neg__(self) -> "Element":
@@ -316,18 +315,54 @@ def _check_centerless(x: Element, what: str) -> None:
                 f"centerless mode forbids central term {bv.render()} in {what}")
 
 
+def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
+    """acc += factor * x on a term dict; x itself is only read."""
+    for bv, coeff in x._terms.items():
+        if factor is not ONE:
+            coeff = coeff * factor
+        prev = acc.get(bv)
+        if prev is not None:
+            coeff = prev + coeff
+            if coeff.is_zero():
+                del acc[bv]
+                continue
+        acc[bv] = coeff
+
+
+def bilinear(table: Callable[[BasisVector, BasisVector], Element],
+             x: Element, y: Element) -> Element:
+    """The bilinear extension of table, a map on basis pairs, to x and y:
+    the sum of cu*cv*table(u, v) over the term pairs.  Terms are added
+    into one fresh dict, so the (often cached) Elements that table
+    returns are never mutated."""
+    acc: dict = {}
+    for u, cu in x._terms.items():
+        for v, cv in y._terms.items():
+            base = table(u, v)
+            if base._terms:
+                _add_scaled(acc, base,
+                            cu if cv is ONE else cv if cu is ONE else cu * cv)
+    return Element(acc, _clean=True)
+
+
+def linear(table: Callable[[BasisVector], Element], x: Element) -> Element:
+    """The linear extension of table, a map on basis vectors, to x."""
+    acc: dict = {}
+    for u, cu in x._terms.items():
+        _add_scaled(acc, table(u), cu)
+    return Element(acc, _clean=True)
+
+
+_BRACKET_TABLES = {mode: partial(_basis_bracket, mode=mode)
+                   for mode in AlgebraMode}
+
+
 def bracket(x: Element, y: Element, mode: AlgebraMode = FULL) -> Element:
     """Bilinear extension of the bracket table."""
     if mode is CENTERLESS:
         _check_centerless(x, "left argument")
         _check_centerless(y, "right argument")
-    acc = Element.zero()
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
-            base = _basis_bracket(u, v, mode)
-            if not base.is_zero():
-                acc = acc + base.scale(cu * cv)
-    return acc
+    return bilinear(_BRACKET_TABLES[mode], x, y)
 
 
 def grading_degree(x: Element):

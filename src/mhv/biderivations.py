@@ -33,13 +33,14 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
-from .algebra import (C, CENTERLESS, FULL, BasisVector, Element, L,
-                      basis_vectors, bracket, d, h)
+from .algebra import (C, CENTERLESS, FULL, AlgebraMode, BasisVector, Element,
+                      L, basis_vectors, bilinear, bracket, d, h, linear)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
-from .reports import Failure, Report
+from .reports import Failure, Report, collect, prefixed, render_inputs
 from .scalars import Scalar, sc
 
 
@@ -73,20 +74,15 @@ def upsilon(params: BiderParams, x: Element, y: Element) -> Element:
     """The exceptional component: nonzero only on d,d term pairs."""
     if not params.omega:
         return Element.zero()
-    acc = Element.zero()
-    for u, cu in x.terms():
-        if u.tag != "d":
-            continue
-        for v, cv in y.terms():
-            if v.tag != "d":
-                continue
-            weight = cu * cv
-            pairs = []
-            for k, mu in sorted(params.omega.items()):
-                coeff = sc(Fraction(2 * k + 1, 2)) * mu * weight
-                pairs.append((coeff, h(u.index + v.index + k)))
-            acc = acc + Element.of(*pairs)
-    return acc
+    weights = [(sc(Fraction(2 * k + 1, 2)) * mu, k)
+               for k, mu in sorted(params.omega.items())]
+
+    def table(u: BasisVector, v: BasisVector) -> Element:
+        if u.tag != "d" or v.tag != "d":
+            return Element.zero()
+        return Element.of(*((w, h(u.index + v.index + k)) for w, k in weights))
+
+    return bilinear(table, x, y)
 
 
 def bider_eval(params: BiderParams, x: Element, y: Element) -> Element:
@@ -132,19 +128,13 @@ class BilinearTable:
         return BilinearTable(evaluate, name)
 
     def __call__(self, x: Element, y: Element) -> Element:
-        acc = Element.zero()
-        for u, cu in x.terms():
-            for v, cv in y.terms():
-                base = self.evaluator(u, v)
-                if not base.is_zero():
-                    acc = acc + base.scale(cu * cv)
-        return acc
+        return bilinear(self.evaluator, x, y)
 
 
 def project_centerless(x: Element) -> Element:
     """Drop the central components (the quotient map onto the centerless
     algebra)."""
-    return Element({bv: coeff for bv, coeff in x.terms()
+    return Element({bv: x.coeff(bv) for bv in x.support()
                     if not bv.is_central()}, _clean=True)
 
 
@@ -167,6 +157,14 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
     return [("bider.left", left), ("bider.right", right)]
 
 
+def _biderivation_residuals(cand: BilinearTable, window: int,
+                            mode: AlgebraMode):
+    basis = [(b, Element.basis(b)) for b in basis_vectors(window, mode)]
+    for (x, ex), (y, ey), (z, ez) in product(basis, repeat=3):
+        for eq_id, residual in _axiom_residuals(cand, ex, ey, ez, mode):
+            yield (x, y, z), eq_id, residual
+
+
 def check_biderivation(cand: BilinearTable, window: int,
                        mode: AlgebraMode = CENTERLESS) -> Report:
     """Both derivation axioms on every basis triple of the window.
@@ -174,24 +172,11 @@ def check_biderivation(cand: BilinearTable, window: int,
     The default mode is the centerless quotient, where the classified
     family lives; FULL mode additionally exercises the central extension
     and rejects every candidate with a nonzero Upsilon part."""
-    basis = basis_vectors(window, mode)
-    failures = []
-    cases = 0
-    for x in basis:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            for z in basis:
-                ez = Element.basis(z)
-                for eq_id, residual in _axiom_residuals(cand, ex, ey, ez,
-                                                        mode):
-                    cases += 1
-                    if not residual.is_zero():
-                        inputs = f"({x.render()}, {y.render()}, {z.render()})"
-                        failures.append(Failure(inputs, eq_id,
-                                                residual.render()))
-    return Report(f"biderivation[{cand.name}]", window, "symbolic",
-                  cases, failures, {"mode": mode.value}).sorted()
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    return collect(f"biderivation[{cand.name}]", window, "symbolic",
+                   _biderivation_residuals(cand, window, mode),
+                   {"mode": mode.value})
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +221,26 @@ class LinearMap:
         return LinearMap(evaluate, name)
 
     def __call__(self, x: Element) -> Element:
-        acc = Element.zero()
-        for u, cu in x.terms():
-            image = self.evaluator(u)
-            if not image.is_zero():
-                acc = acc + image.scale(cu)
-        return acc
+        return linear(self.evaluator, x)
 
 
-def check_commuting(phi: LinearMap, window: int) -> Report:
-    """Polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on all
-    window basis pairs (equivalent to [phi(x), x] = 0 on the window span)."""
+def commuting_residuals(phi: LinearMap, window: int):
+    """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
+    all window basis pairs, as a residual stream."""
     basis = basis_vectors(window, FULL)
     images = {u: phi(Element.basis(u)) for u in basis}
-    failures = []
-    cases = 0
     for u in basis:
         eu = Element.basis(u)
         for v in basis:
-            cases += 1
-            residual = bracket(images[u], Element.basis(v)) \
-                + bracket(images[v], eu)
-            if not residual.is_zero():
-                inputs = f"({u.render()}, {v.render()})"
-                failures.append(Failure(inputs, "commuting.polarized",
-                                        residual.render()))
-    return Report(f"commuting[{phi.name}]", window, "symbolic",
-                  cases, failures).sorted()
+            yield ((u, v), "commuting.polarized",
+                   bracket(images[u], Element.basis(v)) + bracket(images[v], eu))
+
+
+def check_commuting(phi: LinearMap, window: int) -> Report:
+    """The polarized commuting condition on all window basis pairs
+    (equivalent to [phi(x), x] = 0 on the window span)."""
+    return collect(f"commuting[{phi.name}]", window, "symbolic",
+                   commuting_residuals(phi, window))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +258,7 @@ def _post_lie_residuals(params: BiderParams, window: int):
         ex = Element.basis(x)
         for y in basis:
             ey = Element.basis(y)
-            yield (f"({x.render()}, {y.render()})", "postlie.commutative",
+            yield ((x, y), "postlie.commutative",
                    dot(ex, ey) - dot(ey, ex))
     for x in basis:
         ex = Element.basis(x)
@@ -289,7 +267,7 @@ def _post_lie_residuals(params: BiderParams, window: int):
             bxy = bracket(ex, ey)
             for z in basis:
                 ez = Element.basis(z)
-                inputs = f"({x.render()}, {y.render()}, {z.render()})"
+                inputs = (x, y, z)
                 yield (inputs, "postlie.bracket_product",
                        dot(bxy, ez) - dot(ex, dot(ey, ez))
                        + dot(ey, dot(ex, ez)))
@@ -300,14 +278,8 @@ def _post_lie_residuals(params: BiderParams, window: int):
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
     """All three commutative post-Lie axioms for x*y := f_params(x, y)."""
-    failures = []
-    cases = 0
-    for inputs, eq_id, residual in _post_lie_residuals(params, window):
-        cases += 1
-        if not residual.is_zero():
-            failures.append(Failure(inputs, eq_id, residual.render()))
-    return Report(f"postlie[{params.describe()}]", window, "symbolic",
-                  cases, failures).sorted()
+    return collect(f"postlie[{params.describe()}]", window, "symbolic",
+                   _post_lie_residuals(params, window))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +300,7 @@ def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode):
             fxy = f(ex, ey)
             for z in basis:
                 ez = Element.basis(z)
-                inputs = f"({x.render()}, {y.render()}, {z.render()})"
+                inputs = (x, y, z)
                 fxz = f(ex, ez)
                 fyz = f(ey, ez)
                 yield (inputs, "lsabider.left",
@@ -344,14 +316,8 @@ def check_lsa_biderivation(params: BiderParams, window: int,
                            eps: EpsMode = SYMBOLIC) -> Report:
     """Derivation axioms of f_params with respect to the left-symmetric
     product, on all window basis triples."""
-    failures = []
-    cases = 0
-    for inputs, eq_id, residual in _lsa_bider_residuals(params, window, eps):
-        cases += 1
-        if not residual.is_zero():
-            failures.append(Failure(inputs, eq_id, residual.render()))
-    return Report(f"lsabider[{params.describe()}]", window, eps.describe(),
-                  cases, failures).sorted()
+    return collect(f"lsabider[{params.describe()}]", window, eps.describe(),
+                   _lsa_bider_residuals(params, window, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +366,8 @@ def _grid_report(check_name: str, window: int, eps_label: str,
                                         "grid.unexpected_pass", "0"))
         elif params.is_zero():
             inputs, eq_id, residual = witness
-            failures.append(Failure(f"({params.describe()}) at {inputs}",
+            failures.append(Failure(f"({params.describe()}) at "
+                                    f"{render_inputs(inputs)}",
                                     f"grid.trivial_failed[{eq_id}]",
                                     residual.render()))
     extra = {
@@ -512,42 +479,30 @@ def check_bider_converse(window: int) -> Report:
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    done = False
-    for x in basis:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            for z in basis:
-                ez = Element.basis(z)
-                residuals = [_axiom_residuals(t, ex, ey, ez, CENTERLESS)
-                             for t in tables]
-                for axiom in (0, 1):
-                    supports = set()
-                    per_gen = [residuals[g][axiom][1]
-                               for g in range(len(gens))]
-                    for res in per_gen:
-                        supports.update(res.support())
-                    for w in sorted(supports, key=lambda b: b.sort_key()):
-                        row = {}
-                        for g, res in enumerate(per_gen):
-                            coeff = res.coeff(w)
-                            if not coeff.is_zero():
-                                if g in family:
-                                    failures.append(Failure(
-                                        f"({x.render()}, {y.render()}, "
-                                        f"{z.render()})",
-                                        "converse.family_residual",
-                                        f"{names[g]}: {coeff.render()}"))
-                                    continue
-                                row[g] = coeff.as_rational()
-                        rows_used += 1
-                        reducer.add_row(row)
-                if reducer.rank >= target and not failures:
-                    done = True
-                    break
-            if done:
-                break
-        if done:
+    for x, y, z in product(basis, repeat=3):
+        residuals = [_axiom_residuals(t, Element.basis(x), Element.basis(y),
+                                      Element.basis(z), CENTERLESS)
+                     for t in tables]
+        for axiom in (0, 1):
+            supports = set()
+            per_gen = [residuals[g][axiom][1] for g in range(len(gens))]
+            for res in per_gen:
+                supports.update(res.support())
+            for w in sorted(supports, key=lambda b: b.sort_key()):
+                row = {}
+                for g, res in enumerate(per_gen):
+                    coeff = res.coeff(w)
+                    if not coeff.is_zero():
+                        if g in family:
+                            failures.append(Failure(
+                                render_inputs((x, y, z)),
+                                "converse.family_residual",
+                                f"{names[g]}: {coeff.render()}"))
+                            continue
+                        row[g] = coeff.as_rational()
+                rows_used += 1
+                reducer.add_row(row)
+        if reducer.rank >= target and not failures:
             break
     if reducer.rank < target:
         failures.append(Failure(
@@ -576,31 +531,28 @@ FAMILY_SAMPLES = (
 )
 
 
+def _central_residuals(params: BiderParams, basis: list):
+    for central in (C, L):
+        ec = Element.basis(central)
+        for u in basis:
+            eu = Element.basis(u)
+            yield ((central, u, "left"), "bider.central",
+                   bider_eval(params, ec, eu))
+            yield ((central, u, "right"), "bider.central",
+                   bider_eval(params, eu, ec))
+
+
 def check_family(window: int) -> Report:
     """The forward direction on canned family members (centerless axioms),
     plus central annihilation of both arguments in the full algebra."""
-    failures = []
-    cases = 0
     basis = basis_vectors(window, FULL)
-    for params in FAMILY_SAMPLES:
-        table = BilinearTable.from_params(params, CENTERLESS)
-        sub = check_biderivation(table, window, CENTERLESS)
-        cases += sub.total_cases
-        for failure in sub.failures:
-            failures.append(Failure(
-                f"params=({params.describe()}) {failure.inputs}",
-                failure.equation_id, failure.residual))
-        for central in (C, L):
-            ec = Element.basis(central)
-            for u in basis:
-                eu = Element.basis(u)
-                for label, value in (("left", bider_eval(params, ec, eu)),
-                                     ("right", bider_eval(params, eu, ec))):
-                    cases += 1
-                    if not value.is_zero():
-                        failures.append(Failure(
-                            f"params=({params.describe()}) "
-                            f"({central.render()}, {u.render()}, {label})",
-                            "bider.central", value.render()))
-    return Report("bider-family", window, "symbolic", cases,
-                  failures).sorted()
+
+    def residuals():
+        for params in FAMILY_SAMPLES:
+            table = BilinearTable.from_params(params, CENTERLESS)
+            prefix = f"params=({params.describe()})"
+            yield from prefixed(prefix, _biderivation_residuals(
+                table, window, CENTERLESS))
+            yield from prefixed(prefix, _central_residuals(params, basis))
+
+    return collect("bider-family", window, "symbolic", residuals())

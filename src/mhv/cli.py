@@ -33,6 +33,18 @@ from .scalars import ScalarError
 from .suite import CHECK_ORDER, RunConfig, run_suite
 
 
+def _window(text: str) -> int:
+    """The type of every --window option: an integer of at least 1."""
+    try:
+        window = int(text)
+    except ValueError:
+        window = 0
+    if window < 1:
+        raise argparse.ArgumentTypeError(
+            f"window must be an integer of at least 1, got {text!r}")
+    return window
+
+
 def _eps_mode(text: str | None) -> EpsMode:
     if text is None or text == "symbolic":
         return SYMBOLIC
@@ -79,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, window_default=5):
-        p.add_argument("--window", type=int, default=window_default,
+        p.add_argument("--window", type=_window, default=window_default,
                        help="index window [-N, N] for quantifiers")
         p.add_argument("--format", choices=("json", "text"), default="json")
 

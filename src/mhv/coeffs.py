@@ -40,9 +40,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
-from .algebra import C, Element, L, bracket, d, h
+from .algebra import C, Element, L, bilinear, bracket, d, h
 from .linalg import solve_unique
 from .reports import Failure, Report
 from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
@@ -253,16 +254,7 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
     """Component residuals of the left-symmetric identity for the basis
     triple of type ttype at indices (m, n, k): coefficient of d(m+n+k),
     h(m+n+k), C and L in ((xy)z - x(yz)) - ((yx)z - y(xz))."""
-    mul = product_from_fns(fns)
-
-    def product(x: Element, y: Element) -> Element:
-        acc = Element.zero()
-        for u, cu in x.terms():
-            for v, cv in y.terms():
-                base = mul(u, v)
-                if not base.is_zero():
-                    acc = acc + base.scale(cu * cv)
-        return acc
+    product = partial(bilinear, product_from_fns(fns))
 
     x = Element.basis(_typed_vector(ttype[0], m))
     y = Element.basis(_typed_vector(ttype[1], n))

@@ -11,8 +11,10 @@ Coefficients are rational literals like "-3/4", or parenthesized scalar
 expressions in the parameter e, e.g. "((1+e)/(1+3*e))*d(3)".  The h
 argument must be an odd integer over 2: "h(3/2)", "h(-1/2)".  Scalar
 expressions support +, -, *, /, integer powers "e^2" and parentheses.
+An exponent is a non-negative integer of at most MAX_EXPONENT (64); a
+larger one is a ParseError, not an unbounded computation.
 
-render_element / Scalar.render emit exactly this grammar, so parsing a
+Element.render / Scalar.render emit exactly this grammar, so parsing a
 rendered element reproduces it term for term.  Syntax errors carry the
 byte offset of the offending token.
 """
@@ -23,6 +25,9 @@ from fractions import Fraction
 
 from .algebra import BasisVector, C, Element, L, d, h
 from .scalars import EPS, ONE, Scalar, sc
+
+
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -143,6 +148,9 @@ class _Parser:
             kind, exponent, offset = self.next()
             if kind != "int":
                 raise ParseError("expected an integer exponent", offset)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds the limit "
+                                 f"{MAX_EXPONENT}", offset)
             acc = ONE
             for _ in range(exponent):
                 acc = acc * base
@@ -266,10 +274,6 @@ def parse_rational(text: str) -> Fraction:
     if not value.is_rational():
         raise ParseError("expected a plain rational (no 'e')", 0)
     return value.as_rational()
-
-
-def render_element(x: Element) -> str:
-    return x.render()
 
 
 def looks_like_element(text: str) -> bool:

@@ -25,9 +25,9 @@ degrees would be undefined).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import C, Element, L, d, h
+from .algebra import C, Element, L, bilinear, d, h
 from .scalars import PoleError, Scalar, sc
 
 
@@ -194,18 +194,10 @@ def _scan_poles(x: Element, y: Element, eps: Fraction) -> None:
 
 def lsa_product(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:
     """Bilinear extension of the product table."""
-    if not eps.is_symbolic:
-        _scan_poles(x, y, eps.eps)
-    acc = Element.zero()
-    for u, cu in x.terms():
-        for v, cv in y.terms():
-            if eps.is_symbolic:
-                base = _basis_product_symbolic(u, v)
-            else:
-                base = _basis_product_numeric(u, v, eps.eps)
-            if not base.is_zero():
-                acc = acc + base.scale(cu * cv)
-    return acc
+    if eps.is_symbolic:
+        return bilinear(_basis_product_symbolic, x, y)
+    _scan_poles(x, y, eps.eps)
+    return bilinear(partial(_basis_product_numeric, eps=eps.eps), x, y)
 
 
 def lsa_commutator(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:

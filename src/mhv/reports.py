@@ -8,6 +8,11 @@ used directly as a regression fixture.  JSON output is byte-identical
 for identical inputs: key order is fixed and all numbers are exact
 decimal strings, never floats.
 
+collect is the one place where residuals become Failures: every check
+streams (inputs, equation_id, residual) triples into it and gets back a
+sorted Report that counts each triple as a case and keeps the nonzero
+residuals, rendered.
+
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
 are compared bit for bit.
@@ -100,6 +105,36 @@ class Report:
                                      rendered))
         return Report(self.check, self.window, f"eps={eps}",
                       self.total_cases, evaluated, self.extra)
+
+
+def render_inputs(inputs) -> str:
+    """A case label: a string as it is, a tuple of parts as "(p1, p2, ...)"."""
+    if isinstance(inputs, str):
+        return inputs
+    return "(" + ", ".join(map(str, inputs)) + ")"
+
+
+def collect(check: str, window: int, eps_mode: str, residuals,
+            extra: dict | None = None) -> Report:
+    """The sorted Report of a stream of (inputs, equation_id, residual).
+
+    Each item is one case.  A residual is an Element or a Scalar; only the
+    nonzero ones are kept, rendered, as Failures.  Tuple inputs are only
+    rendered for a failure, so a passing sweep never formats its labels."""
+    failures = []
+    cases = 0
+    for inputs, eq_id, residual in residuals:
+        cases += 1
+        if not residual.is_zero():
+            failures.append(Failure(render_inputs(inputs), eq_id,
+                                    residual.render()))
+    return Report(check, window, eps_mode, cases, failures, extra).sorted()
+
+
+def prefixed(prefix: str, residuals):
+    """The same residual stream with every inputs label led by prefix."""
+    for inputs, eq_id, residual in residuals:
+        yield f"{prefix} {render_inputs(inputs)}", eq_id, residual
 
 
 def reports_to_json(reports: list, config: dict | None = None) -> str:

@@ -9,15 +9,17 @@ window-level admissibility guard refuses a numeric e whose pole degree
 -1/e lies inside the window itself, where the product table would be
 undefined on the window's own output degrees.
 
-Check names, in canonical order:
+The check registry CHECKS maps each check name to the function that runs
+it, in canonical order, and CHECK_ORDER is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
     cross-check solve-theta
 
-The environment variable MHV_WORKERS caps process parallelism for the
-large triple sweeps (default 1); reports are merged deterministically,
-so output is byte-identical for any worker count.
+Every check streams its residuals into reports.collect.  The environment
+variable MHV_WORKERS caps process parallelism for the five basis sweeps
+(default 1): worker i of n takes the x indices basis[i::n], and reports
+are merged and sorted, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,23 +27,176 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from multiprocessing import get_context
 
 from .algebra import FULL, C, Element, L, basis_vectors, bracket, grading_degree
 from .biderivations import (LinearMap, check_bider_converse, check_family,
-                            check_commuting, lsa_bider_grid, post_lie_grid)
+                            commuting_residuals, lsa_bider_grid,
+                            post_lie_grid)
 from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
                      closed_form_fns)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator)
-from .reports import Failure, Report
+from .reports import Failure, Report, collect, prefixed
 from .scalars import sc
 
-CHECK_ORDER = (
-    "jacobi", "antisym", "grading", "lsa-identity", "compatibility",
-    "bider-family", "bider-grid", "commuting", "postlie-grid",
-    "lsa-bider-grid", "star", "ast", "cross-check", "solve-theta",
-)
+
+# ---------------------------------------------------------------------------
+# the basis sweeps: a residual function of two or three basis elements,
+# evaluated on every pair or triple of the full-mode window basis
+# ---------------------------------------------------------------------------
+
+def _jacobi(x: Element, y: Element, z: Element) -> Element:
+    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) \
+        + bracket(z, bracket(x, y))
+
+
+def _antisym(x: Element, y: Element) -> Element:
+    return bracket(x, y) + bracket(y, x)
+
+
+def _grading(x: Element, y: Element) -> Element:
+    """The bracket where it is not homogeneous of degree deg x + deg y."""
+    value = bracket(x, y)
+    if value.is_zero() \
+            or grading_degree(value) == grading_degree(x) + grading_degree(y):
+        return Element.zero()
+    return value
+
+
+def _lsa_identity(x: Element, y: Element, z: Element) -> Element:
+    return lsa_associator_defect(x, y, z, SYMBOLIC)
+
+
+def _compatibility(x: Element, y: Element) -> Element:
+    return lsa_commutator(x, y, SYMBOLIC) - bracket(x, y)
+
+
+def _sweep_chunk(job: tuple) -> Report:
+    """One worker's share of a sweep: the cases whose first basis vector
+    is basis[start::step]."""
+    name, eq_id, arity, residual, window, start, step = job
+    basis = basis_vectors(window, FULL)
+    elements = {b: Element.basis(b) for b in basis}
+    cases = ((xs, eq_id, residual(*(elements[b] for b in xs)))
+             for xs in product(basis[start::step], *[basis] * (arity - 1)))
+    return collect(name, window, "symbolic", cases)
+
+
+def _sweep(eq_id: str, arity: int, residual):
+    """A registry entry that runs a basis sweep, worker i of n taking the
+    first basis vectors basis[i::n]; failures are sorted after merging, so
+    the report does not depend on the worker count."""
+
+    def run(name: str, window: int, workers: int) -> Report:
+        workers = min(workers, len(basis_vectors(window, FULL)))
+        jobs = [(name, eq_id, arity, residual, window, i, workers)
+                for i in range(workers)]
+        if workers <= 1:
+            return _sweep_chunk(jobs[0])
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_sweep_chunk, jobs)
+        return Report(name, window, "symbolic",
+                      sum(p.total_cases for p in parts),
+                      [f for p in parts for f in p.failures]).sorted()
+
+    return run
+
+
+def _serial(check):
+    """A registry entry for a check that takes the window alone."""
+    return lambda name, window, workers: check(window)
+
+
+# ---------------------------------------------------------------------------
+# the remaining checks
+# ---------------------------------------------------------------------------
+
+def _commuting_specs(window: int) -> list:
+    """Three deterministic (lambda, tau) samples with tau valued in the
+    center on a few window basis vectors."""
+    import random
+    rng = random.Random(7)
+    specs = []
+    basis = basis_vectors(window, FULL)
+    for i in range(3):
+        lam = Fraction(rng.randint(1, 9), rng.randint(1, 4)) \
+            * (1 if rng.random() < 0.5 else -1)
+        tau = {}
+        for bv in rng.sample(basis, 3):
+            tau[bv] = Element.of((Fraction(rng.randint(-3, 3)), C),
+                                 (Fraction(rng.randint(-3, 3)), L))
+        specs.append(LinearMap.from_spec(sc(lam), tau, name=f"sample{i}"))
+    return specs
+
+
+def _check_commuting_samples(window: int) -> Report:
+    return collect("commuting", window, "symbolic",
+                   (case for phi in _commuting_specs(window)
+                    for case in prefixed(phi.name,
+                                         commuting_residuals(phi, window))))
+
+
+def _equation_sweep(residuals):
+    """A registry entry that evaluates an equation system, residuals(fns,
+    m, n, k) -> [(id, Scalar)], on the closed form over the window cube."""
+
+    def run(name: str, window: int, workers: int) -> Report:
+        fns = closed_form_fns()
+        rng = range(-window, window + 1)
+        return collect(name, window, "symbolic",
+                       (((m, n, k), eq_id, residual)
+                        for m in rng for n in rng for k in rng
+                        for eq_id, residual in residuals(fns, m, n, k)))
+
+    return run
+
+
+def _check_solve_theta(window: int) -> Report:
+    failures = []
+    extra = {}
+    cases = 0
+    try:
+        table = solve_theta(max(window, 2))
+        cases = table.equations
+        extra = {
+            "unknowns": table.unknowns,
+            "rank": table.rank,
+            "equations": table.equations,
+            "theta": {str(n): str(v)
+                      for n, v in sorted(table.values.items())},
+        }
+        for n, value in sorted(table.values.items()):
+            expected = Fraction(2 * n + 1, 4)
+            if value != expected:
+                failures.append(Failure(f"theta({n})", "theta.value",
+                                        f"{value} != {expected}"))
+    except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
+        failures.append(Failure(f"window={window}", "theta.system", str(exc)))
+    return Report("solve-theta", window, "symbolic", cases, failures,
+                  extra).sorted()
+
+
+# name -> run(name, window, workers) -> Report, in canonical order
+CHECKS = {
+    "jacobi": _sweep("jacobi", 3, _jacobi),
+    "antisym": _sweep("antisym", 2, _antisym),
+    "grading": _sweep("grading", 2, _grading),
+    "lsa-identity": _sweep("lsa.identity", 3, _lsa_identity),
+    "compatibility": _sweep("lsa.compat", 2, _compatibility),
+    "bider-family": _serial(check_family),
+    "bider-grid": _serial(check_bider_converse),
+    "commuting": _serial(_check_commuting_samples),
+    "postlie-grid": _serial(post_lie_grid),
+    "lsa-bider-grid": _serial(lsa_bider_grid),
+    "star": _equation_sweep(star_residuals),
+    "ast": _equation_sweep(ast_residuals),
+    "cross-check": _serial(cross_check),
+    "solve-theta": _serial(_check_solve_theta),
+}
+
+CHECK_ORDER = tuple(CHECKS)
 
 
 @dataclass
@@ -70,203 +225,6 @@ def workers_from_env() -> int:
     return max(count, 1)
 
 
-# ---------------------------------------------------------------------------
-# sweep bodies: generators of (inputs, equation_id, residual Element)
-# ---------------------------------------------------------------------------
-
-def _jacobi_cases(window: int, lo: int, hi: int):
-    basis = basis_vectors(window, FULL)
-    for x in basis[lo:hi]:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            for z in basis:
-                ez = Element.basis(z)
-                residual = bracket(ex, bracket(ey, ez)) \
-                    + bracket(ey, bracket(ez, ex)) \
-                    + bracket(ez, bracket(ex, ey))
-                yield (f"({x.render()}, {y.render()}, {z.render()})",
-                       "jacobi", residual)
-
-
-def _antisym_cases(window: int, lo: int, hi: int):
-    basis = basis_vectors(window, FULL)
-    for x in basis[lo:hi]:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            residual = bracket(ex, ey) + bracket(ey, ex)
-            yield (f"({x.render()}, {y.render()})", "antisym", residual)
-
-
-def _grading_cases(window: int, lo: int, hi: int):
-    basis = basis_vectors(window, FULL)
-    for x in basis[lo:hi]:
-        ex = Element.basis(x)
-        for y in basis:
-            value = bracket(ex, Element.basis(y))
-            inputs = f"({x.render()}, {y.render()})"
-            if value.is_zero():
-                yield (inputs, "grading", Element.zero())
-                continue
-            expected = x.degree() + y.degree()
-            if grading_degree(value) == expected:
-                yield (inputs, "grading", Element.zero())
-            else:
-                yield (inputs, "grading", value)
-
-
-def _lsa_identity_cases(window: int, lo: int, hi: int):
-    basis = basis_vectors(window, FULL)
-    for x in basis[lo:hi]:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            for z in basis:
-                ez = Element.basis(z)
-                residual = lsa_associator_defect(ex, ey, ez, SYMBOLIC)
-                yield (f"({x.render()}, {y.render()}, {z.render()})",
-                       "lsa.identity", residual)
-
-
-def _compatibility_cases(window: int, lo: int, hi: int):
-    basis = basis_vectors(window, FULL)
-    for x in basis[lo:hi]:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            residual = lsa_commutator(ex, ey, SYMBOLIC) - bracket(ex, ey)
-            yield (f"({x.render()}, {y.render()})", "lsa.compat", residual)
-
-
-_SWEEPS = {
-    "jacobi": _jacobi_cases,
-    "antisym": _antisym_cases,
-    "grading": _grading_cases,
-    "lsa-identity": _lsa_identity_cases,
-    "compatibility": _compatibility_cases,
-}
-
-
-def _sweep_chunk(args: tuple) -> tuple:
-    name, window, lo, hi = args
-    cases = 0
-    failures = []
-    for inputs, eq_id, residual in _SWEEPS[name](window, lo, hi):
-        cases += 1
-        if not residual.is_zero():
-            failures.append((inputs, eq_id, residual.render()))
-    return cases, failures
-
-
-def _run_sweep(name: str, window: int, workers: int) -> Report:
-    size = len(basis_vectors(window, FULL))
-    if workers <= 1:
-        cases, raw_failures = _sweep_chunk((name, window, 0, size))
-    else:
-        workers = min(workers, size)
-        bounds = [(size * i // workers, size * (i + 1) // workers)
-                  for i in range(workers)]
-        jobs = [(name, window, lo, hi) for lo, hi in bounds]
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sweep_chunk, jobs)
-        cases = sum(p[0] for p in parts)
-        raw_failures = [f for p in parts for f in p[1]]
-    failures = [Failure(*f) for f in raw_failures]
-    return Report(name, window, "symbolic", cases, failures).sorted()
-
-
-# ---------------------------------------------------------------------------
-# the remaining checks
-# ---------------------------------------------------------------------------
-
-def _commuting_specs(window: int) -> list:
-    """Three deterministic (lambda, tau) samples with tau valued in the
-    center on a few window basis vectors."""
-    import random
-    rng = random.Random(7)
-    specs = []
-    basis = basis_vectors(window, FULL)
-    for i in range(3):
-        lam = Fraction(rng.randint(1, 9), rng.randint(1, 4)) \
-            * (1 if rng.random() < 0.5 else -1)
-        tau = {}
-        for bv in rng.sample(basis, 3):
-            tau[bv] = Element.of((Fraction(rng.randint(-3, 3)), C),
-                                 (Fraction(rng.randint(-3, 3)), L))
-        specs.append(LinearMap.from_spec(sc(lam), tau, name=f"sample{i}"))
-    return specs
-
-
-def _check_commuting_samples(window: int) -> Report:
-    failures = []
-    cases = 0
-    for phi in _commuting_specs(window):
-        sub = check_commuting(phi, window)
-        cases += sub.total_cases
-        for failure in sub.failures:
-            failures.append(Failure(f"{phi.name} {failure.inputs}",
-                                    failure.equation_id, failure.residual))
-    return Report("commuting", window, "symbolic", cases, failures).sorted()
-
-
-def _check_star(window: int) -> Report:
-    fns = closed_form_fns()
-    failures = []
-    cases = 0
-    rng = range(-window, window + 1)
-    for m in rng:
-        for n in rng:
-            for k in rng:
-                for eq_id, residual in star_residuals(fns, m, n, k):
-                    cases += 1
-                    if not residual.is_zero():
-                        failures.append(Failure(f"({m}, {n}, {k})", eq_id,
-                                                residual.render()))
-    return Report("star", window, "symbolic", cases, failures).sorted()
-
-
-def _check_ast(window: int) -> Report:
-    fns = closed_form_fns()
-    failures = []
-    cases = 0
-    rng = range(-window, window + 1)
-    for m in rng:
-        for n in rng:
-            for k in rng:
-                for eq_id, residual in ast_residuals(fns, m, n, k):
-                    cases += 1
-                    if not residual.is_zero():
-                        failures.append(Failure(f"({m}, {n}, {k})", eq_id,
-                                                residual.render()))
-    return Report("ast", window, "symbolic", cases, failures).sorted()
-
-
-def _check_solve_theta(window: int) -> Report:
-    failures = []
-    extra = {}
-    cases = 0
-    try:
-        table = solve_theta(max(window, 2))
-        cases = table.equations
-        extra = {
-            "unknowns": table.unknowns,
-            "rank": table.rank,
-            "equations": table.equations,
-            "theta": {str(n): str(v)
-                      for n, v in sorted(table.values.items())},
-        }
-        for n, value in sorted(table.values.items()):
-            expected = Fraction(2 * n + 1, 4)
-            if value != expected:
-                failures.append(Failure(f"theta({n})", "theta.value",
-                                        f"{value} != {expected}"))
-    except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-        failures.append(Failure(f"window={window}", "theta.system", str(exc)))
-    return Report("solve-theta", window, "symbolic", cases, failures,
-                  extra).sorted()
-
-
 def run_suite(config: RunConfig, workers: int | None = None) -> list:
     """Execute the selected checks and return one Report each."""
     if workers is None:
@@ -276,26 +234,7 @@ def run_suite(config: RunConfig, workers: int | None = None) -> list:
 
     reports = []
     for name in config.checks:
-        if name in _SWEEPS:
-            report = _run_sweep(name, config.window, workers)
-        elif name == "bider-family":
-            report = check_family(config.window)
-        elif name == "bider-grid":
-            report = check_bider_converse(config.window)
-        elif name == "commuting":
-            report = _check_commuting_samples(config.window)
-        elif name == "postlie-grid":
-            report = post_lie_grid(config.window)
-        elif name == "lsa-bider-grid":
-            report = lsa_bider_grid(config.window, SYMBOLIC)
-        elif name == "star":
-            report = _check_star(config.window)
-        elif name == "ast":
-            report = _check_ast(config.window)
-        elif name == "cross-check":
-            report = cross_check(config.window)
-        else:  # solve-theta
-            report = _check_solve_theta(config.window)
+        report = CHECKS[name](name, config.window, workers)
         if not config.eps.is_symbolic:
             report = report.evaluated_at(config.eps.eps)
         reports.append(report)

@@ -81,6 +81,12 @@ class TestAxiomChecker:
             BilinearTable.from_params(BiderParams(0, {}), CENTERLESS), 2)
         assert report.passed
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        table = BilinearTable.from_params(BiderParams(1, {0: 1}), CENTERLESS)
+        with pytest.raises(ValueError):
+            check_biderivation(table, window)
+
     def test_raw_table_fails(self):
         table = BilinearTable(
             lambda u, v: E(d(u.index + v.index))

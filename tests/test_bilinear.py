@@ -1,0 +1,94 @@
+"""The one bilinear extension: algebra.bilinear against the plain sum of
+Element.of over all term pairs, on dense random elements."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mhv.algebra import FULL, Element, _basis_bracket, bilinear, bracket, d, h
+from mhv.biderivations import BiderParams, upsilon
+from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
+                     lsa_product)
+from mhv.scalars import Scalar, sc
+
+E_VALUE = Fraction(2, 5)
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def qe_scalars(draw):
+    """Nonzero (a + b e) / (1 + c e) with small rational a, b and integer c."""
+    a, b = draw(rationals), draw(rationals)
+    if a == 0 and b == 0:
+        a = Fraction(1)
+    c = draw(st.integers(-3, 3))
+    return Scalar((a, b), (Fraction(1), Fraction(c)))
+
+
+@st.composite
+def dense_elements(draw):
+    vectors = draw(st.lists(
+        st.builds(lambda tag, i: d(i) if tag == "d" else h(i),
+                  st.sampled_from("dh"), st.integers(-4, 4)),
+        min_size=4, max_size=8, unique=True))
+    return Element.of(*((draw(qe_scalars()), bv) for bv in vectors))
+
+
+def term_pair_sum(table, x: Element, y: Element) -> Element:
+    return Element.of(*((cu * cv * c, w)
+                        for u, cu in x.terms() for v, cv in y.terms()
+                        for w, c in table(u, v).terms()))
+
+
+def upsilon_table(params):
+    def table(u, v):
+        if u.tag != "d" or v.tag != "d":
+            return Element.zero()
+        return Element.of(*((sc(Fraction(2 * k + 1, 2)) * mu,
+                             h(u.index + v.index + k))
+                            for k, mu in params.omega.items()))
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_elements(), dense_elements())
+def test_bracket_is_the_term_pair_sum(x, y):
+    table = lambda u, v: _basis_bracket(u, v, FULL)
+    assert bracket(x, y) == term_pair_sum(table, x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_elements(), dense_elements())
+def test_symbolic_product_is_the_term_pair_sum(x, y):
+    assert lsa_product(x, y) \
+        == term_pair_sum(_basis_product_symbolic, x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_elements(), dense_elements())
+def test_numeric_product_is_the_term_pair_sum(x, y):
+    table = lambda u, v: _basis_product_numeric(u, v, E_VALUE)
+    assert lsa_product(x, y, EpsMode.numeric(E_VALUE)) \
+        == term_pair_sum(table, x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_elements(), dense_elements(),
+       st.dictionaries(st.integers(-2, 2), rationals.filter(bool),
+                       min_size=1, max_size=3))
+def test_upsilon_is_the_term_pair_sum(x, y, omega):
+    params = BiderParams(0, omega)
+    assert upsilon(params, x, y) == term_pair_sum(upsilon_table(params), x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_elements(), dense_elements())
+def test_bilinear_leaves_table_values_unchanged(x, y):
+    table = lambda u, v: _basis_bracket(u, v, FULL)
+    before = {(u, v): dict(table(u, v)._terms)
+              for u in x.support() for v in y.support()}
+    bilinear(table, x, y)
+    bilinear(table, y, x)
+    assert all(table(u, v)._terms == terms
+               for (u, v), terms in before.items())

@@ -1,5 +1,7 @@
 """Element/scalar expression parsing and the render round trip."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,19 @@ class TestParseScalar:
     def test_rational_rejects_eps(self):
         with pytest.raises(ParseError):
             parse_rational("1+e")
+
+    def test_exponent_limit(self):
+        assert parse_scalar("e^64") == parse_scalar("(e^32)*(e^32)")
+        with pytest.raises(ParseError) as err:
+            parse_scalar("(1+e)^65")
+        assert err.value.offset == 6
+
+    def test_huge_exponent_fails_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhv.cli", "lsa-mul", "(e^99999999)*d(1)",
+             "d(1)"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "(at byte 3)" in proc.stderr
 
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=4)

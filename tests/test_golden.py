@@ -1,0 +1,54 @@
+"""Golden reports: byte-for-byte comparison with JSON written by an
+earlier version of mhv.
+
+The files in tests/golden cover all fourteen checks in symbolic and
+numeric mode (verify at window 2) and, through the failing runs, the
+rendering of failure inputs and residuals, which passing reports never
+show: a full-mode bider-check whose residuals lie in l, and an
+LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
+run numerically at e = 2/5.
+"""
+
+import contextlib
+import io
+import os
+from fractions import Fraction
+
+import pytest
+
+from mhv.biderivations import BiderParams, check_lsa_biderivation
+from mhv.cli import main
+from mhv.lsa import EpsMode
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+E_VALUE = Fraction(2, 5)
+
+
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("verify-w2.json", ["verify", "--window", "2"], 0),
+    ("verify-w2-eps-2-5.json", ["verify", "--window", "2", "--eps", "2/5"],
+     0),
+    ("bider-check-l1-o0-w1-full.json",
+     ["bider-check", "--lambda", "1", "--omega", "0=1", "--window", "1",
+      "--full"], 1),
+])
+def test_cli_output_is_golden(name, argv, code):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == code
+    assert out.getvalue() == golden(name)
+
+
+def test_lsa_biderivation_reports_are_golden():
+    params = BiderParams(0, {-1: 1})
+    symbolic = check_lsa_biderivation(params, 1)
+    numeric = check_lsa_biderivation(params, 1, EpsMode.numeric(E_VALUE))
+    assert symbolic.to_json() + "\n" == golden("lsabider-w1-symbolic.json")
+    assert symbolic.evaluated_at(E_VALUE).to_json() + "\n" \
+        == golden("lsabider-w1-evaluated-2-5.json")
+    assert numeric.to_json() + "\n" == golden("lsabider-w1-numeric-2-5.json")

@@ -86,12 +86,49 @@ class TestSuite:
         parallel = reports_to_json(run_suite(cfg, workers=3))
         assert serial == parallel
 
+    def test_workers_share_the_d_and_h_halves(self):
+        # products of d vectors cost far more than those of h vectors, so
+        # each of two workers must get as many of one as of the other
+        from mhv.suite import _sweep_chunk
+        for start in range(2):
+            firsts = set()
+
+            def record(x, y):
+                firsts.add(next(iter(x.support())))
+                return x.zero()
+
+            report = _sweep_chunk(("probe", "probe", 2, record, 3, start, 2))
+            # the window-3 full basis has 7 d, 7 h, c and l
+            assert report.passed and report.total_cases == 8 * 16
+            tags = [bv.tag for bv in firsts]
+            assert len(tags) == 8
+            assert abs(tags.count("d") - tags.count("h")) <= 1
+
+    def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
+                                                          capsys):
+        argv = ["verify", "--window", "2", "--checks", "lsa-identity,jacobi"]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MHV_WORKERS", workers)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestCli:
     def run(self, capsys, *argv):
         code = main(list(argv))
         out = capsys.readouterr()
         return code, out.out, out.err
+
+    @pytest.mark.parametrize("command", [
+        "lsa-check", "verify", "solve-theta", "bider-check", "postlie-grid",
+        "lsa-bider-grid", "star-check", "ast-check", "cross-check"])
+    @pytest.mark.parametrize("window", ["-1", "0"])
+    def test_window_below_one_is_a_usage_error(self, command, window):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--window={window}"])
+        assert exc.value.code == 2
 
     def test_bracket(self, capsys):
         code, out, _ = self.run(capsys, "bracket", "d(2)", "d(-2)",
