@@ -20,8 +20,12 @@ the loops of verification sweeps.
 
 bilinear(table, x, y) is the one bilinear extension of a table on basis
 pairs to arbitrary elements.  The bracket, the left-symmetric product,
-the biderivation tables, Upsilon and the coefficient oracle's product
-all go through it; linear does the same for maps given on basis vectors.
+the biderivation family table and the coefficient oracle's product all
+go through it; linear does the same for maps given on basis vectors, and
+combine builds a table as a linear combination of tables.
+
+basis_sweep is the one driver of the verification sweeps: it evaluates a
+residual function on every pair or triple of window basis elements.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from typing import Callable, Iterator
 
 from .scalars import ONE, ZERO, Scalar, sc
@@ -353,8 +358,22 @@ def linear(table: Callable[[BasisVector], Element], x: Element) -> Element:
     return Element(acc, _clean=True)
 
 
-_BRACKET_TABLES = {mode: partial(_basis_bracket, mode=mode)
-                   for mode in AlgebraMode}
+def combine(parts: list) -> Callable[[BasisVector, BasisVector], Element]:
+    """The table on basis pairs that sums w * table(u, v) over the
+    (w, table) parts."""
+
+    def table(u: BasisVector, v: BasisVector) -> Element:
+        acc: dict = {}
+        for w, part in parts:
+            _add_scaled(acc, part(u, v), w)
+        return Element(acc, _clean=True)
+
+    return table
+
+
+# the bracket's table on basis pairs, per mode
+BRACKET_TABLES = {mode: partial(_basis_bracket, mode=mode)
+                  for mode in AlgebraMode}
 
 
 def bracket(x: Element, y: Element, mode: AlgebraMode = FULL) -> Element:
@@ -362,7 +381,7 @@ def bracket(x: Element, y: Element, mode: AlgebraMode = FULL) -> Element:
     if mode is CENTERLESS:
         _check_centerless(x, "left argument")
         _check_centerless(y, "right argument")
-    return bilinear(_BRACKET_TABLES[mode], x, y)
+    return bilinear(BRACKET_TABLES[mode], x, y)
 
 
 def grading_degree(x: Element):
@@ -382,3 +401,17 @@ def basis_vectors(window: int, mode: AlgebraMode = FULL) -> list:
     if mode is FULL:
         out += [C, L]
     return out
+
+
+def basis_sweep(window: int, arity: int, residuals, first: slice = slice(None),
+                mode: AlgebraMode = FULL) -> Iterator[tuple]:
+    """Yield (inputs, equation_id, residual) for every arity-tuple of the
+    window basis whose first entry lies in basis[first].
+
+    residuals(*elements) returns the [(equation_id, residual)] of one
+    tuple of basis elements; inputs is the tuple of basis vectors."""
+    basis = basis_vectors(window, mode)
+    elements = {b: Element.basis(b) for b in basis}
+    for xs in product(basis[first], *[basis] * (arity - 1)):
+        for eq_id, residual in residuals(*(elements[b] for b in xs)):
+            yield xs, eq_id, residual

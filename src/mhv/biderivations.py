@@ -10,14 +10,21 @@ where Upsilon_Omega is supported on d,d pairs,
 
     Upsilon_Omega(d_m, d_n) = sum_k (k+1/2) mu_k h_{m+n+k+1/2},
 
-and Omega = (mu_k) has finite support.  The family arises on the
-centerless quotient and the derivation axioms hold there; that is the
-default mode of check_biderivation.  Over the centrally extended algebra
-the h-valued image of Upsilon brackets into the central l (for example
-[Upsilon(d_0, d_0), h_{-1/2}] = mu_0/4 * l), and no central correction
-of the family can absorb the resulting residual, so in FULL mode only
-the inner members (Omega empty) satisfy the axioms; full mode is kept
-available precisely to exhibit that obstruction.
+and Omega = (mu_k) has finite support.  family_table builds a member's
+table on basis pairs, once per member, as lambda times the bracket's
+table plus the weighted upsilon[k] tables (upsilon[s] sends d_m, d_n to
+h_{m+n+s+1/2}); bider_eval, upsilon, BilinearTable.from_params, every
+sweep below and the converse's family generators all derive from it.
+Every basis-tuple sweep runs through algebra.basis_sweep.
+
+The family arises on the centerless quotient and the derivation axioms
+hold there; that is the default mode of check_biderivation.  Over the
+centrally extended algebra the h-valued image of Upsilon brackets into
+the central l (for example [Upsilon(d_0, d_0), h_{-1/2}] = mu_0/4 * l),
+and no central correction of the family can absorb the resulting
+residual, so in FULL mode only the inner members (Omega empty) satisfy
+the axioms; full mode is kept available precisely to exhibit that
+obstruction.
 
 The converse is certified in bounded brute-force form by
 check_bider_converse, which solves the (centerless) axiom equations
@@ -33,11 +40,12 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from functools import partial
 from typing import Callable
 
-from .algebra import (C, CENTERLESS, FULL, AlgebraMode, BasisVector, Element,
-                      L, basis_vectors, bilinear, bracket, d, h, linear)
+from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
+                      BasisVector, CentralTermError, Element, L, basis_sweep,
+                      basis_vectors, bilinear, bracket, combine, d, h, linear)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
 from .reports import Failure, Report, collect, prefixed, render_inputs
@@ -70,29 +78,53 @@ class BiderParams:
         return f"BiderParams({self.describe()})"
 
 
+# a bilinear map given by its values on basis pairs
+PairTable = Callable[[BasisVector, BasisVector], Element]
+
+
+def _on_tags(tags: str, fn) -> PairTable:
+    """The table fn(m, n) on the pairs of index m and n whose two tags are
+    tags, zero on every other pair."""
+    return lambda u, v: fn(u.index, v.index) if u.tag + v.tag == tags \
+        else Element.zero()
+
+
+def _upsilon_generator(s: int) -> PairTable:
+    """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair."""
+    return _on_tags("dd", lambda m, n: Element.basis(h(m + n + s)))
+
+
+def family_table(params: BiderParams, mode: AlgebraMode = FULL) -> PairTable:
+    """The one table on basis pairs of f = lambda [., .] + Upsilon_Omega:
+    lambda times the bracket's table for mode plus the sum over k of
+    (k+1/2) mu_k upsilon[k].  The centerless table rejects central basis
+    vectors, as the centerless bracket does."""
+    parts = [(sc(Fraction(2 * k + 1, 2)) * mu, _upsilon_generator(k))
+             for k, mu in sorted(params.omega.items())]
+    if not params.lam.is_zero():
+        parts.insert(0, (params.lam, BRACKET_TABLES[mode]))
+    table = combine(parts)
+    if mode is FULL:
+        return table
+
+    def centerless(u: BasisVector, v: BasisVector) -> Element:
+        if u.is_central() or v.is_central():
+            raise CentralTermError(
+                "centerless mode forbids central terms in the family "
+                f"arguments ({u.render()}, {v.render()})")
+        return table(u, v)
+
+    return centerless
+
+
 def upsilon(params: BiderParams, x: Element, y: Element) -> Element:
-    """The exceptional component: nonzero only on d,d term pairs."""
-    if not params.omega:
-        return Element.zero()
-    weights = [(sc(Fraction(2 * k + 1, 2)) * mu, k)
-               for k, mu in sorted(params.omega.items())]
-
-    def table(u: BasisVector, v: BasisVector) -> Element:
-        if u.tag != "d" or v.tag != "d":
-            return Element.zero()
-        return Element.of(*((w, h(u.index + v.index + k)) for w, k in weights))
-
-    return bilinear(table, x, y)
+    """The exceptional component Upsilon_Omega: the member (0, Omega)."""
+    return bider_eval(BiderParams(0, params.omega), x, y)
 
 
 def bider_eval(params: BiderParams, x: Element, y: Element) -> Element:
     """lambda [x, y] + Upsilon_Omega(x, y)."""
-    acc = Element.zero()
-    if not params.lam.is_zero():
-        acc = bracket(x, y, FULL).scale(params.lam)
-    if params.omega:
-        acc = acc + upsilon(params, x, y)
-    return acc
+    return bilinear(family_table(params), x, y)
 
 
 class BilinearTable:
@@ -113,13 +145,7 @@ class BilinearTable:
     @staticmethod
     def from_params(params: BiderParams,
                     mode: AlgebraMode = FULL) -> "BilinearTable":
-        def evaluate(u: BasisVector, v: BasisVector) -> Element:
-            eu, ev = Element.basis(u), Element.basis(v)
-            out = upsilon(params, eu, ev)
-            if not params.lam.is_zero():
-                out = out + bracket(eu, ev, mode).scale(params.lam)
-            return out
-        return BilinearTable(evaluate, params.describe())
+        return BilinearTable(family_table(params, mode), params.describe())
 
     @staticmethod
     def from_dict(entries: dict, name: str = "table") -> "BilinearTable":
@@ -159,10 +185,8 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
 
 def _biderivation_residuals(cand: BilinearTable, window: int,
                             mode: AlgebraMode):
-    basis = [(b, Element.basis(b)) for b in basis_vectors(window, mode)]
-    for (x, ex), (y, ey), (z, ez) in product(basis, repeat=3):
-        for eq_id, residual in _axiom_residuals(cand, ex, ey, ez, mode):
-            yield (x, y, z), eq_id, residual
+    return basis_sweep(window, 3, partial(_axiom_residuals, cand, mode=mode),
+                       mode=mode)
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -227,13 +251,12 @@ class LinearMap:
 def commuting_residuals(phi: LinearMap, window: int):
     """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
     all window basis pairs, as a residual stream."""
-    basis = basis_vectors(window, FULL)
-    images = {u: phi(Element.basis(u)) for u in basis}
-    for u in basis:
-        eu = Element.basis(u)
-        for v in basis:
-            yield ((u, v), "commuting.polarized",
-                   bracket(images[u], Element.basis(v)) + bracket(images[v], eu))
+
+    def polarized(u: Element, v: Element) -> list:
+        return [("commuting.polarized",
+                 bracket(phi(u), v) + bracket(phi(v), u))]
+
+    return basis_sweep(window, 2, polarized)
 
 
 def check_commuting(phi: LinearMap, window: int) -> Report:
@@ -249,31 +272,21 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 
 def _post_lie_residuals(params: BiderParams, window: int):
     """Yields (inputs, equation_id, residual) for the three axioms."""
-    basis = basis_vectors(window, FULL)
+    dot = partial(bilinear, family_table(params))
 
-    def dot(a: Element, b: Element) -> Element:
-        return bider_eval(params, a, b)
+    def commutative(x: Element, y: Element) -> list:
+        return [("postlie.commutative", dot(x, y) - dot(y, x))]
 
-    for x in basis:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            yield ((x, y), "postlie.commutative",
-                   dot(ex, ey) - dot(ey, ex))
-    for x in basis:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            bxy = bracket(ex, ey)
-            for z in basis:
-                ez = Element.basis(z)
-                inputs = (x, y, z)
-                yield (inputs, "postlie.bracket_product",
-                       dot(bxy, ez) - dot(ex, dot(ey, ez))
-                       + dot(ey, dot(ex, ez)))
-                yield (inputs, "postlie.product_bracket",
-                       dot(ex, bracket(ey, ez)) - bracket(dot(ex, ey), ez)
-                       - bracket(ey, dot(ex, ez)))
+    def triple(x: Element, y: Element, z: Element) -> list:
+        return [("postlie.bracket_product",
+                 dot(bracket(x, y), z) - dot(x, dot(y, z))
+                 + dot(y, dot(x, z))),
+                ("postlie.product_bracket",
+                 dot(x, bracket(y, z)) - bracket(dot(x, y), z)
+                 - bracket(y, dot(x, z)))]
+
+    yield from basis_sweep(window, 2, commutative)
+    yield from basis_sweep(window, 3, triple)
 
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
@@ -287,29 +300,17 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 # ---------------------------------------------------------------------------
 
 def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode):
-    basis = basis_vectors(window, FULL)
+    f = partial(bilinear, family_table(params))
+    mul = partial(lsa_product, eps=eps)
 
-    def f(a: Element, b: Element) -> Element:
-        return bider_eval(params, a, b)
+    def axioms(x: Element, y: Element, z: Element) -> list:
+        fxz = f(x, z)
+        return [("lsabider.left",
+                 f(mul(x, y), z) - mul(fxz, y) - mul(x, f(y, z))),
+                ("lsabider.right",
+                 f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, fxz))]
 
-    for x in basis:
-        ex = Element.basis(x)
-        for y in basis:
-            ey = Element.basis(y)
-            xy = lsa_product(ex, ey, eps)
-            fxy = f(ex, ey)
-            for z in basis:
-                ez = Element.basis(z)
-                inputs = (x, y, z)
-                fxz = f(ex, ez)
-                fyz = f(ey, ez)
-                yield (inputs, "lsabider.left",
-                       f(xy, ez) - lsa_product(fxz, ey, eps)
-                       - lsa_product(ex, fyz, eps))
-                yield (inputs, "lsabider.right",
-                       f(ex, lsa_product(ey, ez, eps))
-                       - lsa_product(fxy, ez, eps)
-                       - lsa_product(ey, fxz, eps))
+    return basis_sweep(window, 3, axioms)
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
@@ -406,53 +407,27 @@ def _candidate_generators() -> list:
     """A linearly independent spanning set of centerless bilinear shapes,
     strictly larger than the family, over which the axiom equations are
     solved."""
-    zero = Element.zero()
-
-    def dd(fn):
-        return lambda u, v: fn(u.index, v.index) \
-            if u.tag == "d" and v.tag == "d" else zero
-
-    def dh(fn):
-        return lambda u, v: fn(u.index, v.index) \
-            if u.tag == "d" and v.tag == "h" else zero
-
-    def hd(fn):
-        return lambda u, v: fn(u.index, v.index) \
-            if u.tag == "h" and v.tag == "d" else zero
-
-    def hh(fn):
-        return lambda u, v: fn(u.index, v.index) \
-            if u.tag == "h" and v.tag == "h" else zero
-
-    gens = [("bracket", lambda u, v:
-             bracket(Element.basis(u), Element.basis(v), CENTERLESS))]
-    for s in UPSILON_SHIFTS:
-        gens.append((f"upsilon[{s}]",
-                     dd(lambda m, n, s=s: Element.basis(h(m + n + s)))))
+    gens = [("bracket", BRACKET_TABLES[CENTERLESS])]
+    gens += [(f"upsilon[{s}]", _upsilon_generator(s)) for s in UPSILON_SHIFTS]
+    # each decoy lives on the pairs whose tags its name starts with
+    decoys = (
+        ("dd->d", lambda m, n, s: Element.basis(d(m + n + s))),
+        ("dd->(m-n)d", lambda m, n, s: Element.of((m - n, d(m + n + s)))),
+        ("dd->(m-n)h", lambda m, n, s: Element.of((m - n, h(m + n + s)))),
+        ("dh->h", lambda m, n, s: Element.basis(h(m + n + s))),
+        ("dh->-(n+1/2)h", lambda m, n, s:
+         Element.of((Fraction(-(2 * n + 1), 2), h(m + n + s)))),
+        ("hd->h", lambda m, n, s: Element.basis(h(m + n + s))),
+        ("hh->d", lambda m, n, s: Element.basis(d(m + n + s))),
+        ("hh->h", lambda m, n, s: Element.basis(h(m + n + s))),
+    )
     for s in _DECOY_SHIFTS:
-        gens.append((f"dd->d[{s}]",
-                     dd(lambda m, n, s=s: Element.basis(d(m + n + s)))))
-        gens.append((f"dd->(m-n)d[{s}]",
-                     dd(lambda m, n, s=s:
-                        Element.of((m - n, d(m + n + s))))))
-        gens.append((f"dd->(m-n)h[{s}]",
-                     dd(lambda m, n, s=s:
-                        Element.of((m - n, h(m + n + s))))))
-        gens.append((f"dh->h[{s}]",
-                     dh(lambda m, n, s=s: Element.basis(h(m + n + s)))))
-        gens.append((f"dh->-(n+1/2)h[{s}]",
-                     dh(lambda m, n, s=s:
-                        Element.of((Fraction(-(2 * n + 1), 2),
-                                    h(m + n + s))))))
-        gens.append((f"hd->h[{s}]",
-                     hd(lambda m, n, s=s: Element.basis(h(m + n + s)))))
-        gens.append((f"hh->d[{s}]",
-                     hh(lambda m, n, s=s: Element.basis(d(m + n + s)))))
-        gens.append((f"hh->h[{s}]",
-                     hh(lambda m, n, s=s: Element.basis(h(m + n + s)))))
+        gens += [(f"{name}[{s}]", _on_tags(name[:2], partial(fn, s=s)))
+                 for name, fn in decoys]
     return gens
 
 
+# the generators family_table builds every member from
 FAMILY_GENERATORS = ("bracket",) + tuple(f"upsilon[{s}]"
                                          for s in UPSILON_SHIFTS)
 
@@ -475,34 +450,37 @@ def check_bider_converse(window: int) -> Report:
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
 
-    basis = basis_vectors(window, CENTERLESS)
+    def per_axiom(x: Element, y: Element, z: Element) -> list:
+        """Each axiom's residuals, one per generator."""
+        axioms = zip(*(_axiom_residuals(t, x, y, z, CENTERLESS)
+                       for t in tables))
+        return [(pairs[0][0], [res for _, res in pairs]) for pairs in axioms]
+
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    for x, y, z in product(basis, repeat=3):
-        residuals = [_axiom_residuals(t, Element.basis(x), Element.basis(y),
-                                      Element.basis(z), CENTERLESS)
-                     for t in tables]
-        for axiom in (0, 1):
-            supports = set()
-            per_gen = [residuals[g][axiom][1] for g in range(len(gens))]
-            for res in per_gen:
-                supports.update(res.support())
-            for w in sorted(supports, key=lambda b: b.sort_key()):
-                row = {}
-                for g, res in enumerate(per_gen):
-                    coeff = res.coeff(w)
-                    if not coeff.is_zero():
-                        if g in family:
-                            failures.append(Failure(
-                                render_inputs((x, y, z)),
-                                "converse.family_residual",
-                                f"{names[g]}: {coeff.render()}"))
-                            continue
-                        row[g] = coeff.as_rational()
-                rows_used += 1
-                reducer.add_row(row)
-        if reducer.rank >= target and not failures:
+    for inputs, eq_id, per_gen in basis_sweep(window, 3, per_axiom,
+                                              mode=CENTERLESS):
+        supports = set()
+        for res in per_gen:
+            supports.update(res.support())
+        for w in sorted(supports, key=lambda b: b.sort_key()):
+            row = {}
+            for g, res in enumerate(per_gen):
+                coeff = res.coeff(w)
+                if not coeff.is_zero():
+                    if g in family:
+                        failures.append(Failure(
+                            render_inputs(inputs),
+                            "converse.family_residual",
+                            f"{names[g]}: {coeff.render()}"))
+                        continue
+                    row[g] = coeff.as_rational()
+            rows_used += 1
+            reducer.add_row(row)
+        # stop after a triple's last axiom once the rank is certified
+        if eq_id == "bider.right" and reducer.rank >= target \
+                and not failures:
             break
     if reducer.rank < target:
         failures.append(Failure(

@@ -40,27 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .algebra import C, Element, L, bilinear, bracket, d, h
 from .linalg import solve_unique
 from .reports import Failure, Report
 from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
-
-
-def _memoized(fn: Callable[[int, int], Scalar]) -> Callable[[int, int], Scalar]:
-    cache: dict = {}
-
-    def wrapped(m: int, n: int) -> Scalar:
-        key = (m, n)
-        value = cache.get(key)
-        if value is None:
-            value = fn(m, n)
-            cache[key] = value
-        return value
-
-    return wrapped
 
 
 @dataclass(frozen=True)
@@ -78,15 +64,14 @@ class CoeffFns:
 
     @staticmethod
     def make(f, g, h, a, b, omega, rho, name="fns") -> "CoeffFns":
-        return CoeffFns(_memoized(f), _memoized(g), _memoized(h),
-                        _memoized(a), _memoized(b), _memoized(omega),
-                        _memoized(rho), name)
+        return CoeffFns(cache(f), cache(g), cache(h), cache(a), cache(b),
+                        cache(omega), cache(rho), name)
 
     def replace(self, name=None, **overrides) -> "CoeffFns":
         fields = {k: getattr(self, k)
                   for k in ("f", "g", "h", "a", "b", "omega", "rho")}
         for k, fn in overrides.items():
-            fields[k] = _memoized(fn)
+            fields[k] = cache(fn)
         return CoeffFns(name=name or self.name + "*", **fields)
 
 
@@ -128,23 +113,14 @@ def zero_fns() -> CoeffFns:
 def random_fns(seed: int, magnitude: int = 6) -> CoeffFns:
     """Unstructured rational-valued tables; deterministic in the seed."""
     rng = random.Random(seed)
-    caches = {name: {} for name in "fghab" + "OR"}
 
-    def make(name: str) -> Callable[[int, int], Scalar]:
-        cache = caches[name]
+    def draw(m: int, n: int) -> Scalar:
+        # CoeffFns.make memoizes, so each key draws once, on first use
+        num = rng.randint(-magnitude, magnitude)
+        den = rng.randint(1, 4)
+        return sc(Fraction(num, den))
 
-        def fn(m: int, n: int) -> Scalar:
-            key = (m, n)
-            if key not in cache:
-                num = rng.randint(-magnitude, magnitude)
-                den = rng.randint(1, 4)
-                cache[key] = sc(Fraction(num, den))
-            return cache[key]
-
-        return fn
-
-    return CoeffFns.make(make("f"), make("g"), make("h"), make("a"),
-                         make("b"), make("O"), make("R"),
+    return CoeffFns.make(draw, draw, draw, draw, draw, draw, draw,
                          f"random(seed={seed})")
 
 

@@ -76,10 +76,7 @@ def solve_unique(rows: list, rhs: list, n_unknowns: int) -> list:
         reduced = reducer.reduce(full)
         if reduced and min(reduced) == aug_col:
             raise InconsistentSystemError("no solution: 0 = nonzero")
-        if reduced:
-            lead = min(reduced)
-            inv = 1 / reduced[lead]
-            reducer.pivots[lead] = {c: v * inv for c, v in reduced.items()}
+        reducer.add_row(reduced)
     if len(reducer.pivots) < n_unknowns:
         raise UnderdeterminedSystemError(
             f"rank {len(reducer.pivots)} < {n_unknowns} unknowns")

@@ -176,12 +176,11 @@ def _basis_product_numeric(u, v, eps: Fraction) -> Element:
     return Element.zero()
 
 
-def _scan_poles(x: Element, y: Element, eps: Fraction) -> None:
+def _scan_poles(x: Element, y: Element, eps: EpsMode) -> None:
     """Fail fast if any produced d*d pair hits the denominator's zero."""
-    pole = 1 / eps
-    if pole.denominator != 1:
+    pole_sum = eps.pole_sum()
+    if pole_sum is None:
         return
-    pole_sum = -int(pole)
     left = [u.index for u in x.support() if u.tag == "d"]
     right = [v.index for v in y.support() if v.tag == "d"]
     offenders = sorted((m, n) for m in left for n in right
@@ -189,14 +188,14 @@ def _scan_poles(x: Element, y: Element, eps: Fraction) -> None:
     if offenders:
         pairs = ", ".join(f"d({m})*d({n})" for m, n in offenders)
         raise PoleError(
-            f"1+e*({pole_sum}) = 0 at e = {eps}; offending pairs: {pairs}")
+            f"1+e*({pole_sum}) = 0 at e = {eps.eps}; offending pairs: {pairs}")
 
 
 def lsa_product(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:
     """Bilinear extension of the product table."""
     if eps.is_symbolic:
         return bilinear(_basis_product_symbolic, x, y)
-    _scan_poles(x, y, eps.eps)
+    _scan_poles(x, y, eps)
     return bilinear(partial(_basis_product_numeric, eps=eps.eps), x, y)
 
 

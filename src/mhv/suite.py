@@ -27,10 +27,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from multiprocessing import get_context
 
-from .algebra import FULL, C, Element, L, basis_vectors, bracket, grading_degree
+from .algebra import (FULL, C, Element, L, basis_sweep, basis_vectors, bracket,
+                      grading_degree)
 from .biderivations import (LinearMap, check_bider_converse, check_family,
                             commuting_residuals, lsa_bider_grid,
                             post_lie_grid)
@@ -44,7 +44,8 @@ from .scalars import sc
 
 # ---------------------------------------------------------------------------
 # the basis sweeps: a residual function of two or three basis elements,
-# evaluated on every pair or triple of the full-mode window basis
+# evaluated by algebra.basis_sweep on every pair or triple of the
+# full-mode window basis
 # ---------------------------------------------------------------------------
 
 def _jacobi(x: Element, y: Element, z: Element) -> Element:
@@ -77,10 +78,8 @@ def _sweep_chunk(job: tuple) -> Report:
     """One worker's share of a sweep: the cases whose first basis vector
     is basis[start::step]."""
     name, eq_id, arity, residual, window, start, step = job
-    basis = basis_vectors(window, FULL)
-    elements = {b: Element.basis(b) for b in basis}
-    cases = ((xs, eq_id, residual(*(elements[b] for b in xs)))
-             for xs in product(basis[start::step], *[basis] * (arity - 1)))
+    cases = basis_sweep(window, arity, lambda *xs: [(eq_id, residual(*xs))],
+                        slice(start, None, step))
     return collect(name, window, "symbolic", cases)
 
 
@@ -209,9 +208,13 @@ class RunConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least 1")
+        if not self.checks:
+            raise ValueError("no checks selected")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise ValueError(f"repeated checks: {', '.join(self.checks)}")
         if self.fmt not in ("json", "text"):
             raise ValueError(f"unknown format {self.fmt!r}")
 

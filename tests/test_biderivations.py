@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
-                         bracket, d, h)
+from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
+                         basis_vectors, bracket, d, h)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                LinearMap, bider_eval, check_bider_converse,
                                check_biderivation, check_commuting,
@@ -80,6 +80,16 @@ class TestAxiomChecker:
         report = check_biderivation(
             BilinearTable.from_params(BiderParams(0, {}), CENTERLESS), 2)
         assert report.passed
+
+    @pytest.mark.parametrize("params", [BiderParams(0, {0: 1}),
+                                        BiderParams(1, {}),
+                                        BiderParams(0, {})])
+    def test_centerless_table_rejects_central_input(self, params):
+        # as the centerless bracket does, for every member
+        table = BilinearTable.from_params(params, CENTERLESS)
+        for x, y in ((E(C), E(d(0))), (E(d(0)), E(L))):
+            with pytest.raises(CentralTermError):
+                table(x, y)
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_rejected(self, window):

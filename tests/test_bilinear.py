@@ -1,12 +1,14 @@
 """The one bilinear extension: algebra.bilinear against the plain sum of
-Element.of over all term pairs, on dense random elements."""
+Element.of over all term pairs, and the one family table against the
+bracket and Upsilon it is built from, on dense random elements."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mhv.algebra import FULL, Element, _basis_bracket, bilinear, bracket, d, h
-from mhv.biderivations import BiderParams, upsilon
+from mhv.algebra import (CENTERLESS, FULL, C, Element, L, _basis_bracket,
+                         bilinear, bracket, d, h)
+from mhv.biderivations import BiderParams, BilinearTable, bider_eval, upsilon
 from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
                      lsa_product)
 from mhv.scalars import Scalar, sc
@@ -27,12 +29,24 @@ def qe_scalars(draw):
 
 
 @st.composite
-def dense_elements(draw):
+def dense_elements(draw, central=False):
     vectors = draw(st.lists(
         st.builds(lambda tag, i: d(i) if tag == "d" else h(i),
                   st.sampled_from("dh"), st.integers(-4, 4)),
         min_size=4, max_size=8, unique=True))
+    if central:
+        vectors += draw(st.lists(st.sampled_from((C, L)), unique=True))
     return Element.of(*((draw(qe_scalars()), bv) for bv in vectors))
+
+
+@st.composite
+def members(draw):
+    """A family member: lambda zero, rational or in Q(e), and Omega on
+    shifts in -3..3."""
+    lam = draw(st.one_of(st.just(Fraction(0)), rationals, qe_scalars()))
+    omega = draw(st.dictionaries(st.integers(-3, 3), qe_scalars(),
+                                 max_size=3))
+    return BiderParams(lam, omega)
 
 
 def term_pair_sum(table, x: Element, y: Element) -> Element:
@@ -80,6 +94,21 @@ def test_numeric_product_is_the_term_pair_sum(x, y):
 def test_upsilon_is_the_term_pair_sum(x, y, omega):
     params = BiderParams(0, omega)
     assert upsilon(params, x, y) == term_pair_sum(upsilon_table(params), x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(members(), dense_elements(central=True), dense_elements(central=True))
+def test_family_is_scaled_bracket_plus_upsilon(params, x, y):
+    assert bider_eval(params, x, y) \
+        == bracket(x, y).scale(params.lam) + upsilon(params, x, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(members(), dense_elements(), dense_elements())
+def test_centerless_family_is_scaled_bracket_plus_upsilon(params, x, y):
+    table = BilinearTable.from_params(params, CENTERLESS)
+    assert table(x, y) == bracket(x, y, CENTERLESS).scale(params.lam) \
+        + upsilon(params, x, y)
 
 
 @settings(max_examples=30, deadline=None)

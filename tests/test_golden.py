@@ -4,9 +4,10 @@ earlier version of mhv.
 The files in tests/golden cover all fourteen checks in symbolic and
 numeric mode (verify at window 2) and, through the failing runs, the
 rendering of failure inputs and residuals, which passing reports never
-show: a full-mode bider-check whose residuals lie in l, and an
+show: a full-mode bider-check whose residuals lie in l, an
 LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
-run numerically at e = 2/5.
+run numerically at e = 2/5, a post-Lie check of a nonzero family member
+and a commuting check of a map that does not commute.
 """
 
 import contextlib
@@ -16,7 +17,9 @@ from fractions import Fraction
 
 import pytest
 
-from mhv.biderivations import BiderParams, check_lsa_biderivation
+from mhv.algebra import Element, d
+from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
+                               check_lsa_biderivation, check_post_lie)
 from mhv.cli import main
 from mhv.lsa import EpsMode
 
@@ -52,3 +55,15 @@ def test_lsa_biderivation_reports_are_golden():
     assert symbolic.evaluated_at(E_VALUE).to_json() + "\n" \
         == golden("lsabider-w1-evaluated-2-5.json")
     assert numeric.to_json() + "\n" == golden("lsabider-w1-numeric-2-5.json")
+
+
+def test_post_lie_report_is_golden():
+    report = check_post_lie(BiderParams(1, {0: 1}), 1)
+    assert report.to_json() + "\n" == golden("postlie-l1-o0-w1.json")
+
+
+def test_commuting_report_is_golden():
+    phi = LinearMap.from_table(
+        {d(m): Element.of((m, d(m))) for m in range(-1, 2)}, "m*d(m)")
+    report = check_commuting(phi, 1)
+    assert report.to_json() + "\n" == golden("commuting-md-w1.json")

@@ -60,6 +60,11 @@ class TestSuite:
         with pytest.raises(ValueError):
             RunConfig(window=2, checks=("nonsense",))
 
+    @pytest.mark.parametrize("checks", [(), ("star", "star")])
+    def test_empty_or_repeated_checks_rejected(self, checks):
+        with pytest.raises(ValueError):
+            RunConfig(window=1, checks=checks)
+
     def test_numeric_run_is_evaluated_symbolic(self):
         sym = run_suite(RunConfig(window=2))
         eps = Fraction(2, 5)
@@ -174,6 +179,15 @@ class TestCli:
         assert doc["schema"] == 1
         assert [r["check"] for r in doc["reports"]] == ["jacobi", "antisym"]
         assert all(r["passed"] for r in doc["reports"])
+
+    @pytest.mark.parametrize("checks", [",", "star,star"])
+    def test_verify_empty_or_repeated_checks_is_a_usage_error(self, capsys,
+                                                              checks):
+        # an empty selection would pass vacuously
+        code, out, err = self.run(capsys, "verify", "--window", "1",
+                                  "--checks", checks)
+        assert code == 2 and out == ""
+        assert "checks" in err
 
     def test_verify_inadmissible(self, capsys):
         code, _, err = self.run(capsys, "verify", "--window", "3",
