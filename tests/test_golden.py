@@ -7,7 +7,13 @@ rendering of failure inputs and residuals, which passing reports never
 show: a full-mode bider-check whose residuals lie in l, an
 LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
 run numerically at e = 2/5, a post-Lie check of a nonzero family member
-and a commuting check of a map that does not commute.
+and a commuting check of a map that does not commute.  Two text
+summaries cover the human format: verify at window 1, and the failing
+bider-check, whose 24 failures exercise the five-failure cut.
+
+The gate-*.json files are the window-5 and window-4 (e = 2/5) verify
+outputs; they take about a minute to reproduce and are compared by
+tools/gate.py, not by this module.
 """
 
 import contextlib
@@ -39,6 +45,10 @@ def golden(name: str) -> str:
     ("bider-check-l1-o0-w1-full.json",
      ["bider-check", "--lambda", "1", "--omega", "0=1", "--window", "1",
       "--full"], 1),
+    ("verify-w1.txt", ["verify", "--window", "1", "--format", "text"], 0),
+    ("bider-check-l1-o0-w1-full.txt",
+     ["bider-check", "--lambda", "1", "--omega", "0=1", "--window", "1",
+      "--full", "--format", "text"], 1),
 ])
 def test_cli_output_is_golden(name, argv, code):
     out = io.StringIO()

@@ -1,0 +1,54 @@
+"""The output gate: rerun the two gate commands and compare their JSON,
+byte for byte, with the goldens in tests/golden.
+
+    python3 tools/gate.py
+
+runs `mhv verify --window 5` with one worker, and
+`mhv verify --window 4 --eps 2/5` with MHV_WORKERS=1 and with
+MHV_WORKERS=2, each in a fresh interpreter on the package in src/.  It
+prints one line per run and exits 0 iff every output matches its golden,
+1 otherwise.  The three runs take about a minute, so the gate is not part
+of the pytest suite.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+
+# (golden file, verify arguments, MHV_WORKERS)
+RUNS = (
+    ("gate-verify-w5.json", ["--window", "5"], "1"),
+    ("gate-verify-w4-eps-2-5.json", ["--window", "4", "--eps", "2/5"], "1"),
+    ("gate-verify-w4-eps-2-5.json", ["--window", "4", "--eps", "2/5"], "2"),
+)
+
+
+def run(args: list, workers: str) -> bytes:
+    env = dict(os.environ, MHV_WORKERS=workers,
+               PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run([sys.executable, "-m", "mhv.cli", "verify", *args],
+                            env=env, cwd=ROOT, capture_output=True)
+    if result.returncode != 0:
+        sys.stderr.write(result.stderr.decode())
+    return result.stdout
+
+
+def main() -> int:
+    ok = True
+    for name, args, workers in RUNS:
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            expected = fh.read()
+        same = run(args, workers) == expected
+        ok = ok and same
+        print(f"{'same' if same else 'DIFFERS'}  verify {' '.join(args)}  "
+              f"MHV_WORKERS={workers}  vs {name}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
