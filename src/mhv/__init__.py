@@ -25,7 +25,7 @@ from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, AdmissibilityError, EpsMode,
                   lsa_associator_defect, lsa_commutator, lsa_product)
 from .reports import Report, reports_to_json, reports_to_text
-from .scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Rational, Scalar,
+from .scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
                       ScalarDivisionError, ZeroEpsilonError, sc)
 from .suite import CHECK_ORDER, RunConfig, run_suite
 

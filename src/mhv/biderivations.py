@@ -131,8 +131,8 @@ class BilinearTable:
     """A candidate bilinear map given by its values on basis pairs.
 
     The evaluator must be total on basis vectors (return the zero element
-    where the map vanishes); dict-backed tables default missing pairs to
-    zero.  Bilinear extension to arbitrary elements is provided here.
+    where the map vanishes).  Bilinear extension to arbitrary elements is
+    provided here.
     """
 
     __slots__ = ("evaluator", "name")
@@ -146,12 +146,6 @@ class BilinearTable:
     def from_params(params: BiderParams,
                     mode: AlgebraMode = FULL) -> "BilinearTable":
         return BilinearTable(family_table(params, mode), params.describe())
-
-    @staticmethod
-    def from_dict(entries: dict, name: str = "table") -> "BilinearTable":
-        def evaluate(u: BasisVector, v: BasisVector) -> Element:
-            return entries.get((u, v), Element.zero())
-        return BilinearTable(evaluate, name)
 
     def __call__(self, x: Element, y: Element) -> Element:
         return bilinear(self.evaluator, x, y)
@@ -352,8 +346,7 @@ def _first_failure(residuals) -> tuple | None:
     return None
 
 
-def _grid_report(check_name: str, window: int, eps_label: str,
-                 residual_source) -> Report:
+def _grid_report(check_name: str, window: int, residual_source) -> Report:
     """Sweep the grid; pass iff the passing set is exactly the zero point."""
     failures = []
     points = grid_points()
@@ -375,24 +368,24 @@ def _grid_report(check_name: str, window: int, eps_label: str,
         "grid_points": len(points),
         "passing_points": [p.describe() for p in passing],
     }
-    return Report(check_name, window, eps_label, len(points), failures,
-                  extra).sorted()
+    return Report(check_name, window, "symbolic", len(points), failures,
+                  extra)
 
 
 def post_lie_grid(window: int) -> Report:
     """Exactly one grid point (the zero product) may satisfy all post-Lie
     axioms: the triviality statement in brute-force form."""
     return _grid_report(
-        "postlie-grid", window, "symbolic",
+        "postlie-grid", window,
         lambda params: _post_lie_residuals(params, window))
 
 
-def lsa_bider_grid(window: int, eps: EpsMode = SYMBOLIC) -> Report:
+def lsa_bider_grid(window: int) -> Report:
     """Exactly one grid point (f = 0) may satisfy the left-symmetric
     biderivation axioms: the final triviality statement in brute-force form."""
     return _grid_report(
-        "lsa-bider-grid", window, eps.describe(),
-        lambda params: _lsa_bider_residuals(params, window, eps))
+        "lsa-bider-grid", window,
+        lambda params: _lsa_bider_residuals(params, window, SYMBOLIC))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +488,7 @@ def check_bider_converse(window: int) -> Report:
         "rows_used": rows_used,
     }
     return Report("bider-grid", window, "symbolic", rows_used, failures,
-                  extra).sorted()
+                  extra)
 
 
 # canned family members exercised by the family check: finite Omega

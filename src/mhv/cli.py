@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .algebra import CENTERLESS, FULL, AlgebraError
+from .algebra import CENTERLESS, FULL, AlgebraError, bracket
 from .biderivations import BiderParams, BilinearTable, check_biderivation
 from .expressions import ParseError, parse_element, parse_rational, parse_scalar
 from .lsa import SYMBOLIC, AdmissibilityError, EpsMode, lsa_product
@@ -51,10 +51,8 @@ def _eps_mode(text: str | None) -> EpsMode:
     return EpsMode.numeric(parse_rational(text))
 
 
-def _parse_omega(text: str | None) -> dict:
+def _parse_omega(text: str) -> dict:
     omega = {}
-    if not text:
-        return omega
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -62,7 +60,10 @@ def _parse_omega(text: str | None) -> dict:
         if "=" not in chunk:
             raise ValueError(f"omega entry {chunk!r} is not of the form k=mu")
         key, value = chunk.split("=", 1)
-        omega[int(key)] = parse_scalar(value)
+        shift = int(key)
+        if shift in omega:
+            raise ValueError(f"omega shift {shift} is given more than once")
+        omega[shift] = parse_scalar(value)
     return omega
 
 
@@ -80,6 +81,21 @@ def _emit_reports(reports: list, fmt: str, config: dict | None = None) -> int:
     else:
         print(reports_to_text(reports))
     return 0 if all(r.passed for r in reports) else 1
+
+
+# the commands that are shorthands for `verify --checks <check>`:
+# command -> (check, help, default window, takes --eps)
+ALIASES = {
+    "lsa-check": ("lsa-identity", "left-symmetric identity sweep", 5, True),
+    "solve-theta": ("solve-theta", "solve the theta linear system", 5, False),
+    "postlie-grid": ("postlie-grid", "post-Lie triviality grid", 4, False),
+    "lsa-bider-grid": ("lsa-bider-grid",
+                       "left-symmetric biderivation triviality grid", 4, True),
+    "star-check": ("star", "centerless equation system sweep", 5, False),
+    "ast-check": ("ast", "central equation system sweep", 5, False),
+    "cross-check": ("cross-check", "transcribed equations vs identity oracle",
+                    5, False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,19 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default=None, help="rational value of e")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("lsa-check", help="left-symmetric identity sweep")
-    add_common(p)
-    p.add_argument("--eps", default=None)
-
     p = sub.add_parser("verify", help="run verification checks")
     add_common(p)
     p.add_argument("--eps", default=None,
                    help="'symbolic' (default) or a rational like 2/5")
     p.add_argument("--checks", default=None,
                    help=f"comma list from: {', '.join(CHECK_ORDER)}")
-
-    p = sub.add_parser("solve-theta", help="solve the theta linear system")
-    add_common(p)
 
     p = sub.add_parser("bider-check",
                        help="biderivation axioms for a family member")
@@ -130,23 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check over the centrally extended algebra instead "
                             "of the centerless quotient")
 
-    p = sub.add_parser("postlie-grid", help="post-Lie triviality grid")
-    add_common(p, window_default=4)
-
-    p = sub.add_parser("lsa-bider-grid",
-                       help="left-symmetric biderivation triviality grid")
-    add_common(p, window_default=4)
-    p.add_argument("--eps", default=None)
-
-    p = sub.add_parser("star-check", help="centerless equation system sweep")
-    add_common(p)
-
-    p = sub.add_parser("ast-check", help="central equation system sweep")
-    add_common(p)
-
-    p = sub.add_parser("cross-check",
-                       help="transcribed equations vs identity oracle")
-    add_common(p)
+    for command, (_, help_text, window, takes_eps) in ALIASES.items():
+        p = sub.add_parser(command, help=help_text)
+        add_common(p, window_default=window)
+        if takes_eps:
+            p.add_argument("--eps", default=None)
 
     return parser
 
@@ -155,7 +152,6 @@ def _dispatch(args) -> int:
     fmt = args.format
     if args.command == "bracket":
         mode = CENTERLESS if args.centerless else FULL
-        from .algebra import bracket
         result = bracket(parse_element(args.left), parse_element(args.right),
                          mode)
         _emit_result(result.render(), fmt)
@@ -172,23 +168,14 @@ def _dispatch(args) -> int:
         report = check_biderivation(table, args.window, mode)
         return _emit_reports([report], fmt)
 
-    suite_checks = {
-        "lsa-check": ("lsa-identity",),
-        "verify": None,
-        "solve-theta": ("solve-theta",),
-        "postlie-grid": ("postlie-grid",),
-        "lsa-bider-grid": ("lsa-bider-grid",),
-        "star-check": ("star",),
-        "ast-check": ("ast",),
-        "cross-check": ("cross-check",),
-    }
-    checks = suite_checks[args.command]
-    if args.command == "verify" and args.checks:
+    if args.command in ALIASES:
+        checks = (ALIASES[args.command][0],)
+    elif args.checks:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    if checks is None:
+    else:
         checks = CHECK_ORDER
     eps = _eps_mode(getattr(args, "eps", None))
-    config = RunConfig(window=args.window, eps=eps, checks=checks, fmt=fmt)
+    config = RunConfig(window=args.window, eps=eps, checks=checks)
     reports = run_suite(config)
     header = {"window": args.window, "eps_mode": eps.describe(),
               "checks": list(checks)}

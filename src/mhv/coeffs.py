@@ -110,15 +110,14 @@ def zero_fns() -> CoeffFns:
     return CoeffFns.make(zero, zero, zero, zero, zero, zero, zero, "zero")
 
 
-def random_fns(seed: int, magnitude: int = 6) -> CoeffFns:
-    """Unstructured rational-valued tables; deterministic in the seed."""
+def random_fns(seed: int) -> CoeffFns:
+    """Unstructured tables of values p/q with |p| <= 6 and 1 <= q <= 4;
+    deterministic in the seed."""
     rng = random.Random(seed)
 
     def draw(m: int, n: int) -> Scalar:
         # CoeffFns.make memoizes, so each key draws once, on first use
-        num = rng.randint(-magnitude, magnitude)
-        den = rng.randint(1, 4)
-        return sc(Fraction(num, den))
+        return sc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
 
     return CoeffFns.make(draw, draw, draw, draw, draw, draw, draw,
                          f"random(seed={seed})")
@@ -131,10 +130,6 @@ def _delta(i: int, j: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # transcribed equation systems
 # ---------------------------------------------------------------------------
-
-STAR_IDS = tuple(f"star.{i}" for i in range(1, 14))
-AST_IDS = tuple(f"ast.{i}" for i in range(1, 8))
-
 
 def star_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
     """The thirteen centerless equations as (id, LHS - RHS) pairs.
@@ -349,21 +344,23 @@ def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int) -> dict:
     }
 
 
-# the three documented transcription findings; star.12 is the only one
-# expected to disagree at runtime
-DOCUMENTED_DISCREPANCIES = ("star.10", "star.12", "ast.4")
+# of the three documented transcription findings (star.10, star.12 and
+# ast.4), star.12 is the only one expected to disagree at runtime
 RUNTIME_DISCREPANCIES = ("star.12",)
 
+# cross_check's random tables: their seeds, and the window they run on
+SAMPLE_SEEDS = (1, 2)
+SAMPLE_WINDOW = 2
 
-def cross_check(window: int, sample_window: int = 2,
-                seeds: tuple = (1, 2)) -> Report:
+
+def cross_check(window: int) -> Report:
     """Compare every transcribed residual against its oracle-derived
     counterpart: on the closed-form solution over the full window, and on
     seeded random tables over a smaller window (random tables are what
     actually exercises the equations' shapes).  Disagreement anywhere
     except the documented star.12 is a failure."""
     suites = [(closed_form_fns(), window)]
-    suites += [(random_fns(seed), sample_window) for seed in seeds]
+    suites += [(random_fns(seed), SAMPLE_WINDOW) for seed in SAMPLE_SEEDS]
 
     failures = []
     cases = 0
@@ -410,7 +407,7 @@ def cross_check(window: int, sample_window: int = 2,
         "witnesses": witnesses.get("star.12", [])[:3],
     })
     ast4_witness = []
-    probe = random_fns(seeds[0]) if seeds else random_fns(1)
+    probe = random_fns(SAMPLE_SEEDS[0])
     for (m, n, k) in ((0, 1, 0), (1, 2, -1), (0, 2, 1)):
         primary = dict(ast_residuals(probe, m, n, k))["ast.4"]
         swapped = ast4_swapped_form(probe, m, n, k)
@@ -431,7 +428,7 @@ def cross_check(window: int, sample_window: int = 2,
 
     extra = {"documented_discrepancies": documented}
     return Report("cross-check", window, "symbolic", cases, failures,
-                  extra).sorted()
+                  extra)
 
 
 # ---------------------------------------------------------------------------

@@ -274,14 +274,3 @@ def parse_rational(text: str) -> Fraction:
     if not value.is_rational():
         raise ParseError("expected a plain rational (no 'e')", 0)
     return value.as_rational()
-
-
-def looks_like_element(text: str) -> bool:
-    """Heuristic for report evaluation: rendered elements always contain a
-    basis token (d, h, c or l), rendered scalars never do."""
-    try:
-        tokens = _tokenize(text)
-    except ParseError:
-        return False
-    return any(kind == "name" and value in ("d", "h", "c", "l")
-               for kind, value, _ in tokens)

@@ -8,10 +8,12 @@ used directly as a regression fixture.  JSON output is byte-identical
 for identical inputs: key order is fixed and all numbers are exact
 decimal strings, never floats.
 
-collect is the one place where residuals become Failures: every check
-streams (inputs, equation_id, residual) triples into it and gets back a
-sorted Report that counts each triple as a case and keeps the nonzero
-residuals, rendered.
+A Report sorts its failures by (inputs, equation_id) when it is built,
+so the failure order is decided here and nowhere else.  Most checks
+stream (inputs, equation_id, residual) triples into collect, which
+counts each triple as a case and keeps the nonzero residuals, rendered;
+the parameter grids, the converse, cross-check and solve-theta build
+their Failures themselves.
 
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
@@ -23,6 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .expressions import ParseError, parse_element, parse_scalar
+from .scalars import sc
 
 SCHEMA_VERSION = 1
 
@@ -53,15 +58,12 @@ class Report:
     failures: list = field(default_factory=list)
     extra: dict | None = None
 
+    def __post_init__(self):
+        self.failures = sorted(self.failures, key=Failure.sort_key)
+
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def sorted(self) -> "Report":
-        return Report(self.check, self.window, self.eps_mode,
-                      self.total_cases,
-                      sorted(self.failures, key=Failure.sort_key),
-                      self.extra)
 
     def to_dict(self) -> dict:
         out = {
@@ -71,8 +73,7 @@ class Report:
             "eps_mode": self.eps_mode,
             "total_cases": self.total_cases,
             "passed": self.passed,
-            "failures": [f.to_dict() for f in
-                         sorted(self.failures, key=Failure.sort_key)],
+            "failures": [f.to_dict() for f in self.failures],
         }
         if self.extra is not None:
             out["extra"] = self.extra
@@ -85,26 +86,25 @@ class Report:
         """The report a numeric run at e = eps should reproduce: residuals
         evaluated, e-mode relabeled.  Inputs and extra certificates carry
         no e by construction and are left untouched."""
-        from .expressions import (ParseError, looks_like_element,
-                                  parse_element, parse_scalar)
-        from .scalars import sc
-
-        evaluated = []
-        for failure in self.failures:
-            text = failure.residual
-            try:
-                if looks_like_element(text):
-                    rendered = parse_element(text).eval_at(eps).render()
-                else:
-                    rendered = sc(parse_scalar(text).eval_at(eps)).render()
-            except ParseError:
-                # diagnostic free-text residuals pass through unchanged;
-                # genuine pole errors in parsed values do propagate
-                rendered = text
-            evaluated.append(Failure(failure.inputs, failure.equation_id,
-                                     rendered))
+        evaluated = [Failure(f.inputs, f.equation_id,
+                             _evaluated(f.residual, eps))
+                     for f in self.failures]
         return Report(self.check, self.window, f"eps={eps}",
                       self.total_cases, evaluated, self.extra)
+
+
+def _evaluated(text: str, eps: Fraction) -> str:
+    """A rendered residual at e = eps.  Only a rendered element holds a basis
+    vector, so no rendered scalar parses as one; free text parses as neither
+    and is kept.  Pole errors in parsed values propagate."""
+    try:
+        return parse_element(text).eval_at(eps).render()
+    except ParseError:
+        pass
+    try:
+        return sc(parse_scalar(text).eval_at(eps)).render()
+    except ParseError:
+        return text
 
 
 def render_inputs(inputs) -> str:
@@ -128,7 +128,7 @@ def collect(check: str, window: int, eps_mode: str, residuals,
         if not residual.is_zero():
             failures.append(Failure(render_inputs(inputs), eq_id,
                                     residual.render()))
-    return Report(check, window, eps_mode, cases, failures, extra).sorted()
+    return Report(check, window, eps_mode, cases, failures, extra)
 
 
 def prefixed(prefix: str, residuals):
@@ -145,16 +145,19 @@ def reports_to_json(reports: list, config: dict | None = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def reports_to_text(reports: list, max_failures: int = 5) -> str:
+TEXT_FAILURES = 5
+
+
+def reports_to_text(reports: list) -> str:
     lines = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{status}  {r.check}  (window={r.window}, "
                      f"{r.eps_mode}, cases={r.total_cases}, "
                      f"failures={len(r.failures)})")
-        for failure in sorted(r.failures, key=Failure.sort_key)[:max_failures]:
+        for failure in r.failures[:TEXT_FAILURES]:
             lines.append(f"      {failure.equation_id} at {failure.inputs}: "
                          f"{failure.residual}")
-        if len(r.failures) > max_failures:
-            lines.append(f"      ... {len(r.failures) - max_failures} more")
+        if len(r.failures) > TEXT_FAILURES:
+            lines.append(f"      ... {len(r.failures) - TEXT_FAILURES} more")
     return "\n".join(lines)

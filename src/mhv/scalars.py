@@ -24,8 +24,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
@@ -72,10 +70,6 @@ def padd(a: tuple, b: tuple) -> tuple:
 
 def pneg(a: tuple) -> tuple:
     return tuple(-c for c in a)
-
-
-def psub(a: tuple, b: tuple) -> tuple:
-    return padd(a, pneg(b))
 
 
 def pmul(a: tuple, b: tuple) -> tuple:
@@ -195,10 +189,6 @@ class Scalar:
             return ZERO
         return Scalar((r,), PONE, _canonical=True)
 
-    @staticmethod
-    def ratio(num: RationalLike, den: RationalLike) -> "Scalar":
-        return Scalar.from_rational(Fraction(num) / Fraction(den))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -250,9 +240,6 @@ class Scalar:
         if self.is_zero():
             return ZERO
         return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
-
-    def inverse(self) -> "Scalar":
-        return ONE / self
 
     # -- evaluation ---------------------------------------------------------
 

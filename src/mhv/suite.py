@@ -16,10 +16,10 @@ it, in canonical order, and CHECK_ORDER is its keys:
     bider-grid commuting postlie-grid lsa-bider-grid star ast
     cross-check solve-theta
 
-Every check streams its residuals into reports.collect.  The environment
-variable MHV_WORKERS caps process parallelism for the five basis sweeps
-(default 1): worker i of n takes the x indices basis[i::n], and reports
-are merged and sorted, so output is byte-identical for any worker count.
+The environment variable MHV_WORKERS, an integer of at least 1 (default
+1), caps process parallelism for the five basis sweeps: worker i of n
+takes the x indices basis[i::n], and the merged Report sorts their
+failures, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _sweep_chunk(job: tuple) -> Report:
 
 def _sweep(eq_id: str, arity: int, residual):
     """A registry entry that runs a basis sweep, worker i of n taking the
-    first basis vectors basis[i::n]; failures are sorted after merging, so
-    the report does not depend on the worker count."""
+    first basis vectors basis[i::n]; the merged Report sorts the failures,
+    so it does not depend on the worker count."""
 
     def run(name: str, window: int, workers: int) -> Report:
         workers = min(workers, len(basis_vectors(window, FULL)))
@@ -98,7 +98,7 @@ def _sweep(eq_id: str, arity: int, residual):
             parts = pool.map(_sweep_chunk, jobs)
         return Report(name, window, "symbolic",
                       sum(p.total_cases for p in parts),
-                      [f for p in parts for f in p.failures]).sorted()
+                      [f for p in parts for f in p.failures])
 
     return run
 
@@ -174,7 +174,7 @@ def _check_solve_theta(window: int) -> Report:
     except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
         failures.append(Failure(f"window={window}", "theta.system", str(exc)))
     return Report("solve-theta", window, "symbolic", cases, failures,
-                  extra).sorted()
+                  extra)
 
 
 # name -> run(name, window, workers) -> Report, in canonical order
@@ -203,7 +203,6 @@ class RunConfig:
     window: int = 5
     eps: EpsMode = SYMBOLIC
     checks: tuple = CHECK_ORDER
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.window < 1:
@@ -215,8 +214,6 @@ class RunConfig:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         if len(set(self.checks)) < len(self.checks):
             raise ValueError(f"repeated checks: {', '.join(self.checks)}")
-        if self.fmt not in ("json", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def workers_from_env() -> int:
@@ -224,8 +221,11 @@ def workers_from_env() -> int:
     try:
         count = int(raw)
     except ValueError:
-        raise ValueError(f"MHV_WORKERS must be an integer, got {raw!r}")
-    return max(count, 1)
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"MHV_WORKERS must be an integer of at least 1, got {raw!r}")
+    return count
 
 
 def run_suite(config: RunConfig, workers: int | None = None) -> list:

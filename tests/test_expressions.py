@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhv.algebra import C, Element, L, basis_vectors, d, h, FULL
-from mhv.expressions import (ParseError, looks_like_element, parse_element,
-                             parse_rational, parse_scalar)
+from mhv.expressions import (ParseError, parse_element, parse_rational,
+                             parse_scalar)
 from mhv.lsa import lsa_product
 from mhv.scalars import EPS, ONE, sc
 
@@ -103,9 +103,3 @@ class TestRoundTrip:
         assert parse_element(x.render()) == x
         y = lsa_product(Element.basis(d(1)), Element.basis(d(-1)))
         assert parse_element(y.render()) == y
-
-    def test_looks_like_element(self):
-        assert looks_like_element("d(2) + 3*h(1/2)")
-        assert looks_like_element("1/2*l")
-        assert not looks_like_element("(1+e)/(1+3*e)")
-        assert not looks_like_element("e^2-1")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from mhv.cli import main
+from mhv.cli import ALIASES, build_parser, main
 from mhv.lsa import EpsMode
 from mhv.reports import Failure, Report, reports_to_json
 from mhv.suite import CHECK_ORDER, RunConfig, run_suite
@@ -27,7 +27,7 @@ class TestReports:
     def test_failures_sorted(self):
         r = Report("demo", 3, "symbolic", 2,
                    [Failure("(d(2))", "b", "0"), Failure("(d(1))", "a", "0")])
-        assert [f.inputs for f in r.sorted().failures] == ["(d(1))", "(d(2))"]
+        assert [f.inputs for f in r.failures] == ["(d(1))", "(d(2))"]
 
     def test_evaluated_at_maps_residuals(self):
         r = Report("demo", 3, "symbolic", 1,
@@ -36,6 +36,12 @@ class TestReports:
         ev = r.evaluated_at(Fraction(1, 5))
         assert ev.eps_mode == "eps=1/5"
         assert ev.failures[0].residual == "3/4*d(3)"
+
+    @pytest.mark.parametrize("residual, value", [
+        ("(1+e)/(1+3*e)", "3/4"), ("0", "0")])
+    def test_evaluated_at_maps_scalar_residuals(self, residual, value):
+        r = Report("demo", 3, "symbolic", 1, [Failure("w", "eq", residual)])
+        assert r.evaluated_at(Fraction(1, 5)).failures[0].residual == value
 
     def test_evaluated_at_leaves_free_text(self):
         r = Report("demo", 3, "symbolic", 1,
@@ -108,6 +114,14 @@ class TestSuite:
             tags = [bv.tag for bv in firsts]
             assert len(tags) == 8
             assert abs(tags.count("d") - tags.count("h")) <= 1
+
+    @pytest.mark.parametrize("workers", ["-3", "0", "x"])
+    def test_worker_count_below_one_is_a_usage_error(self, monkeypatch,
+                                                      capsys, workers):
+        monkeypatch.setenv("MHV_WORKERS", workers)
+        assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "MHV_WORKERS" in out.err
 
     def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
                                                           capsys):
@@ -222,6 +236,29 @@ class TestCli:
                                 "--omega", "0=1", "--window", "2", "--full")
         assert code == 1
         assert not json.loads(out)["reports"][0]["passed"]
+
+    def test_bider_check_repeated_omega_shift_is_a_usage_error(self,
+                                                               capsys):
+        # the last value used to win silently
+        code, out, err = self.run(capsys, "bider-check", "--omega",
+                                  "0=1,0=-1", "--window", "1", "--full")
+        assert code == 2 and out == ""
+        assert "omega shift 0" in err
+
+    @pytest.mark.parametrize("command", sorted(ALIASES))
+    def test_alias_runs_its_one_check(self, capsys, command):
+        check = ALIASES[command][0]
+        code, out, _ = self.run(capsys, command, "--window", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["checks"] == [check]
+        assert [r["check"] for r in doc["reports"]] == [check]
+
+    @pytest.mark.parametrize("command", sorted(ALIASES))
+    def test_alias_default_window(self, command):
+        window = build_parser().parse_args([command]).window
+        assert window == (4 if command in ("postlie-grid", "lsa-bider-grid")
+                          else 5)
 
     def test_postlie_grid(self, capsys):
         code, out, _ = self.run(capsys, "postlie-grid", "--window", "2")
