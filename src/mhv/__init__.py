@@ -20,7 +20,7 @@ from .coeffs import (CoeffFns, ThetaTable, ast_residuals, cross_check,
                      derived_counterparts, random_fns,
                      residuals_from_identity, solve_theta, star_residuals,
                      closed_form_fns, zero_fns)
-from .expressions import ParseError, parse_element, parse_scalar
+from .expressions import ParseError, parse, parse_element, parse_scalar
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, AdmissibilityError, EpsMode,
                   lsa_associator_defect, lsa_commutator, lsa_product)

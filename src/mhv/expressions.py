@@ -1,33 +1,53 @@
-"""Parsing and rendering of element and scalar expressions.
+"""Parsing of element and scalar expressions.
 
-Element grammar (whitespace-insensitive):
+One typed grammar reads both kinds (whitespace-insensitive):
 
-    element := [sign] term (sign term)*
-    term    := (factor "*")* basis
-    basis   := "d(" int ")" | "h(" odd "/2" ")" | "c" | "l"
-    factor  := rational | "e" ["^" int] | "(" scalar-expression ")"
+    sum     := product (("+" | "-") product)*
+    product := unary (("*" | "/") unary)*
+    unary   := ("+" | "-") unary | atom ["^" int]
+    atom    := int | "e" | "(" sum ")" | "d(" [sign] int ")"
+             | "h(" [sign] odd "/2)" | "c" | "l"
 
-Coefficients are rational literals like "-3/4", or parenthesized scalar
-expressions in the parameter e, e.g. "((1+e)/(1+3*e))*d(3)".  The h
-argument must be an odd integer over 2: "h(3/2)", "h(-1/2)".  Scalar
-expressions support +, -, *, /, integer powers "e^2" and parentheses.
-An exponent is a non-negative integer of at most MAX_EXPONENT (64); a
-larger one is a ParseError, not an unbounded computation.
+A value is a Scalar of Q(e) or an Element, and every operator checks the
+kinds of its operands: "+" and "-" join two values of the same kind, "*"
+takes at most one element, "/" and "^" take a scalar on the right and "^"
+a scalar base.  An exponent is a non-negative integer of at most
+MAX_EXPONENT (64).  So "-3/4*d(3)", "((1+e)/(1+3*e))*d(3)", "d(1)/2" and
+"2*-d(1)" are elements, "(1+e)/(1+3*e)" is a scalar, and "d(1)*d(2)",
+"2/d(1)", "(d(1))^2" and "d(1) + 3" are errors.  The h argument is an odd
+integer over 2: "h(3/2)", "h(-1/2)".  parse returns either kind;
+parse_element, parse_scalar and parse_rational ask for one, and
+parse_element also reads the literal 0 as the zero element.
 
-Element.render / Scalar.render emit exactly this grammar, so parsing a
-rendered element reproduces it term for term.  Syntax errors carry the
-byte offset of the offending token.
+Two bounds limit what a parse may build.  Parentheses and signs nest at
+most MAX_NESTING (100) deep.  Every value the parser builds (each
+literal, the result of each operator and each step of a power) has
+polynomial degree at most MAX_DEGREE (64) in e, and numerators and
+denominators of at most MAX_COEFF_BITS (1024) bits.  Past either bound
+the parse stops with a ParseError at the offending token.
+
+Element.render / Scalar.render emit this grammar, so parsing a rendered
+value reproduces it term for term.  Errors carry the byte offset of the
+offending token.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .algebra import BasisVector, C, Element, L, d, h
+from .algebra import C, Element, L, d, h
 from .scalars import EPS, ONE, Scalar, sc
 
 
 MAX_EXPONENT = 64
+MAX_NESTING = 100
+MAX_DEGREE = 64
+MAX_COEFF_BITS = 1024
+
+Value = Scalar | Element
+
+_CONSTANTS = {"e": EPS, "c": Element.basis(C), "l": Element.basis(L)}
 
 
 class ParseError(ValueError):
@@ -38,46 +58,56 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_PUNCT = "+-*/^()"
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[^\W\d_]+)"
+                    r"|(?P<punct>[-+*/^()])|(?P<space>\s+)")
 
 
 def _tokenize(text: str) -> list:
     """Tokens as (kind, value, offset); kinds: int, name, punct, end."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(("punct", ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind, value = match.lastgroup, match.group()
+        if kind == "int":
+            # a literal of this many digits has more than MAX_COEFF_BITS bits
+            if len(value.lstrip("0")) > MAX_COEFF_BITS // 3:
+                raise ParseError("integer literal exceeds the size bound", pos)
+            value = int(value)
+        if kind != "space":
+            tokens.append((kind, value, pos))
+        pos = match.end()
+    tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _bounded(value: Value, offset: int, changed: Value | None = None
+             ) -> Value:
+    """value, if it is within MAX_DEGREE and MAX_COEFF_BITS.  Of an element
+    sum only the coefficients on the support of the added element changed,
+    so only those are checked."""
+    if isinstance(value, Scalar):
+        coeffs = [value]
+    else:
+        coeffs = map(value.coeff, (value if changed is None else changed)
+                     .support())
+    for s in coeffs:
+        if max(len(s.num), len(s.den)) - 1 > MAX_DEGREE or any(
+                max(q.numerator.bit_length(), q.denominator.bit_length())
+                > MAX_COEFF_BITS for q in s.num + s.den):
+            raise ParseError(f"value exceeds the size bound (degree "
+                             f"{MAX_DEGREE}, {MAX_COEFF_BITS}-bit "
+                             f"coefficients)", offset)
+    return value
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    # -- token plumbing -------------------------------------------------------
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -87,185 +117,146 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str):
+    def operator(self, chars: str):
+        """(operator, offset) if the next token is one of chars, consumed."""
+        kind, value, offset = self.peek()
+        if kind == "punct" and value in chars:
+            self.pos += 1
+            return value, offset
+        return None
+
+    def expect(self, ch: str):
         kind, value, offset = self.next()
         if kind != "punct" or value != ch:
             raise ParseError(f"expected {ch!r}", offset)
 
-    def fail(self, message: str):
-        raise ParseError(message, self.peek()[2])
+    def nest(self, offset: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses and signs nest deeper than "
+                             f"{MAX_NESTING}", offset)
 
-    # -- scalar expressions ----------------------------------------------------
+    def sum(self) -> Value:
+        acc = self.product()
+        while (op := self.operator("+-")) is not None:
+            rhs = self.product()
+            if isinstance(acc, Scalar) is not isinstance(rhs, Scalar):
+                raise ParseError(f"{op[0]!r} joins a scalar and an element",
+                                 op[1])
+            acc = _bounded(acc + rhs if op[0] == "+" else acc - rhs, op[1],
+                           rhs)
+        return acc
 
-    def scalar_expr(self) -> Scalar:
-        acc = self.scalar_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "punct" and value in "+-":
-                self.next()
-                term = self.scalar_term()
-                acc = acc + term if value == "+" else acc - term
+    def product(self) -> Value:
+        acc = self.unary()
+        while (op := self.operator("*/")) is not None:
+            rhs = self.unary()
+            if not isinstance(rhs, Scalar):
+                if op[0] == "/":
+                    raise ParseError("the divisor is an element", op[1])
+                if not isinstance(acc, Scalar):
+                    raise ParseError("the product of two elements", op[1])
+                acc = rhs.scale(acc)
+            elif isinstance(acc, Element):
+                acc = acc.scale(rhs if op[0] == "*" else ONE / rhs)
             else:
-                return acc
+                acc = acc * rhs if op[0] == "*" else acc / rhs
+            acc = _bounded(acc, op[1])
+        return acc
 
-    def scalar_term(self) -> Scalar:
-        acc = self.scalar_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "punct" and value in "*/":
-                self.next()
-                rhs = self.scalar_unary()
-                acc = acc * rhs if value == "*" else acc / rhs
-            else:
-                return acc
-
-    def scalar_unary(self) -> Scalar:
-        kind, value, _ = self.peek()
-        if kind == "punct" and value == "-":
-            self.next()
-            return -self.scalar_unary()
-        return self.scalar_atom()
-
-    def scalar_atom(self) -> Scalar:
-        kind, value, offset = self.peek()
-        if kind == "int":
-            self.next()
-            return sc(value)
-        if kind == "name" and value == "e":
-            self.next()
-            return self._maybe_power(EPS)
-        if kind == "punct" and value == "(":
-            self.next()
-            inner = self.scalar_expr()
-            self.expect_punct(")")
-            return self._maybe_power(inner)
-        raise ParseError("expected a number, 'e' or '('", offset)
-
-    def _maybe_power(self, base: Scalar) -> Scalar:
-        kind, value, _ = self.peek()
-        if kind == "punct" and value == "^":
-            self.next()
-            kind, exponent, offset = self.next()
-            if kind != "int":
-                raise ParseError("expected an integer exponent", offset)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the limit "
-                                 f"{MAX_EXPONENT}", offset)
-            acc = ONE
-            for _ in range(exponent):
-                acc = acc * base
-            return acc
-        return base
-
-    # -- elements ---------------------------------------------------------------
+    def unary(self) -> Value:
+        op = self.operator("+-")
+        if op is not None:
+            self.nest(op[1])
+            value = self.unary()
+            self.depth -= 1
+            return -value if op[0] == "-" else value
+        base = self.atom()
+        op = self.operator("^")
+        if op is None:
+            return base
+        if not isinstance(base, Scalar):
+            raise ParseError("the base of a power is an element", op[1])
+        kind, exponent, offset = self.next()
+        if kind != "int":
+            raise ParseError("expected an integer exponent", offset)
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds the limit "
+                             f"{MAX_EXPONENT}", offset)
+        acc = ONE
+        for _ in range(exponent):
+            acc = _bounded(acc * base, offset)
+        return acc
 
     def signed_int(self) -> int:
+        sign = self.operator("+-")
         kind, value, offset = self.next()
-        sign = 1
-        if kind == "punct" and value in "+-":
-            sign = -1 if value == "-" else 1
-            kind, value, offset = self.next()
         if kind != "int":
             raise ParseError("expected an integer", offset)
-        return sign * value
+        return -value if sign is not None and sign[0] == "-" else value
 
-    def basis_atom(self) -> BasisVector | None:
-        kind, value, offset = self.peek()
+    def atom(self) -> Value:
+        kind, value, offset = self.next()
+        if kind == "int":
+            return _bounded(sc(value), offset)
+        if kind == "punct" and value == "(":
+            self.nest(offset)
+            inner = self.sum()
+            self.expect(")")
+            self.depth -= 1
+            return inner
         if kind != "name":
-            return None
-        if value == "c":
-            self.next()
-            return C
-        if value == "l":
-            self.next()
-            return L
-        if value == "d":
-            self.next()
-            self.expect_punct("(")
-            index = self.signed_int()
-            self.expect_punct(")")
-            return d(index)
+            raise ParseError("expected a number, 'e', '(' or a basis vector",
+                             offset)
+        if value in _CONSTANTS:
+            return _CONSTANTS[value]
+        if value not in ("d", "h"):
+            raise ParseError(f"unknown name {value!r}", offset)
+        self.expect("(")
+        index = self.signed_int()
         if value == "h":
-            self.next()
-            self.expect_punct("(")
-            numerator = self.signed_int()
-            self.expect_punct("/")
+            self.expect("/")
             kind, two, off2 = self.next()
             if kind != "int" or two != 2:
                 raise ParseError("h argument must be written over 2", off2)
-            self.expect_punct(")")
-            if numerator % 2 == 0:
-                raise ParseError(
-                    f"h argument {numerator}/2 is not an odd half", offset)
-            return h((numerator - 1) // 2)
-        return None
+        self.expect(")")
+        if value == "d":
+            return Element.basis(d(index))
+        if index % 2 == 0:
+            raise ParseError(f"h argument {index}/2 is not an odd half",
+                             offset)
+        return Element.basis(h((index - 1) // 2))
 
-    def term(self) -> Element:
-        coeff = ONE
-        basis = None
-        while True:
-            bv = self.basis_atom()
-            if bv is not None:
-                if basis is not None:
-                    self.fail("more than one basis vector in a term")
-                basis = bv
-            else:
-                coeff = coeff * self.scalar_atom()
-            kind, value, _ = self.peek()
-            if kind == "punct" and value == "*":
-                self.next()
-                continue
-            if kind == "punct" and value == "/" and basis is None:
-                # rational literal written as p/q
-                self.next()
-                coeff = coeff / self.scalar_atom()
-                kind, value, _ = self.peek()
-                if kind == "punct" and value == "*":
-                    self.next()
-                    continue
-            break
-        if basis is None:
-            self.fail("expected a basis vector (d(m), h(n/2), c or l)")
-        return Element.basis(basis).scale(coeff)
 
-    def element(self) -> Element:
-        acc = Element.zero()
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "punct" and value in "+-":
-            self.next()
-            sign = -1 if value == "-" else 1
-        while True:
-            term = self.term()
-            acc = acc + (term if sign > 0 else -term)
-            kind, value, offset = self.peek()
-            if kind == "end":
-                return acc
-            if kind == "punct" and value in "+-":
-                self.next()
-                sign = -1 if value == "-" else 1
-                continue
-            raise ParseError("expected '+', '-' or end of input", offset)
+def parse(text: str) -> Value:
+    """Parse a scalar or an element expression; raises ParseError with a
+    byte offset."""
+    parser = _Parser(text)
+    if parser.peek()[0] == "end":
+        raise ParseError("empty expression", 0)
+    value = parser.sum()
+    kind, _, offset = parser.peek()
+    if kind != "end":
+        raise ParseError("expected an operator or the end of input", offset)
+    return value
 
 
 def parse_element(text: str) -> Element:
-    """Parse an element expression; raises ParseError with a byte offset."""
-    parser = _Parser(text)
-    if parser.peek()[0] == "end":
-        raise ParseError("empty element expression", 0)
-    if parser.peek() == ("int", 0, 0) and parser.tokens[1][0] == "end":
+    """Parse an element expression such as "d(2) + 3*h(1/2) - c" or "0"."""
+    value = parse(text)
+    if isinstance(value, Element):
+        return value
+    if value.is_zero() and text.strip().isdigit():
         return Element.zero()
-    return parser.element()
+    raise ParseError("expected an element, got a scalar", 0)
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse a scalar expression such as "-3/4" or "(1+e)/(1+3*e)"."""
-    parser = _Parser(text)
-    value = parser.scalar_expr()
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input after scalar expression", offset)
-    return value
+    value = parse(text)
+    if isinstance(value, Scalar):
+        return value
+    raise ParseError("expected a scalar, got an element", 0)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -26,8 +26,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expressions import ParseError, parse_element, parse_scalar
-from .scalars import sc
+from .expressions import ParseError, parse
+from .scalars import Scalar, sc
 
 SCHEMA_VERSION = 1
 
@@ -94,17 +94,15 @@ class Report:
 
 
 def _evaluated(text: str, eps: Fraction) -> str:
-    """A rendered residual at e = eps.  Only a rendered element holds a basis
-    vector, so no rendered scalar parses as one; free text parses as neither
-    and is kept.  Pole errors in parsed values propagate."""
+    """A rendered residual at e = eps.  Free text the parser rejects is kept
+    as it is; pole errors in parsed values propagate."""
     try:
-        return parse_element(text).eval_at(eps).render()
-    except ParseError:
-        pass
-    try:
-        return sc(parse_scalar(text).eval_at(eps)).render()
+        value = parse(text)
     except ParseError:
         return text
+    if isinstance(value, Scalar):
+        return sc(value.eval_at(eps)).render()
+    return value.eval_at(eps).render()
 
 
 def render_inputs(inputs) -> str:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mhv.cli import ALIASES, build_parser, main
+from mhv.expressions import parse
 from mhv.lsa import EpsMode
 from mhv.reports import Failure, Report, reports_to_json
 from mhv.suite import CHECK_ORDER, RunConfig, run_suite
@@ -48,6 +49,22 @@ class TestReports:
                    [Failure("w", "eq", "rank 4 < 5: nope")])
         assert r.evaluated_at(Fraction(1, 5)).failures[0].residual \
             == "rank 4 < 5: nope"
+
+    def test_evaluated_at_parses_each_residual_once(self, monkeypatch):
+        import mhv.reports
+        texts = []
+
+        def counting_parse(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(mhv.reports, "parse", counting_parse)
+        residuals = ["-d(1)", "(1+e)/(1+3*e)", "rank 4 < 5: nope"]
+        r = Report("demo", 3, "symbolic", 3,
+                   [Failure(f"w{i}", "eq", text)
+                    for i, text in enumerate(residuals)])
+        r.evaluated_at(Fraction(1, 5))
+        assert texts == residuals
 
     def test_json_byte_determinism(self):
         a = run_suite(RunConfig(window=2, checks=("jacobi", "solve-theta")))
