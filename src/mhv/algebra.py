@@ -360,8 +360,9 @@ def linear(table: Callable[[BasisVector], Element], x: Element) -> Element:
 
 def combine(parts: list) -> Callable[[BasisVector, BasisVector], Element]:
     """The table on basis pairs that sums w * table(u, v) over the
-    (w, table) parts."""
+    (w, table) parts, memoized per pair for the life of the table."""
 
+    @lru_cache(maxsize=None)
     def table(u: BasisVector, v: BasisVector) -> Element:
         acc: dict = {}
         for w, part in parts:

@@ -160,17 +160,20 @@ def project_centerless(x: Element) -> Element:
 
 def _axiom_residuals(f, x: Element, y: Element, z: Element,
                      mode: AlgebraMode = FULL) -> list:
-    """Residuals of the two derivation axioms at (x, y, z)."""
+    """Residuals of the two derivation axioms at (x, y, z).
+
+    In CENTERLESS mode x, y and z are centerless basis elements and every
+    value of f is projected, so the brackets go to the centerless table
+    directly, without bracket()'s per-call check for central terms."""
     if mode is FULL:
         fxz, fyz, fxy = f(x, z), f(y, z), f(x, y)
     else:
         fxz = project_centerless(f(x, z))
         fyz = project_centerless(f(y, z))
         fxy = project_centerless(f(x, y))
-    left = f(bracket(x, y, mode), z) - bracket(fxz, y, mode) \
-        - bracket(x, fyz, mode)
-    right = f(x, bracket(y, z, mode)) - bracket(fxy, z, mode) \
-        - bracket(y, fxz, mode)
+    br = partial(bilinear, BRACKET_TABLES[mode])
+    left = f(br(x, y), z) - br(fxz, y) - br(x, fyz)
+    right = f(x, br(y, z)) - br(fxy, z) - br(y, fxz)
     if mode is not FULL:
         left = project_centerless(left)
         right = project_centerless(right)

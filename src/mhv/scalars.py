@@ -13,6 +13,18 @@ so equality (and in particular equality to zero) is a plain structural
 comparison.  The parameter e itself and its inverse 1/e are both ordinary
 Scalars; no special-casing is needed anywhere downstream.
 
+Two operations with a nonzero rational r keep the form without
+recomputing it, which is most of the arithmetic of a verification sweep:
+
+  * r * a/b = (r*a)/b: gcd(r*a, b) = gcd(a, b) = 1 because r is a unit,
+    and b is unchanged;
+  * a/b + r = (a + r*b)/b: gcd(a + r*b, b) = gcd(a, b) = 1 because any
+    common divisor of a + r*b and b divides a, and b is unchanged.
+
+Every other result is canonicalised with pgcd, which runs the primitive
+pseudo-remainder sequence over Z[e] (Brown, J. ACM 18(4), 1971) and
+returns the monic gcd over Q.  A Scalar's hash is computed on first use.
+
 Polynomials are coefficient tuples of Fraction, lowest degree first, with
 no trailing zeros; () is the zero polynomial.  Rational numbers are
 fractions.Fraction throughout (exact, arbitrary precision).
@@ -21,7 +33,7 @@ fractions.Fraction throughout (exact, arbitrary precision).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -109,16 +121,63 @@ def pdivmod(a: tuple, b: tuple) -> tuple:
     return ptrim(quo), ptrim(rem)
 
 
+def _content_free(q: list) -> tuple:
+    """(g, q/g) for a nonzero list q of integers: g is the content of q,
+    signed so that q/g has a positive leading coefficient."""
+    g = _int_gcd(*q)
+    if q[-1] < 0:
+        g = -g
+    return g, q if g == 1 else [c // g for c in q]
+
+
+def _primitive_part(p: tuple) -> tuple:
+    """(t, q) for a nonzero polynomial p: t is rational and q = t*p is a
+    list of integers with content 1 and a positive leading coefficient."""
+    lcm = _int_lcm(*(c.denominator for c in p))
+    g, q = _content_free([c.numerator * (lcm // c.denominator) for c in p])
+    return Fraction(lcm, g), q
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A nonzero integer multiple of (a mod b) for integer lists a and b
+    with len(a) >= len(b), trailing zeros trimmed."""
+    r = a
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lr = r[-1]
+        g = _int_gcd(lb, lr)
+        sb, sr = lb // g, lr // g
+        shift = len(r) - 1 - db
+        r = [c * sb for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= sr * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd over Q[e]; gcd of two zero polynomials is zero."""
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return PZERO
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return tuple(c / lead for c in a)
+    """Monic gcd over Q[e]; gcd of two zero polynomials is zero.
+
+    The work runs over Z[e]: both inputs are scaled to primitive integer
+    polynomials, and the pseudo-remainder sequence divides every
+    remainder by its content, so coefficients stay as small as the gcd
+    allows.  The monic gcd over Q is unique, so this is the same value
+    that Euclid over Q gives."""
+    if not a or not b:
+        a = a or b
+        if not a or a[-1] == 1:
+            return a
+        return tuple(c / a[-1] for c in a)
+    a, b = _primitive_part(a)[1], _primitive_part(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _pseudo_remainder(a, b)
+        if not b:
+            return tuple(Fraction(c, a[-1]) for c in a)
+        b = _content_free(b)[1]
+    return PONE
 
 
 def peval(a: tuple, x: Fraction) -> Fraction:
@@ -149,21 +208,6 @@ def prender(a: tuple) -> str:
     return "".join(parts)
 
 
-def _primitive_factor(den: tuple) -> Fraction:
-    """Rational t such that t*den is primitive over Z with positive lead."""
-    lcm = 1
-    for c in den:
-        if c != 0:
-            lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    content = 0
-    for c in den:
-        content = _int_gcd(content, abs(c.numerator * (lcm // c.denominator)))
-    t = Fraction(lcm, content)
-    if den[-1] < 0:
-        t = -t
-    return t
-
-
 # ---------------------------------------------------------------------------
 # the Scalar field
 # ---------------------------------------------------------------------------
@@ -178,13 +222,14 @@ class Scalar:
             num, den = _canonicalize(num, den)
         self.num = num
         self.den = den
-        self._hash = hash((num, den))
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(r: RationalLike) -> "Scalar":
-        r = Fraction(r)
+        if not isinstance(r, Fraction):
+            r = Fraction(r)
         if r == 0:
             return ZERO
         return Scalar((r,), PONE, _canonical=True)
@@ -210,9 +255,17 @@ class Scalar:
             return other
         if other.is_zero():
             return self
-        if self.den == PONE and other.den == PONE and len(self.num) == 1 \
-                and len(other.num) == 1:
-            return Scalar.from_rational(self.num[0] + other.num[0])
+        # a nonzero rational first; PONE is the only canonical den of
+        # length 1
+        if len(other.num) == 1 and len(other.den) == 1:
+            self, other = other, self
+        if len(self.num) == 1 and len(self.den) == 1:
+            r = self.num[0]
+            if len(other.num) == 1 and len(other.den) == 1:
+                return Scalar.from_rational(r + other.num[0])
+            # r + a/b = (a + r*b)/b, canonical as it stands
+            return Scalar(padd(other.num, pscale(other.den, r)), other.den,
+                          _canonical=True)
         if self.den == other.den:
             return Scalar(padd(self.num, other.num), self.den)
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
@@ -229,9 +282,14 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if self.is_zero() or other.is_zero():
             return ZERO
-        if self.den == PONE and other.den == PONE and len(self.num) == 1 \
-                and len(other.num) == 1:
-            return Scalar.from_rational(self.num[0] * other.num[0])
+        if len(other.num) == 1 and len(other.den) == 1:
+            self, other = other, self
+        if len(self.num) == 1 and len(self.den) == 1:
+            r = self.num[0]
+            if len(other.num) == 1 and len(other.den) == 1:
+                return Scalar((r * other.num[0],), PONE, _canonical=True)
+            # r * a/b = (r*a)/b, canonical as it stands
+            return Scalar(pscale(other.num, r), other.den, _canonical=True)
         return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -261,6 +319,9 @@ class Scalar:
             and self.den == other.den
 
     def __hash__(self) -> int:
+        # computed on first use: most scalars are never hashed
+        if self._hash is None:
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def render(self) -> str:
@@ -289,7 +350,7 @@ def _canonicalize(num: tuple, den: tuple) -> tuple:
         den = pdivmod(den, g)[0]
     if len(den) == 1:
         return pscale(num, 1 / den[0]), PONE
-    t = _primitive_factor(den)
+    t = _primitive_part(den)[0]
     if t != 1:
         num, den = pscale(num, t), pscale(den, t)
     return num, den

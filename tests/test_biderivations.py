@@ -1,18 +1,20 @@
 """Biderivation family, axiom checking, commuting maps, post-Lie and
 left-symmetric triviality sweeps, and the converse certificate."""
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
-                         basis_vectors, bracket, d, h)
+                         basis_vectors, bilinear, bracket, d, h)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                LinearMap, bider_eval, check_bider_converse,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
-                               check_post_lie, grid_points, lsa_bider_grid,
-                               post_lie_grid, upsilon)
+                               check_post_lie, family_table, grid_points,
+                               lsa_bider_grid, post_lie_grid, upsilon)
 from mhv.scalars import EPS, ONE, sc
 
 E = Element.basis
@@ -126,6 +128,70 @@ class TestAxiomChecker:
         report = check_family(3)
         assert report.passed
         assert len(FAMILY_SAMPLES) == 5
+
+
+class TestFamilyTableMemo:
+    """Each member's table memoizes its values per basis pair."""
+
+    MEMBERS = (BiderParams(1, {0: 1}), BiderParams(Fraction(-2, 3), {2: 5}))
+
+    @staticmethod
+    def expected(params, u, v):
+        return bracket(E(u), E(v)).scale(params.lam) \
+            + upsilon(params, E(u), E(v))
+
+    def test_members_keep_their_own_values(self):
+        tables = [family_table(p) for p in self.MEMBERS]
+        pairs = [(d(1), d(2)), (d(-1), h(0)), (h(0), h(-1)), (d(1), d(-1))]
+        for _ in range(2):
+            for params, table in zip(self.MEMBERS, tables):
+                for u, v in pairs:
+                    assert table(u, v) == self.expected(params, u, v)
+        assert tables[0](d(1), d(2)) != tables[1](d(1), d(2))
+
+    def test_cached_values_unchanged_by_bilinear(self):
+        table = family_table(self.MEMBERS[0])
+        pairs = [(u, v) for u in (d(0), d(1), h(0)) for v in (d(2), h(1))]
+        before = {pair: table(*pair) for pair in pairs}
+        snapshot = {pair: dict(value._terms) for pair, value in before.items()}
+        x = Element.of((3, d(0)), (EPS, d(1)), (Fraction(1, 2), h(0)))
+        y = Element.of((-1, d(2)), (ONE + EPS, h(1)))
+        first = bilinear(table, x, y)
+        for _ in range(3):
+            assert bilinear(table, x, y) == first
+            assert bilinear(table, y, x) == bilinear(table, y, x)
+        for pair in pairs:
+            assert table(*pair) is before[pair]
+            assert table(*pair)._terms == snapshot[pair]
+
+    @pytest.mark.parametrize("params", [BiderParams(0, {0: 1}),
+                                        BiderParams(1, {}),
+                                        BiderParams(0, {})])
+    def test_centerless_table_raises_on_every_call(self, params):
+        table = family_table(params, CENTERLESS)
+        for u, v in ((C, d(0)), (d(0), L), (L, C)):
+            for _ in range(2):
+                with pytest.raises(CentralTermError):
+                    table(u, v)
+
+    def test_centerless_bracket_still_checks(self):
+        with pytest.raises(CentralTermError):
+            bracket(E(C), E(d(1)), CENTERLESS)
+        with pytest.raises(CentralTermError):
+            bracket(E(d(1)), E(L), CENTERLESS)
+
+    def test_full_mode_failures_unchanged(self):
+        # the l-valued failures of a member with nonzero Omega, as the
+        # golden CLI report records them
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "bider-check-l1-o0-w1-full.json")
+        with open(path) as fh:
+            golden = json.load(fh)["reports"]
+        table = BilinearTable.from_params(BiderParams(1, {0: 1}), FULL)
+        report = check_biderivation(table, 1, FULL)
+        assert [report.to_dict()] == golden
+        assert report.failures
+        assert all(f.residual.endswith("l") for f in report.failures)
 
 
 class TestCommuting:

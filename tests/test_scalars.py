@@ -1,13 +1,15 @@
 """The exact scalar field Q(e): canonical forms, arithmetic, evaluation."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
-                         ScalarDivisionError, ZeroEpsilonError, pgcd, prender,
-                         sc)
+                         ScalarDivisionError, ZeroEpsilonError, padd, pgcd,
+                         pmul, prender, pscale, ptrim, sc)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -25,6 +27,13 @@ small_polys = st.lists(rationals, min_size=1, max_size=4).map(poly_scalar)
 scalars = st.builds(
     lambda num, den: num / den if not den.is_zero() else num,
     small_polys, small_polys)
+nonzero_rationals = rationals.filter(lambda r: r != 0)
+# coefficient tuples, zero and constants included
+polys = st.lists(rationals, max_size=5).map(ptrim)
+# scalars built only through the general route, Scalar(num, den)
+general_scalars = st.builds(
+    lambda num, den: Scalar(num, den if den else (Fraction(1),)),
+    polys, polys)
 
 
 class TestExamples:
@@ -143,3 +152,112 @@ def test_poly_gcd_monic():
     q = ((ONE + EPS) * (ONE + sc(3) * EPS))
     g = pgcd(p.num, q.num)
     assert g == (Fraction(1), Fraction(1))
+
+
+def euclid_pgcd(a: tuple, b: tuple) -> tuple:
+    """Reference: the monic gcd by Euclid over Q, as pgcd computed it
+    before it ran over Z[e]."""
+    def remainder(a, b):
+        rem = list(a)
+        db, lb = len(b) - 1, b[-1]
+        while len(rem) - 1 >= db and any(c != 0 for c in rem):
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if len(rem) - 1 < db:
+                break
+            shift = len(rem) - 1 - db
+            q = rem[-1] / lb
+            for i, c in enumerate(b):
+                rem[shift + i] -= q * c
+            rem.pop()
+        return ptrim(rem)
+
+    while b:
+        a, b = b, remainder(a, b)
+    if not a:
+        return ()
+    return tuple(c / a[-1] for c in a)
+
+
+class TestGcd:
+    @given(polys, polys, polys)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_euclid_over_q(self, a, b, g):
+        for x, y in ((a, b), (pmul(a, g), pmul(b, g)), (a, ()), ((), b),
+                     ((), ())):
+            assert pgcd(x, y) == euclid_pgcd(x, y)
+
+    def test_zero_constant_and_common_factor(self):
+        one_e = (Fraction(1), Fraction(1))        # 1+e
+        half = (Fraction(1, 2),)
+        cases = [((), ()), ((), half), (half, ()), (half, (Fraction(3),)),
+                 (one_e, ()), ((), pscale(one_e, Fraction(-2, 3))),
+                 (pmul(one_e, (Fraction(2), Fraction(-6))),
+                  pmul(pmul(one_e, one_e), (Fraction(-1, 3), Fraction(5)))),
+                 (pscale(one_e, Fraction(7, 2)), pscale(one_e, Fraction(-4)))]
+        for a, b in cases:
+            assert pgcd(a, b) == euclid_pgcd(a, b)
+        assert pgcd(pscale(one_e, Fraction(-4)), one_e) == one_e
+
+    def test_large_common_factor(self):
+        # a degree-20 common factor with large coefficients
+        g = (Fraction(1),)
+        for k in range(1, 21):
+            g = pmul(g, (Fraction(k, 3), Fraction(2 * k + 1)))
+        a = pmul(g, (Fraction(-5), Fraction(1, 7), Fraction(2)))
+        b = pmul(g, (Fraction(3, 4), Fraction(9)))
+        assert pgcd(a, b) == euclid_pgcd(a, b) == pscale(g, 1 / g[-1])
+
+
+class TestRationalShortcuts:
+    """r * a and a + r for a rational r skip canonicalisation; the result
+    must be the canonical form the general route computes."""
+
+    @given(general_scalars, nonzero_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_product(self, a, r):
+        expected = Scalar(pmul(a.num, (r,)), a.den, _canonical=False)
+        for value in (a * sc(r), sc(r) * a):
+            assert (value.num, value.den) == (expected.num, expected.den)
+
+    @given(general_scalars, nonzero_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_sum(self, a, r):
+        expected = Scalar(padd(a.num, pmul(a.den, (r,))), a.den,
+                          _canonical=False)
+        for value in (a + sc(r), sc(r) + a):
+            assert (value.num, value.den) == (expected.num, expected.den)
+
+    def test_rational_times_polynomial(self):
+        value = sc(Fraction(-2, 3)) * (ONE + EPS)
+        assert value.den == (Fraction(1),)
+        assert value.num == (Fraction(-2, 3), Fraction(-2, 3))
+
+
+class TestHash:
+    @given(general_scalars, general_scalars, nonzero_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_hash_equal(self, x, y, r):
+        assume(not y.is_zero())
+        for other in ((x * y) / y, (x + y) - y, (x * sc(r)) / sc(r),
+                      Scalar(pmul(x.num, y.num), pmul(x.den, y.num))):
+            assert other == x
+            assert hash(other) == hash(x)
+            assert {x: 1}[other] == 1
+
+    def test_hash_is_stable(self):
+        value = (ONE + EPS) / (ONE + sc(3) * EPS)
+        assert hash(value) == hash(value) == hash((value.num, value.den))
+
+
+# sums of rational functions of degree 64 whose canonicalisation ran for
+# minutes when the gcd was Euclid over Q
+@pytest.mark.parametrize("left", [
+    "(((1+2*e)^32+e)/((1+3*e)^32+1)+((1+5*e)^32+e)/((1+7*e)^32+1))*d(1)",
+    "((1+2*e)^64/((1+3*e)^64+1))*d(1)",
+])
+def test_large_canonicalisation_finishes(left):
+    proc = subprocess.run([sys.executable, "-m", "mhv.cli", "bracket", left,
+                           "d(2)"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
