@@ -1,21 +1,28 @@
 """Paired benchmark runs: a parent checkout against this working tree.
 
-    python3 tools/bench_pair.py PARENT_DIR [--seed N] [--seconds S]
-                                [--pairs WORKLOAD=COUNT,...]
+    python3 tools/bench_pair.py PARENT_DIR [--seed N]
 
 For every workload, pair i runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in PARENT_DIR and once in this tree, with the parent first in the
 even pairs and the change first in the odd ones, so that a drift of the
-machine's speed does not favour one side.  Pair i of every workload uses
-seed N + i.  The results of the parent go to BENCH_0.json and those of
-this tree to BENCH_1.json at the root of this tree: one entry per run
-with its workload, pair, seed, order, correctness and end-to-end
-metrics.  Both files are rewritten after every run, so an interrupted
-series keeps the pairs it finished.  Each pair's wall_s is printed as
-it finishes, and at the end, for every workload and end-to-end metric of
+machine's speed does not favour one side.  T is BENCHMARK.json's
+run_seconds, and the pair counts are PAIRS: ten for verify-w5 and three
+for every other workload.  Pair i of every workload uses seed N + i.
+
+Results go to two new files at the root of this tree: the parent's to
+BENCH_<n>.json and this tree's to BENCH_<n+1>.json, where n is one more
+than the highest index of an existing BENCH file (0 if there is none).
+Both files are created before the first run and the script stops if
+either exists, so no earlier results are overwritten.  Each holds one
+entry per run with its workload, pair, seed, order, correctness and
+end-to-end metrics.  Its "commit" is the checkout's HEAD, with "-dirty"
+appended if tracked files differed from HEAD when the series started.
+Both files are rewritten after every run, so an interrupted series keeps
+the pairs it finished.  Each pair's wall_s is printed as it finishes,
+and at the end, for every workload and end-to-end metric of
 BENCHMARK.json, each side's median and quartiles and the number of pairs
 the change won.
 
@@ -29,31 +36,33 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_PAIRS = {"verify-w5": 10, "verify-w4-eps-2workers": 3,
-                 "kernel-dense-e": 3, "counterexamples": 3}
+PAIRS = {"verify-w5": 10, "verify-w4-eps-2workers": 3,
+         "kernel-dense-e": 3, "counterexamples": 3}
 SIDES = ("parent", "change")
 
 
-def parse_pairs(text: str) -> dict:
-    pairs = {}
-    for item in text.split(","):
-        name, _, count = item.partition("=")
-        if name not in DEFAULT_PAIRS or not count.isdigit() \
-                or int(count) < 1:
-            raise argparse.ArgumentTypeError(f"bad pair count {item!r}")
-        pairs[name] = int(count)
-    return pairs
-
-
 def commit_of(checkout: str) -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    if head.returncode != 0:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain",
+                             "--untracked-files=no"], cwd=checkout,
+                            capture_output=True, text=True)
+    dirty = status.returncode != 0 or status.stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def next_index() -> int:
+    indices = [int(m.group(1)) for name in os.listdir(ROOT)
+               if (m := re.fullmatch(r"BENCH_(\d+)\.json", name))]
+    return max(indices, default=-1) + 1
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
@@ -78,8 +87,8 @@ def summary(values: list) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
-def write(path: str, side: dict) -> None:
-    with open(path, "w") as fh:
+def write(path: str, side: dict, mode: str = "w") -> None:
+    with open(path, mode) as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -89,29 +98,33 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of pair 0; pair i uses seed + i")
-    parser.add_argument("--seconds", type=int, default=12)
-    parser.add_argument("--pairs", type=parse_pairs, default=DEFAULT_PAIRS,
-                        help="runs per side and workload, for example "
-                             "verify-w5=10,kernel-dense-e=3")
     args = parser.parse_args(argv)
     parent = os.path.abspath(args.parent)
     if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
         parser.error(f"{parent} has no perfbench/run.py")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
 
     checkouts = {"parent": parent, "change": ROOT}
-    paths = {"parent": os.path.join(ROOT, "BENCH_0.json"),
-             "change": os.path.join(ROOT, "BENCH_1.json")}
+    first = next_index()
+    paths = {side: os.path.join(ROOT, f"BENCH_{first + i}.json")
+             for i, side in enumerate(SIDES)}
     results = {side: {"side": side, "commit": commit_of(checkouts[side]),
                       "python": platform.python_version(),
-                      "nproc": os.cpu_count(), "seconds": args.seconds,
+                      "nproc": os.cpu_count(), "seconds": seconds,
                       "runs": []}
                for side in SIDES}
-    for workload, count in args.pairs.items():
+    for side in SIDES:
+        write(paths[side], results[side], mode="x")
+    print(f"parent -> {os.path.basename(paths['parent'])}, change -> "
+          f"{os.path.basename(paths['change'])}", flush=True)
+    for workload, count in PAIRS.items():
         for pair in range(count):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run = run_once(checkouts[side], workload, seed, seconds)
                 results[side]["runs"].append(
                     {"workload": workload, "pair": pair, "seed": seed,
                      "order": ("first", "second")[position], **run})
@@ -122,11 +135,10 @@ def main(argv=None) -> int:
                   f"({order[0]} first): wall_s {walls[0]:.3f} -> "
                   f"{walls[1]:.3f}", flush=True)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     print("\nmedian [quartiles] per side; wins: pairs where the change is "
           "better")
-    for workload in args.pairs:
+    for workload in PAIRS:
         for metric, direction in better.items():
             values = {side: [r["metrics"][metric]
                              for r in results[side]["runs"]
