@@ -205,7 +205,20 @@ class Element:
                        _clean=True)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        if not other._terms:
+            return self
+        acc = dict(self._terms)
+        for bv, coeff in other._terms.items():
+            prev = acc.get(bv)
+            if prev is None:
+                acc[bv] = -coeff
+                continue
+            coeff = prev - coeff
+            if coeff.is_zero():
+                del acc[bv]
+            else:
+                acc[bv] = coeff
+        return Element(acc, _clean=True)
 
     def scale(self, factor: Scalar) -> "Element":
         if factor.is_zero() or not self._terms:

@@ -22,8 +22,9 @@ parse_element also reads the literal 0 as the zero element.
 Two bounds limit what a parse may build.  Parentheses and signs nest at
 most MAX_NESTING (100) deep.  Every value the parser builds (each
 literal, the result of each operator and each step of a power) has
-polynomial degree at most MAX_DEGREE (64) in e, and numerators and
-denominators of at most MAX_COEFF_BITS (1024) bits.  Past either bound
+polynomial degree at most MAX_DEGREE (64) in e, and the integer
+coefficients of its canonical numerator and denominator (Scalar.num and
+Scalar.den) have at most MAX_COEFF_BITS (1024) bits.  Past either bound
 the parse stops with a ParseError at the offending token.
 
 Element.render / Scalar.render emit this grammar, so parsing a rendered
@@ -95,8 +96,7 @@ def _bounded(value: Value, offset: int, changed: Value | None = None
                      .support())
     for s in coeffs:
         if max(len(s.num), len(s.den)) - 1 > MAX_DEGREE or any(
-                max(q.numerator.bit_length(), q.denominator.bit_length())
-                > MAX_COEFF_BITS for q in s.num + s.den):
+                c.bit_length() > MAX_COEFF_BITS for c in s.num + s.den):
             raise ParseError(f"value exceeds the size bound (degree "
                              f"{MAX_DEGREE}, {MAX_COEFF_BITS}-bit "
                              f"coefficients)", offset)

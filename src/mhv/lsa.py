@@ -92,21 +92,15 @@ SYMBOLIC = EpsMode(None)
 # coefficient formulas
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def dd_coeff(m: int, n: int) -> Scalar:
     """-n(1+e*n)/(1+e*(m+n)) as a symbolic scalar."""
-    num = (Fraction(-n), Fraction(-n * n))          # -n - n^2 e
-    den = (Fraction(1), Fraction(m + n))            # 1 + (m+n) e
-    return Scalar(num, den)
+    return Scalar((-n, -n * n), (1, m + n))
 
 
-@lru_cache(maxsize=None)
 def dd_central_coeff(m: int) -> Scalar:
     """1/24 (m^3 - m + (e - 1/e) m^2), the coefficient of C at m+n = 0."""
     # as a fraction over 24e: (-m^2 + (m^3 - m) e + m^2 e^2) / (24 e)
-    num = (Fraction(-m * m), Fraction(m**3 - m), Fraction(m * m))
-    den = (Fraction(0), Fraction(24))
-    return Scalar(num, den)
+    return Scalar((-m * m, m**3 - m, m * m), (0, 24))
 
 
 def dh_coeff(n: int) -> Scalar:

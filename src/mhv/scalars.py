@@ -1,33 +1,38 @@
 """Exact scalar arithmetic: the field Q(e) of rational functions in one
 formal parameter e over arbitrary-precision rationals.
 
-A Scalar is a fraction num/den of univariate polynomials over Q, kept in a
-unique canonical form:
+A Scalar is a fraction num/den of univariate polynomials with integer
+coefficients, kept in a unique canonical form:
 
-  * gcd(num, den) = 1 over Q[e],
-  * den has integer coefficients with content 1 ("primitive"),
+  * num and den have no common factor in Z[e]: no common factor of
+    positive degree, and no integer > 1 divides every coefficient of both,
   * the leading coefficient of den is positive.
 
-With those three constraints the representative of every value is unique,
-so equality (and in particular equality to zero) is a plain structural
+With those constraints the representative of every value is unique, so
+equality (and in particular equality to zero) is a plain structural
 comparison.  The parameter e itself and its inverse 1/e are both ordinary
 Scalars; no special-casing is needed anywhere downstream.
 
-Two operations with a nonzero rational r keep the form without
-recomputing it, which is most of the arithmetic of a verification sweep:
+Two kinds of result need no polynomial gcd, only the division of num and
+den by their common integer content (_reduced):
 
-  * r * a/b = (r*a)/b: gcd(r*a, b) = gcd(a, b) = 1 because r is a unit,
-    and b is unchanged;
-  * a/b + r = (a + r*b)/b: gcd(a + r*b, b) = gcd(a, b) = 1 because any
-    common divisor of a + r*b and b divides a, and b is unchanged.
+  * a/b + c/d with b or d a constant, say b: a common factor of positive
+    degree of a*d + c*b and b*d divides d, then c*b, then c, and
+    gcd(c, d) = 1;
+  * a product with a rational factor p/q: a common factor of positive
+    degree of p*a and q*b divides a and b.
 
-Every other result is canonicalised with pgcd, which runs the primitive
-pseudo-remainder sequence over Z[e] (Brown, J. ACM 18(4), 1971) and
-returns the monic gcd over Q.  A Scalar's hash is computed on first use.
+Most of the arithmetic of a verification sweep is of these kinds.  Every
+other result is reduced by pgcd, the primitive pseudo-remainder sequence
+over Z[e] (Brown, J. ACM 18(4), 1971), and the exact quotient by it.  A
+Scalar's hash is computed on first use.
 
-Polynomials are coefficient tuples of Fraction, lowest degree first, with
-no trailing zeros; () is the zero polynomial.  Rational numbers are
-fractions.Fraction throughout (exact, arbitrary precision).
+Polynomials are coefficient tuples of int, lowest degree first, with no
+trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
+precision) enter and leave only at the boundary: Scalar(num, den) also
+accepts Fraction coefficients and clears their denominators,
+from_rational and as_rational convert single rationals, eval_at returns
+a Fraction, and render writes num over Q above the primitive den.
 """
 
 from __future__ import annotations
@@ -56,11 +61,11 @@ class ZeroEpsilonError(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient tuples of Fraction, ascending degree)
+# polynomial helpers (coefficient tuples of int, ascending degree)
 # ---------------------------------------------------------------------------
 
 PZERO: tuple = ()
-PONE = (Fraction(1),)
+PONE = (1,)
 
 
 def ptrim(coeffs) -> tuple:
@@ -87,60 +92,25 @@ def pneg(a: tuple) -> tuple:
 def pmul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return PZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return ptrim(out)
 
 
-def pscale(a: tuple, r: Fraction) -> tuple:
-    if r == 0:
-        return PZERO
-    return tuple(c * r for c in a)
-
-
-def pdivmod(a: tuple, b: tuple) -> tuple:
-    """Exact polynomial division with remainder; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    quo = [Fraction(0)] * max(len(a) - db, 0)
-    while len(rem) - 1 >= db and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        q = rem[-1] / lb
-        quo[shift] = q
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
-        rem.pop()
-    return ptrim(quo), ptrim(rem)
-
-
-def _content_free(q: list) -> tuple:
-    """(g, q/g) for a nonzero list q of integers: g is the content of q,
-    signed so that q/g has a positive leading coefficient."""
-    g = _int_gcd(*q)
-    if q[-1] < 0:
+def _primitive(p) -> tuple:
+    """p divided by its content, signed so that the leading coefficient is
+    positive; p is a nonzero integer polynomial."""
+    g = _int_gcd(*p)
+    if p[-1] < 0:
         g = -g
-    return g, q if g == 1 else [c // g for c in q]
+    return tuple(p) if g == 1 else tuple(c // g for c in p)
 
 
-def _primitive_part(p: tuple) -> tuple:
-    """(t, q) for a nonzero polynomial p: t is rational and q = t*p is a
-    list of integers with content 1 and a positive leading coefficient."""
-    lcm = _int_lcm(*(c.denominator for c in p))
-    g, q = _content_free([c.numerator * (lcm // c.denominator) for c in p])
-    return Fraction(lcm, g), q
-
-
-def _pseudo_remainder(a: list, b: list) -> list:
-    """A nonzero integer multiple of (a mod b) for integer lists a and b
-    with len(a) >= len(b), trailing zeros trimmed."""
+def _pseudo_remainder(a, b) -> list:
+    """A nonzero integer multiple of (a mod b) for integer polynomials a
+    and b with len(a) >= len(b), trailing zeros trimmed."""
     r = a
     db, lb = len(b) - 1, b[-1]
     while len(r) > db:
@@ -157,27 +127,38 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 
 def pgcd(a: tuple, b: tuple) -> tuple:
-    """Monic gcd over Q[e]; gcd of two zero polynomials is zero.
+    """The primitive gcd of integer polynomials: their gcd over Q[e],
+    scaled to content 1 and a positive leading coefficient.  The gcd of
+    two zero polynomials is zero.
 
-    The work runs over Z[e]: both inputs are scaled to primitive integer
-    polynomials, and the pseudo-remainder sequence divides every
-    remainder by its content, so coefficients stay as small as the gcd
-    allows.  The monic gcd over Q is unique, so this is the same value
-    that Euclid over Q gives."""
+    The pseudo-remainder sequence divides every remainder by its
+    content, so coefficients stay as small as the gcd allows."""
     if not a or not b:
         a = a or b
-        if not a or a[-1] == 1:
-            return a
-        return tuple(c / a[-1] for c in a)
-    a, b = _primitive_part(a)[1], _primitive_part(b)[1]
+        return _primitive(a) if a else a
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         a, b = b, _pseudo_remainder(a, b)
         if not b:
-            return tuple(Fraction(c, a[-1]) for c in a)
-        b = _content_free(b)[1]
+            return a
+        b = _primitive(b)
     return PONE
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple:
+    """a / b for integer polynomials where b is primitive and divides a
+    over Q[e].  By Gauss's lemma the quotient has integer coefficients,
+    so every step of the long division divides exactly."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    quo = [0] * (len(a) - db)
+    for shift in range(len(quo) - 1, -1, -1):
+        q = quo[shift] = rem[shift + db] // lb
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+    return tuple(quo)
 
 
 def peval(a: tuple, x: Fraction) -> Fraction:
@@ -213,12 +194,18 @@ def prender(a: tuple) -> str:
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """An element of Q(e) in canonical form.  Immutable and hashable."""
+    """An element of Q(e) in canonical form.  Immutable and hashable.
+
+    Scalar(num, den) takes coefficient sequences of int or Fraction, den
+    nonzero, and stores the canonical form of num/den."""
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: tuple, den: tuple, _canonical: bool = False):
+    def __init__(self, num, den, _canonical: bool = False):
         if not _canonical:
+            num, den = _integral(ptrim(num), ptrim(den))
+            if not den:
+                raise ScalarDivisionError("zero denominator")
             num, den = _canonicalize(num, den)
         self.num = num
         self.den = den
@@ -228,11 +215,11 @@ class Scalar:
 
     @staticmethod
     def from_rational(r: RationalLike) -> "Scalar":
-        if not isinstance(r, Fraction):
+        if not isinstance(r, (int, Fraction)):
             r = Fraction(r)
         if r == 0:
             return ZERO
-        return Scalar((r,), PONE, _canonical=True)
+        return Scalar((r.numerator,), (r.denominator,), _canonical=True)
 
     # -- predicates ---------------------------------------------------------
 
@@ -240,13 +227,13 @@ class Scalar:
         return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.num) <= 1 and self.den == PONE
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_rational(self) -> Fraction:
         """The value as a plain rational; only valid when is_rational()."""
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not a plain rational")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -255,21 +242,16 @@ class Scalar:
             return other
         if other.is_zero():
             return self
-        # a nonzero rational first; PONE is the only canonical den of
-        # length 1
-        if len(other.num) == 1 and len(other.den) == 1:
-            self, other = other, self
-        if len(self.num) == 1 and len(self.den) == 1:
-            r = self.num[0]
-            if len(other.num) == 1 and len(other.den) == 1:
-                return Scalar.from_rational(r + other.num[0])
-            # r + a/b = (a + r*b)/b, canonical as it stands
-            return Scalar(padd(other.num, pscale(other.den, r)), other.den,
-                          _canonical=True)
-        if self.den == other.den:
-            return Scalar(padd(self.num, other.num), self.den)
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return Scalar(num, pmul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            num, den = padd(a, c), b
+        else:
+            num, den = padd(pmul(a, d), pmul(c, b)), pmul(b, d)
+        if not num:
+            return ZERO
+        if len(b) == 1 or len(d) == 1:
+            return Scalar(*_reduced(num, den), _canonical=True)
+        return Scalar(*_canonicalize(num, den), _canonical=True)
 
     def __neg__(self) -> "Scalar":
         if self.is_zero():
@@ -282,22 +264,18 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if self.is_zero() or other.is_zero():
             return ZERO
-        if len(other.num) == 1 and len(other.den) == 1:
-            self, other = other, self
-        if len(self.num) == 1 and len(self.den) == 1:
-            r = self.num[0]
-            if len(other.num) == 1 and len(other.den) == 1:
-                return Scalar((r * other.num[0],), PONE, _canonical=True)
-            # r * a/b = (r*a)/b, canonical as it stands
-            return Scalar(pscale(other.num, r), other.den, _canonical=True)
-        return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
+        num, den = pmul(self.num, other.num), pmul(self.den, other.den)
+        if self.is_rational() or other.is_rational():
+            return Scalar(*_reduced(num, den), _canonical=True)
+        return Scalar(*_canonicalize(num, den), _canonical=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
             raise ScalarDivisionError("division by the zero scalar")
-        if self.is_zero():
-            return ZERO
-        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
+        num, den = other.den, other.num
+        if den[-1] < 0:
+            num, den = pneg(num), pneg(den)
+        return self * Scalar(num, den, _canonical=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -325,9 +303,13 @@ class Scalar:
         return self._hash
 
     def render(self) -> str:
-        if self.den == PONE:
-            return prender(self.num)
-        return f"({prender(self.num)})/({prender(self.den)})"
+        """num over Q above the primitive den: both are divided by the
+        content of den, and a constant den is left out."""
+        content = _int_gcd(*self.den)
+        num = prender(tuple(Fraction(c, content) for c in self.num))
+        if len(self.den) == 1:
+            return num
+        return f"({num})/({prender(tuple(c // content for c in self.den))})"
 
     def __str__(self) -> str:
         return self.render()
@@ -336,29 +318,39 @@ class Scalar:
         return f"Scalar({self.render()})"
 
 
+def _integral(num: tuple, den: tuple) -> tuple:
+    """num and den, coefficients int or Fraction, both multiplied by the
+    least common multiple of their coefficients' denominators."""
+    m = _int_lcm(*(c.denominator for c in num + den))
+    return (tuple(c.numerator * (m // c.denominator) for c in num),
+            tuple(c.numerator * (m // c.denominator) for c in den))
+
+
+def _reduced(num: tuple, den: tuple) -> tuple:
+    """num and den divided by the common content of their coefficients and
+    signed so that den has a positive leading coefficient; num is nonzero
+    and has no common factor of positive degree with den."""
+    g = _int_gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return tuple(c // g for c in num), tuple(c // g for c in den)
+
+
 def _canonicalize(num: tuple, den: tuple) -> tuple:
-    num, den = ptrim(num), ptrim(den)
-    if not den:
-        raise ScalarDivisionError("zero denominator")
+    """The canonical form of num/den for integer polynomials, den nonzero."""
     if not num:
         return PZERO, PONE
-    if len(num) == 1 and len(den) == 1:
-        return (num[0] / den[0],), PONE
     g = pgcd(num, den)
     if len(g) > 1:
-        num = pdivmod(num, g)[0]
-        den = pdivmod(den, g)[0]
-    if len(den) == 1:
-        return pscale(num, 1 / den[0]), PONE
-    t = _primitive_part(den)[0]
-    if t != 1:
-        num, den = pscale(num, t), pscale(den, t)
-    return num, den
+        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
+    return _reduced(num, den)
 
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
-EPS = Scalar((Fraction(0), Fraction(1)), PONE, _canonical=True)
+EPS = Scalar((0, 1), PONE, _canonical=True)
 EPS_INV = ONE / EPS
 
 

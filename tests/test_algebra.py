@@ -146,3 +146,15 @@ class TestBracketProperties:
                 stripped = Element(
                     {bv: cf for bv, cf in full.terms() if not bv.is_central()})
                 assert bracket(E(x), E(y), CENTERLESS) == stripped
+
+
+class TestSubtraction:
+    @given(window_elements, window_elements, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_adding_the_negative(self, x, y, symbolic):
+        if symbolic:
+            y = y.scale(ONE + EPS)
+        x_terms, y_terms = x.terms(), y.terms()
+        assert x - y == x + (-y)
+        assert (x - x).is_zero()
+        assert (x.terms(), y.terms()) == (x_terms, y_terms)

@@ -266,3 +266,12 @@ class TestBounds:
         with pytest.raises(ParseError) as err:
             parse_scalar("1 + " + "9" * 5000)
         assert err.value.offset == 4
+
+    def test_bound_counts_the_common_denominator(self):
+        # each term is within the bound, but the sum's integer denominator
+        # 2^576 * 3^384 has 1186 bits
+        for term in ("1/((2)^64)^9", "e/((3)^64)^6"):
+            parse_scalar(term)
+        with pytest.raises(ParseError) as err:
+            parse_scalar("1/((2)^64)^9 + e/((3)^64)^6")
+        assert err.value.offset == 13

@@ -3,13 +3,14 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
                          ScalarDivisionError, ZeroEpsilonError, padd, pgcd,
-                         pmul, prender, pscale, ptrim, sc)
+                         pmul, prender, ptrim, sc)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -84,9 +85,11 @@ class TestCanonicalForm:
         assert (p * r) / (q * r) == p / q
 
     def test_denominator_is_primitive_with_positive_lead(self):
+        # stored over Z[e]; render divides both by the content 24 of den
         value = (EPS * EPS - ONE) / (sc(24) * EPS)
-        assert value.den == (Fraction(0), Fraction(1))
-        assert value.num == (Fraction(-1, 24), Fraction(0), Fraction(1, 24))
+        assert value.num == (-1, 0, 1)
+        assert value.den == (0, 24)
+        assert value.render() == "(-1/24+1/24*e^2)/(e)"
 
     def test_negative_lead_normalized(self):
         value = ONE / (sc(-1) - EPS)
@@ -179,25 +182,39 @@ def euclid_pgcd(a: tuple, b: tuple) -> tuple:
     return tuple(c / a[-1] for c in a)
 
 
+def monic_pgcd(a: tuple, b: tuple) -> tuple:
+    """pgcd of a and b with denominators cleared, scaled to be monic; the
+    gcd is unique up to a unit, so this is comparable with euclid_pgcd."""
+    def cleared(p):
+        m = lcm(*(c.denominator for c in p))
+        return tuple(c.numerator * (m // c.denominator) for c in p)
+
+    g = pgcd(cleared(a), cleared(b))
+    assert all(type(c) is int for c in g)
+    assert not g or (gcd(*g) == 1 and g[-1] > 0)
+    return tuple(Fraction(c, g[-1]) for c in g)
+
+
 class TestGcd:
     @given(polys, polys, polys)
     @settings(max_examples=200, deadline=None)
     def test_matches_euclid_over_q(self, a, b, g):
         for x, y in ((a, b), (pmul(a, g), pmul(b, g)), (a, ()), ((), b),
                      ((), ())):
-            assert pgcd(x, y) == euclid_pgcd(x, y)
+            assert monic_pgcd(x, y) == euclid_pgcd(x, y)
 
     def test_zero_constant_and_common_factor(self):
         one_e = (Fraction(1), Fraction(1))        # 1+e
         half = (Fraction(1, 2),)
         cases = [((), ()), ((), half), (half, ()), (half, (Fraction(3),)),
-                 (one_e, ()), ((), pscale(one_e, Fraction(-2, 3))),
+                 (one_e, ()), ((), pmul(one_e, (Fraction(-2, 3),))),
                  (pmul(one_e, (Fraction(2), Fraction(-6))),
                   pmul(pmul(one_e, one_e), (Fraction(-1, 3), Fraction(5)))),
-                 (pscale(one_e, Fraction(7, 2)), pscale(one_e, Fraction(-4)))]
+                 (pmul(one_e, (Fraction(7, 2),)),
+                  pmul(one_e, (Fraction(-4),)))]
         for a, b in cases:
-            assert pgcd(a, b) == euclid_pgcd(a, b)
-        assert pgcd(pscale(one_e, Fraction(-4)), one_e) == one_e
+            assert monic_pgcd(a, b) == euclid_pgcd(a, b)
+        assert pgcd((-4, -4), (1, 1)) == (1, 1)
 
     def test_large_common_factor(self):
         # a degree-20 common factor with large coefficients
@@ -206,7 +223,8 @@ class TestGcd:
             g = pmul(g, (Fraction(k, 3), Fraction(2 * k + 1)))
         a = pmul(g, (Fraction(-5), Fraction(1, 7), Fraction(2)))
         b = pmul(g, (Fraction(3, 4), Fraction(9)))
-        assert pgcd(a, b) == euclid_pgcd(a, b) == pscale(g, 1 / g[-1])
+        assert monic_pgcd(a, b) == euclid_pgcd(a, b) \
+            == pmul(g, (1 / g[-1],))
 
 
 class TestRationalShortcuts:
@@ -230,8 +248,33 @@ class TestRationalShortcuts:
 
     def test_rational_times_polynomial(self):
         value = sc(Fraction(-2, 3)) * (ONE + EPS)
-        assert value.den == (Fraction(1),)
-        assert value.num == (Fraction(-2, 3), Fraction(-2, 3))
+        assert value.num == (-2, -2)
+        assert value.den == (3,)
+
+
+class TestIntegerForm:
+    """Every stored coefficient is an int and num/den is reduced over
+    Z[e].  A Fraction in storage compares and hashes equal to an int, so
+    only a type check catches one."""
+
+    @staticmethod
+    def check(value):
+        assert all(type(c) is int for c in value.num + value.den)
+        assert value.den[-1] > 0
+        assert gcd(*value.num, *value.den) == 1
+        assert pgcd(value.num, value.den) == (1,)
+
+    @given(polys, polys, general_scalars, general_scalars, rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_results_are_integer_and_reduced(self, num, den, x, y, r):
+        self.check(Scalar(num, den or (Fraction(1),)))
+        self.check(sc(r))
+        for z in (y, sc(r)):
+            self.check(x + z)
+            self.check(x - z)
+            self.check(x * z)
+            if not z.is_zero():
+                self.check(x / z)
 
 
 class TestHash:
