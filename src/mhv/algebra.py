@@ -81,6 +81,10 @@ class BasisVector:
         cls._cache[key] = self
         return self
 
+    def __reduce__(self) -> tuple:
+        # unpickle through __new__ with its arguments, which keeps interning
+        return BasisVector, (self.tag, self.index)
+
     def sort_key(self) -> tuple:
         return self._key
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
@@ -48,7 +49,8 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       basis_vectors, bilinear, bracket, combine, d, h, linear)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
-from .reports import Failure, Report, collect, prefixed, render_inputs
+from .reports import (Failure, Report, collect, merged, prefixed,
+                      render_inputs, serial)
 from .scalars import Scalar, sc
 
 
@@ -181,9 +183,9 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
 
 
 def _biderivation_residuals(cand: BilinearTable, window: int,
-                            mode: AlgebraMode):
+                            mode: AlgebraMode, first: slice = slice(None)):
     return basis_sweep(window, 3, partial(_axiom_residuals, cand, mode=mode),
-                       mode=mode)
+                       first, mode)
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -342,20 +344,25 @@ def grid_points() -> list:
     return points
 
 
-def _first_failure(residuals) -> tuple | None:
-    for inputs, eq_id, residual in residuals:
+def _first_failure(residual_source, params: BiderParams) -> tuple | None:
+    """The rendered (inputs, equation_id, residual) of the first nonzero
+    residual of a grid point, or None if every residual vanishes."""
+    for inputs, eq_id, residual in residual_source(params):
         if not residual.is_zero():
-            return inputs, eq_id, residual
+            return render_inputs(inputs), eq_id, residual.render()
     return None
 
 
-def _grid_report(check_name: str, window: int, residual_source) -> Report:
-    """Sweep the grid; pass iff the passing set is exactly the zero point."""
+def _grid_report(check_name: str, window: int, residual_source,
+                 run) -> Report:
+    """Sweep the grid, one chunk per point; pass iff the passing set is
+    exactly the zero point."""
     failures = []
     points = grid_points()
     passing = []
-    for params in points:
-        witness = _first_failure(residual_source(params))
+    witnesses = run([partial(_first_failure, residual_source, params)
+                     for params in points])
+    for params, witness in zip(points, witnesses):
         if witness is None:
             passing.append(params)
             if not params.is_zero():
@@ -363,10 +370,9 @@ def _grid_report(check_name: str, window: int, residual_source) -> Report:
                                         "grid.unexpected_pass", "0"))
         elif params.is_zero():
             inputs, eq_id, residual = witness
-            failures.append(Failure(f"({params.describe()}) at "
-                                    f"{render_inputs(inputs)}",
+            failures.append(Failure(f"({params.describe()}) at {inputs}",
                                     f"grid.trivial_failed[{eq_id}]",
-                                    residual.render()))
+                                    residual))
     extra = {
         "grid_points": len(points),
         "passing_points": [p.describe() for p in passing],
@@ -375,20 +381,22 @@ def _grid_report(check_name: str, window: int, residual_source) -> Report:
                   extra)
 
 
-def post_lie_grid(window: int) -> Report:
+def post_lie_grid(window: int, run=serial) -> Report:
     """Exactly one grid point (the zero product) may satisfy all post-Lie
-    axioms: the triviality statement in brute-force form."""
+    axioms: the triviality statement in brute-force form.  run runs the
+    per-point chunks (reports.serial or suite.run_chunks)."""
     return _grid_report(
         "postlie-grid", window,
-        lambda params: _post_lie_residuals(params, window))
+        lambda params: _post_lie_residuals(params, window), run)
 
 
-def lsa_bider_grid(window: int) -> Report:
+def lsa_bider_grid(window: int, run=serial) -> Report:
     """Exactly one grid point (f = 0) may satisfy the left-symmetric
-    biderivation axioms: the final triviality statement in brute-force form."""
+    biderivation axioms: the final triviality statement in brute-force
+    form.  run runs the per-point chunks."""
     return _grid_report(
         "lsa-bider-grid", window,
-        lambda params: _lsa_bider_residuals(params, window, SYMBOLIC))
+        lambda params: _lsa_bider_residuals(params, window, SYMBOLIC), run)
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +524,28 @@ def _central_residuals(params: BiderParams, basis: list):
                    bider_eval(params, eu, ec))
 
 
-def check_family(window: int) -> Report:
+def check_family(window: int, run=serial) -> Report:
     """The forward direction on canned family members (centerless axioms),
-    plus central annihilation of both arguments in the full algebra."""
+    plus central annihilation of both arguments in the full algebra.
+
+    run runs one chunk per member and first basis vector of the
+    centerless sweep; a member's first chunk also takes its central
+    cases.  Each member's table is built once, here, so a process fills
+    one memo per member whatever chunks it runs."""
     basis = basis_vectors(window, FULL)
+    firsts = len(basis_vectors(window, CENTERLESS))
 
-    def residuals():
-        for params in FAMILY_SAMPLES:
-            table = BilinearTable.from_params(params, CENTERLESS)
-            prefix = f"params=({params.describe()})"
-            yield from prefixed(prefix, _biderivation_residuals(
-                table, window, CENTERLESS))
-            yield from prefixed(prefix, _central_residuals(params, basis))
+    def chunk(params: BiderParams, table: BilinearTable, i: int) -> Report:
+        prefix = f"params=({params.describe()})"
+        cases = _biderivation_residuals(table, window, CENTERLESS,
+                                        slice(i, i + 1))
+        if i == 0:
+            cases = chain(cases, _central_residuals(params, basis))
+        return collect("bider-family", window, "symbolic",
+                       prefixed(prefix, cases))
 
-    return collect("bider-family", window, "symbolic", residuals())
+    chunks = []
+    for params in FAMILY_SAMPLES:
+        table = BilinearTable.from_params(params, CENTERLESS)
+        chunks += [partial(chunk, params, table, i) for i in range(firsts)]
+    return merged(run(chunks))

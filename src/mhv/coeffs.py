@@ -45,7 +45,7 @@ from typing import Callable
 
 from .algebra import C, Element, L, bilinear, bracket, d, h
 from .linalg import solve_unique
-from .reports import Failure, Report
+from .reports import Failure, Report, serial
 from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
 
 
@@ -353,44 +353,65 @@ SAMPLE_SEEDS = (1, 2)
 SAMPLE_WINDOW = 2
 
 
-def cross_check(window: int) -> Report:
+def _compare(fns: CoeffFns, w: int, ms) -> tuple:
+    """One chunk of cross_check: (cases, failures, [(eq_id, witness)])
+    over the tuples (m, n, k) of the window [-w, w] with m in ms."""
+    failures = []
+    cases = 0
+    witnesses = []
+    rng = range(-w, w + 1)
+    for m in ms:
+        for n in rng:
+            for k in rng:
+                transcribed = dict(star_residuals(fns, m, n, k))
+                transcribed.update(ast_residuals(fns, m, n, k))
+                derived = derived_counterparts(fns, m, n, k)
+                for eq_id, t_value in transcribed.items():
+                    cases += 1
+                    d_value = derived[eq_id]
+                    if t_value == d_value:
+                        continue
+                    entry = {
+                        "fns": fns.name,
+                        "tuple": f"({m}, {n}, {k})",
+                        "transcribed": t_value.render(),
+                        "derived": d_value.render(),
+                    }
+                    witnesses.append((eq_id, entry))
+                    if eq_id not in RUNTIME_DISCREPANCIES:
+                        failures.append(Failure(
+                            f"{fns.name} ({m}, {n}, {k})",
+                            f"cross.{eq_id}",
+                            f"transcribed {t_value.render()} != "
+                            f"derived {d_value.render()}"))
+    return cases, failures, witnesses
+
+
+def cross_check(window: int, run=serial) -> Report:
     """Compare every transcribed residual against its oracle-derived
     counterpart: on the closed-form solution over the full window, and on
     seeded random tables over a smaller window (random tables are what
     actually exercises the equations' shapes).  Disagreement anywhere
-    except the documented star.12 is a failure."""
-    suites = [(closed_form_fns(), window)]
-    suites += [(random_fns(seed), SAMPLE_WINDOW) for seed in SAMPLE_SEEDS]
+    except the documented star.12 is a failure.
+
+    run runs the chunks: the closed form by m, and each random table
+    whole, because it draws each key on first use and split across
+    processes it would draw different values."""
+    closed = closed_form_fns()
+    chunks = [partial(_compare, closed, window, (m,))
+              for m in range(-window, window + 1)]
+    chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,
+                       range(-SAMPLE_WINDOW, SAMPLE_WINDOW + 1))
+               for seed in SAMPLE_SEEDS]
 
     failures = []
     cases = 0
     witnesses: dict = {}
-    for fns, w in suites:
-        rng = range(-w, w + 1)
-        for m in rng:
-            for n in rng:
-                for k in rng:
-                    transcribed = dict(star_residuals(fns, m, n, k))
-                    transcribed.update(ast_residuals(fns, m, n, k))
-                    derived = derived_counterparts(fns, m, n, k)
-                    for eq_id, t_value in transcribed.items():
-                        cases += 1
-                        d_value = derived[eq_id]
-                        if t_value == d_value:
-                            continue
-                        entry = {
-                            "fns": fns.name,
-                            "tuple": f"({m}, {n}, {k})",
-                            "transcribed": t_value.render(),
-                            "derived": d_value.render(),
-                        }
-                        witnesses.setdefault(eq_id, []).append(entry)
-                        if eq_id not in RUNTIME_DISCREPANCIES:
-                            failures.append(Failure(
-                                f"{fns.name} ({m}, {n}, {k})",
-                                f"cross.{eq_id}",
-                                f"transcribed {t_value.render()} != "
-                                f"derived {d_value.render()}"))
+    for part_cases, part_failures, part_witnesses in run(chunks):
+        cases += part_cases
+        failures += part_failures
+        for eq_id, entry in part_witnesses:
+            witnesses.setdefault(eq_id, []).append(entry)
 
     documented = []
     documented.append({

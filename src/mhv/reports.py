@@ -15,6 +15,12 @@ counts each triple as a case and keeps the nonzero residuals, rendered;
 the parameter grids, the converse, cross-check and solve-theta build
 their Failures themselves.
 
+A check that splits its work into independent chunks (zero-argument
+callables returning plain rendered data) takes a chunk runner: serial
+runs them here, in order; suite.run_chunks runs them on worker
+processes.  merged pools the Reports of a check's chunks into one, and
+the sort makes the result independent of the split.
+
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
 are compared bit for bit.
@@ -127,6 +133,20 @@ def collect(check: str, window: int, eps_mode: str, residuals,
             failures.append(Failure(render_inputs(inputs), eq_id,
                                     residual.render()))
     return Report(check, window, eps_mode, cases, failures, extra)
+
+
+def merged(parts: list) -> Report:
+    """One Report from the Reports of a check's chunks: the cases summed
+    and the failures pooled (and sorted, as in every Report)."""
+    first = parts[0]
+    return Report(first.check, first.window, first.eps_mode,
+                  sum(p.total_cases for p in parts),
+                  [f for p in parts for f in p.failures])
+
+
+def serial(chunks: list) -> list:
+    """The results of a check's chunks, run in this process in order."""
+    return [chunk() for chunk in chunks]
 
 
 def prefixed(prefix: str, residuals):

@@ -17,9 +17,20 @@ it, in canonical order, and CHECK_ORDER is its keys:
     cross-check solve-theta
 
 The environment variable MHV_WORKERS, an integer of at least 1 (default
-1), caps process parallelism for the five basis sweeps: worker i of n
-takes the x indices basis[i::n], and the merged Report sorts their
-failures, so output is byte-identical for any worker count.
+1), caps process parallelism.  run_chunks is the one scheduler: a check
+hands it a list of independent chunks and merges their results in chunk
+order.  The chunked checks and their chunks are
+
+    the five basis sweeps   first basis vectors basis[i::n], n workers
+    bider-family            member x first basis vector
+    cross-check             the closed form by m; each random table whole
+    postlie-grid, lsa-bider-grid   one grid point
+    star, ast               m
+
+bider-grid stays serial, because it stops as soon as its rows certify
+the rank, which depends on their order; commuting and solve-theta are
+small and run in one piece.  Merged Reports sort their failures, so
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import get_context
 
 from .algebra import (FULL, C, Element, L, basis_sweep, basis_vectors, bracket,
@@ -38,8 +50,41 @@ from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
                      closed_form_fns)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator)
-from .reports import Failure, Report, collect, prefixed
+from .reports import Failure, Report, collect, merged, prefixed, serial
 from .scalars import sc
+
+
+# ---------------------------------------------------------------------------
+# the scheduler
+# ---------------------------------------------------------------------------
+
+# in a pool worker: the chunk list of its pool, set once when it starts
+_worker_chunks: list = []
+
+
+def _adopt(chunks: list) -> None:
+    global _worker_chunks
+    _worker_chunks = chunks
+
+
+def _run_chunk(index: int):
+    return _worker_chunks[index]()
+
+
+def run_chunks(chunks: list, workers: int) -> list:
+    """The results of chunks, zero-argument callables, in chunk order.
+
+    With one worker (or one chunk) they run here, in order.  Otherwise a
+    fork pool of min(workers, len(chunks)) processes takes them one at a
+    time.  A forked worker receives the chunk list without pickling, so
+    chunks may be closures; only indices go out and results come back,
+    so a chunk must return plain rendered data (Reports, Failures,
+    strings, ints)."""
+    if workers <= 1 or len(chunks) <= 1:
+        return serial(chunks)
+    with get_context("fork").Pool(min(workers, len(chunks)), _adopt,
+                                  (chunks,)) as pool:
+        return pool.map(_run_chunk, range(len(chunks)), chunksize=1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,31 +119,25 @@ def _compatibility(x: Element, y: Element) -> Element:
     return lsa_commutator(x, y, SYMBOLIC) - bracket(x, y)
 
 
-def _sweep_chunk(job: tuple) -> Report:
+def _sweep_chunk(name: str, eq_id: str, arity: int, residual, window: int,
+                 start: int, step: int) -> Report:
     """One worker's share of a sweep: the cases whose first basis vector
     is basis[start::step]."""
-    name, eq_id, arity, residual, window, start, step = job
     cases = basis_sweep(window, arity, lambda *xs: [(eq_id, residual(*xs))],
                         slice(start, None, step))
     return collect(name, window, "symbolic", cases)
 
 
 def _sweep(eq_id: str, arity: int, residual):
-    """A registry entry that runs a basis sweep, worker i of n taking the
-    first basis vectors basis[i::n]; the merged Report sorts the failures,
-    so it does not depend on the worker count."""
+    """A registry entry that runs a basis sweep, chunk i of n (one per
+    worker) taking the first basis vectors basis[i::n]; interleaving
+    gives each chunk as many of the costly d vectors as of the h."""
 
     def run(name: str, window: int, workers: int) -> Report:
-        workers = min(workers, len(basis_vectors(window, FULL)))
-        jobs = [(name, eq_id, arity, residual, window, i, workers)
-                for i in range(workers)]
-        if workers <= 1:
-            return _sweep_chunk(jobs[0])
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_sweep_chunk, jobs)
-        return Report(name, window, "symbolic",
-                      sum(p.total_cases for p in parts),
-                      [f for p in parts for f in p.failures])
+        step = min(workers, len(basis_vectors(window, FULL)))
+        return merged(run_chunks(
+            [partial(_sweep_chunk, name, eq_id, arity, residual, window, i,
+                     step) for i in range(step)], workers))
 
     return run
 
@@ -106,6 +145,13 @@ def _sweep(eq_id: str, arity: int, residual):
 def _serial(check):
     """A registry entry for a check that takes the window alone."""
     return lambda name, window, workers: check(window)
+
+
+def _chunked(check):
+    """A registry entry for a check that takes the window and a chunk
+    runner."""
+    return lambda name, window, workers: check(
+        window, partial(run_chunks, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +185,20 @@ def _check_commuting_samples(window: int) -> Report:
 
 def _equation_sweep(residuals):
     """A registry entry that evaluates an equation system, residuals(fns,
-    m, n, k) -> [(id, Scalar)], on the closed form over the window cube."""
+    m, n, k) -> [(id, Scalar)], on the closed form over the window cube,
+    one chunk per m; the closed form is built once, before the chunks."""
 
     def run(name: str, window: int, workers: int) -> Report:
         fns = closed_form_fns()
         rng = range(-window, window + 1)
-        return collect(name, window, "symbolic",
-                       (((m, n, k), eq_id, residual)
-                        for m in rng for n in rng for k in rng
-                        for eq_id, residual in residuals(fns, m, n, k)))
+
+        def chunk(m: int) -> Report:
+            return collect(name, window, "symbolic",
+                           (((m, n, k), eq_id, residual)
+                            for n in rng for k in rng
+                            for eq_id, residual in residuals(fns, m, n, k)))
+
+        return merged(run_chunks([partial(chunk, m) for m in rng], workers))
 
     return run
 
@@ -184,14 +235,14 @@ CHECKS = {
     "grading": _sweep("grading", 2, _grading),
     "lsa-identity": _sweep("lsa.identity", 3, _lsa_identity),
     "compatibility": _sweep("lsa.compat", 2, _compatibility),
-    "bider-family": _serial(check_family),
+    "bider-family": _chunked(check_family),
     "bider-grid": _serial(check_bider_converse),
     "commuting": _serial(_check_commuting_samples),
-    "postlie-grid": _serial(post_lie_grid),
-    "lsa-bider-grid": _serial(lsa_bider_grid),
+    "postlie-grid": _chunked(post_lie_grid),
+    "lsa-bider-grid": _chunked(lsa_bider_grid),
     "star": _equation_sweep(star_residuals),
     "ast": _equation_sweep(ast_residuals),
-    "cross-check": _serial(cross_check),
+    "cross-check": _chunked(cross_check),
     "solve-theta": _serial(_check_solve_theta),
 }
 

@@ -1,5 +1,6 @@
 """Basis, elements, bracket and grading of the algebra."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,18 @@ class TestElementOps:
         x = el((1, d(2)), (3, h(0)), (-1, C))
         assert x.render() == "d(2) + 3*h(1/2) - c"
         assert Element.zero().render() == "0"
+
+
+class TestPickle:
+    @pytest.mark.parametrize("bv", [d(3), h(-2), C, L])
+    def test_basis_vector_round_trip_keeps_interning(self, bv):
+        assert pickle.loads(pickle.dumps(bv)) is bv
+
+    def test_element_with_symbolic_coefficients_round_trips(self):
+        x = el((EPS / (ONE + sc(3) * EPS), d(2)), (Fraction(-1, 2), h(0)),
+               (EPS, C))
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.render() == x.render()
 
 
 window_elements = st.lists(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,9 @@ import pytest
 
 from mhv.cli import ALIASES, build_parser, main
 from mhv.expressions import parse
-from mhv.lsa import EpsMode
+from mhv.lsa import SYMBOLIC, EpsMode
 from mhv.reports import Failure, Report, reports_to_json
-from mhv.suite import CHECK_ORDER, RunConfig, run_suite
+from mhv.suite import CHECK_ORDER, RunConfig, run_chunks, run_suite
 
 
 class TestReports:
@@ -66,6 +67,12 @@ class TestReports:
         r.evaluated_at(Fraction(1, 5))
         assert texts == residuals
 
+    def test_failing_report_round_trips_through_pickle(self):
+        r = Report("demo", 3, "symbolic", 2,
+                   [Failure("(d(1), h(1/2))", "eq", "((1+e)/(1+3*e))*d(3)")],
+                   {"rank": 4})
+        assert pickle.loads(pickle.dumps(r)) == r
+
     def test_json_byte_determinism(self):
         a = run_suite(RunConfig(window=2, checks=("jacobi", "solve-theta")))
         b = run_suite(RunConfig(window=2, checks=("jacobi", "solve-theta")))
@@ -109,10 +116,35 @@ class TestSuite:
         assert reports[0].eps_mode == "eps=1/7"
 
     def test_workers_do_not_change_output(self):
-        cfg = RunConfig(window=2, checks=("jacobi", "lsa-identity"))
-        serial = reports_to_json(run_suite(cfg, workers=1))
-        parallel = reports_to_json(run_suite(cfg, workers=3))
-        assert serial == parallel
+        # every check, the chunked ones (the sweeps, bider-family,
+        # cross-check, both grids, star and ast) against their run in one
+        # process, symbolic and at a rational e
+        for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
+            cfg = RunConfig(window=2, eps=eps)
+            serial = reports_to_json(run_suite(cfg, workers=1))
+            parallel = reports_to_json(run_suite(cfg, workers=3))
+            assert serial == parallel
+
+    def test_workers_do_not_change_random_table_residuals(self,
+                                                         monkeypatch):
+        # the passing report shows only the first star.12 witnesses; as
+        # failures, star.12 residuals of every random-table key show, so a
+        # table split across processes (each drawing its own values) would
+        monkeypatch.setattr("mhv.coeffs.RUNTIME_DISCREPANCIES", ())
+        cfg = RunConfig(window=2, checks=("cross-check",))
+        serial = run_suite(cfg, workers=1)
+        assert not serial[0].passed
+        assert reports_to_json(serial) \
+            == reports_to_json(run_suite(cfg, workers=3))
+
+    def test_run_chunks_keeps_chunk_order_without_pickling_chunks(self):
+        # closures over local state cannot be pickled; forked workers
+        # inherit them
+        offset = 10
+        chunks = [lambda i=i: i * i + offset for i in range(7)]
+        expected = [i * i + offset for i in range(7)]
+        assert run_chunks(chunks, 3) == expected
+        assert run_chunks(chunks, 1) == expected
 
     def test_workers_share_the_d_and_h_halves(self):
         # products of d vectors cost far more than those of h vectors, so
@@ -125,7 +157,7 @@ class TestSuite:
                 firsts.add(next(iter(x.support())))
                 return x.zero()
 
-            report = _sweep_chunk(("probe", "probe", 2, record, 3, start, 2))
+            report = _sweep_chunk("probe", "probe", 2, record, 3, start, 2)
             # the window-3 full basis has 7 d, 7 h, c and l
             assert report.passed and report.total_cases == 8 * 16
             tags = [bv.tag for bv in firsts]

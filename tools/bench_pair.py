@@ -9,8 +9,9 @@ For every workload, pair i runs
 once in PARENT_DIR and once in this tree, with the parent first in the
 even pairs and the change first in the odd ones, so that a drift of the
 machine's speed does not favour one side.  T is BENCHMARK.json's
-run_seconds, and the pair counts are PAIRS: ten for verify-w5 and three
-for every other workload.  Pair i of every workload uses seed N + i.
+run_seconds, and the pair counts are PAIRS: ten for verify-w5 and
+verify-w4-eps-2workers, enough for a claim that the change wins nine
+pairs of ten, and three for every other workload.  Pair i of every workload uses seed N + i.
 
 Results go to two new files at the root of this tree: the parent's to
 BENCH_<n>.json and this tree's to BENCH_<n+1>.json, where n is one more
@@ -42,7 +43,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = {"verify-w5": 10, "verify-w4-eps-2workers": 3,
+PAIRS = {"verify-w5": 10, "verify-w4-eps-2workers": 10,
          "kernel-dense-e": 3, "counterexamples": 3}
 SIDES = ("parent", "change")
 
