@@ -40,7 +40,7 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable
 
@@ -529,23 +529,23 @@ def check_family(window: int, run=serial) -> Report:
     plus central annihilation of both arguments in the full algebra.
 
     run runs one chunk per member and first basis vector of the
-    centerless sweep; a member's first chunk also takes its central
-    cases.  Each member's table is built once, here, so a process fills
-    one memo per member whatever chunks it runs."""
+    centerless sweep, member by member; a member's first chunk also takes
+    its central cases.  A process runs its chunks in that order, so it
+    builds each member's table (and fills its memo) once and keeps only
+    the current member's."""
     basis = basis_vectors(window, FULL)
     firsts = len(basis_vectors(window, CENTERLESS))
+    table_of = lru_cache(maxsize=1)(
+        partial(BilinearTable.from_params, mode=CENTERLESS))
 
-    def chunk(params: BiderParams, table: BilinearTable, i: int) -> Report:
+    def chunk(params: BiderParams, i: int) -> Report:
         prefix = f"params=({params.describe()})"
-        cases = _biderivation_residuals(table, window, CENTERLESS,
+        cases = _biderivation_residuals(table_of(params), window, CENTERLESS,
                                         slice(i, i + 1))
         if i == 0:
             cases = chain(cases, _central_residuals(params, basis))
         return collect("bider-family", window, "symbolic",
                        prefixed(prefix, cases))
 
-    chunks = []
-    for params in FAMILY_SAMPLES:
-        table = BilinearTable.from_params(params, CENTERLESS)
-        chunks += [partial(chunk, params, table, i) for i in range(firsts)]
-    return merged(run(chunks))
+    return merged(run([partial(chunk, params, i) for params in FAMILY_SAMPLES
+                       for i in range(firsts)]))
