@@ -412,10 +412,17 @@ def grading_degree(x: Element):
     return MIXED
 
 
+def window_indices(window: int) -> range:
+    """-window..window; below 1 a sweep would pass vacuously, so it raises."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    return range(-window, window + 1)
+
+
 def basis_vectors(window: int, mode: AlgebraMode = FULL) -> list:
     """All basis vectors with indices in [-window, window], canonical order."""
-    out = [d(m) for m in range(-window, window + 1)]
-    out += [h(n) for n in range(-window, window + 1)]
+    indices = window_indices(window)
+    out = [d(m) for m in indices] + [h(n) for n in indices]
     if mode is FULL:
         out += [C, L]
     return out

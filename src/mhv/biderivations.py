@@ -49,7 +49,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       basis_vectors, bilinear, bracket, combine, d, h, linear)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
-from .reports import (Failure, Report, collect, merged, prefixed,
+from .reports import (Failure, Report, chunked, collect, prefixed,
                       render_inputs, serial)
 from .scalars import Scalar, sc
 
@@ -65,6 +65,8 @@ class BiderParams:
         cleaned = {}
         for k, mu in (omega or {}).items():
             mu = mu if isinstance(mu, Scalar) else sc(mu)
+            if k != int(k):
+                raise ValueError(f"omega shift {k} is not an integer")
             if not mu.is_zero():
                 cleaned[int(k)] = mu
         self.omega = cleaned
@@ -195,8 +197,6 @@ def check_biderivation(cand: BilinearTable, window: int,
     The default mode is the centerless quotient, where the classified
     family lives; FULL mode additionally exercises the central extension
     and rejects every candidate with a nonzero Upsilon part."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
     return collect(f"biderivation[{cand.name}]", window, "symbolic",
                    _biderivation_residuals(cand, window, mode),
                    {"mode": mode.value})
@@ -538,14 +538,13 @@ def check_family(window: int, run=serial) -> Report:
     table_of = lru_cache(maxsize=1)(
         partial(BilinearTable.from_params, mode=CENTERLESS))
 
-    def chunk(params: BiderParams, i: int) -> Report:
-        prefix = f"params=({params.describe()})"
+    def stream(params: BiderParams, i: int):
         cases = _biderivation_residuals(table_of(params), window, CENTERLESS,
                                         slice(i, i + 1))
         if i == 0:
             cases = chain(cases, _central_residuals(params, basis))
-        return collect("bider-family", window, "symbolic",
-                       prefixed(prefix, cases))
+        return prefixed(f"params=({params.describe()})", cases)
 
-    return merged(run([partial(chunk, params, i) for params in FAMILY_SAMPLES
-                       for i in range(firsts)]))
+    return chunked("bider-family", window, run,
+                   [partial(stream, params, i) for params in FAMILY_SAMPLES
+                    for i in range(firsts)])

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable
 
-from .algebra import C, Element, L, bilinear, bracket, d, h
+from .algebra import C, Element, L, bilinear, bracket, d, h, window_indices
 from .linalg import solve_unique
 from .reports import Failure, Report, serial
 from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
@@ -399,7 +399,7 @@ def cross_check(window: int, run=serial) -> Report:
     processes it would draw different values."""
     closed = closed_form_fns()
     chunks = [partial(_compare, closed, window, (m,))
-              for m in range(-window, window + 1)]
+              for m in window_indices(window)]
     chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,
                        range(-SAMPLE_WINDOW, SAMPLE_WINDOW + 1))
                for seed in SAMPLE_SEEDS]

@@ -18,8 +18,9 @@ their Failures themselves.
 A check that splits its work into independent chunks (zero-argument
 callables returning plain rendered data) takes a chunk runner: serial
 runs them here, in order; suite.run_chunks runs them on worker
-processes.  merged pools the Reports of a check's chunks into one, and
-the sort makes the result independent of the split.
+processes.  chunked collects each of a check's residual streams as one
+chunk and pools their cases and failures into one Report, and the sort
+makes the result independent of where the chunks ran.
 
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
@@ -135,11 +136,14 @@ def collect(check: str, window: int, eps_mode: str, residuals,
     return Report(check, window, eps_mode, cases, failures, extra)
 
 
-def merged(parts: list) -> Report:
-    """One Report from the Reports of a check's chunks: the cases summed
-    and the failures pooled (and sorted, as in every Report)."""
-    first = parts[0]
-    return Report(first.check, first.window, first.eps_mode,
+def chunked(check: str, window: int, run, streams: list) -> Report:
+    """The symbolic Report of a check's streams, zero-argument callables
+    returning residual streams: run collects each one as a chunk, and their
+    cases are summed and their failures pooled."""
+    parts = run([lambda stream=stream: collect(check, window, "symbolic",
+                                               stream())
+                 for stream in streams])
+    return Report(check, window, "symbolic",
                   sum(p.total_cases for p in parts),
                   [f for p in parts for f in p.failures])
 

@@ -9,8 +9,9 @@ window-level admissibility guard refuses a numeric e whose pole degree
 -1/e lies inside the window itself, where the product table would be
 undefined on the window's own output degrees.
 
-The check registry CHECKS maps each check name to the function that runs
-it, in canonical order, and CHECK_ORDER is its keys:
+The check registry CHECKS maps each check name, in canonical order, to
+the function check(window, run) -> Report that runs it, where run is a
+chunk runner; CHECK_ORDER is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
@@ -18,10 +19,10 @@ it, in canonical order, and CHECK_ORDER is its keys:
 
 The environment variable MHV_WORKERS, an integer of at least 1 (default
 1), caps process parallelism.  run_chunks is the one scheduler: a check
-hands it a list of independent chunks and merges their results in chunk
+hands it a list of independent chunks and pools their results in chunk
 order.  The chunked checks and their chunks are
 
-    the five basis sweeps   first basis vectors basis[i::n], n workers
+    the five basis sweeps   one first basis vector
     bider-family            member x first basis vector
     cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point
@@ -29,8 +30,9 @@ order.  The chunked checks and their chunks are
 
 bider-grid stays serial, because it stops as soon as its rows certify
 the rank, which depends on their order; commuting and solve-theta are
-small and run in one piece.  Merged Reports sort their failures, so
-output is byte-identical for any worker count.
+small and run in one piece.  A check's chunk list depends on the window
+alone and the worker count only decides where the chunks run, so output
+is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import partial
 from multiprocessing import get_context
 
 from .algebra import (FULL, C, Element, L, basis_sweep, basis_vectors, bracket,
-                      grading_degree)
+                      grading_degree, window_indices)
 from .biderivations import (LinearMap, check_bider_converse, check_family,
                             commuting_residuals, lsa_bider_grid,
                             post_lie_grid)
@@ -50,7 +52,7 @@ from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
                      closed_form_fns)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator)
-from .reports import Failure, Report, collect, merged, prefixed, serial
+from .reports import Failure, Report, chunked, collect, prefixed, serial
 from .scalars import sc
 
 
@@ -79,12 +81,14 @@ def run_chunks(chunks: list, workers: int) -> list:
     time.  A forked worker receives the chunk list without pickling, so
     chunks may be closures; only indices go out and results come back,
     so a chunk must return plain rendered data (Reports, Failures,
-    strings, ints)."""
+    strings, ints).  A worker that dies raises BrokenProcessPool here."""
     if workers <= 1 or len(chunks) <= 1:
         return serial(chunks)
-    with get_context("fork").Pool(min(workers, len(chunks)), _adopt,
-                                  (chunks,)) as pool:
-        return pool.map(_run_chunk, range(len(chunks)), chunksize=1)
+    # imported here: a serial run never loads the executor's modules
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(workers, len(chunks)), get_context("fork"),
+                             _adopt, (chunks,)) as pool:
+        return list(pool.map(_run_chunk, range(len(chunks))))
 
 
 # ---------------------------------------------------------------------------
@@ -119,39 +123,23 @@ def _compatibility(x: Element, y: Element) -> Element:
     return lsa_commutator(x, y, SYMBOLIC) - bracket(x, y)
 
 
-def _sweep_chunk(name: str, eq_id: str, arity: int, residual, window: int,
-                 start: int, step: int) -> Report:
-    """One worker's share of a sweep: the cases whose first basis vector
-    is basis[start::step]."""
-    cases = basis_sweep(window, arity, lambda *xs: [(eq_id, residual(*xs))],
-                        slice(start, None, step))
-    return collect(name, window, "symbolic", cases)
+def _sweep(name: str, eq_id: str, arity: int, residual):
+    """A registry entry that runs a basis sweep, one chunk per first basis
+    vector."""
+
+    def check(window: int, run) -> Report:
+        return chunked(name, window, run,
+                       [partial(basis_sweep, window, arity,
+                                lambda *xs: [(eq_id, residual(*xs))],
+                                slice(i, i + 1))
+                        for i in range(len(basis_vectors(window, FULL)))])
+
+    return check
 
 
-def _sweep(eq_id: str, arity: int, residual):
-    """A registry entry that runs a basis sweep, chunk i of n (one per
-    worker) taking the first basis vectors basis[i::n]; interleaving
-    gives each chunk as many of the costly d vectors as of the h."""
-
-    def run(name: str, window: int, workers: int) -> Report:
-        step = min(workers, len(basis_vectors(window, FULL)))
-        return merged(run_chunks(
-            [partial(_sweep_chunk, name, eq_id, arity, residual, window, i,
-                     step) for i in range(step)], workers))
-
-    return run
-
-
-def _serial(check):
+def _whole(check):
     """A registry entry for a check that takes the window alone."""
-    return lambda name, window, workers: check(window)
-
-
-def _chunked(check):
-    """A registry entry for a check that takes the window and a chunk
-    runner."""
-    return lambda name, window, workers: check(
-        window, partial(run_chunks, workers=workers))
+    return lambda window, run: check(window)
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +171,24 @@ def _check_commuting_samples(window: int) -> Report:
                                          commuting_residuals(phi, window))))
 
 
-def _equation_sweep(residuals):
+def _equation_sweep(name: str, residuals):
     """A registry entry that evaluates an equation system, residuals(fns,
     m, n, k) -> [(id, Scalar)], on the closed form over the window cube,
     one chunk per m; the closed form is built once, before the chunks."""
 
-    def run(name: str, window: int, workers: int) -> Report:
+    def check(window: int, run) -> Report:
         fns = closed_form_fns()
-        rng = range(-window, window + 1)
+        indices = window_indices(window)
 
-        def chunk(m: int) -> Report:
-            return collect(name, window, "symbolic",
-                           (((m, n, k), eq_id, residual)
-                            for n in rng for k in rng
-                            for eq_id, residual in residuals(fns, m, n, k)))
+        def stream(m: int):
+            return (((m, n, k), eq_id, residual)
+                    for n in indices for k in indices
+                    for eq_id, residual in residuals(fns, m, n, k))
 
-        return merged(run_chunks([partial(chunk, m) for m in rng], workers))
+        return chunked(name, window, run,
+                       [partial(stream, m) for m in indices])
 
-    return run
+    return check
 
 
 def _check_solve_theta(window: int) -> Report:
@@ -228,22 +216,22 @@ def _check_solve_theta(window: int) -> Report:
                   extra)
 
 
-# name -> run(name, window, workers) -> Report, in canonical order
+# name -> check(window, run) -> Report, in canonical order
 CHECKS = {
-    "jacobi": _sweep("jacobi", 3, _jacobi),
-    "antisym": _sweep("antisym", 2, _antisym),
-    "grading": _sweep("grading", 2, _grading),
-    "lsa-identity": _sweep("lsa.identity", 3, _lsa_identity),
-    "compatibility": _sweep("lsa.compat", 2, _compatibility),
-    "bider-family": _chunked(check_family),
-    "bider-grid": _serial(check_bider_converse),
-    "commuting": _serial(_check_commuting_samples),
-    "postlie-grid": _chunked(post_lie_grid),
-    "lsa-bider-grid": _chunked(lsa_bider_grid),
-    "star": _equation_sweep(star_residuals),
-    "ast": _equation_sweep(ast_residuals),
-    "cross-check": _chunked(cross_check),
-    "solve-theta": _serial(_check_solve_theta),
+    "jacobi": _sweep("jacobi", "jacobi", 3, _jacobi),
+    "antisym": _sweep("antisym", "antisym", 2, _antisym),
+    "grading": _sweep("grading", "grading", 2, _grading),
+    "lsa-identity": _sweep("lsa-identity", "lsa.identity", 3, _lsa_identity),
+    "compatibility": _sweep("compatibility", "lsa.compat", 2, _compatibility),
+    "bider-family": check_family,
+    "bider-grid": _whole(check_bider_converse),
+    "commuting": _whole(_check_commuting_samples),
+    "postlie-grid": post_lie_grid,
+    "lsa-bider-grid": lsa_bider_grid,
+    "star": _equation_sweep("star", star_residuals),
+    "ast": _equation_sweep("ast", ast_residuals),
+    "cross-check": cross_check,
+    "solve-theta": _whole(_check_solve_theta),
 }
 
 CHECK_ORDER = tuple(CHECKS)
@@ -286,9 +274,10 @@ def run_suite(config: RunConfig, workers: int | None = None) -> list:
     if not config.eps.is_symbolic:
         config.eps.ensure_admissible(config.window)
 
+    run = partial(run_chunks, workers=workers)
     reports = []
     for name in config.checks:
-        report = CHECKS[name](name, config.window, workers)
+        report = CHECKS[name](config.window, run)
         if not config.eps.is_symbolic:
             report = report.evaluated_at(config.eps.eps)
         reports.append(report)

@@ -15,6 +15,7 @@ from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                check_family, check_lsa_biderivation,
                                check_post_lie, family_table, grid_points,
                                lsa_bider_grid, post_lie_grid, upsilon)
+from mhv.coeffs import cross_check
 from mhv.scalars import EPS, ONE, sc
 
 E = Element.basis
@@ -42,6 +43,18 @@ class TestUpsilon:
             for n in range(-3, 4):
                 assert upsilon(params, E(d(m)), E(d(n))) \
                     == upsilon(params, E(d(n)), E(d(m)))
+
+
+class TestBiderParams:
+    @pytest.mark.parametrize("shift", [Fraction(1, 2), 0.9])
+    def test_non_integer_shift_rejected(self, shift):
+        # int() would truncate it and lose or merge the term
+        with pytest.raises(ValueError, match="not an integer"):
+            BiderParams(1, {shift: 1, 0: 2})
+
+    def test_integral_shift_of_any_type_kept(self):
+        params = BiderParams(1, {Fraction(2): 1, -1.0: 3})
+        assert params.describe() == "lambda=1, omega={-1: 3, 2: 1}"
 
 
 class TestBiderEval:
@@ -296,3 +309,27 @@ class TestConverse:
         params = BiderParams(0, {1: 1})
         table = BilinearTable.from_params(params, CENTERLESS)
         assert check_biderivation(table, 2).passed
+
+
+MEMBER = BiderParams(1, {0: 1})
+# every public check but check_biderivation, which TestAxiomChecker covers
+PUBLIC_CHECKS = {
+    "check_commuting": lambda window: check_commuting(
+        LinearMap.from_spec(sc(1), {d(0): E(C)}), window),
+    "check_post_lie": lambda window: check_post_lie(MEMBER, window),
+    "check_lsa_biderivation": lambda window: check_lsa_biderivation(
+        MEMBER, window),
+    "check_family": check_family,
+    "check_bider_converse": check_bider_converse,
+    "post_lie_grid": post_lie_grid,
+    "lsa_bider_grid": lsa_bider_grid,
+    "cross_check": cross_check,
+}
+
+
+@pytest.mark.parametrize("check", PUBLIC_CHECKS)
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_below_one_fails_loudly(check, window):
+    # a window below 1 has no indices, so any pass there would be vacuous
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        PUBLIC_CHECKS[check](window)

@@ -146,23 +146,39 @@ class TestSuite:
         assert run_chunks(chunks, 3) == expected
         assert run_chunks(chunks, 1) == expected
 
-    def test_workers_share_the_d_and_h_halves(self):
-        # products of d vectors cost far more than those of h vectors, so
-        # each of two workers must get as many of one as of the other
-        from mhv.suite import _sweep_chunk
-        for start in range(2):
-            firsts = set()
+    def test_a_dead_worker_fails_the_run_instead_of_hanging(self):
+        code = ("import os, signal\n"
+                "from mhv.suite import run_chunks\n"
+                "die = lambda: os.kill(os.getpid(), signal.SIGKILL)\n"
+                "run_chunks([lambda: 1, die, lambda: 3], 2)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in proc.stderr
 
-            def record(x, y):
-                firsts.add(next(iter(x.support())))
-                return x.zero()
+    def test_sweeps_take_one_chunk_per_first_basis_vector(self):
+        # the chunk list depends on the window alone: chunk i sweeps the
+        # cases whose first basis vector is basis[i]
+        from mhv.algebra import FULL, basis_vectors
+        from mhv.suite import _sweep
+        basis = basis_vectors(3, FULL)
+        firsts = []
+        parts = []
 
-            report = _sweep_chunk("probe", "probe", 2, record, 3, start, 2)
-            # the window-3 full basis has 7 d, 7 h, c and l
-            assert report.passed and report.total_cases == 8 * 16
-            tags = [bv.tag for bv in firsts]
-            assert len(tags) == 8
-            assert abs(tags.count("d") - tags.count("h")) <= 1
+        def record(x, y):
+            firsts[-1].add(next(iter(x.support())))
+            return x.zero()
+
+        def run(chunks):
+            for chunk in chunks:
+                firsts.append(set())
+                parts.append(chunk())
+            return parts
+
+        report = _sweep("probe", "probe", 2, record)(3, run)
+        assert firsts == [{bv} for bv in basis]
+        assert [p.total_cases for p in parts] == [len(basis)] * len(basis)
+        assert report.passed and report.total_cases == len(basis) ** 2
 
     @pytest.mark.parametrize("workers", ["-3", "0", "x"])
     def test_worker_count_below_one_is_a_usage_error(self, monkeypatch,
