@@ -18,6 +18,10 @@ in inputs and the central output terms are dropped.  Elements produced by
 the bracket are never truncated to any index window; windows only bound
 the loops of verification sweeps.
 
+tag_table is the one way a table on basis pairs is given: one function
+of the two indices per tag pair, and zero on every other pair, so every
+table vanishes on C and L by construction.
+
 bilinear(table, x, y) is the one bilinear extension of a table on basis
 pairs to arbitrary elements.  The bracket, the left-symmetric product,
 the biderivation family table and the coefficient oracle's product all
@@ -302,32 +306,44 @@ MIXED = Mixed()
 # the bracket
 # ---------------------------------------------------------------------------
 
+def tag_table(dd=None, dh=None, hd=None,
+              hh=None) -> Callable[[BasisVector, BasisVector], Element]:
+    """The table on basis pairs that sends (u, v) to the part named
+    u.tag + v.tag, applied to (u.index, v.index).  A pair whose tags name
+    no part goes to zero, and so does every pair with C or L."""
+    parts = {"dd": dd, "dh": dh, "hd": hd, "hh": hh}
+
+    def table(u: BasisVector, v: BasisVector) -> Element:
+        part = parts.get(u.tag + v.tag)
+        return _ZERO_ELEMENT if part is None else part(u.index, v.index)
+
+    return table
+
+
+def _dd_bracket(m: int, n: int, mode: AlgebraMode) -> Element:
+    if mode is FULL and m + n == 0:
+        return Element.of((m - n, d(0)), (Fraction(m**3 - m, 12), C))
+    return Element.of((m - n, d(m + n)))
+
+
+def _hh_bracket(m: int, n: int) -> Element:
+    if m + n + 1 != 0:
+        return _ZERO_ELEMENT
+    return Element.of((Fraction(2 * m + 1, 2), L))
+
+
+# the centerless bracket has no hh part: [h, h] lies in the center
+_BRACKETS = {mode: tag_table(
+    dd=partial(_dd_bracket, mode=mode),
+    dh=lambda m, n: Element.of((Fraction(-(2 * n + 1), 2), h(m + n))),
+    hd=lambda m, n: Element.of((Fraction(2 * m + 1, 2), h(m + n))),
+    hh=_hh_bracket if mode is FULL else None) for mode in AlgebraMode}
+
+
 @lru_cache(maxsize=None)
 def _basis_bracket(u: BasisVector, v: BasisVector,
                    mode: AlgebraMode) -> Element:
-    if u.is_central() or v.is_central():
-        return Element.zero()
-    if u.tag == "d" and v.tag == "d":
-        m, n = u.index, v.index
-        pairs = []
-        if m != n:
-            pairs.append((Fraction(m - n), d(m + n)))
-        if mode is FULL and m + n == 0:
-            central = Fraction(m**3 - m, 12)
-            if central != 0:
-                pairs.append((central, C))
-        return Element.of(*pairs)
-    if u.tag == "d" and v.tag == "h":
-        m, n = u.index, v.index
-        return Element.of((Fraction(-(2 * n + 1), 2), h(m + n)))
-    if u.tag == "h" and v.tag == "d":
-        n, m = u.index, v.index
-        return Element.of((Fraction(2 * n + 1, 2), h(m + n)))
-    # h, h
-    m, n = u.index, v.index
-    if mode is FULL and m + n + 1 == 0:
-        return Element.of((Fraction(2 * m + 1, 2), L))
-    return Element.zero()
+    return _BRACKETS[mode](u, v)
 
 
 def _check_centerless(x: Element, what: str) -> None:

@@ -46,7 +46,8 @@ from typing import Callable
 
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       BasisVector, CentralTermError, Element, L, basis_sweep,
-                      basis_vectors, bilinear, bracket, combine, d, h, linear)
+                      basis_vectors, bilinear, bracket, combine, d, h, linear,
+                      tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
 from .reports import (Failure, Report, chunked, collect, prefixed,
@@ -86,16 +87,9 @@ class BiderParams:
 PairTable = Callable[[BasisVector, BasisVector], Element]
 
 
-def _on_tags(tags: str, fn) -> PairTable:
-    """The table fn(m, n) on the pairs of index m and n whose two tags are
-    tags, zero on every other pair."""
-    return lambda u, v: fn(u.index, v.index) if u.tag + v.tag == tags \
-        else Element.zero()
-
-
 def _upsilon_generator(s: int) -> PairTable:
     """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair."""
-    return _on_tags("dd", lambda m, n: Element.basis(h(m + n + s)))
+    return tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
 
 
 def family_table(params: BiderParams, mode: AlgebraMode = FULL) -> PairTable:
@@ -166,21 +160,17 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
                      mode: AlgebraMode = FULL) -> list:
     """Residuals of the two derivation axioms at (x, y, z).
 
-    In CENTERLESS mode x, y and z are centerless basis elements and every
-    value of f is projected, so the brackets go to the centerless table
-    directly, without bracket()'s per-call check for central terms."""
-    if mode is FULL:
-        fxz, fyz, fxy = f(x, z), f(y, z), f(x, y)
-    else:
-        fxz = project_centerless(f(x, z))
-        fyz = project_centerless(f(y, z))
-        fxy = project_centerless(f(x, y))
+    In CENTERLESS mode x, y and z are centerless basis elements, so the
+    brackets go to the centerless table directly, without bracket()'s
+    per-call check for central terms.  The values of f enter only
+    brackets, whose tables vanish on C and L, so only the residuals are
+    projected onto the quotient."""
+    fxz = f(x, z)
     br = partial(bilinear, BRACKET_TABLES[mode])
-    left = f(br(x, y), z) - br(fxz, y) - br(x, fyz)
-    right = f(x, br(y, z)) - br(fxy, z) - br(y, fxz)
-    if mode is not FULL:
-        left = project_centerless(left)
-        right = project_centerless(right)
+    left = f(br(x, y), z) - br(fxz, y) - br(x, f(y, z))
+    right = f(x, br(y, z)) - br(f(x, y), z) - br(y, fxz)
+    if mode is CENTERLESS:
+        left, right = project_centerless(left), project_centerless(right)
     return [("bider.left", left), ("bider.right", right)]
 
 
@@ -426,7 +416,7 @@ def _candidate_generators() -> list:
         ("hh->h", lambda m, n, s: Element.basis(h(m + n + s))),
     )
     for s in _DECOY_SHIFTS:
-        gens += [(f"{name}[{s}]", _on_tags(name[:2], partial(fn, s=s)))
+        gens += [(f"{name}[{s}]", tag_table(**{name[:2]: partial(fn, s=s)}))
                  for name, fn in decoys]
     return gens
 

@@ -14,8 +14,9 @@
     mhv cross-check --window N
 
 Exit code 0 iff every selected report passed, 1 on check failures, 2 on
-usage or admissibility errors.  All numeric output is exact; JSON is the
-machine contract, text is a human summary.
+usage or admissibility errors, 3 when a worker process of the run died.
+All numeric output is exact; JSON is the machine contract, text is a
+human summary.
 """
 
 from __future__ import annotations
@@ -191,6 +192,13 @@ def main(argv: list | None = None) -> int:
             ValueError) as exc:
         print(f"mhv: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # imported here: a serial run never loads the executor's modules
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"mhv: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable
 
-from .algebra import C, Element, L, bilinear, bracket, d, h, window_indices
+from .algebra import (C, Element, L, bilinear, bracket, d, h, tag_table,
+                      window_indices)
 from .linalg import solve_unique
 from .reports import Failure, Report, serial
 from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
@@ -191,26 +192,15 @@ def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def product_from_fns(fns: CoeffFns):
-    """The graded product of the ansatz as an Element-valued evaluator on
-    basis vectors; products with a central factor are zero."""
-
-    def evaluate(u, v) -> Element:
-        if u.is_central() or v.is_central():
-            return Element.zero()
-        if u.tag == "d" and v.tag == "d":
-            m, n = u.index, v.index
-            return Element.of((fns.f(m, n), d(m + n)), (fns.omega(m, n), C))
-        if u.tag == "d" and v.tag == "h":
-            m, n = u.index, v.index
-            return Element.of((fns.g(m, n), h(m + n)))
-        if u.tag == "h" and v.tag == "d":
-            m, n = u.index, v.index
-            return Element.of((fns.h(m, n), h(m + n)))
-        m, n = u.index, v.index
-        return Element.of((fns.a(m, n), d(m + n)), (fns.b(m, n), h(m + n)),
-                          (fns.rho(m, n), L))
-
-    return evaluate
+    """The graded product of the ansatz as a table on basis pairs."""
+    return tag_table(
+        dd=lambda m, n: Element.of((fns.f(m, n), d(m + n)),
+                                   (fns.omega(m, n), C)),
+        dh=lambda m, n: Element.of((fns.g(m, n), h(m + n))),
+        hd=lambda m, n: Element.of((fns.h(m, n), h(m + n))),
+        hh=lambda m, n: Element.of((fns.a(m, n), d(m + n)),
+                                   (fns.b(m, n), h(m + n)),
+                                   (fns.rho(m, n), L)))
 
 
 _TRIPLE_TYPES = ("ddd", "ddh", "dhd", "dhh", "hhd", "hhh")

@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .algebra import C, Element, L, bilinear, d, h
-from .scalars import PoleError, Scalar, sc
+from .algebra import C, Element, L, bilinear, d, h, tag_table
+from .scalars import PoleError, Scalar
 
 
 class AdmissibilityError(ValueError):
@@ -89,49 +89,29 @@ SYMBOLIC = EpsMode(None)
 
 
 # ---------------------------------------------------------------------------
-# coefficient formulas
+# the product table
 # ---------------------------------------------------------------------------
 
-def dd_coeff(m: int, n: int) -> Scalar:
-    """-n(1+e*n)/(1+e*(m+n)) as a symbolic scalar."""
-    return Scalar((-n, -n * n), (1, m + n))
+def _dd_product(m: int, n: int) -> Element:
+    """-n(1+e*n)/(1+e*(m+n)) d_{m+n}, plus the C term at m+n = 0."""
+    f = Scalar((-n, -n * n), (1, m + n))
+    if m + n != 0:
+        return Element.of((f, d(m + n)))
+    # 1/24 (m^3 - m + (e - 1/e) m^2) = (-m^2 + (m^3 - m) e + m^2 e^2) / (24 e)
+    central = Scalar((-m * m, m**3 - m, m * m), (0, 24))
+    return Element.of((f, d(0)), (central, C))
 
 
-def dd_central_coeff(m: int) -> Scalar:
-    """1/24 (m^3 - m + (e - 1/e) m^2), the coefficient of C at m+n = 0."""
-    # as a fraction over 24e: (-m^2 + (m^3 - m) e + m^2 e^2) / (24 e)
-    return Scalar((-m * m, m**3 - m, m * m), (0, 24))
-
-
-def dh_coeff(n: int) -> Scalar:
-    return sc(Fraction(-(2 * n + 1), 2))
-
-
-def hh_coeff(m: int) -> Scalar:
-    return sc(Fraction(2 * m + 1, 4))
-
-
-@lru_cache(maxsize=None)
-def _basis_product_symbolic(u, v) -> Element:
-    if u.is_central() or v.is_central():
+def _hh_product(m: int, n: int) -> Element:
+    if m + n + 1 != 0:
         return Element.zero()
-    if u.tag == "d" and v.tag == "d":
-        m, n = u.index, v.index
-        pairs = []
-        if n != 0:
-            pairs.append((dd_coeff(m, n), d(m + n)))
-        if m + n == 0 and m != 0:
-            pairs.append((dd_central_coeff(m), C))
-        return Element.of(*pairs)
-    if u.tag == "d" and v.tag == "h":
-        m, n = u.index, v.index
-        return Element.of((dh_coeff(n), h(m + n)))
-    if u.tag == "h" and v.tag == "d":
-        return Element.zero()
-    m, n = u.index, v.index
-    if m + n + 1 == 0:
-        return Element.of((hh_coeff(m), L))
-    return Element.zero()
+    return Element.of((Fraction(2 * m + 1, 4), L))
+
+
+_basis_product_symbolic = lru_cache(maxsize=None)(tag_table(
+    dd=_dd_product,
+    dh=lambda m, n: Element.of((Fraction(-(2 * n + 1), 2), h(m + n))),
+    hh=_hh_product))
 
 
 def _basis_product_numeric(u, v, eps: Fraction) -> Element:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
-                         basis_vectors, bilinear, bracket, d, h)
+                         basis_vectors, bilinear, bracket, d, h, tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                LinearMap, bider_eval, check_bider_converse,
                                check_biderivation, check_commuting,
@@ -121,6 +121,18 @@ class TestAxiomChecker:
         assert not report.passed
         witness = {(f.inputs, f.equation_id) for f in report.failures}
         assert ("(d(1), d(1), d(2))", "bider.right") in witness
+
+    def test_central_values_drop_out_of_the_centerless_check(self):
+        # the values of f enter only brackets, which vanish on C and L, so
+        # a candidate reports as its projection onto the quotient does
+        projected = tag_table(dd=lambda m, n: E(d(m + n)))
+        central = tag_table(dd=lambda m, n: Element.of((1, d(m + n)), (1, C)),
+                            hh=lambda m, n: E(L))
+        reports = [check_biderivation(BilinearTable(table, "dd->d"), 2,
+                                      CENTERLESS)
+                   for table in (projected, central)]
+        assert not reports[0].passed
+        assert reports[1] == reports[0]
 
     def test_upsilon_obstructed_over_the_center(self):
         # the h-valued image brackets into l: over the full algebra the

@@ -1,14 +1,19 @@
 """The one bilinear extension: algebra.bilinear against the plain sum of
 Element.of over all term pairs, and the one family table against the
-bracket and Upsilon it is built from, on dense random elements."""
+bracket and Upsilon it is built from, on dense random elements.  Every
+table built by algebra.tag_table vanishes off the tag pairs it lists."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhv.algebra import (CENTERLESS, FULL, C, Element, L, _basis_bracket,
-                         bilinear, bracket, d, h)
-from mhv.biderivations import BiderParams, BilinearTable, bider_eval, upsilon
+from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
+                         _basis_bracket, basis_vectors, bilinear, bracket, d,
+                         h)
+from mhv.biderivations import (BiderParams, BilinearTable,
+                               _candidate_generators, bider_eval, upsilon)
+from mhv.coeffs import closed_form_fns, product_from_fns, random_fns
 from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
                      lsa_product)
 from mhv.scalars import Scalar, sc
@@ -121,3 +126,29 @@ def test_bilinear_leaves_table_values_unchanged(x, y):
     bilinear(table, y, x)
     assert all(table(u, v)._terms == terms
                for (u, v), terms in before.items())
+
+
+ALL_TAGS = ("dd", "dh", "hd", "hh")
+# (table, the tag pairs it lists) for every table built by tag_table
+TAG_TABLES = {
+    "bracket[full]": (BRACKET_TABLES[FULL], ALL_TAGS),
+    "bracket[centerless]": (BRACKET_TABLES[CENTERLESS], ("dd", "dh", "hd")),
+    "product": (_basis_product_symbolic, ("dd", "dh", "hh")),
+    "product_from_fns[closed-form]": (product_from_fns(closed_form_fns()),
+                                      ALL_TAGS),
+    "product_from_fns[random]": (product_from_fns(random_fns(1)), ALL_TAGS),
+}
+# the converse's upsilon[s] generators and its decoys, named by tag pair
+TAG_TABLES.update(
+    (name, (table, ("dd",) if name.startswith("upsilon") else (name[:2],)))
+    for name, table in _candidate_generators() if name != "bracket")
+
+
+@pytest.mark.parametrize("name", TAG_TABLES)
+def test_tag_tables_vanish_on_central_and_unlisted_pairs(name):
+    table, tags = TAG_TABLES[name]
+    basis = basis_vectors(2, FULL)
+    off = [(u, v) for u in basis for v in basis
+           if u.is_central() or v.is_central() or u.tag + v.tag not in tags]
+    assert len(off) >= 2 * len(basis)
+    assert all(table(u, v) == Element.zero() for u, v in off)

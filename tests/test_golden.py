@@ -12,7 +12,7 @@ summaries cover the human format: verify at window 1, and the failing
 bider-check, whose 24 failures exercise the five-failure cut.
 
 The gate-*.json files are the window-5 and window-4 (e = 2/5) verify
-outputs; they take about a minute to reproduce and are compared by
+outputs; they take about 20 s to reproduce and are compared by
 tools/gate.py, not by this module.
 """
 

@@ -156,6 +156,24 @@ class TestSuite:
         assert proc.returncode != 0
         assert "BrokenProcessPool" in proc.stderr
 
+    def test_a_dead_worker_exits_3_with_one_error_line(self):
+        # exit code 1 means failed checks; a dead worker is not one
+        code = ("import os, signal, sys\n"
+                "from mhv import suite\n"
+                "from mhv.cli import main\n"
+                "die = lambda: os.kill(os.getpid(), signal.SIGKILL)\n"
+                "suite.CHECKS['jacobi'] = "
+                "lambda window, run: run([lambda: 1, die, lambda: 3])\n"
+                "sys.exit(main(['verify', '--window', '1', "
+                "'--checks', 'jacobi']))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, MHV_WORKERS="2"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("mhv: error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_sweeps_take_one_chunk_per_first_basis_vector(self):
         # the chunk list depends on the window alone: chunk i sweeps the
         # cases whose first basis vector is basis[i]

@@ -6,8 +6,8 @@ byte for byte, with the goldens in tests/golden.
 runs `mhv verify --window 5` and `mhv verify --window 4 --eps 2/5`, each
 with MHV_WORKERS=1 and with MHV_WORKERS=2, in a fresh interpreter on the
 package in src/.  It prints one line per run and exits 0 iff every
-output matches its golden, 1 otherwise.  The four runs take about a
-minute, so the gate is not part of the pytest suite.
+output matches its golden, 1 otherwise.  The four runs take about
+20 s, so the gate is not part of the pytest suite.
 """
 
 from __future__ import annotations
