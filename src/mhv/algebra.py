@@ -40,7 +40,7 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterator
 
-from .scalars import ONE, ZERO, Scalar, sc
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sc
 
 
 class AlgebraError(ValueError):
@@ -216,16 +216,7 @@ class Element:
         if not other._terms:
             return self
         acc = dict(self._terms)
-        for bv, coeff in other._terms.items():
-            prev = acc.get(bv)
-            if prev is None:
-                acc[bv] = -coeff
-                continue
-            coeff = prev - coeff
-            if coeff.is_zero():
-                del acc[bv]
-            else:
-                acc[bv] = coeff
+        _add_scaled(acc, other, MINUS_ONE)
         return Element(acc, _clean=True)
 
     def scale(self, factor: Scalar) -> "Element":
@@ -354,9 +345,12 @@ def _check_centerless(x: Element, what: str) -> None:
 
 
 def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
-    """acc += factor * x on a term dict; x itself is only read."""
+    """acc += factor * x on a term dict; x itself is only read.  The
+    factors ONE and MINUS_ONE cost no multiplication."""
     for bv, coeff in x._terms.items():
-        if factor is not ONE:
+        if factor is MINUS_ONE:
+            coeff = -coeff
+        elif factor is not ONE:
             coeff = coeff * factor
         prev = acc.get(bv)
         if prev is not None:

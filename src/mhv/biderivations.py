@@ -40,7 +40,7 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from typing import Callable
 
@@ -50,7 +50,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, lsa_product
-from .reports import (Failure, Report, chunked, collect, prefixed,
+from .reports import (Failure, Report, collect, pooled, prefixed,
                       render_inputs, serial)
 from .scalars import Scalar, sc
 
@@ -175,9 +175,9 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
 
 
 def _biderivation_residuals(cand: BilinearTable, window: int,
-                            mode: AlgebraMode, first: slice = slice(None)):
+                            mode: AlgebraMode):
     return basis_sweep(window, 3, partial(_axiom_residuals, cand, mode=mode),
-                       first, mode)
+                       mode=mode)
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -504,37 +504,30 @@ FAMILY_SAMPLES = (
 
 
 def _central_residuals(params: BiderParams, basis: list):
+    f = partial(bilinear, family_table(params))
     for central in (C, L):
         ec = Element.basis(central)
         for u in basis:
             eu = Element.basis(u)
-            yield ((central, u, "left"), "bider.central",
-                   bider_eval(params, ec, eu))
-            yield ((central, u, "right"), "bider.central",
-                   bider_eval(params, eu, ec))
+            yield (central, u, "left"), "bider.central", f(ec, eu)
+            yield (central, u, "right"), "bider.central", f(eu, ec)
 
 
 def check_family(window: int, run=serial) -> Report:
     """The forward direction on canned family members (centerless axioms),
     plus central annihilation of both arguments in the full algebra.
 
-    run runs one chunk per member and first basis vector of the
-    centerless sweep, member by member; a member's first chunk also takes
-    its central cases.  A process runs its chunks in that order, so it
-    builds each member's table (and fills its memo) once and keeps only
-    the current member's."""
+    run runs one chunk per member, which builds the member's two tables
+    once and collects its centerless sweep and its central cases into one
+    Report; only that Report's failures get the member's label."""
     basis = basis_vectors(window, FULL)
-    firsts = len(basis_vectors(window, CENTERLESS))
-    table_of = lru_cache(maxsize=1)(
-        partial(BilinearTable.from_params, mode=CENTERLESS))
 
-    def stream(params: BiderParams, i: int):
-        cases = _biderivation_residuals(table_of(params), window, CENTERLESS,
-                                        slice(i, i + 1))
-        if i == 0:
-            cases = chain(cases, _central_residuals(params, basis))
-        return prefixed(f"params=({params.describe()})", cases)
+    def member(params: BiderParams) -> Report:
+        cases = chain(_biderivation_residuals(
+            BilinearTable.from_params(params, CENTERLESS), window, CENTERLESS),
+            _central_residuals(params, basis))
+        return prefixed(f"params=({params.describe()})",
+                        collect("bider-family", window, "symbolic", cases))
 
-    return chunked("bider-family", window, run,
-                   [partial(stream, params, i) for params in FAMILY_SAMPLES
-                    for i in range(firsts)])
+    return pooled("bider-family", window,
+                  run([partial(member, params) for params in FAMILY_SAMPLES]))

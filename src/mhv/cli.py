@@ -171,7 +171,7 @@ def _dispatch(args) -> int:
 
     if args.command in ALIASES:
         checks = (ALIASES[args.command][0],)
-    elif args.checks:
+    elif args.checks is not None:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     else:
         checks = CHECK_ORDER

@@ -18,9 +18,11 @@ their Failures themselves.
 A check that splits its work into independent chunks (zero-argument
 callables returning plain rendered data) takes a chunk runner: serial
 runs them here, in order; suite.run_chunks runs them on worker
-processes.  chunked collects each of a check's residual streams as one
-chunk and pools their cases and failures into one Report, and the sort
-makes the result independent of where the chunks ran.
+processes.  pooled sums the cases and pools the failures of a check's
+part Reports into one Report, and the sort makes the result independent
+of where the parts ran; chunked collects each of a check's residual
+streams as one chunk and pools them.  prefixed leads every failure label
+of a part, such as one family member's, with the part's name.
 
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
@@ -30,7 +32,7 @@ are compared bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .expressions import ParseError, parse
@@ -112,10 +114,8 @@ def _evaluated(text: str, eps: Fraction) -> str:
     return value.eval_at(eps).render()
 
 
-def render_inputs(inputs) -> str:
-    """A case label: a string as it is, a tuple of parts as "(p1, p2, ...)"."""
-    if isinstance(inputs, str):
-        return inputs
+def render_inputs(inputs: tuple) -> str:
+    """A case label: a tuple of parts as "(p1, p2, ...)"."""
     return "(" + ", ".join(map(str, inputs)) + ")"
 
 
@@ -124,8 +124,8 @@ def collect(check: str, window: int, eps_mode: str, residuals,
     """The sorted Report of a stream of (inputs, equation_id, residual).
 
     Each item is one case.  A residual is an Element or a Scalar; only the
-    nonzero ones are kept, rendered, as Failures.  Tuple inputs are only
-    rendered for a failure, so a passing sweep never formats its labels."""
+    nonzero ones are kept, rendered, as Failures.  Inputs are rendered only
+    for a failure, so a passing sweep never formats its labels."""
     failures = []
     cases = 0
     for inputs, eq_id, residual in residuals:
@@ -136,16 +136,20 @@ def collect(check: str, window: int, eps_mode: str, residuals,
     return Report(check, window, eps_mode, cases, failures, extra)
 
 
-def chunked(check: str, window: int, run, streams: list) -> Report:
-    """The symbolic Report of a check's streams, zero-argument callables
-    returning residual streams: run collects each one as a chunk, and their
-    cases are summed and their failures pooled."""
-    parts = run([lambda stream=stream: collect(check, window, "symbolic",
-                                               stream())
-                 for stream in streams])
+def pooled(check: str, window: int, parts: list) -> Report:
+    """The symbolic Report of a check's part Reports: their cases summed
+    and their failures pooled."""
     return Report(check, window, "symbolic",
                   sum(p.total_cases for p in parts),
                   [f for p in parts for f in p.failures])
+
+
+def chunked(check: str, window: int, run, streams: list) -> Report:
+    """The pooled Report of a check's streams, zero-argument callables
+    returning residual streams: run collects each one as a chunk."""
+    return pooled(check, window, run([
+        lambda stream=stream: collect(check, window, "symbolic", stream())
+        for stream in streams]))
 
 
 def serial(chunks: list) -> list:
@@ -153,10 +157,11 @@ def serial(chunks: list) -> list:
     return [chunk() for chunk in chunks]
 
 
-def prefixed(prefix: str, residuals):
-    """The same residual stream with every inputs label led by prefix."""
-    for inputs, eq_id, residual in residuals:
-        yield f"{prefix} {render_inputs(inputs)}", eq_id, residual
+def prefixed(prefix: str, report: Report) -> Report:
+    """The same Report with every failure's inputs led by prefix; only
+    failures are relabelled, so a passing report formats no label."""
+    return replace(report, failures=[
+        replace(f, inputs=f"{prefix} {f.inputs}") for f in report.failures])
 
 
 def reports_to_json(reports: list, config: dict | None = None) -> str:

@@ -350,6 +350,7 @@ def _canonicalize(num: tuple, den: tuple) -> tuple:
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
+MINUS_ONE = -ONE
 EPS = Scalar((0, 1), PONE, _canonical=True)
 EPS_INV = ONE / EPS
 

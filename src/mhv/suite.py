@@ -23,7 +23,7 @@ hands it a list of independent chunks and pools their results in chunk
 order.  The chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
-    bider-family            member x first basis vector
+    bider-family            member
     cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point
     star, ast               m
@@ -52,7 +52,8 @@ from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
                      closed_form_fns)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator)
-from .reports import Failure, Report, chunked, collect, prefixed, serial
+from .reports import (Failure, Report, chunked, collect, pooled, prefixed,
+                      serial)
 from .scalars import sc
 
 
@@ -165,10 +166,10 @@ def _commuting_specs(window: int) -> list:
 
 
 def _check_commuting_samples(window: int) -> Report:
-    return collect("commuting", window, "symbolic",
-                   (case for phi in _commuting_specs(window)
-                    for case in prefixed(phi.name,
-                                         commuting_residuals(phi, window))))
+    return pooled("commuting", window, [
+        prefixed(phi.name, collect("commuting", window, "symbolic",
+                                   commuting_residuals(phi, window)))
+        for phi in _commuting_specs(window)])
 
 
 def _equation_sweep(name: str, residuals):

@@ -7,15 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
-                         basis_vectors, bilinear, bracket, d, h, tag_table)
-from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
-                               LinearMap, bider_eval, check_bider_converse,
+from mhv import biderivations
+from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
+                         Element, L, basis_vectors, bilinear, bracket, d, h,
+                         tag_table)
+from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
+                               BilinearTable, LinearMap, _candidate_generators,
+                               _grid_report, bider_eval, check_bider_converse,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie, family_table, grid_points,
                                lsa_bider_grid, post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
+from mhv.reports import Failure, serial
 from mhv.scalars import EPS, ONE, sc
 
 E = Element.basis
@@ -153,6 +157,34 @@ class TestAxiomChecker:
         report = check_family(3)
         assert report.passed
         assert len(FAMILY_SAMPLES) == 5
+
+
+class TestFamilyLabels:
+    """A member's label is formatted only for its failures."""
+
+    def test_passing_runs_render_no_basis_vector(self, monkeypatch):
+        from mhv.suite import RunConfig, run_suite
+
+        def render(bv):
+            raise AssertionError(f"rendered {bv.tag}")
+
+        monkeypatch.setattr(BasisVector, "render", render)
+        assert check_family(1).passed
+        assert run_suite(RunConfig(window=1, checks=("commuting",)))[0].passed
+
+    def test_failing_member_label(self, monkeypatch):
+        # a dd -> d part breaks the axioms of every member alike
+        table_of = biderivations.family_table
+        part = tag_table(dd=lambda m, n: E(d(m + n)))
+        monkeypatch.setattr(
+            biderivations, "family_table",
+            lambda params, mode=FULL: lambda u, v, t=table_of(params, mode):
+            t(u, v) + part(u, v))
+        report = check_family(1)
+        assert len(report.failures) == 5 * 144
+        assert report.failures[0] == Failure(
+            "params=(lambda=-2, omega={0: 1, 2: -3}) (d(-1), d(-1), d(0))",
+            "bider.right", "d(-2)")
 
 
 class TestFamilyTableMemo:
@@ -307,6 +339,21 @@ class TestGrids:
         assert report.passed
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
 
+    def test_a_nonzero_point_that_passes_fails_the_grid(self):
+        report = _grid_report("probe", 1, lambda params: iter(()), serial)
+        assert len(report.failures) == len(grid_points()) - 1
+        assert {f.equation_id for f in report.failures} \
+            == {"grid.unexpected_pass"}
+
+    def test_a_zero_point_that_fails_fails_the_grid(self):
+        def source(params):
+            yield (d(0),), "probe", E(d(0))
+
+        report = _grid_report("probe", 1, source, serial)
+        assert report.failures == [Failure(
+            "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
+            "d(0)")]
+
 
 class TestConverse:
     def test_rank_certificate(self):
@@ -314,6 +361,26 @@ class TestConverse:
         assert report.passed
         assert report.extra["rank"] == report.extra["target_rank"]
         assert report.extra["family_dimension"] == 6
+
+    def test_a_family_generator_with_a_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",
+                            FAMILY_GENERATORS + ("dd->d[0]",))
+        report = check_bider_converse(1)
+        assert report.failures[0] == Failure(
+            "(d(-1), d(-1), d(0))", "converse.family_residual",
+            "dd->d[0]: 1")
+        assert {f.equation_id for f in report.failures} \
+            == {"converse.family_residual"}
+
+    def test_a_dependent_candidate_leaves_a_rank_deficit(self, monkeypatch):
+        gens = _candidate_generators()
+        monkeypatch.setattr(biderivations, "_candidate_generators",
+                            lambda: gens + gens[-1:])
+        report = check_bider_converse(1)
+        assert report.failures == [Failure(
+            "window=1", "converse.rank_deficit",
+            "rank 40 < 41: extra solutions beyond the family survive the "
+            "window equations")]
 
     def test_family_generators_solve_axioms(self):
         # upsilon columns are zero rows: each shape is itself a centerless

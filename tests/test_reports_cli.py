@@ -198,6 +198,55 @@ class TestSuite:
         assert [p.total_cases for p in parts] == [len(basis)] * len(basis)
         assert report.passed and report.total_cases == len(basis) ** 2
 
+    def test_family_takes_one_chunk_per_member(self):
+        # each chunk sweeps its member's centerless triples and both
+        # arguments' central cases
+        from mhv.algebra import CENTERLESS, FULL, basis_vectors
+        from mhv.biderivations import FAMILY_SAMPLES, check_family
+        parts = []
+
+        def run(chunks):
+            parts.extend(chunk() for chunk in chunks)
+            return parts
+
+        report = check_family(2, run)
+        centerless = len(basis_vectors(2, CENTERLESS))
+        cases = 2 * centerless**3 + 4 * len(basis_vectors(2, FULL))
+        assert [p.total_cases for p in parts] \
+            == [cases] * len(FAMILY_SAMPLES)
+        assert report.passed
+        assert report.total_cases == cases * len(FAMILY_SAMPLES)
+
+    def test_an_inhomogeneous_bracket_fails_grading(self, monkeypatch):
+        from mhv.algebra import Element, d
+        monkeypatch.setattr("mhv.suite.bracket",
+                            lambda x, y: Element.of((1, d(0)), (1, d(1))))
+        report = run_suite(RunConfig(window=1, checks=("grading",)))[0]
+        assert len(report.failures) == report.total_cases == 8**2
+        assert {(f.equation_id, f.residual) for f in report.failures} \
+            == {("grading", "d(0) + d(1)")}
+
+    def test_a_wrong_theta_value_fails(self, monkeypatch):
+        from types import SimpleNamespace
+        table = SimpleNamespace(unknowns=2, rank=2, equations=3,
+                                values={0: Fraction(1, 4), 1: Fraction(1)})
+        monkeypatch.setattr("mhv.suite.solve_theta", lambda window: table)
+        report = run_suite(RunConfig(window=1, checks=("solve-theta",)))[0]
+        assert report.failures == [Failure("theta(1)", "theta.value",
+                                           "1 != 3/4")]
+
+    def test_an_unsolvable_theta_system_fails(self, monkeypatch):
+        from mhv.linalg import InconsistentSystemError
+
+        def solve_theta(window):
+            raise InconsistentSystemError("no solution")
+
+        monkeypatch.setattr("mhv.suite.solve_theta", solve_theta)
+        report = run_suite(RunConfig(window=1, checks=("solve-theta",)))[0]
+        assert report.failures == [Failure("window=1", "theta.system",
+                                           "no solution")]
+        assert report.total_cases == 0
+
     @pytest.mark.parametrize("workers", ["-3", "0", "x"])
     def test_worker_count_below_one_is_a_usage_error(self, monkeypatch,
                                                       capsys, workers):
@@ -277,10 +326,10 @@ class TestCli:
         assert [r["check"] for r in doc["reports"]] == ["jacobi", "antisym"]
         assert all(r["passed"] for r in doc["reports"])
 
-    @pytest.mark.parametrize("checks", [",", "star,star"])
+    @pytest.mark.parametrize("checks", [",", "star,star", ""])
     def test_verify_empty_or_repeated_checks_is_a_usage_error(self, capsys,
                                                               checks):
-        # an empty selection would pass vacuously
+        # an empty selection would pass vacuously; "" is one, not the default
         code, out, err = self.run(capsys, "verify", "--window", "1",
                                   "--checks", checks)
         assert code == 2 and out == ""
