@@ -65,9 +65,11 @@ CENTERLESS = AlgebraMode.CENTERLESS
 
 
 class BasisVector:
-    """One of d(m), h(n) (meaning h_{n+1/2}), C or L.  Interned."""
+    """One of d(m), h(n) (meaning h_{n+1/2}), C or L.  Interned: there is
+    one instance per (tag, index), so equality and hashing are by
+    identity, object's own __eq__ and __hash__."""
 
-    __slots__ = ("tag", "index", "_key", "_hash")
+    __slots__ = ("tag", "index", "_key")
 
     _cache: dict = {}
 
@@ -81,7 +83,6 @@ class BasisVector:
         self.index = index
         order = {"d": 0, "h": 1, "c": 2, "l": 3}[tag]
         self._key = (order, index if index is not None else 0)
-        self._hash = hash(key)
         cls._cache[key] = self
         return self
 
@@ -109,12 +110,6 @@ class BasisVector:
         if self.tag == "h":
             return f"h({2 * self.index + 1}/2)"
         return self.tag
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "BasisVector") -> bool:
         return self._key < other._key
@@ -346,19 +341,22 @@ def _check_centerless(x: Element, what: str) -> None:
 
 def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
     """acc += factor * x on a term dict; x itself is only read.  The
-    factors ONE and MINUS_ONE cost no multiplication."""
+    factors ONE and MINUS_ONE cost no multiplication: MINUS_ONE subtracts
+    in place from a coefficient already in acc and negates only a term
+    that acc does not have."""
     for bv, coeff in x._terms.items():
-        if factor is MINUS_ONE:
-            coeff = -coeff
-        elif factor is not ONE:
-            coeff = coeff * factor
         prev = acc.get(bv)
-        if prev is not None:
-            coeff = prev + coeff
-            if coeff.is_zero():
-                del acc[bv]
-                continue
-        acc[bv] = coeff
+        if factor is MINUS_ONE:
+            coeff = -coeff if prev is None else prev - coeff
+        else:
+            if factor is not ONE:
+                coeff = coeff * factor
+            if prev is not None:
+                coeff = prev + coeff
+        if prev is not None and coeff.is_zero():
+            del acc[bv]
+        else:
+            acc[bv] = coeff
 
 
 def bilinear(table: Callable[[BasisVector, BasisVector], Element],

@@ -13,19 +13,24 @@ equality (and in particular equality to zero) is a plain structural
 comparison.  The parameter e itself and its inverse 1/e are both ordinary
 Scalars; no special-casing is needed anywhere downstream.
 
-Two kinds of result need no polynomial gcd, only the division of num and
-den by their common integer content (_reduced):
+Three kinds of result need no polynomial gcd, only the division of num
+and den by their common integer content:
 
   * a/b + c/d with b or d a constant, say b: a common factor of positive
     degree of a*d + c*b and b*d divides d, then c*b, then c, and
     gcd(c, d) = 1;
   * a product with a rational factor p/q: a common factor of positive
-    degree of p*a and q*b divides a and b.
+    degree of p*a and q*b divides a and b;
+  * a sum, difference or product of two rationals p/q and r/s: num and
+    den are the integers p*s +- r*q or p*r over q*s > 0, so one integer
+    gcd reduces them.
 
-Most of the arithmetic of a verification sweep is of these kinds.  Every
-other result is reduced by pgcd, the primitive pseudo-remainder sequence
-over Z[e] (Brown, J. ACM 18(4), 1971), and the exact quotient by it.  A
-Scalar's hash is computed on first use.
+Most of the arithmetic of a verification sweep is of these kinds.  The
+third, most of the arithmetic of the e-free checks, runs on plain ints
+(_rational) instead of coefficient tuples.  Every other result is
+reduced by pgcd, the primitive pseudo-remainder sequence over Z[e]
+(Brown, J. ACM 18(4), 1971), and the exact quotient by it.  A Scalar's
+hash is computed on first use.
 
 Polynomials are coefficient tuples of int, lowest degree first, with no
 trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
@@ -238,11 +243,13 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0])
+        if not a:
+            return other
+        if not c:
+            return self
         if b == d:
             num, den = padd(a, c), b
         else:
@@ -259,12 +266,18 @@ class Scalar:
         return Scalar(pneg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * d[0] - c[0] * b[0], b[0] * d[0])
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.is_zero() or other.is_zero():
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) == len(b) == len(c) == len(d) == 1:
+            return _rational(a[0] * c[0], b[0] * d[0])
+        if not a or not c:
             return ZERO
-        num, den = pmul(self.num, other.num), pmul(self.den, other.den)
+        num, den = pmul(a, c), pmul(b, d)
         if self.is_rational() or other.is_rational():
             return Scalar(*_reduced(num, den), _canonical=True)
         return Scalar(*_canonicalize(num, den), _canonical=True)
@@ -324,6 +337,16 @@ def _integral(num: tuple, den: tuple) -> tuple:
     m = _int_lcm(*(c.denominator for c in num + den))
     return (tuple(c.numerator * (m // c.denominator) for c in num),
             tuple(c.numerator * (m // c.denominator) for c in den))
+
+
+def _rational(n: int, d: int) -> Scalar:
+    """The Scalar n/d for ints n and d > 0."""
+    if not n:
+        return ZERO
+    g = _int_gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return Scalar((n,), (d,), _canonical=True)
 
 
 def _reduced(num: tuple, den: tuple) -> tuple:

@@ -10,6 +10,7 @@ from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
                          MIXED, ZeroElementError, basis_vectors, bracket, d,
                          grading_degree, h)
 from mhv.scalars import EPS, ONE, sc
+from mhv.suite import run_chunks
 
 E = Element.basis
 
@@ -103,6 +104,19 @@ class TestElementOps:
         assert Element.zero().render() == "0"
 
 
+class TestBasisVectorIdentity:
+    def test_equality(self):
+        assert d(3) == d(3) and hash(d(3)) == hash(d(3))
+        assert d(3) != h(3) and C != L
+        assert d(3) != ("d", 3) and ("d", 3) != d(3)
+
+    def test_vector_from_a_worker_finds_its_term(self):
+        x = el((5, d(97)), (-1, h(-97)))
+        # each result is pickled in a forked worker and unpickled here
+        found = run_chunks([lambda: d(97), lambda: h(-97)], 2)
+        assert [x.coeff(bv) for bv in found] == [sc(5), sc(-1)]
+
+
 class TestPickle:
     @pytest.mark.parametrize("bv", [d(3), h(-2), C, L])
     def test_basis_vector_round_trip_keeps_interning(self, bv):
@@ -119,6 +133,15 @@ window_elements = st.lists(
     st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=4),
               st.sampled_from(basis_vectors(3, FULL))),
     min_size=0, max_size=4).map(lambda pairs: Element.of(*pairs))
+# elements whose coefficients are plain rationals or depend on e
+mixed_elements = st.lists(
+    st.tuples(st.builds(lambda r, f: sc(r) * f,
+                        st.fractions(min_value=-9, max_value=9,
+                                     max_denominator=4),
+                        st.sampled_from([ONE, EPS, ONE / (ONE + EPS)])),
+              st.sampled_from(basis_vectors(2, FULL))),
+    max_size=5).map(lambda pairs: Element.of(*pairs))
+elements = st.one_of(window_elements, mixed_elements)
 
 
 class TestBracketProperties:
@@ -162,12 +185,19 @@ class TestBracketProperties:
 
 
 class TestSubtraction:
-    @given(window_elements, window_elements, st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_matches_adding_the_negative(self, x, y, symbolic):
-        if symbolic:
-            y = y.scale(ONE + EPS)
+    @given(elements, elements)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_adding_the_negative(self, x, y):
         x_terms, y_terms = x.terms(), y.terms()
-        assert x - y == x + (-y)
+        difference = x - y
+        assert difference == x + (-y)
         assert (x - x).is_zero()
+        for bv in set(y.support()) - set(x.support()):
+            assert difference.coeff(bv) == -y.coeff(bv)
         assert (x.terms(), y.terms()) == (x_terms, y_terms)
+
+    def test_term_only_in_the_subtrahend_is_negated(self):
+        x = el((2, d(1)), (EPS, h(0)))
+        y = el((EPS, h(0)), (Fraction(3, 2), d(-2)), (ONE + EPS, C))
+        assert x - y == el((2, d(1)), (Fraction(-3, 2), d(-2)),
+                           (-(ONE + EPS), C))

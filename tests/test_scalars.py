@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
                          ScalarDivisionError, ZeroEpsilonError, padd, pgcd,
-                         pmul, prender, ptrim, sc)
+                         pmul, pneg, prender, ptrim, sc)
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -29,6 +29,9 @@ scalars = st.builds(
     lambda num, den: num / den if not den.is_zero() else num,
     small_polys, small_polys)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
+# small rationals, and ones with numerator and denominator above 2**64
+lane_rationals = st.one_of(rationals, st.builds(
+    Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**80)))
 # coefficient tuples, zero and constants included
 polys = st.lists(rationals, max_size=5).map(ptrim)
 # scalars built only through the general route, Scalar(num, den)
@@ -228,17 +231,18 @@ class TestGcd:
 
 
 class TestRationalShortcuts:
-    """r * a and a + r for a rational r skip canonicalisation; the result
-    must be the canonical form the general route computes."""
+    """r * a, a + r and a - r for a rational r skip canonicalisation, and
+    so does the rational lane when a is rational too; the result must be
+    the canonical form the general route computes."""
 
-    @given(general_scalars, nonzero_rationals)
+    @given(general_scalars, lane_rationals)
     @settings(max_examples=200, deadline=None)
     def test_product(self, a, r):
         expected = Scalar(pmul(a.num, (r,)), a.den, _canonical=False)
         for value in (a * sc(r), sc(r) * a):
             assert (value.num, value.den) == (expected.num, expected.den)
 
-    @given(general_scalars, nonzero_rationals)
+    @given(general_scalars, lane_rationals)
     @settings(max_examples=200, deadline=None)
     def test_sum(self, a, r):
         expected = Scalar(padd(a.num, pmul(a.den, (r,))), a.den,
@@ -246,10 +250,48 @@ class TestRationalShortcuts:
         for value in (a + sc(r), sc(r) + a):
             assert (value.num, value.den) == (expected.num, expected.den)
 
+    @given(general_scalars, lane_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_difference(self, a, r):
+        expected = Scalar(padd(a.num, pmul(a.den, (-r,))), a.den,
+                          _canonical=False)
+        negated = Scalar(pneg(expected.num), expected.den, _canonical=False)
+        for value, want in ((a - sc(r), expected), (sc(r) - a, negated)):
+            assert (value.num, value.den) == (want.num, want.den)
+
     def test_rational_times_polynomial(self):
         value = sc(Fraction(-2, 3)) * (ONE + EPS)
         assert value.num == (-2, -2)
         assert value.den == (3,)
+
+
+class TestRationalLane:
+    """+, - and * of two nonzero rationals compute with ints and one gcd;
+    the result must be the canonical form of the Fraction result."""
+
+    @staticmethod
+    def check(value, expected):
+        assert value == Scalar.from_rational(expected)
+        if expected == 0:
+            assert (value.num, value.den) == ((), (1,))
+        else:
+            (n,), (m,) = value.num, value.den
+            assert type(n) is type(m) is int
+            assert m > 0 and gcd(n, m) == 1
+
+    @given(lane_rationals, lane_rationals)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fractions(self, x, y):
+        a, b = sc(x), sc(y)
+        self.check(a + b, x + y)
+        self.check(a - b, x - y)
+        self.check(a * b, x * y)
+
+    @given(lane_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_cancellation(self, x):
+        self.check(sc(x) - sc(x), 0)
+        self.check(sc(x) + sc(-x), 0)
 
 
 class TestIntegerForm:
