@@ -26,7 +26,14 @@ bilinear(table, x, y) is the one bilinear extension of a table on basis
 pairs to arbitrary elements.  The bracket, the left-symmetric product,
 the biderivation family table and the coefficient oracle's product all
 go through it; linear does the same for maps given on basis vectors, and
-combine builds a table as a linear combination of tables.
+combine builds a table as a linear combination of tables.  Most calls
+in the sweeps have a zero operand or two one-term operands: bilinear
+returns the shared zero element for the first, and for the second the
+table's value itself, or that value scaled once.  So the result of
+bilinear may be the very Element a table has cached.  That is safe
+because Elements are immutable: every term dict is filled before an
+Element takes it (_add_scaled writes only into such fresh dicts), and
+none is written after.
 
 basis_sweep is the one driver of the verification sweeps: it evaluates a
 residual function on every pair or triple of window basis elements.
@@ -59,15 +66,27 @@ class AlgebraMode(Enum):
     FULL = "full"
     CENTERLESS = "centerless"
 
+    # members are singletons and compare by identity, so object's C-level
+    # hash is consistent with equality; Enum's own hashes the name in Python
+    __hash__ = object.__hash__
+
 
 FULL = AlgebraMode.FULL
 CENTERLESS = AlgebraMode.CENTERLESS
 
 
+_TAG_ORDER = {"d": 0, "h": 1, "c": 2, "l": 3}
+
+
 class BasisVector:
     """One of d(m), h(n) (meaning h_{n+1/2}), C or L.  Interned: there is
     one instance per (tag, index), so equality and hashing are by
-    identity, object's own __eq__ and __hash__."""
+    identity, object's own __eq__ and __hash__.
+
+    The tags d and h take an int index, c and l the index None; anything
+    else raises AlgebraError.  The check runs only when a new vector is
+    made, so a lookup costs nothing more, and an argument that equals a
+    valid key (d(1.0) once d(1) exists) finds that valid vector."""
 
     __slots__ = ("tag", "index", "_key")
 
@@ -78,10 +97,18 @@ class BasisVector:
         cached = cls._cache.get(key)
         if cached is not None:
             return cached
+        order = _TAG_ORDER.get(tag)
+        if order is None:
+            raise AlgebraError(f"unknown basis tag {tag!r}")
+        if order < 2 and type(index) is not int:
+            raise AlgebraError(
+                f"basis vector {tag} needs an int index, not {index!r}")
+        if order >= 2 and index is not None:
+            raise AlgebraError(
+                f"central basis vector {tag} takes no index, not {index!r}")
         self = object.__new__(cls)
         self.tag = tag
         self.index = index
-        order = {"d": 0, "h": 1, "c": 2, "l": 3}[tag]
         self._key = (order, index if index is not None else 0)
         cls._cache[key] = self
         return self
@@ -362,12 +389,27 @@ def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
 def bilinear(table: Callable[[BasisVector, BasisVector], Element],
              x: Element, y: Element) -> Element:
     """The bilinear extension of table, a map on basis pairs, to x and y:
-    the sum of cu*cv*table(u, v) over the term pairs.  Terms are added
-    into one fresh dict, so the (often cached) Elements that table
-    returns are never mutated."""
+    the sum of cu*cv*table(u, v) over the term pairs.
+
+    A zero operand gives the zero element without calling table.  Two
+    one-term operands call table once and return its value itself when
+    both coefficients are ONE, else that value scaled by their product;
+    the result may thus be an Element that table has cached, which no
+    caller can mutate.  Any other pair of operands adds its terms into
+    one fresh dict, so table's Elements are never mutated either."""
+    xs, ys = x._terms, y._terms
+    if not xs or not ys:
+        return _ZERO_ELEMENT
+    if len(xs) == 1 and len(ys) == 1:
+        (u, cu), = xs.items()
+        (v, cv), = ys.items()
+        base = table(u, v)
+        if cu is ONE:
+            return base if cv is ONE else base.scale(cv)
+        return base.scale(cu if cv is ONE else cu * cv)
     acc: dict = {}
-    for u, cu in x._terms.items():
-        for v, cv in y._terms.items():
+    for u, cu in xs.items():
+        for v, cv in ys.items():
             base = table(u, v)
             if base._terms:
                 _add_scaled(acc, base,

@@ -40,7 +40,7 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable
 
@@ -105,6 +105,9 @@ def family_table(params: BiderParams, mode: AlgebraMode = FULL) -> PairTable:
     if mode is FULL:
         return table
 
+    # a repeat pair is one C-level cache hit; a raise is never cached, so
+    # every call with a central argument raises
+    @lru_cache(maxsize=None)
     def centerless(u: BasisVector, v: BasisVector) -> Element:
         if u.is_central() or v.is_central():
             raise CentralTermError(
@@ -151,7 +154,9 @@ class BilinearTable:
 
 def project_centerless(x: Element) -> Element:
     """Drop the central components (the quotient map onto the centerless
-    algebra)."""
+    algebra); x itself when it has none."""
+    if x.coeff(C).is_zero() and x.coeff(L).is_zero():
+        return x
     return Element({bv: x.coeff(bv) for bv in x.support()
                     if not bv.is_central()}, _clean=True)
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhv.algebra import (CENTERLESS, FULL, C, CentralTermError, Element, L,
-                         MIXED, ZeroElementError, basis_vectors, bracket, d,
-                         grading_degree, h)
+from mhv.algebra import (CENTERLESS, FULL, AlgebraError, AlgebraMode,
+                         BasisVector, C, CentralTermError, Element, L, MIXED,
+                         ZeroElementError, _basis_bracket, basis_vectors,
+                         bracket, d, grading_degree, h)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import run_chunks
 
@@ -115,6 +116,52 @@ class TestBasisVectorIdentity:
         # each result is pickled in a forked worker and unpickled here
         found = run_chunks([lambda: d(97), lambda: h(-97)], 2)
         assert [x.coeff(bv) for bv in found] == [sc(5), sc(-1)]
+
+
+class TestBasisVectorValidation:
+    @pytest.mark.parametrize("tag, index", [
+        ("c", 3), ("l", 0), ("d", None), ("h", None), ("d", 1.5),
+        ("h", Fraction(1, 2)), ("d", "1"), ("x", 1), ("D", 1)],
+        ids=["c3", "l0", "dNone", "hNone", "d1.5", "hFraction", "dstr",
+             "x1", "D1"])
+    def test_malformed_vector_rejected(self, tag, index):
+        with pytest.raises(AlgebraError):
+            BasisVector(tag, index)
+
+    @pytest.mark.parametrize("tag", ["d", "h"])
+    def test_bool_index_rejected(self, tag, monkeypatch):
+        # True == 1 finds an interned d(1); an empty cache makes it a miss
+        monkeypatch.setattr(BasisVector, "_cache", {})
+        with pytest.raises(AlgebraError):
+            BasisVector(tag, True)
+
+    def test_valid_vectors_still_interned(self):
+        assert BasisVector("c", None) is C and BasisVector("l", None) is L
+        assert BasisVector("d", -7) is d(-7) and BasisVector("h", 7) is h(7)
+
+
+class TestAlgebraMode:
+    @pytest.mark.parametrize("mode", list(AlgebraMode))
+    def test_pickle_round_trip_finds_the_member(self, mode):
+        table = {FULL: "full", CENTERLESS: "centerless"}
+        back = pickle.loads(pickle.dumps(mode))
+        assert back is mode and table[back] == mode.value
+
+    def test_forked_workers_find_the_bracket_table(self):
+        def chunk():
+            return bracket(E(d(1)), E(d(-1)), FULL).render()
+        assert run_chunks([chunk, chunk], 2) == ["2*d(0)", "2*d(0)"]
+
+    def test_basis_bracket_memo_still_hits(self):
+        pairs = [(x, y, mode) for mode in AlgebraMode
+                 for x in basis_vectors(1, mode)
+                 for y in basis_vectors(1, mode)]
+        hits = _basis_bracket.cache_info().hits
+        for _ in range(2):
+            for x, y, mode in pairs:
+                bracket(E(x), E(y), mode)
+        # every pair of the second sweep is a hit
+        assert _basis_bracket.cache_info().hits - hits >= len(pairs)
 
 
 class TestPickle:

@@ -6,6 +6,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhv import biderivations
 from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
@@ -17,7 +18,8 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie, family_table, grid_points,
-                               lsa_bider_grid, post_lie_grid, upsilon)
+                               lsa_bider_grid, post_lie_grid,
+                               project_centerless, upsilon)
 from mhv.coeffs import cross_check
 from mhv.reports import Failure, serial
 from mhv.scalars import EPS, ONE, sc
@@ -231,6 +233,21 @@ class TestFamilyTableMemo:
                 with pytest.raises(CentralTermError):
                     table(u, v)
 
+    @pytest.mark.parametrize("params", [BiderParams(0, {0: 1}),
+                                        BiderParams(1, {}),
+                                        BiderParams(0, {})])
+    def test_centerless_bilinear_table_raises_on_every_call(self, params):
+        table = BilinearTable.from_params(params, CENTERLESS)
+        cases = ((E(C), E(d(0))), (E(d(0)), E(L)),
+                 (Element.of((1, d(1)), (2, C)), E(h(0))))
+        for x, y in cases:
+            for _ in range(2):
+                with pytest.raises(CentralTermError):
+                    table(x, y)
+        # the raises left the memo intact
+        assert table(E(d(1)), E(d(2))) == bracket(E(d(1)), E(d(2))).scale(
+            params.lam) + upsilon(params, E(d(1)), E(d(2)))
+
     def test_centerless_bracket_still_checks(self):
         with pytest.raises(CentralTermError):
             bracket(E(C), E(d(1)), CENTERLESS)
@@ -249,6 +266,29 @@ class TestFamilyTableMemo:
         assert [report.to_dict()] == golden
         assert report.failures
         assert all(f.residual.endswith("l") for f in report.failures)
+
+
+class TestProjectCenterless:
+    def test_element_without_center_is_returned_itself(self):
+        for x in (Element.zero(), E(d(2)),
+                  Element.of((EPS, h(-1)), (3, d(0)))):
+            assert project_centerless(x) is x
+
+    def test_drops_exactly_c_and_l(self):
+        x = Element.of((2, d(1)), (EPS, h(0)), (-1, C), (ONE + EPS, L))
+        assert project_centerless(x) == Element.of((2, d(1)), (EPS, h(0)))
+        assert project_centerless(E(C)).is_zero()
+        assert project_centerless(Element.of((1, L), (1, d(0)))) == E(d(0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                              st.sampled_from(basis_vectors(1, FULL))),
+                    max_size=6))
+    def test_matches_the_term_filter(self, pairs):
+        x = Element.of(*pairs)
+        filtered = Element({bv: c for bv, c in x.terms()
+                            if not bv.is_central()})
+        assert project_centerless(x) == filtered
 
 
 class TestCommuting:

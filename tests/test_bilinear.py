@@ -1,9 +1,11 @@
 """The one bilinear extension: algebra.bilinear against the plain sum of
-Element.of over all term pairs, and the one family table against the
-bracket and Upsilon it is built from, on dense random elements.  Every
-table built by algebra.tag_table vanishes off the tag pairs it lists."""
+Element.of over all term pairs, on dense random elements and on the zero
+and one-term operands its shortcuts take, and the one family table
+against the bracket and Upsilon it is built from.  Every table built by
+algebra.tag_table vanishes off the tag pairs it lists."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,12 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
                          _basis_bracket, basis_vectors, bilinear, bracket, d,
                          h)
 from mhv.biderivations import (BiderParams, BilinearTable,
-                               _candidate_generators, bider_eval, upsilon)
+                               _candidate_generators, bider_eval,
+                               family_table, upsilon)
 from mhv.coeffs import closed_form_fns, product_from_fns, random_fns
 from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
                      lsa_product)
-from mhv.scalars import Scalar, sc
+from mhv.scalars import EPS, MINUS_ONE, ONE, Scalar, sc
 
 E_VALUE = Fraction(2, 5)
 
@@ -42,6 +45,20 @@ def dense_elements(draw, central=False):
     if central:
         vectors += draw(st.lists(st.sampled_from((C, L)), unique=True))
     return Element.of(*((draw(qe_scalars()), bv) for bv in vectors))
+
+
+@st.composite
+def sparse_elements(draw, central=False):
+    """The zero element or one term, with coefficient ONE, MINUS_ONE, a
+    rational or a Q(e) scalar."""
+    vectors = [d(i) for i in range(-4, 5)] + [h(i) for i in range(-4, 5)]
+    if central:
+        vectors += [C, L]
+    if draw(st.integers(0, 3)) == 0:
+        return Element.zero()
+    coeff = draw(st.one_of(st.sampled_from((ONE, MINUS_ONE)),
+                           rationals.filter(bool).map(sc), qe_scalars()))
+    return Element.of((coeff, draw(st.sampled_from(vectors))))
 
 
 @st.composite
@@ -116,16 +133,57 @@ def test_centerless_family_is_scaled_bracket_plus_upsilon(params, x, y):
         + upsilon(params, x, y)
 
 
+# (table of a family member, whether it takes central arguments) for every
+# table the sweeps extend; a member is drawn for every table and used by two
+SPARSE_TABLES = {
+    "bracket[full]": (lambda params: BRACKET_TABLES[FULL], True),
+    "bracket[centerless]": (lambda params: BRACKET_TABLES[CENTERLESS], False),
+    "product[symbolic]": (lambda params: _basis_product_symbolic, True),
+    "product[numeric]": (lambda params: partial(_basis_product_numeric,
+                                                eps=E_VALUE), True),
+    "family[full]": (lambda params: family_table(params, FULL), True),
+    "family[centerless]": (lambda params: family_table(params, CENTERLESS),
+                           False),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_TABLES)
+@settings(max_examples=60, deadline=None)
+@given(params=members(), data=st.data())
+def test_sparse_operands_give_the_term_pair_sum(name, params, data):
+    make, central = SPARSE_TABLES[name]
+    table = make(params)
+    x = data.draw(st.one_of(sparse_elements(central),
+                            dense_elements(central)), "x")
+    y = data.draw(sparse_elements(central), "y")
+    assert bilinear(table, x, y) == term_pair_sum(table, x, y)
+    assert bilinear(table, y, x) == term_pair_sum(table, y, x)
+
+
 @settings(max_examples=30, deadline=None)
-@given(dense_elements(), dense_elements())
+@given(st.one_of(dense_elements(), sparse_elements(central=True)),
+       st.one_of(dense_elements(), sparse_elements(central=True)))
 def test_bilinear_leaves_table_values_unchanged(x, y):
     table = lambda u, v: _basis_bracket(u, v, FULL)
     before = {(u, v): dict(table(u, v)._terms)
               for u in x.support() for v in y.support()}
-    bilinear(table, x, y)
-    bilinear(table, y, x)
+    # the results may be cached table values themselves; every operation
+    # on them builds new Elements
+    for value in (bilinear(table, x, y), bilinear(table, y, x)):
+        assert (value - value).is_zero()
+        assert value + value == value.scale(sc(2))
+        assert -value == value.scale(MINUS_ONE)
+        assert value.scale(EPS) - x == -(x - value.scale(EPS))
+        assert bilinear(table, value, y) == term_pair_sum(table, value, y)
+        assert bilinear(table, x, value) == term_pair_sum(table, x, value)
     assert all(table(u, v)._terms == terms
                for (u, v), terms in before.items())
+
+
+def test_unit_basis_operands_give_the_cached_value_itself():
+    table = BRACKET_TABLES[FULL]
+    assert bilinear(table, Element.basis(d(2)), Element.basis(h(-1))) \
+        is table(d(2), h(-1))
 
 
 ALL_TAGS = ("dd", "dh", "hd", "hh")
