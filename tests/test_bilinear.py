@@ -133,8 +133,8 @@ def test_centerless_family_is_scaled_bracket_plus_upsilon(params, x, y):
         + upsilon(params, x, y)
 
 
-# (table of a family member, whether it takes central arguments) for every
-# table the sweeps extend; a member is drawn for every table and used by two
+# (table from a drawn family member, whether it takes central arguments)
+# for every table the sweeps extend; only the family tables use the member
 SPARSE_TABLES = {
     "bracket[full]": (lambda params: BRACKET_TABLES[FULL], True),
     "bracket[centerless]": (lambda params: BRACKET_TABLES[CENTERLESS], False),
