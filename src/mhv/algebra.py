@@ -26,9 +26,9 @@ bilinear(table, x, y) is the one bilinear extension of a table on basis
 pairs to arbitrary elements.  The bracket, the left-symmetric product,
 the biderivation family table and the coefficient oracle's product all
 go through it; linear does the same for maps given on basis vectors, and
-combine builds a table as a linear combination of tables.  Most calls
-in the sweeps have a zero operand or two one-term operands: bilinear
-returns the shared zero element for the first, and for the second the
+combine builds a table as a linear combination of tables.  Many calls
+have a zero operand or two one-term operands: bilinear returns the
+shared zero element for the first, and for the second the
 table's value itself, or that value scaled once.  So the result of
 bilinear may be the very Element a table has cached.  That is safe
 because Elements are immutable: every term dict is filled before an
@@ -36,7 +36,14 @@ Element takes it (_add_scaled writes only into such fresh dicts), and
 none is written after.
 
 basis_sweep is the one driver of the verification sweeps: it evaluates a
-residual function on every pair or triple of window basis elements.
+residual function on every pair or triple of window basis vectors.  The
+function receives the BasisVectors themselves, each standing for itself
+with coefficient one, so a pair value such as [x, y] is a direct call to
+a table.  A residual built from such values adds each second-level term,
+such as f([x, y], z), with its sign into one term dict through
+accumulate_left or accumulate_right, and becomes one Element at the end.
+Like bilinear, the two accumulate functions write only into the fresh
+dict they are given, never into a table's cached Element.
 """
 
 from __future__ import annotations
@@ -417,6 +424,30 @@ def bilinear(table: Callable[[BasisVector, BasisVector], Element],
     return Element(acc, _clean=True)
 
 
+def accumulate_left(acc: dict, sign: Scalar, table, x: Element,
+                    w: BasisVector) -> None:
+    """acc += sign * bilinear(table, x, w) on a fresh term dict, for a sign
+    of ONE or MINUS_ONE: the sum of c * table(t, w) over the terms c*t of
+    x.  table is called on every term, as bilinear would call it, and its
+    Elements are only read."""
+    for t, c in x._terms.items():
+        value = table(t, w)
+        if value._terms:
+            _add_scaled(acc, value,
+                        sign if c is ONE else c if sign is ONE else -c)
+
+
+def accumulate_right(acc: dict, sign: Scalar, table, u: BasisVector,
+                     x: Element) -> None:
+    """acc += sign * bilinear(table, u, x), the mirror of accumulate_left:
+    the sum of c * table(u, t) over the terms c*t of x."""
+    for t, c in x._terms.items():
+        value = table(u, t)
+        if value._terms:
+            _add_scaled(acc, value,
+                        sign if c is ONE else c if sign is ONE else -c)
+
+
 def linear(table: Callable[[BasisVector], Element], x: Element) -> Element:
     """The linear extension of table, a map on basis vectors, to x."""
     acc: dict = {}
@@ -483,10 +514,10 @@ def basis_sweep(window: int, arity: int, residuals, first: slice = slice(None),
     """Yield (inputs, equation_id, residual) for every arity-tuple of the
     window basis whose first entry lies in basis[first].
 
-    residuals(*elements) returns the [(equation_id, residual)] of one
-    tuple of basis elements; inputs is the tuple of basis vectors."""
+    residuals(*vectors) returns the [(equation_id, residual)] of one tuple
+    of basis vectors, each meaning itself with coefficient one; inputs is
+    that tuple."""
     basis = basis_vectors(window, mode)
-    elements = {b: Element.basis(b) for b in basis}
     for xs in product(basis[first], *[basis] * (arity - 1)):
-        for eq_id, residual in residuals(*(elements[b] for b in xs)):
+        for eq_id, residual in residuals(*xs):
             yield xs, eq_id, residual

@@ -15,7 +15,13 @@ table on basis pairs, once per member, as lambda times the bracket's
 table plus the weighted upsilon[k] tables (upsilon[s] sends d_m, d_n to
 h_{m+n+s+1/2}); bider_eval, upsilon, BilinearTable.from_params, every
 sweep below and the converse's family generators all derive from it.
-Every basis-tuple sweep runs through algebra.basis_sweep.
+Every basis-tuple sweep runs through algebra.basis_sweep, which hands its
+residual functions basis vectors: the axiom residuals of f (a table on
+basis pairs, such as BilinearTable.evaluator), of the post-Lie product
+and of the left-symmetric biderivations call the tables directly and sum
+each residual into one term dict with algebra.accumulate_left and
+accumulate_right.  bider_eval and BilinearTable keep the element-level
+bilinear extension for general elements.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -45,14 +51,15 @@ from itertools import chain
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
-                      BasisVector, CentralTermError, Element, L, basis_sweep,
+                      BasisVector, CentralTermError, Element, L,
+                      accumulate_left, accumulate_right, basis_sweep,
                       basis_vectors, bilinear, bracket, combine, d, h, linear,
                       tag_table)
 from .linalg import RowReducer
-from .lsa import SYMBOLIC, EpsMode, lsa_product
+from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, collect, pooled, prefixed,
                       render_inputs, serial)
-from .scalars import Scalar, sc
+from .scalars import MINUS_ONE, ONE, Scalar, sc
 
 
 class BiderParams:
@@ -66,7 +73,13 @@ class BiderParams:
         cleaned = {}
         for k, mu in (omega or {}).items():
             mu = mu if isinstance(mu, Scalar) else sc(mu)
-            if k != int(k):
+            # a bool is not an index, as in BasisVector; int() of an
+            # infinite float raises OverflowError and of a nan ValueError
+            try:
+                integral = not isinstance(k, bool) and k == int(k)
+            except (OverflowError, ValueError):
+                integral = False
+            if not integral:
                 raise ValueError(f"omega shift {k} is not an integer")
             if not mu.is_zero():
                 cleaned[int(k)] = mu
@@ -155,25 +168,45 @@ class BilinearTable:
 def project_centerless(x: Element) -> Element:
     """Drop the central components (the quotient map onto the centerless
     algebra); x itself when it has none."""
-    if x.coeff(C).is_zero() and x.coeff(L).is_zero():
+    terms = x._terms
+    if C not in terms and L not in terms:
         return x
-    return Element({bv: x.coeff(bv) for bv in x.support()
-                    if not bv.is_central()}, _clean=True)
+    return Element({bv: c for bv, c in terms.items() if not bv.is_central()},
+                   _clean=True)
 
 
-def _axiom_residuals(f, x: Element, y: Element, z: Element,
-                     mode: AlgebraMode = FULL) -> list:
-    """Residuals of the two derivation axioms at (x, y, z).
+def _derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
+                          y: BasisVector, z: BasisVector) -> tuple:
+    """The two derivation axioms of the table f with respect to the
+    product table mul at the basis triple (x, y, z),
 
-    In CENTERLESS mode x, y and z are centerless basis elements, so the
-    brackets go to the centerless table directly, without bracket()'s
-    per-call check for central terms.  The values of f enter only
-    brackets, whose tables vanish on C and L, so only the residuals are
-    projected onto the quotient."""
+        f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
+        f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)),
+
+    each summed term by term into one dict and returned as an Element."""
     fxz = f(x, z)
-    br = partial(bilinear, BRACKET_TABLES[mode])
-    left = f(br(x, y), z) - br(fxz, y) - br(x, f(y, z))
-    right = f(x, br(y, z)) - br(f(x, y), z) - br(y, fxz)
+    left: dict = {}
+    accumulate_left(left, ONE, f, mul(x, y), z)
+    accumulate_left(left, MINUS_ONE, mul, fxz, y)
+    accumulate_right(left, MINUS_ONE, mul, x, f(y, z))
+    right: dict = {}
+    accumulate_right(right, ONE, f, x, mul(y, z))
+    accumulate_left(right, MINUS_ONE, mul, f(x, y), z)
+    accumulate_right(right, MINUS_ONE, mul, y, fxz)
+    return Element(left, _clean=True), Element(right, _clean=True)
+
+
+def _axiom_residuals(f: PairTable, x: BasisVector, y: BasisVector,
+                     z: BasisVector, mode: AlgebraMode = FULL) -> list:
+    """Residuals of the two derivation axioms of the table f, with respect
+    to the bracket, at the basis triple (x, y, z).
+
+    In CENTERLESS mode x, y and z are centerless, so the brackets go to
+    the centerless table directly, without bracket()'s check for central
+    terms.  A candidate's values may still hold C or L (a FULL-mode table
+    checked on the quotient), so the residuals are projected onto the
+    quotient."""
+    left, right = _derivation_residuals(f, BRACKET_TABLES[mode], x, y, z)
     if mode is CENTERLESS:
         left, right = project_centerless(left), project_centerless(right)
     return [("bider.left", left), ("bider.right", right)]
@@ -181,8 +214,8 @@ def _axiom_residuals(f, x: Element, y: Element, z: Element,
 
 def _biderivation_residuals(cand: BilinearTable, window: int,
                             mode: AlgebraMode):
-    return basis_sweep(window, 3, partial(_axiom_residuals, cand, mode=mode),
-                       mode=mode)
+    return basis_sweep(window, 3, partial(_axiom_residuals, cand.evaluator,
+                                          mode=mode), mode=mode)
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -246,9 +279,10 @@ def commuting_residuals(phi: LinearMap, window: int):
     """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
     all window basis pairs, as a residual stream."""
 
-    def polarized(u: Element, v: Element) -> list:
+    def polarized(u: BasisVector, v: BasisVector) -> list:
+        eu, ev = Element.basis(u), Element.basis(v)
         return [("commuting.polarized",
-                 bracket(phi(u), v) + bracket(phi(v), u))]
+                 bracket(phi(eu), ev) + bracket(phi(ev), eu))]
 
     return basis_sweep(window, 2, polarized)
 
@@ -266,18 +300,25 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 
 def _post_lie_residuals(params: BiderParams, window: int):
     """Yields (inputs, equation_id, residual) for the three axioms."""
-    dot = partial(bilinear, family_table(params))
+    dot = family_table(params)
+    br = BRACKET_TABLES[FULL]
 
-    def commutative(x: Element, y: Element) -> list:
+    def commutative(x: BasisVector, y: BasisVector) -> list:
         return [("postlie.commutative", dot(x, y) - dot(y, x))]
 
-    def triple(x: Element, y: Element, z: Element) -> list:
-        return [("postlie.bracket_product",
-                 dot(bracket(x, y), z) - dot(x, dot(y, z))
-                 + dot(y, dot(x, z))),
-                ("postlie.product_bracket",
-                 dot(x, bracket(y, z)) - bracket(dot(x, y), z)
-                 - bracket(y, dot(x, z)))]
+    def triple(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
+        # [x, y]*z - x*(y*z) + y*(x*z)
+        bp: dict = {}
+        accumulate_left(bp, ONE, dot, br(x, y), z)
+        accumulate_right(bp, MINUS_ONE, dot, x, dot(y, z))
+        accumulate_right(bp, ONE, dot, y, dot(x, z))
+        # x*[y, z] - [x*y, z] - [y, x*z]
+        pb: dict = {}
+        accumulate_right(pb, ONE, dot, x, br(y, z))
+        accumulate_left(pb, MINUS_ONE, br, dot(x, y), z)
+        accumulate_right(pb, MINUS_ONE, br, y, dot(x, z))
+        return [("postlie.bracket_product", Element(bp, _clean=True)),
+                ("postlie.product_bracket", Element(pb, _clean=True))]
 
     yield from basis_sweep(window, 2, commutative)
     yield from basis_sweep(window, 3, triple)
@@ -294,15 +335,17 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 # ---------------------------------------------------------------------------
 
 def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode):
-    f = partial(bilinear, family_table(params))
-    mul = partial(lsa_product, eps=eps)
+    """The derivation axioms with respect to the left-symmetric product.
+    The products are taken in the order lsa_product took them, so under
+    a numeric e the first pair at the pole raises the same PoleError:
+    every value of f and of the product has at most one d term, so
+    lsa_product's scan would have listed that pair alone."""
+    f = family_table(params)
+    mul = product_table(eps)
 
-    def axioms(x: Element, y: Element, z: Element) -> list:
-        fxz = f(x, z)
-        return [("lsabider.left",
-                 f(mul(x, y), z) - mul(fxz, y) - mul(x, f(y, z))),
-                ("lsabider.right",
-                 f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, fxz))]
+    def axioms(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
+        left, right = _derivation_residuals(f, mul, x, y, z)
+        return [("lsabider.left", left), ("lsabider.right", right)]
 
     return basis_sweep(window, 3, axioms)
 
@@ -445,11 +488,11 @@ def check_bider_converse(window: int) -> Report:
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
-    tables = [BilinearTable(fn, name) for name, fn in gens]
+    tables = [fn for _, fn in gens]
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
 
-    def per_axiom(x: Element, y: Element, z: Element) -> list:
+    def per_axiom(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
         """Each axiom's residuals, one per generator."""
         axioms = zip(*(_axiom_residuals(t, x, y, z, CENTERLESS)
                        for t in tables))

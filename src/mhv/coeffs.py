@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 from .algebra import (C, Element, L, bilinear, bracket, d, h, tag_table,
@@ -191,16 +191,20 @@ def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
 # the identity-derived oracle
 # ---------------------------------------------------------------------------
 
+@cache
 def product_from_fns(fns: CoeffFns):
-    """The graded product of the ansatz as a table on basis pairs."""
-    return tag_table(
+    """The graded product of the ansatz as a table on basis pairs, built
+    once per CoeffFns and memoized per pair.  The memo only skips repeated
+    lookups: a table that draws each value on first use (random_fns)
+    draws in the same order and gets the same values."""
+    return lru_cache(maxsize=None)(tag_table(
         dd=lambda m, n: Element.of((fns.f(m, n), d(m + n)),
                                    (fns.omega(m, n), C)),
         dh=lambda m, n: Element.of((fns.g(m, n), h(m + n))),
         hd=lambda m, n: Element.of((fns.h(m, n), h(m + n))),
         hh=lambda m, n: Element.of((fns.a(m, n), d(m + n)),
                                    (fns.b(m, n), h(m + n)),
-                                   (fns.rho(m, n), L)))
+                                   (fns.rho(m, n), L))))
 
 
 _TRIPLE_TYPES = ("ddd", "ddh", "dhd", "dhh", "hhd", "hhh")

@@ -20,6 +20,10 @@ before computing anything if 1+e*s would vanish.  A whole verification
 run at window N additionally refuses e outright when 1/e is an integer
 whose negative lies inside [-N, N] (the product on the window's own
 degrees would be undefined).
+
+lsa_product serves general elements.  The basis sweeps take the product
+as a table on basis pairs from product_table instead; under a numeric e
+that table runs the same pole scan on each pair.
 """
 
 from __future__ import annotations
@@ -163,6 +167,23 @@ def _scan_poles(x: Element, y: Element, eps: EpsMode) -> None:
         pairs = ", ".join(f"d({m})*d({n})" for m, n in offenders)
         raise PoleError(
             f"1+e*({pole_sum}) = 0 at e = {eps.eps}; offending pairs: {pairs}")
+
+
+def product_table(eps: EpsMode):
+    """The product as a table on basis pairs, for the sweeps.  Symbolic e
+    gives the shared symbolic table.  A numeric e gives a table memoized
+    for its own life that runs _scan_poles on each new pair, so a pair at
+    the pole raises the PoleError lsa_product raises for it, and a raise
+    is never cached."""
+    if eps.is_symbolic:
+        return _basis_product_symbolic
+
+    @lru_cache(maxsize=None)
+    def table(u, v) -> Element:
+        _scan_poles(Element.basis(u), Element.basis(v), eps)
+        return _basis_product_numeric(u, v, eps.eps)
+
+    return table
 
 
 def lsa_product(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:

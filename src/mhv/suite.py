@@ -43,18 +43,19 @@ from fractions import Fraction
 from functools import partial
 from multiprocessing import get_context
 
-from .algebra import (FULL, C, Element, L, basis_sweep, basis_vectors, bracket,
-                      grading_degree, window_indices)
+from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
+                      accumulate_left, accumulate_right, basis_sweep,
+                      basis_vectors, grading_degree, window_indices)
 from .biderivations import (LinearMap, check_bider_converse, check_family,
                             commuting_residuals, lsa_bider_grid,
                             post_lie_grid)
 from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
                      closed_form_fns)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
-from .lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator)
+from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, chunked, collect, pooled, prefixed,
                       serial)
-from .scalars import sc
+from .scalars import MINUS_ONE, ONE, sc
 
 
 # ---------------------------------------------------------------------------
@@ -93,35 +94,51 @@ def run_chunks(chunks: list, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the basis sweeps: a residual function of two or three basis elements,
+# the basis sweeps: a residual function of two or three basis vectors,
 # evaluated by algebra.basis_sweep on every pair or triple of the
-# full-mode window basis
+# full-mode window basis, through the tables on basis pairs
 # ---------------------------------------------------------------------------
 
-def _jacobi(x: Element, y: Element, z: Element) -> Element:
-    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) \
-        + bracket(z, bracket(x, y))
+# the bracket and the symbolic product as tables on basis pairs
+_bracket = BRACKET_TABLES[FULL]
+_product = product_table(SYMBOLIC)
 
 
-def _antisym(x: Element, y: Element) -> Element:
-    return bracket(x, y) + bracket(y, x)
+def _jacobi(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]]."""
+    acc: dict = {}
+    accumulate_right(acc, ONE, _bracket, x, _bracket(y, z))
+    accumulate_right(acc, ONE, _bracket, y, _bracket(z, x))
+    accumulate_right(acc, ONE, _bracket, z, _bracket(x, y))
+    return Element(acc, _clean=True)
 
 
-def _grading(x: Element, y: Element) -> Element:
+def _antisym(x: BasisVector, y: BasisVector) -> Element:
+    return _bracket(x, y) + _bracket(y, x)
+
+
+def _grading(x: BasisVector, y: BasisVector) -> Element:
     """The bracket where it is not homogeneous of degree deg x + deg y."""
-    value = bracket(x, y)
-    if value.is_zero() \
-            or grading_degree(value) == grading_degree(x) + grading_degree(y):
+    value = _bracket(x, y)
+    if value.is_zero() or grading_degree(value) == x.degree() + y.degree():
         return Element.zero()
     return value
 
 
-def _lsa_identity(x: Element, y: Element, z: Element) -> Element:
-    return lsa_associator_defect(x, y, z, SYMBOLIC)
+def _lsa_identity(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
+    """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)), as
+    lsa.lsa_associator_defect."""
+    acc: dict = {}
+    accumulate_left(acc, ONE, _product, _product(x, y), z)
+    accumulate_right(acc, MINUS_ONE, _product, x, _product(y, z))
+    accumulate_left(acc, MINUS_ONE, _product, _product(y, x), z)
+    accumulate_right(acc, ONE, _product, y, _product(x, z))
+    return Element(acc, _clean=True)
 
 
-def _compatibility(x: Element, y: Element) -> Element:
-    return lsa_commutator(x, y, SYMBOLIC) - bracket(x, y)
+def _compatibility(x: BasisVector, y: BasisVector) -> Element:
+    """x*y - y*x - [x, y]."""
+    return _product(x, y) - _product(y, x) - _bracket(x, y)
 
 
 def _sweep(name: str, eq_id: str, arity: int, residual):

@@ -58,6 +58,17 @@ class TestBiderParams:
         with pytest.raises(ValueError, match="not an integer"):
             BiderParams(1, {shift: 1, 0: 2})
 
+    def test_bool_shift_rejected(self):
+        # True == 1, but a bool is no index, as in BasisVector
+        with pytest.raises(ValueError, match="not an integer"):
+            BiderParams(1, {True: 1})
+
+    @pytest.mark.parametrize("shift", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="not an integer"):
+            BiderParams(1, {shift: 1})
+
     def test_integral_shift_of_any_type_kept(self):
         params = BiderParams(1, {Fraction(2): 1, -1.0: 3})
         assert params.describe() == "lambda=1, omega={-1: 3, 2: 1}"

@@ -1,0 +1,166 @@
+"""The swept residuals against their element-level formulas.
+
+The sweeps hand their residual functions basis vectors and sum each
+residual term by term from the tables on basis pairs.  Here, at window 2
+and on every basis tuple, each swept residual is compared with the same
+formula written with bilinear, bracket, lsa_product and the family's
+BilinearTable on Element.basis operands, which the sweeps no longer use.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
+                         bracket, d, h, tag_table)
+from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
+                               _biderivation_residuals, _lsa_bider_residuals,
+                               _post_lie_residuals, check_lsa_biderivation,
+                               project_centerless)
+from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
+                     lsa_product, product_table)
+from mhv.scalars import EPS, PoleError
+from mhv.suite import (_antisym, _compatibility, _grading, _jacobi,
+                       _lsa_identity)
+
+WINDOW = 2
+E = Element.basis
+
+MEMBERS = FAMILY_SAMPLES + (BiderParams(EPS, {-1: 1, 0: Fraction(2, 3)}),)
+
+
+def tuples(arity: int, mode=FULL) -> list:
+    return list(product(basis_vectors(WINDOW, mode), repeat=arity))
+
+
+def swept_by_tuple(sweep) -> dict:
+    """(inputs, equation_id) -> residual of a sweep; each key once."""
+    out = {}
+    for inputs, eq_id, residual in sweep:
+        assert (inputs, eq_id) not in out
+        out[inputs, eq_id] = residual
+    return out
+
+
+class TestSuiteSweeps:
+    def test_jacobi(self):
+        for x, y, z in tuples(3):
+            ex, ey, ez = E(x), E(y), E(z)
+            assert _jacobi(x, y, z) == bracket(ex, bracket(ey, ez)) \
+                + bracket(ey, bracket(ez, ex)) + bracket(ez, bracket(ex, ey))
+
+    def test_lsa_identity(self):
+        for x, y, z in tuples(3):
+            assert _lsa_identity(x, y, z) \
+                == lsa_associator_defect(E(x), E(y), E(z), SYMBOLIC)
+
+    def test_pair_sweeps(self):
+        for x, y in tuples(2):
+            ex, ey = E(x), E(y)
+            value = bracket(ex, ey)
+            assert _antisym(x, y) == value + bracket(ey, ex)
+            assert _compatibility(x, y) == lsa_commutator(ex, ey) - value
+            assert _grading(x, y).is_zero()
+
+
+def axiom_oracle(cand: BilinearTable, mode, x, y, z) -> dict:
+    """Both derivation axioms from the element-level API.  On the quotient
+    the candidate's values are projected before they enter a bracket,
+    which then refuses any central term that slipped through."""
+    q = project_centerless if mode is CENTERLESS else (lambda v: v)
+    f = lambda a, b: q(cand(a, b))                      # noqa: E731
+    br = lambda a, b: bracket(a, b, mode)               # noqa: E731
+    ex, ey, ez = E(x), E(y), E(z)
+    return {"bider.left": f(br(ex, ey), ez) - br(f(ex, ez), ey)
+            - br(ex, f(ey, ez)),
+            "bider.right": f(ex, br(ey, ez)) - br(f(ex, ey), ez)
+            - br(ey, f(ex, ez))}
+
+
+def assert_axioms_match(cand: BilinearTable, mode) -> None:
+    swept = swept_by_tuple(_biderivation_residuals(cand, WINDOW, mode))
+    triples = tuples(3, mode)
+    assert len(swept) == 2 * len(triples)
+    for x, y, z in triples:
+        for eq_id, value in axiom_oracle(cand, mode, x, y, z).items():
+            assert swept[(x, y, z), eq_id] == value, (x, y, z, eq_id)
+
+
+class TestAxiomResiduals:
+    @pytest.mark.parametrize("mode", [FULL, CENTERLESS],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("params", MEMBERS, ids=repr)
+    def test_family_members(self, params, mode):
+        assert_axioms_match(BilinearTable.from_params(params, mode), mode)
+
+    def test_full_valued_member_on_the_quotient(self):
+        # the full bracket's values hold C, and [h, h] is a multiple of L
+        cand = BilinearTable.from_params(BiderParams(2, {0: 1}), FULL)
+        assert_axioms_match(cand, CENTERLESS)
+
+    def test_candidate_with_central_values_on_the_quotient(self):
+        cand = BilinearTable(tag_table(
+            dd=lambda m, n: Element.of((m, d(m + n)), (n + 1, C)),
+            dh=lambda m, n: Element.of((1, h(m + n)), (m, L)),
+            hh=lambda m, n: Element.of((1, C), (m - n, L))), "central")
+        assert_axioms_match(cand, CENTERLESS)
+
+
+class TestPostLie:
+    @pytest.mark.parametrize("params", MEMBERS, ids=repr)
+    def test_against_elements(self, params):
+        dot = BilinearTable.from_params(params)
+        swept = swept_by_tuple(_post_lie_residuals(params, WINDOW))
+        assert len(swept) == len(tuples(2)) + 2 * len(tuples(3))
+        for x, y in tuples(2):
+            assert swept[(x, y), "postlie.commutative"] \
+                == dot(E(x), E(y)) - dot(E(y), E(x))
+        for x, y, z in tuples(3):
+            ex, ey, ez = E(x), E(y), E(z)
+            assert swept[(x, y, z), "postlie.bracket_product"] \
+                == dot(bracket(ex, ey), ez) - dot(ex, dot(ey, ez)) \
+                + dot(ey, dot(ex, ez))
+            assert swept[(x, y, z), "postlie.product_bracket"] \
+                == dot(ex, bracket(ey, ez)) - bracket(dot(ex, ey), ez) \
+                - bracket(ey, dot(ex, ez))
+
+
+class TestLsaBiderivation:
+    @pytest.mark.parametrize("eps", [SYMBOLIC,
+                                     EpsMode.numeric(Fraction(2, 5))],
+                             ids=repr)
+    @pytest.mark.parametrize("params", MEMBERS[1:4], ids=repr)
+    def test_against_elements(self, params, eps):
+        f = BilinearTable.from_params(params)
+        mul = lambda a, b: lsa_product(a, b, eps)       # noqa: E731
+        swept = swept_by_tuple(_lsa_bider_residuals(params, WINDOW, eps))
+        assert len(swept) == 2 * len(tuples(3))
+        for x, y, z in tuples(3):
+            ex, ey, ez = E(x), E(y), E(z)
+            assert swept[(x, y, z), "lsabider.left"] \
+                == f(mul(ex, ey), ez) - mul(f(ex, ez), ey) \
+                - mul(ex, f(ey, ez))
+            assert swept[(x, y, z), "lsabider.right"] \
+                == f(ex, mul(ey, ez)) - mul(f(ex, ey), ez) \
+                - mul(ey, f(ex, ez))
+
+    def test_pole_error_at_the_first_triple(self):
+        with pytest.raises(PoleError) as info:
+            check_lsa_biderivation(BiderParams(1, {}), 4,
+                                   EpsMode.numeric(Fraction(1, 7)))
+        assert str(info.value) == \
+            "1+e*(-7) = 0 at e = 1/7; offending pairs: d(-4)*d(-3)"
+
+    def test_numeric_table_raises_as_lsa_product_on_every_call(self):
+        eps = EpsMode.numeric(Fraction(1, 7))
+        table = product_table(eps)
+        with pytest.raises(PoleError) as expected:
+            lsa_product(E(d(-4)), E(d(-3)), eps)
+        for _ in range(2):
+            with pytest.raises(PoleError) as info:
+                table(d(-4), d(-3))
+            assert str(info.value) == str(expected.value)
+        # a pair off the pole, and one with a zero index, are values
+        assert table(d(-3), d(-3)) == lsa_product(E(d(-3)), E(d(-3)), eps)
+        assert table(d(0), d(-7)) == lsa_product(E(d(0)), E(d(-7)), eps)
