@@ -10,11 +10,17 @@ where Upsilon_Omega is supported on d,d pairs,
 
     Upsilon_Omega(d_m, d_n) = sum_k (k+1/2) mu_k h_{m+n+k+1/2},
 
-and Omega = (mu_k) has finite support.  family_table builds a member's
-table on basis pairs, once per member, as lambda times the bracket's
-table plus the weighted upsilon[k] tables (upsilon[s] sends d_m, d_n to
-h_{m+n+s+1/2}); bider_eval, upsilon, BilinearTable.from_params, every
-sweep below and the converse's family generators all derive from it.
+and Omega = (mu_k) has finite support.  family_parts is the one place
+that splits a member into weighted generator tables: lambda with the
+bracket's table and (k+1/2) mu_k with upsilon[k] (upsilon[s] sends
+d_m, d_n to h_{m+n+s+1/2}).  family_table sums them into the member's
+table on basis pairs, once per member; bider_eval, upsilon,
+BilinearTable.from_params and the post-Lie and left-symmetric sweeps
+derive from it, and the converse's candidate space holds the same
+generator tables.  check_family uses the parts themselves: the
+derivation axioms are linear in f, so it takes each distinct generator's
+residuals once per basis triple and checks every member by linearity,
+as the weighted sum of its generators' residuals.
 Every basis-tuple sweep runs through algebra.basis_sweep, which hands its
 residual functions basis vectors: the axiom residuals of f (a table on
 basis pairs, such as BilinearTable.evaluator), of the post-Lie product
@@ -47,11 +53,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
-                      BasisVector, CentralTermError, Element, L,
+                      BasisVector, CentralTermError, Element, L, _add_scaled,
                       accumulate_left, accumulate_right, basis_sweep,
                       basis_vectors, bilinear, bracket, combine, d, h, linear,
                       tag_table)
@@ -100,21 +105,33 @@ class BiderParams:
 PairTable = Callable[[BasisVector, BasisVector], Element]
 
 
+@lru_cache(maxsize=None)
 def _upsilon_generator(s: int) -> PairTable:
-    """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair."""
-    return tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
+    """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair.
+    One table per shift, so members that share a generator share it by
+    identity."""
+    return lru_cache(maxsize=None)(
+        tag_table(dd=lambda m, n: Element.basis(h(m + n + s))))
 
 
-def family_table(params: BiderParams, mode: AlgebraMode = FULL) -> PairTable:
-    """The one table on basis pairs of f = lambda [., .] + Upsilon_Omega:
-    lambda times the bracket's table for mode plus the sum over k of
-    (k+1/2) mu_k upsilon[k].  The centerless table rejects central basis
-    vectors, as the centerless bracket does."""
+def family_parts(params: BiderParams,
+                 mode: AlgebraMode = FULL) -> list:
+    """The member f = lambda [., .] + Upsilon_Omega as (weight, generator
+    table) parts: lambda with the bracket's table for mode, when lambda
+    is nonzero, then (k+1/2) mu_k with upsilon[k] for each k in Omega,
+    in increasing k.  The zero member has no parts."""
     parts = [(sc(Fraction(2 * k + 1, 2)) * mu, _upsilon_generator(k))
              for k, mu in sorted(params.omega.items())]
     if not params.lam.is_zero():
         parts.insert(0, (params.lam, BRACKET_TABLES[mode]))
-    table = combine(parts)
+    return parts
+
+
+def family_table(params: BiderParams, mode: AlgebraMode = FULL) -> PairTable:
+    """The one table on basis pairs of a member: the sum of its
+    family_parts.  The centerless table rejects central basis vectors, as
+    the centerless bracket does."""
+    table = combine(family_parts(params, mode))
     if mode is FULL:
         return table
 
@@ -210,6 +227,17 @@ def _axiom_residuals(f: PairTable, x: BasisVector, y: BasisVector,
     if mode is CENTERLESS:
         left, right = project_centerless(left), project_centerless(right)
     return [("bider.left", left), ("bider.right", right)]
+
+
+def _generator_residuals(tables: list, x: BasisVector, y: BasisVector,
+                         z: BasisVector) -> list:
+    """Each centerless axiom's residuals at the basis triple (x, y, z), one
+    per table: [(equation_id, [residual of each table])].  The axioms are
+    linear in f, so a weighted sum of the tables has the same weighted sum
+    of these residuals."""
+    per_table = [_axiom_residuals(t, x, y, z, CENTERLESS) for t in tables]
+    return [("bider.left", [left for (_, left), _ in per_table]),
+            ("bider.right", [right for _, (_, right) in per_table])]
 
 
 def _biderivation_residuals(cand: BilinearTable, window: int,
@@ -469,7 +497,7 @@ def _candidate_generators() -> list:
     return gens
 
 
-# the generators family_table builds every member from
+# the generators family_parts splits every member into
 FAMILY_GENERATORS = ("bracket",) + tuple(f"upsilon[{s}]"
                                          for s in UPSILON_SHIFTS)
 
@@ -492,17 +520,12 @@ def check_bider_converse(window: int) -> Report:
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
 
-    def per_axiom(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
-        """Each axiom's residuals, one per generator."""
-        axioms = zip(*(_axiom_residuals(t, x, y, z, CENTERLESS)
-                       for t in tables))
-        return [(pairs[0][0], [res for _, res in pairs]) for pairs in axioms]
-
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    for inputs, eq_id, per_gen in basis_sweep(window, 3, per_axiom,
-                                              mode=CENTERLESS):
+    for inputs, eq_id, per_gen in basis_sweep(
+            window, 3, partial(_generator_residuals, tables),
+            mode=CENTERLESS):
         supports = set()
         for res in per_gen:
             supports.update(res.support())
@@ -561,21 +584,52 @@ def _central_residuals(params: BiderParams, basis: list):
             yield (central, u, "right"), "bider.central", f(eu, ec)
 
 
+def _family_sweep(members: list, tables: list, window: int,
+                  first: slice) -> Report:
+    """Every member's centerless axiom cases on the basis triples whose
+    first vector lies in the centerless basis[first].  members holds
+    (label, [(weight, index into tables)]).  Each triple takes each
+    table's residuals once; only when one is nonzero is each member's
+    residual formed, as its weighted sum of them."""
+    failures = []
+    cases = 0
+    for inputs, eq_id, per_table in basis_sweep(
+            window, 3, partial(_generator_residuals, tables), first,
+            CENTERLESS):
+        cases += len(members)
+        if all(res.is_zero() for res in per_table):
+            continue
+        for label, weights in members:
+            acc: dict = {}
+            for weight, i in weights:
+                _add_scaled(acc, per_table[i], weight)
+            if acc:
+                failures.append(Failure(
+                    f"{label} {render_inputs(inputs)}", eq_id,
+                    Element(acc, _clean=True).render()))
+    return Report("bider-family", window, "symbolic", cases, failures)
+
+
 def check_family(window: int, run=serial) -> Report:
     """The forward direction on canned family members (centerless axioms),
     plus central annihilation of both arguments in the full algebra.
 
-    run runs one chunk per member, which builds the member's two tables
-    once and collects its centerless sweep and its central cases into one
-    Report; only that Report's failures get the member's label."""
+    The axioms are linear in f, so the members are checked by linearity
+    over their distinct generator tables (family_parts): run runs one
+    chunk per first centerless basis vector, which takes each generator's
+    residuals once per triple and counts every member's cases.  The
+    central cases are collected per member's table, here.  A failure's
+    label leads with its member's params."""
+    index: dict = {}
+    members = [(f"params=({params.describe()})",
+                [(weight, index.setdefault(table, len(index)))
+                 for weight, table in family_parts(params, CENTERLESS)])
+               for params in FAMILY_SAMPLES]
     basis = basis_vectors(window, FULL)
-
-    def member(params: BiderParams) -> Report:
-        cases = chain(_biderivation_residuals(
-            BilinearTable.from_params(params, CENTERLESS), window, CENTERLESS),
-            _central_residuals(params, basis))
-        return prefixed(f"params=({params.describe()})",
-                        collect("bider-family", window, "symbolic", cases))
-
-    return pooled("bider-family", window,
-                  run([partial(member, params) for params in FAMILY_SAMPLES]))
+    central = [prefixed(label, collect("bider-family", window, "symbolic",
+                                       _central_residuals(params, basis)))
+               for (label, _), params in zip(members, FAMILY_SAMPLES)]
+    sweeps = run([partial(_family_sweep, members, list(index), window,
+                          slice(i, i + 1))
+                  for i in range(len(basis_vectors(window, CENTERLESS)))])
+    return pooled("bider-family", window, central + sweeps)

@@ -23,7 +23,7 @@ hands it a list of independent chunks and pools their results in chunk
 order.  The chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
-    bider-family            member
+    bider-family            one first basis vector (centerless)
     cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point
     star, ast               m

@@ -4,16 +4,18 @@ left-symmetric triviality sweeps, and the converse certificate."""
 import json
 import os
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhv import biderivations
 from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
-                         Element, L, basis_vectors, bilinear, bracket, d, h,
-                         tag_table)
+                         Element, L, basis_vectors, bilinear, bracket, combine,
+                         d, h, tag_table)
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
-                               BilinearTable, LinearMap, _candidate_generators,
+                               BilinearTable, LinearMap, _biderivation_residuals,
+                               _candidate_generators, _central_residuals,
                                _grid_report, bider_eval, check_bider_converse,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
@@ -21,7 +23,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                lsa_bider_grid, post_lie_grid,
                                project_centerless, upsilon)
 from mhv.coeffs import cross_check
-from mhv.reports import Failure, serial
+from mhv.reports import Failure, collect, pooled, prefixed, serial
 from mhv.scalars import EPS, ONE, sc
 
 E = Element.basis
@@ -187,17 +189,70 @@ class TestFamilyLabels:
 
     def test_failing_member_label(self, monkeypatch):
         # a dd -> d part breaks the axioms of every member alike
-        table_of = biderivations.family_table
+        parts_of = biderivations.family_parts
         part = tag_table(dd=lambda m, n: E(d(m + n)))
         monkeypatch.setattr(
-            biderivations, "family_table",
-            lambda params, mode=FULL: lambda u, v, t=table_of(params, mode):
-            t(u, v) + part(u, v))
+            biderivations, "family_parts",
+            lambda params, mode=FULL: parts_of(params, mode) + [(ONE, part)])
         report = check_family(1)
         assert len(report.failures) == 5 * 144
         assert report.failures[0] == Failure(
             "params=(lambda=-2, omega={0: 1, 2: -3}) (d(-1), d(-1), d(0))",
             "bider.right", "d(-2)")
+
+
+class TestFamilyByLinearity:
+    """check_family checks every member by linearity over its generator
+    tables; its report equals the one of sweeping each member's own
+    table, byte for byte."""
+
+    # an e-valued lambda, a shift outside UPSILON_SHIFTS, the zero member,
+    # and upsilon[0] shared by four members
+    EXTRA_MEMBERS = (
+        BiderParams(EPS, {0: 1}),
+        BiderParams(0, {7: Fraction(2, 3), 0: -1}),
+        BiderParams(Fraction(-1, 3), {0: EPS, -2: 2}),
+        BiderParams(0, {}),
+        BiderParams(3, {0: Fraction(5, 2)}),
+    )
+
+    @staticmethod
+    def reference(window):
+        """One sweep of each member's own centerless table, plus its
+        central cases, each labelled with the member."""
+        basis = basis_vectors(window, FULL)
+        return pooled("bider-family", window, [
+            prefixed(f"params=({p.describe()})", collect(
+                "bider-family", window, "symbolic", chain(
+                    _biderivation_residuals(
+                        BilinearTable.from_params(p, CENTERLESS), window,
+                        CENTERLESS),
+                    _central_residuals(p, basis))))
+            for p in biderivations.FAMILY_SAMPLES])
+
+    @staticmethod
+    def break_upsilon_0(monkeypatch):
+        """Give upsilon[0], one table shared by every member that uses
+        it, an extra dd -> d part."""
+        original = biderivations._upsilon_generator
+        broken = combine([(ONE, original(0)),
+                          (ONE, tag_table(dd=lambda m, n: E(d(m + n))))])
+        monkeypatch.setattr(biderivations, "_upsilon_generator",
+                            lambda s: broken if s == 0 else original(s))
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("members", ["samples", "extra"])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_report_equals_per_member_sweeps(self, monkeypatch, window,
+                                             members, broken):
+        if members == "extra":
+            monkeypatch.setattr(biderivations, "FAMILY_SAMPLES",
+                                self.EXTRA_MEMBERS)
+        if broken:
+            self.break_upsilon_0(monkeypatch)
+        report = check_family(window)
+        assert report.passed is not broken
+        assert report.to_json() == self.reference(window).to_json()
 
 
 class TestFamilyTableMemo:

@@ -6,28 +6,36 @@ numeric mode (verify at window 2) and, through the failing runs, the
 rendering of failure inputs and residuals, which passing reports never
 show: a full-mode bider-check whose residuals lie in l, an
 LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
-run numerically at e = 2/5, a post-Lie check of a nonzero family member
-and a commuting check of a map that does not commute.  Two text
+run numerically at e = 2/5, a post-Lie check of a nonzero family member,
+a commuting check of a map that does not commute, and the family check
+at window 1 with a dd -> d part added to every member.  Two text
 summaries cover the human format: verify at window 1, and the failing
 bider-check, whose 24 failures exercise the five-failure cut.
 
 The gate-*.json files are the window-5 and window-4 (e = 2/5) verify
-outputs; they take about 20 s to reproduce and are compared by
-tools/gate.py, not by this module.
+outputs; tools/gate.py reproduces and compares them in about 10 s, and
+test_gate_passes runs it.
 """
 
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from mhv.algebra import Element, d
+from mhv import biderivations
+from mhv.algebra import FULL, Element, d, tag_table
 from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
-                               check_lsa_biderivation, check_post_lie)
+                               check_family, check_lsa_biderivation,
+                               check_post_lie)
 from mhv.cli import main
 from mhv.lsa import EpsMode
+from mhv.scalars import ONE
+from mhv.suite import run_chunks
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 E_VALUE = Fraction(2, 5)
@@ -77,3 +85,27 @@ def test_commuting_report_is_golden():
         {d(m): Element.of((m, d(m))) for m in range(-1, 2)}, "m*d(m)")
     report = check_commuting(phi, 1)
     assert report.to_json() + "\n" == golden("commuting-md-w1.json")
+
+
+def test_failing_family_report_is_golden(monkeypatch):
+    # one dd -> d generator, of weight 1 in every member, breaks the axioms
+    # of each; the members' failures are pooled across forked chunks alike
+    parts_of = biderivations.family_parts
+    part = tag_table(dd=lambda m, n: Element.basis(d(m + n)))
+    monkeypatch.setattr(
+        biderivations, "family_parts",
+        lambda params, mode=FULL: parts_of(params, mode) + [(ONE, part)])
+    report = check_family(1).to_json()
+    assert report + "\n" == golden("bider-family-dd-d-w1.json")
+    for workers in (1, 3):
+        assert check_family(1, partial(run_chunks, workers=workers)) \
+            .to_json() == report
+
+
+def test_gate_passes():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    gate = subprocess.run([sys.executable, os.path.join(root, "tools",
+                                                        "gate.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert gate.returncode == 0, gate.stdout + gate.stderr
+    assert gate.stdout.count("same ") == 4

@@ -199,23 +199,35 @@ class TestSuite:
         assert [p.total_cases for p in parts] == [len(basis)] * len(basis)
         assert report.passed and report.total_cases == len(basis) ** 2
 
-    def test_family_takes_one_chunk_per_member(self):
-        # each chunk sweeps its member's centerless triples and both
-        # arguments' central cases
+    def test_family_takes_one_chunk_per_first_centerless_vector(
+            self, monkeypatch):
+        # chunk i sweeps every member's centerless triples whose first
+        # basis vector is basis[i]; the central cases run outside the chunks
+        from mhv import biderivations
         from mhv.algebra import CENTERLESS, FULL, basis_vectors
         from mhv.biderivations import FAMILY_SAMPLES, check_family
+        basis = basis_vectors(2, CENTERLESS)
+        residuals = biderivations._generator_residuals
+        firsts = []
         parts = []
 
+        def record(tables, x, y, z):
+            firsts[-1].add(x)
+            return residuals(tables, x, y, z)
+
         def run(chunks):
-            parts.extend(chunk() for chunk in chunks)
+            for chunk in chunks:
+                firsts.append(set())
+                parts.append(chunk())
             return parts
 
+        monkeypatch.setattr(biderivations, "_generator_residuals", record)
         report = check_family(2, run)
-        centerless = len(basis_vectors(2, CENTERLESS))
-        cases = 2 * centerless**3 + 4 * len(basis_vectors(2, FULL))
+        assert firsts == [{bv} for bv in basis]
         assert [p.total_cases for p in parts] \
-            == [cases] * len(FAMILY_SAMPLES)
+            == [2 * len(basis)**2 * len(FAMILY_SAMPLES)] * len(basis)
         assert report.passed
+        cases = 2 * len(basis)**3 + 4 * len(basis_vectors(2, FULL))
         assert report.total_cases == cases * len(FAMILY_SAMPLES)
 
     def test_an_inhomogeneous_bracket_fails_grading(self, monkeypatch):

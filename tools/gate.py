@@ -7,7 +7,7 @@ runs `mhv verify --window 5` and `mhv verify --window 4 --eps 2/5`, each
 with MHV_WORKERS=1 and with MHV_WORKERS=2, in a fresh interpreter on the
 package in src/.  It prints one line per run and exits 0 iff every
 output matches its golden, 1 otherwise.  The four runs take about
-20 s, so the gate is not part of the pytest suite.
+10 s; tests/test_golden.py runs this script as one pytest test.
 """
 
 from __future__ import annotations
