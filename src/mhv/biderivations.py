@@ -110,12 +110,10 @@ def _upsilon_generator(s: int) -> PairTable:
     """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair.
     One table per shift, so members that share a generator share it by
     identity."""
-    return lru_cache(maxsize=None)(
-        tag_table(dd=lambda m, n: Element.basis(h(m + n + s))))
+    return tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
 
 
-def family_parts(params: BiderParams,
-                 mode: AlgebraMode = FULL) -> list:
+def family_parts(params: BiderParams, mode: AlgebraMode) -> list:
     """The member f = lambda [., .] + Upsilon_Omega as (weight, generator
     table) parts: lambda with the bracket's table for mode, when lambda
     is nonzero, then (k+1/2) mu_k with upsilon[k] for each k in Omega,

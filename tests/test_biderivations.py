@@ -193,7 +193,7 @@ class TestFamilyLabels:
         part = tag_table(dd=lambda m, n: E(d(m + n)))
         monkeypatch.setattr(
             biderivations, "family_parts",
-            lambda params, mode=FULL: parts_of(params, mode) + [(ONE, part)])
+            lambda params, mode: parts_of(params, mode) + [(ONE, part)])
         report = check_family(1)
         assert len(report.failures) == 5 * 144
         assert report.failures[0] == Failure(

@@ -28,7 +28,7 @@ from functools import partial
 import pytest
 
 from mhv import biderivations
-from mhv.algebra import FULL, Element, d, tag_table
+from mhv.algebra import Element, d, tag_table
 from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie)
@@ -94,7 +94,7 @@ def test_failing_family_report_is_golden(monkeypatch):
     part = tag_table(dd=lambda m, n: Element.basis(d(m + n)))
     monkeypatch.setattr(
         biderivations, "family_parts",
-        lambda params, mode=FULL: parts_of(params, mode) + [(ONE, part)])
+        lambda params, mode: parts_of(params, mode) + [(ONE, part)])
     report = check_family(1).to_json()
     assert report + "\n" == golden("bider-family-dd-d-w1.json")
     for workers in (1, 3):
