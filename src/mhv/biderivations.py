@@ -573,13 +573,11 @@ FAMILY_SAMPLES = (
 
 
 def _central_residuals(params: BiderParams, basis: list):
-    f = partial(bilinear, family_table(params))
+    f = family_table(params)
     for central in (C, L):
-        ec = Element.basis(central)
         for u in basis:
-            eu = Element.basis(u)
-            yield (central, u, "left"), "bider.central", f(ec, eu)
-            yield (central, u, "right"), "bider.central", f(eu, ec)
+            yield (central, u, "left"), "bider.central", f(central, u)
+            yield (central, u, "right"), "bider.central", f(u, central)
 
 
 def _family_sweep(members: list, tables: list, window: int,

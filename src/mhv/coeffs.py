@@ -16,6 +16,13 @@ transcription arrives with an unbindable index (a coefficient
 "a(a, m+k)") and is completed with the index the identity expansion
 dictates.
 
+product_from_fns builds the product of the ansatz as a table on basis
+pairs; on closed_form_fns it is the symbolic product of the lsa module.
+associator_defect and commutator_defect are the two residuals of a
+product table on basis vectors: the left-symmetric identity's defect and
+the commutator minus the bracket.  The lsa-identity and compatibility
+sweeps run them on the closed form, and the oracle on any CoeffFns.
+
 residuals_from_identity is the independent oracle: it builds the product
 from the ansatz, expands the left-symmetric identity on the six basis
 triple types and commutator compatibility on the three pair types, and
@@ -43,11 +50,11 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Callable
 
-from .algebra import (C, Element, L, bilinear, bracket, d, h, tag_table,
-                      window_indices)
+from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
+                      accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
 from .reports import Failure, Report, serial
-from .scalars import EPS, EPS_INV, ONE, ZERO, Scalar, sc
+from .scalars import EPS, EPS_INV, MINUS_ONE, ONE, ZERO, Scalar, sc
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,11 @@ def _half(n: int) -> Scalar:
     return sc(Fraction(2 * n + 1, 2))
 
 
+@cache
 def closed_form_fns() -> CoeffFns:
-    """The closed-form solution of both equation systems."""
+    """The closed-form solution of both equation systems: the product table
+    of the lsa module docstring.  One shared instance, so every check that
+    uses it fills one product_from_fns memo."""
 
     def f(m: int, n: int) -> Scalar:
         return sc(-n) * (ONE + sc(n) * EPS) / (ONE + sc(m + n) * EPS)
@@ -207,6 +217,24 @@ def product_from_fns(fns: CoeffFns):
                                    (fns.rho(m, n), L))))
 
 
+def associator_defect(mul, x, y, z) -> Element:
+    """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)) for a product mul given as
+    a table on basis pairs and basis vectors x, y, z; zero iff the triple
+    satisfies the left-symmetric identity."""
+    acc: dict = {}
+    accumulate_left(acc, ONE, mul, mul(x, y), z)
+    accumulate_right(acc, MINUS_ONE, mul, x, mul(y, z))
+    accumulate_left(acc, MINUS_ONE, mul, mul(y, x), z)
+    accumulate_right(acc, ONE, mul, y, mul(x, z))
+    return Element(acc, _clean=True)
+
+
+def commutator_defect(mul, x, y) -> Element:
+    """x*y - y*x - [x, y] for a product mul given as a table on basis pairs
+    and basis vectors x, y; zero iff the commutator gives the bracket."""
+    return mul(x, y) - mul(y, x) - BRACKET_TABLES[FULL](x, y)
+
+
 _TRIPLE_TYPES = ("ddd", "ddh", "dhd", "dhh", "hhd", "hhh")
 
 
@@ -219,16 +247,10 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
     """Component residuals of the left-symmetric identity for the basis
     triple of type ttype at indices (m, n, k): coefficient of d(m+n+k),
     h(m+n+k), C and L in ((xy)z - x(yz)) - ((yx)z - y(xz))."""
-    product = partial(bilinear, product_from_fns(fns))
-
-    x = Element.basis(_typed_vector(ttype[0], m))
-    y = Element.basis(_typed_vector(ttype[1], n))
-    z = Element.basis(_typed_vector(ttype[2], k))
-
-    def assoc(p, q, r):
-        return product(product(p, q), r) - product(p, product(q, r))
-
-    defect = assoc(x, y, z) - assoc(y, x, z)
+    defect = associator_defect(product_from_fns(fns),
+                               _typed_vector(ttype[0], m),
+                               _typed_vector(ttype[1], n),
+                               _typed_vector(ttype[2], k))
     s = m + n + k
     return {"d": defect.coeff(d(s)), "h": defect.coeff(h(s)),
             "c": defect.coeff(C), "l": defect.coeff(L)}
@@ -237,20 +259,13 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
 def compat_residuals(fns: CoeffFns, m: int, n: int) -> list:
     """Commutator-minus-bracket components for the three pair types."""
     mul = product_from_fns(fns)
-
-    def commutator(u, v) -> Element:
-        return mul(u, v) - mul(v, u)
-
     out = []
-    r = commutator(d(m), d(n)) - bracket(Element.basis(d(m)),
-                                         Element.basis(d(n)))
+    r = commutator_defect(mul, d(m), d(n))
     out.append(("compat.dd.d", r.coeff(d(m + n))))
     out.append(("compat.dd.c", r.coeff(C)))
-    r = commutator(d(m), h(n)) - bracket(Element.basis(d(m)),
-                                         Element.basis(h(n)))
+    r = commutator_defect(mul, d(m), h(n))
     out.append(("compat.dh.h", r.coeff(h(m + n))))
-    r = commutator(h(m), h(n)) - bracket(Element.basis(h(m)),
-                                         Element.basis(h(n)))
+    r = commutator_defect(mul, h(m), h(n))
     out.append(("compat.hh.d", r.coeff(d(m + n))))
     out.append(("compat.hh.h", r.coeff(h(m + n))))
     out.append(("compat.hh.l", r.coeff(L)))

@@ -13,6 +13,12 @@ with a central factor.  The h(m) h(n) coefficient uses the *left* index;
 that is forced by compatibility with the bracket (the commutator must give
 (m+1/2) delta_{m+n+1,0} L, which fails for the right-index variant).
 
+The symbolic table is product_from_fns(closed_form_fns()): the closed-form
+coefficient functions of the coeffs module are its one declaration, so
+the lsa-identity and compatibility sweeps, star, ast and cross-check all
+read the same functions.  _basis_product_numeric writes the table out a
+second time with plain Fractions, as an independent oracle.
+
 Symbolic mode is total: 1+e*(m+n) is never the zero rational function.
 Numeric mode fixes e to a nonzero rational; a product pre-scans every
 denominator index sum reachable from its inputs and raises PoleError
@@ -31,8 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .algebra import C, Element, L, bilinear, d, h, tag_table
-from .scalars import PoleError, Scalar
+from .algebra import C, Element, L, bilinear, d, h
+from .coeffs import closed_form_fns, product_from_fns
+from .scalars import PoleError
 
 
 class AdmissibilityError(ValueError):
@@ -96,26 +103,7 @@ SYMBOLIC = EpsMode(None)
 # the product table
 # ---------------------------------------------------------------------------
 
-def _dd_product(m: int, n: int) -> Element:
-    """-n(1+e*n)/(1+e*(m+n)) d_{m+n}, plus the C term at m+n = 0."""
-    f = Scalar((-n, -n * n), (1, m + n))
-    if m + n != 0:
-        return Element.of((f, d(m + n)))
-    # 1/24 (m^3 - m + (e - 1/e) m^2) = (-m^2 + (m^3 - m) e + m^2 e^2) / (24 e)
-    central = Scalar((-m * m, m**3 - m, m * m), (0, 24))
-    return Element.of((f, d(0)), (central, C))
-
-
-def _hh_product(m: int, n: int) -> Element:
-    if m + n + 1 != 0:
-        return Element.zero()
-    return Element.of((Fraction(2 * m + 1, 4), L))
-
-
-_basis_product_symbolic = lru_cache(maxsize=None)(tag_table(
-    dd=_dd_product,
-    dh=lambda m, n: Element.of((Fraction(-(2 * n + 1), 2), h(m + n))),
-    hh=_hh_product))
+_basis_product_symbolic = product_from_fns(closed_form_fns())
 
 
 def _basis_product_numeric(u, v, eps: Fraction) -> Element:

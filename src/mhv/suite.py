@@ -44,18 +44,19 @@ from functools import partial
 from multiprocessing import get_context
 
 from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
-                      accumulate_left, accumulate_right, basis_sweep,
-                      basis_vectors, grading_degree, window_indices)
+                      accumulate_right, basis_sweep, basis_vectors,
+                      grading_degree, window_indices)
 from .biderivations import (LinearMap, check_bider_converse, check_family,
                             commuting_residuals, lsa_bider_grid,
                             post_lie_grid)
-from .coeffs import (ast_residuals, cross_check, solve_theta, star_residuals,
-                     closed_form_fns)
+from .coeffs import (ast_residuals, associator_defect, closed_form_fns,
+                     commutator_defect, cross_check, solve_theta,
+                     star_residuals)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, chunked, collect, pooled, prefixed,
                       serial)
-from .scalars import MINUS_ONE, ONE, sc
+from .scalars import ONE, sc
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +126,8 @@ def _grading(x: BasisVector, y: BasisVector) -> Element:
     return value
 
 
-def _lsa_identity(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
-    """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)), as
-    lsa.lsa_associator_defect."""
-    acc: dict = {}
-    accumulate_left(acc, ONE, _product, _product(x, y), z)
-    accumulate_right(acc, MINUS_ONE, _product, x, _product(y, z))
-    accumulate_left(acc, MINUS_ONE, _product, _product(y, x), z)
-    accumulate_right(acc, ONE, _product, y, _product(x, z))
-    return Element(acc, _clean=True)
-
-
-def _compatibility(x: BasisVector, y: BasisVector) -> Element:
-    """x*y - y*x - [x, y]."""
-    return _product(x, y) - _product(y, x) - _bracket(x, y)
+_lsa_identity = partial(associator_defect, _product)
+_compatibility = partial(commutator_defect, _product)
 
 
 def _sweep(name: str, eq_id: str, arity: int, residual):

@@ -16,7 +16,7 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
 from mhv.biderivations import (BiderParams, BilinearTable,
                                _candidate_generators, bider_eval,
                                family_table, upsilon)
-from mhv.coeffs import closed_form_fns, product_from_fns, random_fns
+from mhv.coeffs import product_from_fns, random_fns
 from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
                      lsa_product)
 from mhv.scalars import EPS, MINUS_ONE, ONE, Scalar, sc
@@ -191,9 +191,8 @@ ALL_TAGS = ("dd", "dh", "hd", "hh")
 TAG_TABLES = {
     "bracket[full]": (BRACKET_TABLES[FULL], ALL_TAGS),
     "bracket[centerless]": (BRACKET_TABLES[CENTERLESS], ("dd", "dh", "hd")),
+    # also product_from_fns(closed_form_fns()), the same object
     "product": (_basis_product_symbolic, ("dd", "dh", "hh")),
-    "product_from_fns[closed-form]": (product_from_fns(closed_form_fns()),
-                                      ALL_TAGS),
     "product_from_fns[random]": (product_from_fns(random_fns(1)), ALL_TAGS),
 }
 # the converse's upsilon[s] generators and its decoys, named by tag pair

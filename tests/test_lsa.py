@@ -8,6 +8,7 @@ import pytest
 from mhv.algebra import (FULL, C, Element, L, basis_vectors, bracket, d,
                          grading_degree, h)
 from mhv.coeffs import product_from_fns, closed_form_fns
+from mhv import lsa
 from mhv.lsa import (SYMBOLIC, AdmissibilityError, EpsMode,
                      lsa_associator_defect, lsa_commutator, lsa_product)
 from mhv.scalars import EPS, ONE, PoleError, sc
@@ -50,13 +51,10 @@ class TestProductTable:
         assert lsa_product(E(d(2)), E(h(1))) \
             == Element.of((Fraction(-3, 2), h(3)))
 
-    def test_matches_coefficient_table(self):
-        # independent route: the same product assembled from the closed-form
-        # coefficient functions
-        mul = product_from_fns(closed_form_fns())
-        for x in basis_vectors(3, FULL):
-            for y in basis_vectors(3, FULL):
-                assert lsa_product(E(x), E(y)) == mul(x, y), (x, y)
+    def test_symbolic_table_is_the_closed_form_product(self):
+        # one declaration: the coefficient functions' table is the product
+        assert lsa._basis_product_symbolic \
+            is product_from_fns(closed_form_fns())
 
 
 class TestIdentityAndCompatibility:
@@ -106,10 +104,11 @@ class TestNumericMode:
             EpsMode.numeric(0)
 
     def test_coherence_with_symbolic(self):
+        # the symbolic table against the independent plain-Fraction route
         for eps in (Fraction(2, 5), Fraction(-3, 4), Fraction(1, 7)):
             mode = EpsMode.numeric(eps)
-            for x in basis_vectors(2, FULL):
-                for y in basis_vectors(2, FULL):
+            for x in basis_vectors(3, FULL):
+                for y in basis_vectors(3, FULL):
                     sym = lsa_product(E(x), E(y))
                     num = lsa_product(E(x), E(y), mode)
                     assert sym.eval_at(eps) == num, (x, y, eps)

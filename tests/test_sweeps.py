@@ -5,19 +5,25 @@ residual term by term from the tables on basis pairs.  Here, at window 2
 and on every basis tuple, each swept residual is compared with the same
 formula written with bilinear, bracket, lsa_product and the family's
 BilinearTable on Element.basis operands, which the sweeps no longer use.
+The two product residuals, associator_defect and commutator_defect, are
+also compared at window 1 on the oracle's seeded random tables, whose
+h, a and b parts the closed form sets to zero.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
 from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
-                         bracket, d, h, tag_table)
+                         bilinear, bracket, d, h, tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                _biderivation_residuals, _lsa_bider_residuals,
                                _post_lie_residuals, check_lsa_biderivation,
                                project_centerless)
+from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, commutator_defect,
+                        product_from_fns, random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
@@ -62,6 +68,21 @@ class TestSuiteSweeps:
             assert _antisym(x, y) == value + bracket(ey, ex)
             assert _compatibility(x, y) == lsa_commutator(ex, ey) - value
             assert _grading(x, y).is_zero()
+
+    @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+    def test_kernels_on_random_tables(self, seed):
+        # random tables give h, a and b the shapes the closed form zeroes
+        mul = product_from_fns(random_fns(seed))
+        p = partial(bilinear, mul)
+        for x, y, z in product(basis_vectors(1, FULL), repeat=3):
+            ex, ey, ez = E(x), E(y), E(z)
+            assert associator_defect(mul, x, y, z) \
+                == p(p(ex, ey), ez) - p(ex, p(ey, ez)) \
+                - (p(p(ey, ex), ez) - p(ey, p(ex, ez))), (x, y, z)
+        for x, y in product(basis_vectors(1, FULL), repeat=2):
+            ex, ey = E(x), E(y)
+            assert commutator_defect(mul, x, y) \
+                == p(ex, ey) - p(ey, ex) - bracket(ex, ey), (x, y)
 
 
 def axiom_oracle(cand: BilinearTable, mode, x, y, z) -> dict:
