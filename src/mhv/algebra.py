@@ -14,7 +14,9 @@ The bracket table:
     C, L central.
 
 Centerless mode works on the quotient by the center: C and L are rejected
-in inputs and the central output terms are dropped.  Elements produced by
+in inputs and the central output terms are dropped.  There is one bracket
+table on basis pairs, _basis_bracket; the centerless table is its value
+under project_centerless, the quotient map.  Elements produced by
 the bracket are never truncated to any index window; windows only bound
 the loops of verification sweeps.
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
@@ -340,8 +342,8 @@ def tag_table(dd=None, dh=None, hd=None,
     return table
 
 
-def _dd_bracket(m: int, n: int, mode: AlgebraMode) -> Element:
-    if mode is FULL and m + n == 0:
+def _dd_bracket(m: int, n: int) -> Element:
+    if m + n == 0:
         return Element.of((m - n, d(0)), (Fraction(m**3 - m, 12), C))
     return Element.of((m - n, d(m + n)))
 
@@ -352,18 +354,21 @@ def _hh_bracket(m: int, n: int) -> Element:
     return Element.of((Fraction(2 * m + 1, 2), L))
 
 
-# the centerless bracket has no hh part: [h, h] lies in the center
-_BRACKETS = {mode: tag_table(
-    dd=partial(_dd_bracket, mode=mode),
+_basis_bracket = lru_cache(maxsize=None)(tag_table(
+    dd=_dd_bracket,
     dh=lambda m, n: Element.of((Fraction(-(2 * n + 1), 2), h(m + n))),
     hd=lambda m, n: Element.of((Fraction(2 * m + 1, 2), h(m + n))),
-    hh=_hh_bracket if mode is FULL else None) for mode in AlgebraMode}
+    hh=_hh_bracket))
 
 
-@lru_cache(maxsize=None)
-def _basis_bracket(u: BasisVector, v: BasisVector,
-                   mode: AlgebraMode) -> Element:
-    return _BRACKETS[mode](u, v)
+def project_centerless(x: Element) -> Element:
+    """Drop the central components (the quotient map onto the centerless
+    algebra); x itself when it has none."""
+    terms = x._terms
+    if C not in terms and L not in terms:
+        return x
+    return Element({bv: c for bv, c in terms.items() if not bv.is_central()},
+                   _clean=True)
 
 
 def _check_centerless(x: Element, what: str) -> None:
@@ -470,9 +475,13 @@ def combine(parts: list) -> Callable[[BasisVector, BasisVector], Element]:
     return table
 
 
-# the bracket's table on basis pairs, per mode
-BRACKET_TABLES = {mode: partial(_basis_bracket, mode=mode)
-                  for mode in AlgebraMode}
+# the bracket's table on basis pairs, per mode: the centerless table is
+# the full one followed by the quotient map
+BRACKET_TABLES = {
+    FULL: _basis_bracket,
+    CENTERLESS: lru_cache(maxsize=None)(
+        lambda u, v: project_centerless(_basis_bracket(u, v))),
+}
 
 
 def bracket(x: Element, y: Element, mode: AlgebraMode = FULL) -> Element:

@@ -59,7 +59,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       BasisVector, CentralTermError, Element, L, _add_scaled,
                       accumulate_left, accumulate_right, basis_sweep,
                       basis_vectors, bilinear, bracket, combine, d, h, linear,
-                      tag_table)
+                      project_centerless, tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, collect, pooled, prefixed,
@@ -178,16 +178,6 @@ class BilinearTable:
 
     def __call__(self, x: Element, y: Element) -> Element:
         return bilinear(self.evaluator, x, y)
-
-
-def project_centerless(x: Element) -> Element:
-    """Drop the central components (the quotient map onto the centerless
-    algebra); x itself when it has none."""
-    terms = x._terms
-    if C not in terms and L not in terms:
-        return x
-    return Element({bv: c for bv, c in terms.items() if not bv.is_central()},
-                   _clean=True)
 
 
 def _derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,

@@ -16,8 +16,9 @@ transcription arrives with an unbindable index (a coefficient
 "a(a, m+k)") and is completed with the index the identity expansion
 dictates.
 
-product_from_fns builds the product of the ansatz as a table on basis
-pairs; on closed_form_fns it is the symbolic product of the lsa module.
+CoeffFns.product is the product of the ansatz as a table on basis pairs,
+memoized for the life of its CoeffFns; on closed_form_fns it is the
+symbolic product of the lsa module.
 associator_defect and commutator_defect are the two residuals of a
 product table on basis vectors: the left-symmetric identity's defect and
 the commutator minus the bracket.  The lsa-identity and compatibility
@@ -47,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
@@ -82,6 +83,21 @@ class CoeffFns:
             fields[k] = cache(fn)
         return CoeffFns(name=name or self.name + "*", **fields)
 
+    @cached_property
+    def product(self):
+        """The graded product of the ansatz as a table on basis pairs,
+        memoized per pair for the life of this CoeffFns.  The memo only
+        skips repeated lookups: a table that draws each value on first use
+        (random_fns) draws in the same order and gets the same values."""
+        return lru_cache(maxsize=None)(tag_table(
+            dd=lambda m, n: Element.of((self.f(m, n), d(m + n)),
+                                       (self.omega(m, n), C)),
+            dh=lambda m, n: Element.of((self.g(m, n), h(m + n))),
+            hd=lambda m, n: Element.of((self.h(m, n), h(m + n))),
+            hh=lambda m, n: Element.of((self.a(m, n), d(m + n)),
+                                       (self.b(m, n), h(m + n)),
+                                       (self.rho(m, n), L))))
+
 
 def _half(n: int) -> Scalar:
     return sc(Fraction(2 * n + 1, 2))
@@ -91,7 +107,7 @@ def _half(n: int) -> Scalar:
 def closed_form_fns() -> CoeffFns:
     """The closed-form solution of both equation systems: the product table
     of the lsa module docstring.  One shared instance, so every check that
-    uses it fills one product_from_fns memo."""
+    uses it fills one product memo."""
 
     def f(m: int, n: int) -> Scalar:
         return sc(-n) * (ONE + sc(n) * EPS) / (ONE + sc(m + n) * EPS)
@@ -201,22 +217,6 @@ def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
 # the identity-derived oracle
 # ---------------------------------------------------------------------------
 
-@cache
-def product_from_fns(fns: CoeffFns):
-    """The graded product of the ansatz as a table on basis pairs, built
-    once per CoeffFns and memoized per pair.  The memo only skips repeated
-    lookups: a table that draws each value on first use (random_fns)
-    draws in the same order and gets the same values."""
-    return lru_cache(maxsize=None)(tag_table(
-        dd=lambda m, n: Element.of((fns.f(m, n), d(m + n)),
-                                   (fns.omega(m, n), C)),
-        dh=lambda m, n: Element.of((fns.g(m, n), h(m + n))),
-        hd=lambda m, n: Element.of((fns.h(m, n), h(m + n))),
-        hh=lambda m, n: Element.of((fns.a(m, n), d(m + n)),
-                                   (fns.b(m, n), h(m + n)),
-                                   (fns.rho(m, n), L))))
-
-
 def associator_defect(mul, x, y, z) -> Element:
     """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)) for a product mul given as
     a table on basis pairs and basis vectors x, y, z; zero iff the triple
@@ -247,7 +247,7 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
     """Component residuals of the left-symmetric identity for the basis
     triple of type ttype at indices (m, n, k): coefficient of d(m+n+k),
     h(m+n+k), C and L in ((xy)z - x(yz)) - ((yx)z - y(xz))."""
-    defect = associator_defect(product_from_fns(fns),
+    defect = associator_defect(fns.product,
                                _typed_vector(ttype[0], m),
                                _typed_vector(ttype[1], n),
                                _typed_vector(ttype[2], k))
@@ -258,7 +258,7 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
 
 def compat_residuals(fns: CoeffFns, m: int, n: int) -> list:
     """Commutator-minus-bracket components for the three pair types."""
-    mul = product_from_fns(fns)
+    mul = fns.product
     out = []
     r = commutator_defect(mul, d(m), d(n))
     out.append(("compat.dd.d", r.coeff(d(m + n))))
@@ -310,15 +310,16 @@ def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int) -> dict:
     def raw(ttype, mm, nn, kk):
         return raw_defect_components(fns, ttype, mm, nn, kk)
 
-    # pair relation residuals in the transcription's orientation
-    eq1r = lambda mm, nn: f(mm, nn) - f(nn, mm) - sc(mm - nn)
-    eq2r = lambda mm, nn: g(mm, nn) - hh(nn, mm) + _half(nn)
-    eq3r = lambda mm, nn: a(mm, nn) - a(nn, mm)
-    eq4r = lambda mm, nn: b(mm, nn) - b(nn, mm)
-    ast1r = lambda mm, nn: omega(mm, nn) - omega(nn, mm) \
-        - sc(Fraction(mm**3 - mm, 12)) * _delta(mm + nn, 0)
-    ast2r = lambda mm, nn: rho(mm, nn) - rho(nn, mm) \
-        - _half(mm) * _delta(mm + nn + 1, 0)
+    # the pair relations (star.1-4, ast.1-2 in the transcription's
+    # orientation) are the oracle's compatibility components; each pair
+    # is expanded on first use, so random tables draw in the same order
+    pair = cache(lambda mm, nn: dict(compat_residuals(fns, mm, nn)))
+
+    def relation(component):
+        return lambda mm, nn: pair(mm, nn)[f"compat.{component}"]
+
+    eq1r, eq2r, eq3r, eq4r, ast1r, ast2r = map(
+        relation, ("dd.d", "dh.h", "hh.d", "hh.h", "dd.c", "hh.l"))
 
     ddd = raw("ddd", m, n, k)
     ddh = raw("ddh", m, n, k)

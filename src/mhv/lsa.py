@@ -13,7 +13,7 @@ with a central factor.  The h(m) h(n) coefficient uses the *left* index;
 that is forced by compatibility with the bracket (the commutator must give
 (m+1/2) delta_{m+n+1,0} L, which fails for the right-index variant).
 
-The symbolic table is product_from_fns(closed_form_fns()): the closed-form
+The symbolic table is closed_form_fns().product: the closed-form
 coefficient functions of the coeffs module are its one declaration, so
 the lsa-identity and compatibility sweeps, star, ast and cross-check all
 read the same functions.  _basis_product_numeric writes the table out a
@@ -27,9 +27,9 @@ run at window N additionally refuses e outright when 1/e is an integer
 whose negative lies inside [-N, N] (the product on the window's own
 degrees would be undefined).
 
-lsa_product serves general elements.  The basis sweeps take the product
-as a table on basis pairs from product_table instead; under a numeric e
-that table runs the same pole scan on each pair.
+The basis sweeps take the product as a table on basis pairs from
+product_table; under a numeric e that is _basis_product_numeric memoized,
+which raises at a pole as the scan does for that one pair.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 
 from .algebra import C, Element, L, bilinear, d, h
-from .coeffs import closed_form_fns, product_from_fns
+from .coeffs import closed_form_fns
 from .scalars import PoleError
 
 
@@ -103,7 +103,7 @@ SYMBOLIC = EpsMode(None)
 # the product table
 # ---------------------------------------------------------------------------
 
-_basis_product_symbolic = product_from_fns(closed_form_fns())
+_basis_product_symbolic = closed_form_fns().product
 
 
 def _basis_product_numeric(u, v, eps: Fraction) -> Element:
@@ -121,8 +121,8 @@ def _basis_product_numeric(u, v, eps: Fraction) -> Element:
         else:
             den = 1 + eps * (m + n)
             if den == 0:
-                raise PoleError(
-                    f"1+e*({m + n}) = 0 at e = {eps} in d({m})*d({n})")
+                raise PoleError(f"1+e*({m + n}) = 0 at e = {eps}; "
+                                f"offending pairs: d({m})*d({n})")
             f_value = Fraction(-n) * (1 + eps * n) / den
         if f_value != 0:
             pairs.append((f_value, d(m + n)))
@@ -158,28 +158,21 @@ def _scan_poles(x: Element, y: Element, eps: EpsMode) -> None:
 
 
 def product_table(eps: EpsMode):
-    """The product as a table on basis pairs, for the sweeps.  Symbolic e
-    gives the shared symbolic table.  A numeric e gives a table memoized
-    for its own life that runs _scan_poles on each new pair, so a pair at
-    the pole raises the PoleError lsa_product raises for it, and a raise
-    is never cached."""
+    """The product as a table on basis pairs, for the sweeps: the shared
+    symbolic table, or under a numeric e _basis_product_numeric memoized
+    for the table's own life.  A pair at the pole raises the PoleError
+    lsa_product raises for it, and a raise is never cached."""
     if eps.is_symbolic:
         return _basis_product_symbolic
-
-    @lru_cache(maxsize=None)
-    def table(u, v) -> Element:
-        _scan_poles(Element.basis(u), Element.basis(v), eps)
-        return _basis_product_numeric(u, v, eps.eps)
-
-    return table
+    return lru_cache(maxsize=None)(partial(_basis_product_numeric,
+                                           eps=eps.eps))
 
 
 def lsa_product(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:
-    """Bilinear extension of the product table."""
-    if eps.is_symbolic:
-        return bilinear(_basis_product_symbolic, x, y)
+    """Bilinear extension of the product table, after a scan that lists
+    every pair of x and y at the pole in one PoleError."""
     _scan_poles(x, y, eps)
-    return bilinear(partial(_basis_product_numeric, eps=eps.eps), x, y)
+    return bilinear(product_table(eps), x, y)
 
 
 def lsa_commutator(x: Element, y: Element, eps: EpsMode = SYMBOLIC) -> Element:

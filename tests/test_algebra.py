@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mhv.algebra import (CENTERLESS, FULL, AlgebraError, AlgebraMode,
-                         BasisVector, C, CentralTermError, Element, L, MIXED,
-                         ZeroElementError, _basis_bracket, basis_vectors,
-                         bracket, d, grading_degree, h)
+from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, AlgebraError,
+                         AlgebraMode, BasisVector, C, CentralTermError,
+                         Element, L, MIXED, ZeroElementError, _basis_bracket,
+                         basis_vectors, bracket, d, grading_degree, h)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import run_chunks
 
@@ -156,12 +156,16 @@ class TestAlgebraMode:
         pairs = [(x, y, mode) for mode in AlgebraMode
                  for x in basis_vectors(1, mode)
                  for y in basis_vectors(1, mode)]
-        hits = _basis_bracket.cache_info().hits
+        assert BRACKET_TABLES[FULL] is _basis_bracket
         for _ in range(2):
+            hits = {mode: table.cache_info().hits
+                    for mode, table in BRACKET_TABLES.items()}
             for x, y, mode in pairs:
                 bracket(E(x), E(y), mode)
-        # every pair of the second sweep is a hit
-        assert _basis_bracket.cache_info().hits - hits >= len(pairs)
+        # every pair of the second sweep is a hit in its mode's table
+        for mode, table in BRACKET_TABLES.items():
+            assert table.cache_info().hits - hits[mode] \
+                >= sum(m is mode for *_, m in pairs)
 
 
 class TestPickle:

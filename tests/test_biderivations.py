@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mhv import biderivations
 from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
                          Element, L, basis_vectors, bilinear, bracket, combine,
-                         d, h, tag_table)
+                         d, h, project_centerless, tag_table)
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _biderivation_residuals,
                                _candidate_generators, _central_residuals,
@@ -20,8 +20,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie, family_table, grid_points,
-                               lsa_bider_grid, post_lie_grid,
-                               project_centerless, upsilon)
+                               lsa_bider_grid, post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
 from mhv.reports import Failure, collect, pooled, prefixed, serial
 from mhv.scalars import EPS, ONE, sc

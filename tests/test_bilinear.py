@@ -16,7 +16,7 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
 from mhv.biderivations import (BiderParams, BilinearTable,
                                _candidate_generators, bider_eval,
                                family_table, upsilon)
-from mhv.coeffs import product_from_fns, random_fns
+from mhv.coeffs import random_fns
 from mhv.lsa import (EpsMode, _basis_product_numeric, _basis_product_symbolic,
                      lsa_product)
 from mhv.scalars import EPS, MINUS_ONE, ONE, Scalar, sc
@@ -90,7 +90,7 @@ def upsilon_table(params):
 @settings(max_examples=30, deadline=None)
 @given(dense_elements(), dense_elements())
 def test_bracket_is_the_term_pair_sum(x, y):
-    table = lambda u, v: _basis_bracket(u, v, FULL)
+    table = _basis_bracket
     assert bracket(x, y) == term_pair_sum(table, x, y)
 
 
@@ -164,7 +164,7 @@ def test_sparse_operands_give_the_term_pair_sum(name, params, data):
 @given(st.one_of(dense_elements(), sparse_elements(central=True)),
        st.one_of(dense_elements(), sparse_elements(central=True)))
 def test_bilinear_leaves_table_values_unchanged(x, y):
-    table = lambda u, v: _basis_bracket(u, v, FULL)
+    table = _basis_bracket
     before = {(u, v): dict(table(u, v)._terms)
               for u in x.support() for v in y.support()}
     # the results may be cached table values themselves; every operation
@@ -191,9 +191,9 @@ ALL_TAGS = ("dd", "dh", "hd", "hh")
 TAG_TABLES = {
     "bracket[full]": (BRACKET_TABLES[FULL], ALL_TAGS),
     "bracket[centerless]": (BRACKET_TABLES[CENTERLESS], ("dd", "dh", "hd")),
-    # also product_from_fns(closed_form_fns()), the same object
+    # also closed_form_fns().product, the same object
     "product": (_basis_product_symbolic, ("dd", "dh", "hh")),
-    "product_from_fns[random]": (product_from_fns(random_fns(1)), ALL_TAGS),
+    "product[random]": (random_fns(1).product, ALL_TAGS),
 }
 # the converse's upsilon[s] generators and its decoys, named by tag pair
 TAG_TABLES.update(

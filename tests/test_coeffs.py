@@ -1,10 +1,14 @@
 """Coefficient functions, the two transcribed equation systems, the
 identity-derived oracle and the theta linear system."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from mhv import coeffs
+from mhv.algebra import d, h
 from mhv.coeffs import (ast4_swapped_form, ast_residuals, cross_check,
                         derived_counterparts, random_fns,
                         residuals_from_identity, solve_theta, star_residuals,
@@ -97,6 +101,15 @@ class TestIdentityOracle:
         assert any(not v.is_zero() for k, v in res.items()
                    if k.startswith("compat."))
 
+    def test_product_memo_dies_with_its_fns(self):
+        fns = random_fns(1)
+        assert fns.product(d(1), h(0)) == fns.product(d(1), h(0))
+        assert fns.product.cache_info().currsize == 1
+        ref = weakref.ref(fns)
+        del fns
+        gc.collect()
+        assert ref() is None
+
 
 class TestBridge:
     def test_agreement_except_star12(self):
@@ -128,6 +141,18 @@ class TestBridge:
                 diffs += 1
             assert swapped == dict(ast_residuals(probe, n, m, k))["ast.4"]
         assert diffs > 0
+
+    def test_pair_relations_come_from_the_oracle(self, monkeypatch):
+        compat = coeffs.compat_residuals
+
+        def perturbed(fns, m, n):
+            return [(eq_id, value + ONE if eq_id == "compat.dd.d" else value)
+                    for eq_id, value in compat(fns, m, n)]
+
+        monkeypatch.setattr(coeffs, "compat_residuals", perturbed)
+        report = cross_check(1)
+        assert not report.passed
+        assert "cross.star.1" in {f.equation_id for f in report.failures}
 
     def test_cross_check_report(self):
         report = cross_check(2)

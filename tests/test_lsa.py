@@ -7,7 +7,7 @@ import pytest
 
 from mhv.algebra import (FULL, C, Element, L, basis_vectors, bracket, d,
                          grading_degree, h)
-from mhv.coeffs import product_from_fns, closed_form_fns
+from mhv.coeffs import closed_form_fns
 from mhv import lsa
 from mhv.lsa import (SYMBOLIC, AdmissibilityError, EpsMode,
                      lsa_associator_defect, lsa_commutator, lsa_product)
@@ -53,8 +53,7 @@ class TestProductTable:
 
     def test_symbolic_table_is_the_closed_form_product(self):
         # one declaration: the coefficient functions' table is the product
-        assert lsa._basis_product_symbolic \
-            is product_from_fns(closed_form_fns())
+        assert lsa._basis_product_symbolic is closed_form_fns().product
 
 
 class TestIdentityAndCompatibility:

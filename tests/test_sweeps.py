@@ -17,13 +17,13 @@ from itertools import product
 import pytest
 
 from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
-                         bilinear, bracket, d, h, tag_table)
+                         bilinear, bracket, d, h, project_centerless,
+                         tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                _biderivation_residuals, _lsa_bider_residuals,
-                               _post_lie_residuals, check_lsa_biderivation,
-                               project_centerless)
+                               _post_lie_residuals, check_lsa_biderivation)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, commutator_defect,
-                        product_from_fns, random_fns)
+                        random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
@@ -72,7 +72,7 @@ class TestSuiteSweeps:
     @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
     def test_kernels_on_random_tables(self, seed):
         # random tables give h, a and b the shapes the closed form zeroes
-        mul = product_from_fns(random_fns(seed))
+        mul = random_fns(seed).product
         p = partial(bilinear, mul)
         for x, y, z in product(basis_vectors(1, FULL), repeat=3):
             ex, ey, ez = E(x), E(y), E(z)
