@@ -17,8 +17,8 @@ their Failures themselves.
 
 A check that splits its work into independent chunks (zero-argument
 callables returning plain rendered data) takes a chunk runner: serial
-runs them here, in order; suite.run_chunks runs them on worker
-processes.  pooled sums the cases and pools the failures of a check's
+runs them here, in order; suite.run_chunks shares them between this
+process and forked workers.  pooled sums the cases and pools the failures of a check's
 part Reports into one Report, and the sort makes the result independent
 of where the parts ran; chunked collects each of a check's residual
 streams as one chunk and pools them.  prefixed leads every failure label

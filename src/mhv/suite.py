@@ -19,8 +19,11 @@ chunk runner; CHECK_ORDER is its keys:
 
 The environment variable MHV_WORKERS, an integer of at least 1 (default
 1), caps process parallelism.  run_chunks is the one scheduler: a check
-hands it a list of independent chunks and pools their results in chunk
-order.  The chunked checks and their chunks are
+hands it a list of independent chunks and gets their results in chunk
+order.  With MHV_WORKERS=N, N processes, this one and N-1 forked
+children, claim chunks from one counter; the chunks this process runs
+keep its memo tables warm, and every later fork inherits them.  The
+chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
@@ -38,6 +41,7 @@ is byte-identical for any worker count.
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -63,35 +67,96 @@ from .scalars import ONE, sc
 # the scheduler
 # ---------------------------------------------------------------------------
 
-# in a pool worker: the chunk list of its pool, set once when it starts
-_worker_chunks: list = []
+class WorkerTraceback(Exception):
+    """The traceback of a chunk's exception in a forked worker, chained as
+    its cause when run_chunks raises it here."""
 
 
-def _adopt(chunks: list) -> None:
-    global _worker_chunks
-    _worker_chunks = chunks
+def _claims(counter, total: int):
+    """The chunk indices this process claims from the shared counter, in
+    turn, until the counter reaches total."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= total:
+            return
+        yield index
 
 
-def _run_chunk(index: int):
-    return _worker_chunks[index]()
+def _work(chunks: list, counter, writer: int) -> None:
+    """A forked worker: run the chunks it claims, send one pickled
+    ([(index, result)], exception, traceback) down writer, and exit."""
+    status = 1
+    try:
+        try:
+            data = pickle.dumps(([(i, chunks[i]()) for i in
+                                  _claims(counter, len(chunks))], None, ""))
+        except BaseException as exc:
+            counter.value = len(chunks)  # no more claims, in any process
+            import traceback
+            data = pickle.dumps(([], exc, traceback.format_exc()))
+        with open(writer, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, reader: int) -> tuple:
+    """What a forked worker sent and its exit status, once it has exited."""
+    with open(reader, "rb") as stream:
+        data = stream.read()
+    return data, os.waitpid(pid, 0)[1]
 
 
 def run_chunks(chunks: list, workers: int) -> list:
     """The results of chunks, zero-argument callables, in chunk order.
 
-    With one worker (or one chunk) they run here, in order.  Otherwise a
-    fork pool of min(workers, len(chunks)) processes takes them one at a
-    time.  A forked worker receives the chunk list without pickling, so
-    chunks may be closures; only indices go out and results come back,
-    so a chunk must return plain rendered data (Reports, Failures,
-    strings, ints).  A worker that dies raises BrokenProcessPool here."""
-    if workers <= 1 or len(chunks) <= 1:
+    With one worker (or one chunk) they run here, in order.  Otherwise
+    N = min(workers, len(chunks)) processes, this one and N-1 forked
+    children, claim chunks from one shared counter.  A child inherits the
+    chunk list without pickling, so chunks may be closures, and sends its
+    results back once, so a chunk must return plain rendered data
+    (Reports, Failures, strings, ints).  The chunks run here fill this
+    process's memo tables, which every later fork inherits.  The first
+    exception of a chunk, here or in a child, stops all further claims
+    and is raised here; a child that dies raises BrokenProcessPool here.
+    Every child has exited by the time this returns or raises."""
+    total = len(chunks)
+    if workers <= 1 or total <= 1:
         return serial(chunks)
-    # imported here: a serial run never loads the executor's modules
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(workers, len(chunks)), get_context("fork"),
-                             _adopt, (chunks,)) as pool:
-        return list(pool.map(_run_chunk, range(len(chunks))))
+    counter = get_context("fork").Value("i", 0)
+    children, results = [], [None] * total
+    try:
+        for _ in range(min(workers, total) - 1):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(chunks, counter, writer)
+            os.close(writer)
+            children.append((pid, reader))
+        for index in _claims(counter, total):
+            results[index] = chunks[index]()
+    except BaseException:
+        counter.value = total
+        raise
+    finally:
+        sent = [_join(pid, reader) for pid, reader in children]
+    for data, status in sent:
+        if status:
+            # imported here: a serial run never loads the executor's modules
+            from concurrent.futures.process import BrokenProcessPool
+            raise BrokenProcessPool(
+                "a forked worker ended with exit code "
+                f"{os.waitstatus_to_exitcode(status)} before sending its "
+                "results")
+        done, error, trace = pickle.loads(data)
+        if error is not None:
+            raise error from WorkerTraceback(trace)
+        for index, result in done:
+            results[index] = result
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Report determinism, JSON schema, suite orchestration and the CLI."""
 
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -79,6 +82,23 @@ class TestReports:
         assert reports_to_json(a) == reports_to_json(b)
 
 
+# a chunk that kills a forked worker; the calling process, which claims
+# chunks too, sleeps on its copy so that the child claims the other one
+DIE = ("import os, signal, time\n"
+       "caller = os.getpid()\n"
+       "def die():\n"
+       "    if os.getpid() == caller:\n"
+       "        time.sleep(2)\n"
+       "    else:\n"
+       "        os.kill(os.getpid(), signal.SIGKILL)\n")
+
+
+def assert_no_child_processes():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSuite:
     def test_jacobi_case_count_formula(self):
         # full-mode basis of window 4 has 2*9+2 = 20 vectors
@@ -146,11 +166,89 @@ class TestSuite:
         assert run_chunks(chunks, 3) == expected
         assert run_chunks(chunks, 1) == expected
 
+    def test_a_chunk_error_stops_further_claims(self):
+        # the other process finishes the one chunk it holds, and no more;
+        # the second list fails in a child while this process sleeps
+        caller = os.getpid()
+
+        def boom():
+            raise ValueError("boom")
+
+        def boom_in_a_child():
+            if os.getpid() == caller:
+                time.sleep(0.5)
+            else:
+                boom()
+        for chunks in ([boom] + [lambda: time.sleep(1)] * 8,
+                       [boom_in_a_child] * 8):
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="boom"):
+                run_chunks(chunks, 2)
+            assert time.monotonic() - start < 1.5
+        assert_no_child_processes()
+
+    def test_a_chunk_error_keeps_its_type_in_any_process(self):
+        def boom():
+            raise ValueError("boom")
+        with pytest.raises(ValueError, match="boom"):
+            run_chunks([boom] * 8, 2)
+        caller = os.getpid()
+
+        def in_a_child():
+            if os.getpid() == caller:
+                time.sleep(1)
+                return 0
+            raise ValueError("child")
+        with pytest.raises(ValueError, match="child") as raised:
+            run_chunks([in_a_child, in_a_child], 2)
+        assert "in_a_child" in str(raised.value.__cause__)
+        assert_no_child_processes()
+
+    def test_no_child_outlives_the_call(self):
+        assert run_chunks([lambda i=i: i for i in range(9)], 3) \
+            == list(range(9))
+        assert_no_child_processes()
+        run_suite(RunConfig(window=1, checks=("jacobi", "bider-family")),
+                  workers=2)
+        assert_no_child_processes()
+
+    def test_each_chunk_runs_once_under_contention(self, tmp_path):
+        # more processes than cores race for tiny chunks; a claim that
+        # lost an update of the shared counter would run a chunk twice
+        log = tmp_path / "ran"
+        for _ in range(10):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT
+                         | os.O_TRUNC)
+            try:
+                chunks = [partial(os.write, fd, b"%d\n" % i)
+                          for i in range(2000)]
+                run_chunks(chunks, 4)
+            finally:
+                os.close(fd)
+            assert sorted(map(int, log.read_text().split())) \
+                == list(range(2000))
+
+    def test_the_calling_process_runs_chunks_too(self):
+        def slow():
+            time.sleep(0.05)
+            return os.getpid()
+        assert os.getpid() in run_chunks([slow] * 8, 2)
+
+    def test_the_calling_process_keeps_its_memo_tables_warm(self):
+        # a fresh interpreter, so that no earlier test has filled the memo
+        code = ("from mhv import algebra\n"
+                "from mhv.suite import RunConfig, run_suite\n"
+                "run_suite(RunConfig(window=2, checks=('jacobi',)), "
+                "workers=2)\n"
+                "print(algebra._basis_bracket.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert int(proc.stdout) > 0
+
     def test_a_dead_worker_fails_the_run_instead_of_hanging(self):
-        code = ("import os, signal\n"
-                "from mhv.suite import run_chunks\n"
-                "die = lambda: os.kill(os.getpid(), signal.SIGKILL)\n"
-                "run_chunks([lambda: 1, die, lambda: 3], 2)\n")
+        code = ("from mhv.suite import run_chunks\n"
+                + DIE + "run_chunks([die, die], 2)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
@@ -158,12 +256,11 @@ class TestSuite:
 
     def test_a_dead_worker_exits_3_with_one_error_line(self):
         # exit code 1 means failed checks; a dead worker is not one
-        code = ("import os, signal, sys\n"
+        code = ("import sys\n"
                 "from mhv import suite\n"
                 "from mhv.cli import main\n"
-                "die = lambda: os.kill(os.getpid(), signal.SIGKILL)\n"
-                "suite.CHECKS['jacobi'] = "
-                "lambda window, run: run([lambda: 1, die, lambda: 3])\n"
+                + DIE + "suite.CHECKS['jacobi'] = "
+                "lambda window, run: run([die, die])\n"
                 "sys.exit(main(['verify', '--window', '1', "
                 "'--checks', 'jacobi']))\n")
         proc = subprocess.run([sys.executable, "-c", code],
