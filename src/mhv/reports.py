@@ -18,11 +18,12 @@ their Failures themselves.
 A check that splits its work into independent chunks (zero-argument
 callables returning plain rendered data) takes a chunk runner: serial
 runs them here, in order; suite.run_chunks shares them between this
-process and forked workers.  pooled sums the cases and pools the failures of a check's
-part Reports into one Report, and the sort makes the result independent
-of where the parts ran; chunked collects each of a check's residual
-streams as one chunk and pools them.  prefixed leads every failure label
-of a part, such as one family member's, with the part's name.
+process and forked workers.  pooled sums the cases and pools the
+failures of a check's part Reports into one Report, and the sort makes
+the result independent of where the parts ran; chunked collects each of
+a check's residual streams as one chunk and pools them.  prefixed leads
+every failure label of a part, such as one family member's, with the
+part's name.
 
 evaluated_at substitutes a rational value for e in every rendered
 residual of a symbolic report, which is how symbolic and numeric runs
