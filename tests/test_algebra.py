@@ -2,8 +2,8 @@
 
 import os
 import pickle
-import time
 from fractions import Fraction
+from multiprocessing import get_context
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,13 +24,15 @@ def el(*pairs):
 
 def from_a_child(make):
     """make(), run in a forked child of run_chunks and unpickled here.  The
-    calling process claims chunks too; it sleeps on its copy of the chunk,
-    so that the child claims the other one."""
+    calling process claims chunks too; each of the two chunks waits at a
+    barrier for the other to be claimed, so that this process and the child
+    claim one each, whichever of them runs first."""
     caller = os.getpid()
+    both_claimed = get_context("fork").Barrier(2)
 
     def chunk():
+        both_claimed.wait(timeout=60)
         if os.getpid() == caller:
-            time.sleep(0.5)
             return caller, None
         return os.getpid(), make()
     sent = [value for pid, value in run_chunks([chunk, chunk], 2)

@@ -193,10 +193,13 @@ class TestSuite:
         with pytest.raises(ValueError, match="boom"):
             run_chunks([boom] * 8, 2)
         caller = os.getpid()
+        # each chunk waits for the other to be claimed, so that this
+        # process and the child claim one each
+        both_claimed = multiprocessing.get_context("fork").Barrier(2)
 
         def in_a_child():
+            both_claimed.wait(timeout=60)
             if os.getpid() == caller:
-                time.sleep(1)
                 return 0
             raise ValueError("child")
         with pytest.raises(ValueError, match="child") as raised:
