@@ -314,8 +314,10 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 # commutative post-Lie structures
 # ---------------------------------------------------------------------------
 
-def _post_lie_residuals(params: BiderParams, window: int):
-    """Yields (inputs, equation_id, residual) for the three axioms."""
+def _post_lie_residuals(params: BiderParams, window: int,
+                        first: slice = slice(None)):
+    """Yields (inputs, equation_id, residual) for the three axioms, on the
+    tuples whose first basis vector lies in basis[first]."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
 
@@ -336,8 +338,8 @@ def _post_lie_residuals(params: BiderParams, window: int):
         return [("postlie.bracket_product", Element(bp, _clean=True)),
                 ("postlie.product_bracket", Element(pb, _clean=True))]
 
-    yield from basis_sweep(window, 2, commutative)
-    yield from basis_sweep(window, 3, triple)
+    yield from basis_sweep(window, 2, commutative, first)
+    yield from basis_sweep(window, 3, triple, first)
 
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
@@ -350,8 +352,10 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 # biderivations of the left-symmetric algebra
 # ---------------------------------------------------------------------------
 
-def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode):
-    """The derivation axioms with respect to the left-symmetric product.
+def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode,
+                         first: slice = slice(None)):
+    """The derivation axioms with respect to the left-symmetric product, on
+    the triples whose first basis vector lies in basis[first].
     The products are taken in the order lsa_product took them, so under
     a numeric e the first pair at the pole raises the same PoleError:
     every value of f and of the product has at most one d term, so
@@ -363,7 +367,7 @@ def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode):
         left, right = _derivation_residuals(f, mul, x, y, z)
         return [("lsabider.left", left), ("lsabider.right", right)]
 
-    return basis_sweep(window, 3, axioms)
+    return basis_sweep(window, 3, axioms, first)
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
@@ -385,7 +389,8 @@ GRID_SUPPORT = (-1, 0, 1)
 
 
 def grid_points() -> list:
-    """The finite parameter grid for the two triviality sweeps."""
+    """The finite parameter grid for the two triviality sweeps, the zero
+    point first."""
     points = []
     for lam in GRID_LAMBDAS:
         for mu_m1 in GRID_MUS:
@@ -398,10 +403,12 @@ def grid_points() -> list:
     return points
 
 
-def _first_failure(residual_source, params: BiderParams) -> tuple | None:
+def _first_failure(residual_source, params: BiderParams,
+                   first: slice = slice(None)) -> tuple | None:
     """The rendered (inputs, equation_id, residual) of the first nonzero
-    residual of a grid point, or None if every residual vanishes."""
-    for inputs, eq_id, residual in residual_source(params):
+    residual of a grid point on basis[first], or None if every residual
+    vanishes."""
+    for inputs, eq_id, residual in residual_source(params, first):
         if not residual.is_zero():
             return render_inputs(inputs), eq_id, residual.render()
     return None
@@ -409,13 +416,23 @@ def _first_failure(residual_source, params: BiderParams) -> tuple | None:
 
 def _grid_report(check_name: str, window: int, residual_source,
                  run) -> Report:
-    """Sweep the grid, one chunk per point; pass iff the passing set is
-    exactly the zero point."""
+    """Sweep the grid; pass iff the passing set is exactly the zero point.
+
+    residual_source(params, first) yields the residuals of a point on the
+    tuples whose first basis vector lies in basis[first].  A point that
+    fails stops at its first nonzero residual, so each is one chunk; the
+    zero point, which is to pass and so sweeps every residual, is one
+    chunk per first basis vector, and its witness is the first of theirs."""
     failures = []
     points = grid_points()
     passing = []
-    witnesses = run([partial(_first_failure, residual_source, params)
-                     for params in points])
+    width = len(basis_vectors(window, FULL))
+    found = run([partial(_first_failure, residual_source, points[0],
+                         slice(i, i + 1)) for i in range(width)]
+                + [partial(_first_failure, residual_source, params)
+                   for params in points[1:]])
+    witnesses = [next((w for w in found[:width] if w is not None), None)]
+    witnesses += found[width:]
     for params, witness in zip(points, witnesses):
         if witness is None:
             passing.append(params)
@@ -441,7 +458,8 @@ def post_lie_grid(window: int, run=serial) -> Report:
     per-point chunks (reports.serial or suite.run_chunks)."""
     return _grid_report(
         "postlie-grid", window,
-        lambda params: _post_lie_residuals(params, window), run)
+        lambda params, first: _post_lie_residuals(params, window, first),
+        run)
 
 
 def lsa_bider_grid(window: int, run=serial) -> Report:
@@ -450,7 +468,8 @@ def lsa_bider_grid(window: int, run=serial) -> Report:
     form.  run runs the per-point chunks."""
     return _grid_report(
         "lsa-bider-grid", window,
-        lambda params: _lsa_bider_residuals(params, window, SYMBOLIC), run)
+        lambda params, first: _lsa_bider_residuals(params, window, SYMBOLIC,
+                                                   first), run)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ The environment variable MHV_WORKERS, an integer of at least 1 (default
 1), caps process parallelism.  run_chunks is the one scheduler: a check
 hands it a list of independent chunks and gets their results in chunk
 order.  With MHV_WORKERS=N, N processes, this one and N-1 forked
-children, claim chunks from one counter; the chunks this process runs
-keep its memo tables warm, and every later fork inherits them.  The
-chunked checks and their chunks are
+children, share the chunks by index, each taking every N-th; the chunks
+this process runs keep its memo tables warm, and every later fork
+inherits them.  The chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
     cross-check             the closed form by m; each random table whole
-    postlie-grid, lsa-bider-grid   one grid point
+    postlie-grid, lsa-bider-grid   one grid point; the zero point one
+                                   first basis vector
     star, ast               m
 
 bider-grid stays serial, because it stops as soon as its rows certify
@@ -40,12 +41,12 @@ is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from multiprocessing import get_context
 
 from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
                       accumulate_right, basis_sweep, basis_vectors,
@@ -68,34 +69,41 @@ from .scalars import ONE, sc
 # ---------------------------------------------------------------------------
 
 class WorkerTraceback(Exception):
-    """The traceback of a chunk's exception in a forked worker, chained as
+    """The traceback of a chunk's exception in a forked child, chained as
     its cause when run_chunks raises it here."""
 
 
-def _claims(counter, total: int):
-    """The chunk indices this process claims from the shared counter, in
-    turn, until the counter reaches total."""
-    while True:
-        with counter.get_lock():
-            index = counter.value
-            counter.value = index + 1
-        if index >= total:
-            return
-        yield index
+def _stripe(chunks: list, first: int, step: int, stop) -> list:
+    """[(index, result)] of chunks first, first + step, ... in turn, until
+    they run out or another process sets stop."""
+    done = []
+    for index in range(first, len(chunks), step):
+        if stop[0]:
+            break
+        done.append((index, chunks[index]()))
+    return done
 
 
-def _work(chunks: list, counter, writer: int) -> None:
-    """A forked worker: run the chunks it claims, send one pickled
+def _work(chunks: list, first: int, step: int, stop, writer: int) -> None:
+    """A forked child: run its stripe, send one pickled
     ([(index, result)], exception, traceback) down writer, and exit."""
     status = 1
     try:
         try:
-            data = pickle.dumps(([(i, chunks[i]()) for i in
-                                  _claims(counter, len(chunks))], None, ""))
+            data = pickle.dumps((_stripe(chunks, first, step, stop), None,
+                                 ""))
         except BaseException as exc:
-            counter.value = len(chunks)  # no more claims, in any process
+            stop[0] = 1  # no process starts another chunk
             import traceback
-            data = pickle.dumps(([], exc, traceback.format_exc()))
+            trace = traceback.format_exc()
+            try:
+                data = pickle.dumps(([], exc, trace))
+                pickle.loads(data)
+            except Exception:
+                # an exception that does not survive pickling is sent as
+                # the last line of its traceback
+                data = pickle.dumps(([], RuntimeError(
+                    trace.rstrip().splitlines()[-1]), trace))
         with open(writer, "wb") as out:
             out.write(data)
         status = 0
@@ -104,7 +112,7 @@ def _work(chunks: list, counter, writer: int) -> None:
 
 
 def _join(pid: int, reader: int) -> tuple:
-    """What a forked worker sent and its exit status, once it has exited."""
+    """What a forked child sent and its exit status, once it has exited."""
     with open(reader, "rb") as stream:
         data = stream.read()
     return data, os.waitpid(pid, 0)[1]
@@ -114,35 +122,45 @@ def run_chunks(chunks: list, workers: int) -> list:
     """The results of chunks, zero-argument callables, in chunk order.
 
     With one worker (or one chunk) they run here, in order.  Otherwise
-    N = min(workers, len(chunks)) processes, this one and N-1 forked
-    children, claim chunks from one shared counter.  A child inherits the
-    chunk list without pickling, so chunks may be closures, and sends its
-    results back once, so a chunk must return plain rendered data
-    (Reports, Failures, strings, ints).  The chunks run here fill this
-    process's memo tables, which every later fork inherits.  The first
-    exception of a chunk, here or in a child, stops all further claims
-    and is raised here; a child that dies raises BrokenProcessPool here.
-    Every child has exited by the time this returns or raises."""
+    N = min(workers, len(chunks)) processes, this one (k = 0) and N-1
+    forked children (k = 1 .. N-1), share them by index: process k runs
+    chunks k, k + N, k + 2N, ... in turn.  Which process runs a chunk
+    depends on N alone, so this process does the same work, and fills its
+    memo tables the same way, in every run; every later fork inherits
+    those tables.  A child inherits the chunk list without pickling, so
+    chunks may be closures, and sends its results back once, so a chunk
+    must return plain rendered data (Reports, Failures, strings, ints).
+    The first exception of a chunk, here or in a child, stops every
+    process from starting another chunk and is raised here; a child that
+    dies raises BrokenProcessPool here once this process has run its own
+    chunks.  Every child has exited by the time this returns or raises."""
     total = len(chunks)
     if workers <= 1 or total <= 1:
         return serial(chunks)
-    counter = get_context("fork").Value("i", 0)
+    step = min(workers, total)
+    stop = mmap.mmap(-1, 1)  # one byte shared with every child
     children, results = [], [None] * total
     try:
-        for _ in range(min(workers, total) - 1):
+        for first in range(1, step):
             reader, writer = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
             if pid == 0:
-                _work(chunks, counter, writer)
+                _work(chunks, first, step, stop, writer)
             os.close(writer)
             children.append((pid, reader))
-        for index in _claims(counter, total):
-            results[index] = chunks[index]()
+        for index, result in _stripe(chunks, 0, step, stop):
+            results[index] = result
     except BaseException:
-        counter.value = total
+        stop[0] = 1
         raise
     finally:
         sent = [_join(pid, reader) for pid, reader in children]
+        stop.close()
     for data, status in sent:
         if status:
             # imported here: a serial run never loads the executor's modules

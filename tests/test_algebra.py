@@ -1,9 +1,7 @@
 """Basis, elements, bracket and grading of the algebra."""
 
-import os
 import pickle
 from fractions import Fraction
-from multiprocessing import get_context
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,25 +18,6 @@ E = Element.basis
 
 def el(*pairs):
     return Element.of(*pairs)
-
-
-def from_a_child(make):
-    """make(), run in a forked child of run_chunks and unpickled here.  The
-    calling process claims chunks too; each of the two chunks waits at a
-    barrier for the other to be claimed, so that this process and the child
-    claim one each, whichever of them runs first."""
-    caller = os.getpid()
-    both_claimed = get_context("fork").Barrier(2)
-
-    def chunk():
-        both_claimed.wait(timeout=60)
-        if os.getpid() == caller:
-            return caller, None
-        return os.getpid(), make()
-    sent = [value for pid, value in run_chunks([chunk, chunk], 2)
-            if pid != caller]
-    assert len(sent) == 1
-    return sent[0]
 
 
 class TestBracketTable:
@@ -138,11 +117,6 @@ class TestBasisVectorIdentity:
         found = run_chunks([lambda: d(97), lambda: h(-97)], 2)
         assert [x.coeff(bv) for bv in found] == [sc(5), sc(-1)]
 
-    def test_vector_from_a_child_finds_its_term(self):
-        x = el((5, d(97)), (-1, h(-97)))
-        found = from_a_child(lambda: [d(97), h(-97)])
-        assert [x.coeff(bv) for bv in found] == [sc(5), sc(-1)]
-
 
 class TestBasisVectorValidation:
     @pytest.mark.parametrize("tag, index", [
@@ -177,10 +151,6 @@ class TestAlgebraMode:
         def chunk():
             return bracket(E(d(1)), E(d(-1)), FULL).render()
         assert run_chunks([chunk, chunk], 2) == ["2*d(0)", "2*d(0)"]
-
-    def test_a_forked_child_finds_the_bracket_table(self):
-        assert from_a_child(lambda: bracket(E(d(1)), E(d(-1)), FULL)
-                            .render()) == "2*d(0)"
 
     def test_basis_bracket_memo_still_hits(self):
         pairs = [(x, y, mode) for mode in AlgebraMode

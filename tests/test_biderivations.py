@@ -445,13 +445,32 @@ class TestGrids:
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = _grid_report("probe", 1, lambda params: iter(()), serial)
+        report = _grid_report("probe", 1, lambda params, first: iter(()),
+                              serial)
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
 
+    def test_the_zero_point_is_swept_on_every_first_basis_vector(self):
+        # one chunk per first basis vector; the first that fails is the
+        # witness
+        basis = basis_vectors(2, FULL)
+        seen = []
+
+        def source(params, first):
+            if params.is_zero():
+                seen.extend(basis[first])
+                if len(seen) in (4, 6):
+                    yield tuple(basis[first]), "probe", E(d(0))
+        report = _grid_report("probe", 2, source, serial)
+        assert seen == basis
+        assert [f for f in report.failures
+                if f.equation_id != "grid.unexpected_pass"] == [Failure(
+                    f"(lambda=0, omega={{}}) at ({basis[3]})",
+                    "grid.trivial_failed[probe]", "d(0)")]
+
     def test_a_zero_point_that_fails_fails_the_grid(self):
-        def source(params):
+        def source(params, first):
             yield (d(0),), "probe", E(d(0))
 
         report = _grid_report("probe", 1, source, serial)

@@ -4,9 +4,11 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from functools import partial
 
@@ -82,15 +84,29 @@ class TestReports:
         assert reports_to_json(a) == reports_to_json(b)
 
 
-# a chunk that kills a forked worker; the calling process, which claims
-# chunks too, sleeps on its copy so that the child claims the other one
-DIE = ("import os, signal, time\n"
+# a chunk that kills the process running it unless that is the calling
+# one; run_chunks([die, die], 2) runs the second copy in a forked child
+DIE = ("import os, signal\n"
        "caller = os.getpid()\n"
        "def die():\n"
-       "    if os.getpid() == caller:\n"
-       "        time.sleep(2)\n"
-       "    else:\n"
+       "    if os.getpid() != caller:\n"
        "        os.kill(os.getpid(), signal.SIGKILL)\n")
+
+# set by a test before it forks: a multiprocessing Event
+PICKLED = None
+
+
+class PickledError(ValueError):
+    """Sets PICKLED when pickled, which a forked child does to send it."""
+
+    def __reduce__(self):
+        PICKLED.set()
+        return PickledError, self.args
+
+
+class UnsendableError(ValueError):
+    def __reduce__(self):
+        raise TypeError("not picklable")
 
 
 def assert_no_child_processes():
@@ -166,25 +182,49 @@ class TestSuite:
         assert run_chunks(chunks, 3) == expected
         assert run_chunks(chunks, 1) == expected
 
-    def test_a_chunk_error_stops_further_claims(self):
-        # the other process finishes the one chunk it holds, and no more;
-        # the second list fails in a child while this process sleeps
-        caller = os.getpid()
+    def test_a_chunk_error_stops_every_process(self, tmp_path):
+        # this process raises at chunk 0; its child stops after the one
+        # chunk it may have started
+        log = tmp_path / "ran"
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
         def boom():
             raise ValueError("boom")
 
-        def boom_in_a_child():
-            if os.getpid() == caller:
-                time.sleep(0.5)
-            else:
-                boom()
-        for chunks in ([boom] + [lambda: time.sleep(1)] * 8,
-                       [boom_in_a_child] * 8):
+        def slow(i):
+            os.write(fd, b"%d\n" % i)
+            time.sleep(1)
+        try:
             start = time.monotonic()
             with pytest.raises(ValueError, match="boom"):
-                run_chunks(chunks, 2)
+                run_chunks([boom] + [partial(slow, i) for i in range(1, 9)],
+                           2)
             assert time.monotonic() - start < 1.5
+        finally:
+            os.close(fd)
+        assert set(map(int, log.read_text().split())) <= {1}
+        assert_no_child_processes()
+
+    def test_a_chunk_error_in_a_child_stops_this_process(self, tmp_path,
+                                                         monkeypatch):
+        # chunk 1 fails in the child; chunk 0, here, returns once the child
+        # pickles its exception, which it does after it has stopped every
+        # process, so no later chunk runs anywhere
+        monkeypatch.setattr(sys.modules[__name__], "PICKLED",
+                            multiprocessing.get_context("fork").Event())
+        log = tmp_path / "ran"
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+        def fail():
+            raise PickledError("child")
+        try:
+            with pytest.raises(ValueError, match="child"):
+                run_chunks([partial(PICKLED.wait, 60), fail]
+                           + [partial(os.write, fd, b"%d\n" % i)
+                              for i in range(2, 8)], 2)
+        finally:
+            os.close(fd)
+        assert log.read_text() == ""
         assert_no_child_processes()
 
     def test_a_chunk_error_keeps_its_type_in_any_process(self):
@@ -192,19 +232,17 @@ class TestSuite:
             raise ValueError("boom")
         with pytest.raises(ValueError, match="boom"):
             run_chunks([boom] * 8, 2)
-        caller = os.getpid()
-        # each chunk waits for the other to be claimed, so that this
-        # process and the child claim one each
-        both_claimed = multiprocessing.get_context("fork").Barrier(2)
+        # chunk 1 runs in the child, whose traceback is the cause
+        with pytest.raises(ValueError, match="boom") as raised:
+            run_chunks([lambda: 0, boom], 2)
+        assert "in boom" in str(raised.value.__cause__)
 
-        def in_a_child():
-            both_claimed.wait(timeout=60)
-            if os.getpid() == caller:
-                return 0
-            raise ValueError("child")
-        with pytest.raises(ValueError, match="child") as raised:
-            run_chunks([in_a_child, in_a_child], 2)
-        assert "in_a_child" in str(raised.value.__cause__)
+        def unsendable():
+            raise UnsendableError("lost")
+        with pytest.raises(RuntimeError, match="UnsendableError: lost") \
+                as raised:
+            run_chunks([lambda: 0, unsendable], 2)
+        assert "in unsendable" in str(raised.value.__cause__)
         assert_no_child_processes()
 
     def test_no_child_outlives_the_call(self):
@@ -214,28 +252,51 @@ class TestSuite:
         run_suite(RunConfig(window=1, checks=("jacobi", "bider-family")),
                   workers=2)
         assert_no_child_processes()
+        caller = os.getpid()
 
-    def test_each_chunk_runs_once_under_contention(self, tmp_path):
-        # more processes than cores race for tiny chunks; a claim that
-        # lost an update of the shared counter would run a chunk twice
+        def die():
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            run_chunks([die, die], 2)
+        assert_no_child_processes()
+
+    def test_a_failed_fork_closes_its_pipe_and_joins_the_others(
+            self, monkeypatch):
+        forks = []
+
+        def fork():
+            if forks:
+                raise OSError("no fork")
+            forks.append(real_fork())
+            return forks[-1]
+        real_fork = os.fork
+        open_fds = os.listdir("/proc/self/fd")
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError, match="no fork"):
+            run_chunks([lambda: None] * 3, 3)
+        monkeypatch.undo()
+        assert_no_child_processes()
+        assert os.listdir("/proc/self/fd") == open_fds
+
+    def test_each_chunk_runs_once(self, tmp_path):
+        # more processes than cores, each appending its chunks' indices
         log = tmp_path / "ran"
-        for _ in range(10):
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT
-                         | os.O_TRUNC)
-            try:
-                chunks = [partial(os.write, fd, b"%d\n" % i)
-                          for i in range(2000)]
-                run_chunks(chunks, 4)
-            finally:
-                os.close(fd)
-            assert sorted(map(int, log.read_text().split())) \
-                == list(range(2000))
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            run_chunks([partial(os.write, fd, b"%d\n" % i)
+                        for i in range(2000)], 4)
+        finally:
+            os.close(fd)
+        assert sorted(map(int, log.read_text().split())) \
+            == list(range(2000))
 
-    def test_the_calling_process_runs_chunks_too(self):
-        def slow():
-            time.sleep(0.05)
-            return os.getpid()
-        assert os.getpid() in run_chunks([slow] * 8, 2)
+    def test_the_calling_process_runs_every_nth_chunk(self):
+        # process k of 3 runs chunks k, k + 3, ...; this process is k = 0
+        pids = run_chunks([os.getpid] * 8, 3)
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 3
+        assert pids == pids[:3] * 2 + pids[:2]
 
     def test_the_calling_process_keeps_its_memo_tables_warm(self):
         # a fresh interpreter, so that no earlier test has filled the memo
