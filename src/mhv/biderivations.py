@@ -41,7 +41,9 @@ obstruction.
 The converse is certified in bounded brute-force form by
 check_bider_converse, which solves the (centerless) axiom equations
 exactly over a declared candidate space of bilinear shapes and confirms
-that the solution set is precisely the family span.
+that the solution set is precisely the family span.  It sweeps the
+basis triples itself, one chunk per (first, second) pair of basis
+vectors, because it stops as soon as the rank is certified.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member;
@@ -291,16 +293,18 @@ class LinearMap:
         return linear(self.evaluator, x)
 
 
-def commuting_residuals(phi: LinearMap, window: int):
+def commuting_residuals(phi: LinearMap, window: int,
+                        first: slice = slice(None)):
     """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
-    all window basis pairs, as a residual stream."""
+    the window basis pairs whose first vector lies in basis[first], as a
+    residual stream."""
 
     def polarized(u: BasisVector, v: BasisVector) -> list:
         eu, ev = Element.basis(u), Element.basis(v)
         return [("commuting.polarized",
                  bracket(phi(eu), ev) + bracket(phi(ev), eu))]
 
-    return basis_sweep(window, 2, polarized)
+    return basis_sweep(window, 2, polarized, first)
 
 
 def check_commuting(phi: LinearMap, window: int) -> Report:
@@ -509,7 +513,43 @@ FAMILY_GENERATORS = ("bracket",) + tuple(f"upsilon[{s}]"
                                          for s in UPSILON_SHIFTS)
 
 
-def check_bider_converse(window: int) -> Report:
+def _converse_chunk(tables: list, family: set, names: list, window: int,
+                    x: BasisVector, y: BasisVector) -> list:
+    """One chunk of check_bider_converse: the triples (x, y, z) in sweep
+    order, each as (rows, failures, raising).  rows counts its linear
+    equations, one per (axiom, output vector); failures are its rendered
+    family residuals; raising holds, in order, the rows that raised the
+    rank of this chunk's own RowReducer.  Every other row lies in the span
+    of the chunk's earlier rows."""
+    reducer = RowReducer()
+    out = []
+    for z in basis_vectors(window, CENTERLESS):
+        failures, raising, rows = [], [], 0
+        for _, per_gen in _generator_residuals(tables, x, y, z):
+            # each generator's residual walked once: output vector ->
+            # [(generator, coefficient)] in generator order
+            by_vector: dict = {}
+            for g, res in enumerate(per_gen):
+                for w, coeff in res._terms.items():
+                    by_vector.setdefault(w, []).append((g, coeff))
+            for w in sorted(by_vector, key=BasisVector.sort_key):
+                row = {}
+                for g, coeff in by_vector[w]:
+                    if g in family:
+                        failures.append(Failure(
+                            render_inputs((x, y, z)),
+                            "converse.family_residual",
+                            f"{names[g]}: {coeff.render()}"))
+                    else:
+                        row[g] = coeff.as_rational()
+                if reducer.add_row(row):
+                    raising.append(row)
+            rows += len(by_vector)
+        out.append((rows, failures, raising))
+    return out
+
+
+def check_bider_converse(window: int, run=serial, width: int = 1) -> Report:
     """Solve the (centerless) biderivation axioms exactly over the candidate
     space and certify that the solution set is exactly the family span.
 
@@ -518,41 +558,43 @@ def check_bider_converse(window: int) -> Report:
     generators satisfy the axioms identically, so their columns are zero in
     every row and the system's solution space always contains the family;
     the certificate is that the rank over the remaining columns is full,
-    leaving nothing else.  Rows are fed incrementally and the sweep stops
-    as soon as the target rank is reached.
+    leaving nothing else.  The sweep stops after the first triple at which
+    the target rank is reached, unless a family residual was found.
+
+    A chunk is the triples (x, y, .) of one (first, second) pair of basis
+    vectors, in sweep order.  It reduces its rows in its own RowReducer
+    and returns, per triple, only the rows that raised that local rank: a
+    row that did not lies in the span of earlier rows of the same chunk.
+    So adding just those rows, in order, to the global reducer gives the
+    rank that every row would give, after every triple; the sweep stops at
+    the same triple and counts the same rows_used.  run runs the chunks in
+    waves of width, one chunk per process (suite.run_chunks with width
+    workers), and no wave starts once the sweep has stopped; a chunk past
+    the stop in the last wave is discarded.
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
     tables = [fn for _, fn in gens]
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
+    basis = basis_vectors(window, CENTERLESS)
+    chunks = [partial(_converse_chunk, tables, family, names, window, x, y)
+              for x in basis for y in basis]
+
+    def triples():
+        for start in range(0, len(chunks), width):
+            for chunk in run(chunks[start:start + width]):
+                yield from chunk
 
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    for inputs, eq_id, per_gen in basis_sweep(
-            window, 3, partial(_generator_residuals, tables),
-            mode=CENTERLESS):
-        supports = set()
-        for res in per_gen:
-            supports.update(res.support())
-        for w in sorted(supports, key=lambda b: b.sort_key()):
-            row = {}
-            for g, res in enumerate(per_gen):
-                coeff = res.coeff(w)
-                if not coeff.is_zero():
-                    if g in family:
-                        failures.append(Failure(
-                            render_inputs(inputs),
-                            "converse.family_residual",
-                            f"{names[g]}: {coeff.render()}"))
-                        continue
-                    row[g] = coeff.as_rational()
-            rows_used += 1
+    for rows, triple_failures, raising in triples():
+        rows_used += rows
+        failures += triple_failures
+        for row in raising:
             reducer.add_row(row)
-        # stop after a triple's last axiom once the rank is certified
-        if eq_id == "bider.right" and reducer.rank >= target \
-                and not failures:
+        if reducer.rank >= target and not failures:
             break
     if reducer.rank < target:
         failures.append(Failure(

@@ -18,7 +18,9 @@ dictates.
 
 CoeffFns.product is the product of the ansatz as a table on basis pairs,
 memoized for the life of its CoeffFns; on closed_form_fns it is the
-symbolic product of the lsa module.
+symbolic product of the lsa module.  CoeffFns.pair_relations, the
+oracle's compatibility components of an index pair, follows the same
+memo rule: it lives and dies with its CoeffFns.
 associator_defect and commutator_defect are the two residuals of a
 product table on basis vectors: the left-symmetric identity's defect and
 the commutator minus the bracket.  The lsa-identity and compatibility
@@ -97,6 +99,15 @@ class CoeffFns:
             hh=lambda m, n: Element.of((self.a(m, n), d(m + n)),
                                        (self.b(m, n), h(m + n)),
                                        (self.rho(m, n), L))))
+
+    @cached_property
+    def pair_relations(self):
+        """compat_residuals of a pair (m, n) as a dict by component id,
+        memoized per pair for the life of this CoeffFns, like product: a
+        pair is expanded on first use, so a table that draws each value on
+        first use draws in the same order."""
+        return lru_cache(maxsize=None)(
+            lambda m, n: dict(compat_residuals(self, m, n)))
 
 
 def _half(n: int) -> Scalar:
@@ -311,9 +322,8 @@ def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int) -> dict:
         return raw_defect_components(fns, ttype, mm, nn, kk)
 
     # the pair relations (star.1-4, ast.1-2 in the transcription's
-    # orientation) are the oracle's compatibility components; each pair
-    # is expanded on first use, so random tables draw in the same order
-    pair = cache(lambda mm, nn: dict(compat_residuals(fns, mm, nn)))
+    # orientation) are the oracle's compatibility components
+    pair = fns.pair_relations
 
     def relation(component):
         return lambda mm, nn: pair(mm, nn)[f"compat.{component}"]

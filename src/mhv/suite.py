@@ -10,8 +10,8 @@ window-level admissibility guard refuses a numeric e whose pole degree
 undefined on the window's own output degrees.
 
 The check registry CHECKS maps each check name, in canonical order, to
-the function check(window, run) -> Report that runs it, where run is a
-chunk runner; CHECK_ORDER is its keys:
+the function check(window, run) -> Report that runs it, where run is the
+chunk runner partial(run_chunks, workers=N); CHECK_ORDER is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
@@ -27,16 +27,21 @@ inherits them.  The chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
+    bider-grid              one (first, second) pair of basis vectors
+                            (centerless), in waves of one chunk per process
+    commuting               one (sample, first basis vector) pair
     cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point; the zero point one
                                    first basis vector
     star, ast               m
 
-bider-grid stays serial, because it stops as soon as its rows certify
-the rank, which depends on their order; commuting and solve-theta are
-small and run in one piece.  A check's chunk list depends on the window
-alone and the worker count only decides where the chunks run, so output
-is byte-identical for any worker count.
+bider-grid stops after the triple at which its rows certify the rank, so
+it hands run_chunks one wave of MHV_WORKERS chunks at a time and starts
+no wave after the stop; each chunk sends back only the rows that raised
+its own rank, which give the same rank after every triple as all of its
+rows.  solve-theta is small and runs in one piece.  A check's chunk list
+depends on the window alone and the worker count only decides where the
+chunks run, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -254,11 +259,15 @@ def _commuting_specs(window: int) -> list:
     return specs
 
 
-def _check_commuting_samples(window: int) -> Report:
-    return pooled("commuting", window, [
-        prefixed(phi.name, collect("commuting", window, "symbolic",
-                                   commuting_residuals(phi, window)))
-        for phi in _commuting_specs(window)])
+def _check_commuting_samples(window: int, run) -> Report:
+    """The commuting condition of each sample, one chunk per (sample,
+    first basis vector)."""
+    width = len(basis_vectors(window, FULL))
+    return pooled("commuting", window, run([
+        lambda phi=phi, i=i: prefixed(phi.name, collect(
+            "commuting", window, "symbolic",
+            commuting_residuals(phi, window, slice(i, i + 1))))
+        for phi in _commuting_specs(window) for i in range(width)]))
 
 
 def _equation_sweep(name: str, residuals):
@@ -314,8 +323,10 @@ CHECKS = {
     "lsa-identity": _sweep("lsa-identity", "lsa.identity", 3, _lsa_identity),
     "compatibility": _sweep("compatibility", "lsa.compat", 2, _compatibility),
     "bider-family": check_family,
-    "bider-grid": _whole(check_bider_converse),
-    "commuting": _whole(_check_commuting_samples),
+    # waves of one chunk per process
+    "bider-grid": lambda window, run: check_bider_converse(
+        window, run, run.keywords["workers"]),
+    "commuting": _check_commuting_samples,
     "postlie-grid": post_lie_grid,
     "lsa-bider-grid": lsa_bider_grid,
     "star": _equation_sweep("star", star_residuals),

@@ -4,6 +4,7 @@ left-symmetric triviality sweeps, and the converse certificate."""
 import json
 import os
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -16,14 +17,18 @@ from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _biderivation_residuals,
                                _candidate_generators, _central_residuals,
-                               _grid_report, bider_eval, check_bider_converse,
+                               _generator_residuals, _grid_report, bider_eval,
+                               check_bider_converse,
                                check_biderivation, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie, family_table, grid_points,
                                lsa_bider_grid, post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
-from mhv.reports import Failure, collect, pooled, prefixed, serial
+from mhv.linalg import RowReducer
+from mhv.reports import (Failure, Report, collect, pooled, prefixed,
+                         render_inputs, serial)
 from mhv.scalars import EPS, ONE, sc
+from mhv.suite import RunConfig, run_chunks, run_suite
 
 E = Element.basis
 
@@ -479,7 +484,84 @@ class TestGrids:
             "d(0)")]
 
 
+def sequential_converse(window: int) -> Report:
+    """The converse as one sequential sweep: every row goes to one
+    RowReducer, and the sweep stops after the first triple at which the
+    rank is certified.  The oracle for the chunked check."""
+    gens = biderivations._candidate_generators()
+    names = [name for name, _ in gens]
+    tables = [fn for _, fn in gens]
+    family = {names.index(name) for name in biderivations.FAMILY_GENERATORS}
+    target = len(gens) - len(family)
+
+    reducer = RowReducer()
+    failures = []
+    rows_used = 0
+    basis = basis_vectors(window, CENTERLESS)
+    for x, y, z in [(x, y, z) for x in basis for y in basis for z in basis]:
+        for _, per_gen in _generator_residuals(tables, x, y, z):
+            supports = set()
+            for res in per_gen:
+                supports.update(res.support())
+            for w in sorted(supports, key=lambda b: b.sort_key()):
+                row = {}
+                for g, res in enumerate(per_gen):
+                    coeff = res.coeff(w)
+                    if not coeff.is_zero():
+                        if g in family:
+                            failures.append(Failure(
+                                render_inputs((x, y, z)),
+                                "converse.family_residual",
+                                f"{names[g]}: {coeff.render()}"))
+                            continue
+                        row[g] = coeff.as_rational()
+                rows_used += 1
+                reducer.add_row(row)
+        if reducer.rank >= target and not failures:
+            break
+    if reducer.rank < target:
+        failures.append(Failure(
+            f"window={window}", "converse.rank_deficit",
+            f"rank {reducer.rank} < {target}: extra solutions beyond "
+            "the family survive the window equations"))
+    extra = {
+        "generators": len(gens),
+        "family_dimension": len(family),
+        "target_rank": target,
+        "rank": reducer.rank,
+        "rows_used": rows_used,
+    }
+    return Report("bider-grid", window, "symbolic", rows_used, failures,
+                  extra)
+
+
+def converse_in_waves(window: int, workers: int) -> Report:
+    return check_bider_converse(window, partial(run_chunks, workers=workers),
+                                workers)
+
+
 class TestConverse:
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_waves_match_the_sequential_sweep(self, window):
+        # the sweep stops after chunk 7, 11, 8 and 10 of these windows, so
+        # 2 and 3 workers each discard a chunk past the stop somewhere
+        expected = sequential_converse(window).to_json()
+        for workers in (1, 2, 3):
+            report, = run_suite(RunConfig(window=window,
+                                          checks=("bider-grid",)),
+                                workers=workers)
+            assert report.to_json() == expected, workers
+
+    def test_no_wave_starts_after_the_stop(self):
+        waves = []
+
+        def run(chunks):
+            waves.append(len(chunks))
+            return serial(chunks)
+
+        check_bider_converse(4, run, 3)
+        assert waves == [3, 3, 3, 3]
+
     def test_rank_certificate(self):
         report = check_bider_converse(3)
         assert report.passed
@@ -505,6 +587,28 @@ class TestConverse:
             "window=1", "converse.rank_deficit",
             "rank 40 < 41: extra solutions beyond the family survive the "
             "window equations")]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_family_residual_fails_in_any_process(self, monkeypatch,
+                                                     workers):
+        # forked children inherit the patched family
+        monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",
+                            FAMILY_GENERATORS + ("dd->d[0]",))
+        report = converse_in_waves(1, workers)
+        assert report.to_json() == sequential_converse(1).to_json()
+        assert report.failures[0] == Failure(
+            "(d(-1), d(-1), d(0))", "converse.family_residual",
+            "dd->d[0]: 1")
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_rank_deficit_fails_in_any_process(self, monkeypatch, workers):
+        gens = _candidate_generators()
+        monkeypatch.setattr(biderivations, "_candidate_generators",
+                            lambda: gens + gens[-1:])
+        report = converse_in_waves(1, workers)
+        assert report.to_json() == sequential_converse(1).to_json()
+        assert [f.equation_id for f in report.failures] \
+            == ["converse.rank_deficit"]
 
     def test_family_generators_solve_axioms(self):
         # upsilon columns are zero rows: each shape is itself a centerless

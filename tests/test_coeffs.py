@@ -111,7 +111,31 @@ class TestIdentityOracle:
         assert ref() is None
 
 
+    def test_pair_memo_dies_with_its_fns(self):
+        fns = random_fns(1)
+        derived_counterparts(fns, 1, 0, -1)
+        assert fns.pair_relations.cache_info().currsize > 0
+        ref = weakref.ref(fns)
+        del fns
+        gc.collect()
+        assert ref() is None
+
+
 class TestBridge:
+    def test_pair_memo_keeps_the_random_draw_order(self, monkeypatch):
+        # a pair is expanded on first use, as when each call expanded its
+        # own pairs, so the random tables draw the same values
+        expected = cross_check(2).to_json()
+        derived = coeffs.derived_counterparts
+
+        def unmemoized(fns, m, n, k):
+            fns.pair_relations.cache_clear()
+            return derived(fns, m, n, k)
+
+        monkeypatch.setattr(coeffs, "derived_counterparts", unmemoized)
+        assert cross_check(2).to_json() == expected
+
+
     def test_agreement_except_star12(self):
         for fns in (FNS, random_fns(1), random_fns(2)):
             mismatched = set()

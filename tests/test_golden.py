@@ -108,4 +108,4 @@ def test_gate_passes():
                                                         "gate.py")],
                           capture_output=True, text=True, timeout=600)
     assert gate.returncode == 0, gate.stdout + gate.stderr
-    assert gate.stdout.count("same ") == 4
+    assert gate.stdout.count("same ") == 6

@@ -391,6 +391,31 @@ class TestSuite:
         cases = 2 * len(basis)**3 + 4 * len(basis_vectors(2, FULL))
         assert report.total_cases == cases * len(FAMILY_SAMPLES)
 
+    def test_commuting_chunks_pool_like_one_sweep(self, monkeypatch):
+        # one chunk per (sample, first basis vector); with samples that
+        # fail, the pooled failures show that no process changes them
+        from mhv import suite
+        from mhv.algebra import Element, d, h
+        from mhv.biderivations import LinearMap, commuting_residuals
+        from mhv.reports import collect, pooled, prefixed
+        cfg = RunConfig(window=2, checks=("commuting",))
+        assert {reports_to_json(run_suite(cfg, workers=k))
+                for k in (1, 2, 3)} \
+            == {reports_to_json(run_suite(cfg, workers=1))}
+        maps = [LinearMap.from_table({d(m): Element.of((m, d(m)))
+                                      for m in range(-2, 3)}, "m*d(m)"),
+                LinearMap.from_table({h(m): Element.basis(h(m))
+                                      for m in range(-2, 3)}, "h-only")]
+        monkeypatch.setattr(suite, "_commuting_specs", lambda window: maps)
+        expected = pooled("commuting", 2, [
+            prefixed(phi.name, collect("commuting", 2, "symbolic",
+                                       commuting_residuals(phi, 2)))
+            for phi in maps])
+        assert not expected.passed
+        for workers in (1, 2, 3):
+            report, = run_suite(cfg, workers=workers)
+            assert report.to_json() == expected.to_json(), workers
+
     def test_an_inhomogeneous_bracket_fails_grading(self, monkeypatch):
         from mhv.algebra import Element, d
         # _grading reads the bracket's table on basis pairs

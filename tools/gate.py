@@ -4,10 +4,12 @@ byte for byte, with the goldens in tests/golden.
     python3 tools/gate.py
 
 runs `mhv verify --window 5` and `mhv verify --window 4 --eps 2/5`, each
-with MHV_WORKERS=1 and with MHV_WORKERS=2, in a fresh interpreter on the
-package in src/.  It prints one line per run and exits 0 iff every
-output matches its golden, 1 otherwise.  The four runs take about
-10 s; tests/test_golden.py runs this script as one pytest test.
+with MHV_WORKERS=1, 2 and 3, in a fresh interpreter on the package in
+src/.  Three workers make bider-grid's last wave run chunks past the
+point where its sweep stops, which the check must discard.  It prints
+one line per run and exits 0 iff every output matches its golden, 1
+otherwise.  The six runs take about 10 s; tests/test_golden.py runs
+this script as one pytest test.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 RUNS = (
     ("gate-verify-w5.json", ["--window", "5"], "1"),
     ("gate-verify-w5.json", ["--window", "5"], "2"),
+    ("gate-verify-w5.json", ["--window", "5"], "3"),
     ("gate-verify-w4-eps-2-5.json", ["--window", "4", "--eps", "2/5"], "1"),
     ("gate-verify-w4-eps-2-5.json", ["--window", "4", "--eps", "2/5"], "2"),
+    ("gate-verify-w4-eps-2-5.json", ["--window", "4", "--eps", "2/5"], "3"),
 )
 
 
