@@ -5,7 +5,7 @@ import json
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +18,11 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _biderivation_residuals,
                                _candidate_generators, _central_residuals,
                                _generator_residuals, _grid_report, bider_eval,
-                               check_bider_converse,
-                               check_biderivation, check_commuting,
-                               check_family, check_lsa_biderivation,
-                               check_post_lie, family_table, grid_points,
-                               lsa_bider_grid, post_lie_grid, upsilon)
+                               check_bider_converse, check_biderivation,
+                               check_commuting, check_family,
+                               check_lsa_biderivation, check_post_lie,
+                               family_table, grid_points, lsa_bider_grid,
+                               post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
@@ -498,7 +498,7 @@ def sequential_converse(window: int) -> Report:
     failures = []
     rows_used = 0
     basis = basis_vectors(window, CENTERLESS)
-    for x, y, z in [(x, y, z) for x in basis for y in basis for z in basis]:
+    for x, y, z in product(basis, repeat=3):
         for _, per_gen in _generator_residuals(tables, x, y, z):
             supports = set()
             for res in per_gen:

@@ -110,7 +110,6 @@ class TestIdentityOracle:
         gc.collect()
         assert ref() is None
 
-
     def test_pair_memo_dies_with_its_fns(self):
         fns = random_fns(1)
         derived_counterparts(fns, 1, 0, -1)
@@ -134,7 +133,6 @@ class TestBridge:
 
         monkeypatch.setattr(coeffs, "derived_counterparts", unmemoized)
         assert cross_check(2).to_json() == expected
-
 
     def test_agreement_except_star12(self):
         for fns in (FNS, random_fns(1), random_fns(2)):
