@@ -503,9 +503,9 @@ def grading_degree(x: Element):
 
 
 def window_indices(window: int) -> range:
-    """-window..window; below 1 a sweep would pass vacuously, so it raises."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    """-window..window; a non-int (bool included) or one below 1 raises."""
+    if type(window) is not int or window < 1:
+        raise ValueError(f"window must be at least 1 (an int), not {window!r}")
     return range(-window, window + 1)
 
 

@@ -53,6 +53,7 @@ statements: only lambda = 0, Omega = {} survives either axiom system.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
@@ -65,7 +66,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, collect, pooled, prefixed,
-                      render_inputs, serial)
+                      render_inputs, residual_failure, serial)
 from .scalars import MINUS_ONE, ONE, Scalar, sc
 
 
@@ -408,13 +409,12 @@ def grid_points() -> list:
 
 
 def _first_failure(residual_source, params: BiderParams,
-                   first: slice = slice(None)) -> tuple | None:
-    """The rendered (inputs, equation_id, residual) of the first nonzero
-    residual of a grid point on basis[first], or None if every residual
-    vanishes."""
+                   first: slice = slice(None)) -> Failure | None:
+    """The Failure of the first nonzero residual of a grid point on
+    basis[first], or None if every residual vanishes."""
     for inputs, eq_id, residual in residual_source(params, first):
         if not residual.is_zero():
-            return render_inputs(inputs), eq_id, residual.render()
+            return residual_failure(render_inputs(inputs), eq_id, residual)
     return None
 
 
@@ -444,10 +444,9 @@ def _grid_report(check_name: str, window: int, residual_source,
                 failures.append(Failure(f"({params.describe()})",
                                         "grid.unexpected_pass", "0"))
         elif params.is_zero():
-            inputs, eq_id, residual = witness
-            failures.append(Failure(f"({params.describe()}) at {inputs}",
-                                    f"grid.trivial_failed[{eq_id}]",
-                                    residual))
+            failures.append(replace(
+                witness, inputs=f"({params.describe()}) at {witness.inputs}",
+                equation_id=f"grid.trivial_failed[{witness.equation_id}]"))
     extra = {
         "grid_points": len(points),
         "passing_points": [p.describe() for p in passing],
@@ -651,9 +650,9 @@ def _family_sweep(members: list, tables: list, window: int,
             for weight, i in weights:
                 _add_scaled(acc, per_table[i], weight)
             if acc:
-                failures.append(Failure(
+                failures.append(residual_failure(
                     f"{label} {render_inputs(inputs)}", eq_id,
-                    Element(acc, _clean=True).render()))
+                    Element(acc, _clean=True)))
     return Report("bider-family", window, "symbolic", cases, failures)
 
 

@@ -31,7 +31,7 @@ from .expressions import ParseError, parse_element, parse_rational, parse_scalar
 from .lsa import SYMBOLIC, AdmissibilityError, EpsMode, lsa_product
 from .reports import SCHEMA_VERSION, reports_to_json, reports_to_text
 from .scalars import ScalarError
-from .suite import CHECK_ORDER, RunConfig, run_suite
+from .suite import CHECK_ORDER, RunConfig, WorkerDiedError, run_suite
 
 
 def _window(text: str) -> int:
@@ -192,11 +192,7 @@ def main(argv: list | None = None) -> int:
             ValueError) as exc:
         print(f"mhv: error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # imported here: a serial run never loads the executor's modules
-        from concurrent.futures.process import BrokenProcessPool
-        if not isinstance(exc, BrokenProcessPool):
-            raise
+    except WorkerDiedError as exc:
         print(f"mhv: error: {exc}", file=sys.stderr)
         return 3
 

@@ -27,8 +27,9 @@ coefficients of its canonical numerator and denominator (Scalar.num and
 Scalar.den) have at most MAX_COEFF_BITS (1024) bits.  Past either bound
 the parse stops with a ParseError at the offending token.
 
-Element.render / Scalar.render emit this grammar, so parsing a rendered
-value reproduces it term for term.  Errors carry the byte offset of the
+The parser reads the CLI's input.  Element.render / Scalar.render emit
+this grammar, so parsing a rendered value reproduces it term for term, as
+tools/parse_corpus.py still tests.  Errors carry the byte offset of the
 offending token.
 """
 

@@ -2,21 +2,22 @@
 
 A Report is the one output format every check produces: the check name,
 the window, the e-mode, the exact number of quantifier instantiations,
-and the (possibly empty) list of failures.  Failures are fully rendered
-strings, so a serialized report is self-contained evidence and can be
-used directly as a regression fixture.  JSON output is byte-identical
-for identical inputs: key order is fixed and all numbers are exact
-decimal strings, never floats.
+and the (possibly empty) list of failures.  Failures serialize as fully
+rendered strings, so a serialized report is self-contained evidence and
+can be used directly as a regression fixture.  JSON output is
+byte-identical for identical inputs: key order is fixed and all numbers
+are exact decimal strings, never floats.
 
 A Report sorts its failures by (inputs, equation_id) when it is built,
 so the failure order is decided here and nowhere else.  Most checks
 stream (inputs, equation_id, residual) triples into collect, which
-counts each triple as a case and keeps the nonzero residuals, rendered;
-the parameter grids, the converse, cross-check and solve-theta build
-their Failures themselves.
+counts each triple as a case and keeps each nonzero residual through
+residual_failure, as bider-family's sweep and the grids' witnesses do:
+rendered, and as its value when it depends on e.  Free-text Failures
+(converse, cross-check, solve-theta, a grid's unexpected pass) have none.
 
 A check that splits its work into independent chunks (zero-argument
-callables returning plain rendered data) takes a chunk runner: serial
+callables returning picklable data) takes a chunk runner: serial
 runs them here, in order; suite.run_chunks shares them between this
 process and forked workers.  pooled sums the cases and pools the
 failures of a check's part Reports into one Report, and the sort makes
@@ -25,9 +26,9 @@ a check's residual streams as one chunk and pools them.  prefixed leads
 every failure label of a part, such as one family member's, with the
 part's name.
 
-evaluated_at substitutes a rational value for e in every rendered
-residual of a symbolic report, which is how symbolic and numeric runs
-are compared bit for bit.
+evaluated_at evaluates every value at a rational e, parsing nothing, and
+keeps every other failure: this is how symbolic and numeric runs are
+compared bit for bit.
 """
 
 from __future__ import annotations
@@ -36,17 +37,19 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .expressions import ParseError, parse
-from .scalars import Scalar, sc
+from .algebra import Element
+from .scalars import Scalar
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Failure:
     inputs: str
     equation_id: str
     residual: str
+    # the e-dependent Element or Scalar that residual renders, else None
+    value: Element | Scalar | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -93,26 +96,26 @@ class Report:
         return json.dumps(self.to_dict(), indent=2)
 
     def evaluated_at(self, eps: Fraction) -> "Report":
-        """The report a numeric run at e = eps should reproduce: residuals
-        evaluated, e-mode relabeled.  Inputs and extra certificates carry
-        no e by construction and are left untouched."""
-        evaluated = [Failure(f.inputs, f.equation_id,
-                             _evaluated(f.residual, eps))
+        """The report a numeric run at e = eps should reproduce: each value
+        evaluated (str renders a Scalar's Fraction as Scalar.render would)
+        and the e-mode relabeled.  Pole errors propagate."""
+        evaluated = [f if f.value is None else
+                     Failure(f.inputs, f.equation_id,
+                             str(f.value.eval_at(eps)))
                      for f in self.failures]
         return Report(self.check, self.window, f"eps={eps}",
                       self.total_cases, evaluated, self.extra)
 
 
-def _evaluated(text: str, eps: Fraction) -> str:
-    """A rendered residual at e = eps.  Free text the parser rejects is kept
-    as it is; pole errors in parsed values propagate."""
-    try:
-        value = parse(text)
-    except ParseError:
-        return text
-    if isinstance(value, Scalar):
-        return sc(value.eval_at(eps)).render()
-    return value.eval_at(eps).render()
+def residual_failure(inputs: str, equation_id: str,
+                     residual: Element | Scalar) -> Failure:
+    """The Failure of a nonzero residual: rendered, and kept as its value
+    only when it depends on e."""
+    coeffs = residual._terms.values() if isinstance(residual, Element) \
+        else (residual,)
+    depends = not all(c.is_rational() for c in coeffs)
+    return Failure(inputs, equation_id, residual.render(),
+                   residual if depends else None)
 
 
 def render_inputs(inputs: tuple) -> str:
@@ -125,15 +128,15 @@ def collect(check: str, window: int, eps_mode: str, residuals,
     """The sorted Report of a stream of (inputs, equation_id, residual).
 
     Each item is one case.  A residual is an Element or a Scalar; only the
-    nonzero ones are kept, rendered, as Failures.  Inputs are rendered only
-    for a failure, so a passing sweep never formats its labels."""
+    nonzero ones are kept, through residual_failure.  Inputs are rendered
+    only for a failure, so a passing sweep never formats its labels."""
     failures = []
     cases = 0
     for inputs, eq_id, residual in residuals:
         cases += 1
         if not residual.is_zero():
-            failures.append(Failure(render_inputs(inputs), eq_id,
-                                    residual.render()))
+            failures.append(residual_failure(render_inputs(inputs), eq_id,
+                                             residual))
     return Report(check, window, eps_mode, cases, failures, extra)
 
 

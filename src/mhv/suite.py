@@ -78,6 +78,10 @@ class WorkerTraceback(Exception):
     its cause when run_chunks raises it here."""
 
 
+class WorkerDiedError(RuntimeError):
+    """A forked child of run_chunks ended before sending its results."""
+
+
 def _stripe(chunks: list, first: int, step: int, stop) -> list:
     """[(index, result)] of chunks first, first + step, ... in turn, until
     they run out or another process sets stop."""
@@ -134,10 +138,10 @@ def run_chunks(chunks: list, workers: int) -> list:
     memo tables the same way, in every run; every later fork inherits
     those tables.  A child inherits the chunk list without pickling, so
     chunks may be closures, and sends its results back once, so a chunk
-    must return plain rendered data (Reports, Failures, strings, ints).
+    must return picklable data (Reports, Failures, strings, ints).
     The first exception of a chunk, here or in a child, stops every
     process from starting another chunk and is raised here; a child that
-    dies raises BrokenProcessPool here once this process has run its own
+    dies raises WorkerDiedError here once this process has run its own
     chunks.  Every child has exited by the time this returns or raises."""
     total = len(chunks)
     if workers <= 1 or total <= 1:
@@ -168,9 +172,7 @@ def run_chunks(chunks: list, workers: int) -> list:
         stop.close()
     for data, status in sent:
         if status:
-            # imported here: a serial run never loads the executor's modules
-            from concurrent.futures.process import BrokenProcessPool
-            raise BrokenProcessPool(
+            raise WorkerDiedError(
                 "a forked worker ended with exit code "
                 f"{os.waitstatus_to_exitcode(status)} before sending its "
                 "results")
@@ -345,8 +347,7 @@ class RunConfig:
     checks: tuple = CHECK_ORDER
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
+        window_indices(self.window)  # refuses a non-int window or one below 1
         if not self.checks:
             raise ValueError("no checks selected")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]

@@ -255,8 +255,13 @@ class TestFamilyByLinearity:
         if broken:
             self.break_upsilon_0(monkeypatch)
         report = check_family(window)
+        reference = self.reference(window)
         assert report.passed is not broken
-        assert report.to_json() == self.reference(window).to_json()
+        assert report.to_json() == reference.to_json()
+        # the broken extra members fail with e-dependent residuals
+        eps = Fraction(2, 5)
+        assert report.evaluated_at(eps).to_json() \
+            == reference.evaluated_at(eps).to_json()
 
 
 class TestFamilyTableMemo:
@@ -483,6 +488,15 @@ class TestGrids:
             "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
             "d(0)")]
 
+    def test_a_zero_point_witness_keeps_its_value(self):
+        def source(params, first):
+            yield (d(0),), "probe", E(d(0)).scale(EPS)
+
+        report = _grid_report("probe", 1, source, serial)
+        assert report.failures[0].residual == "(e)*d(0)"
+        assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
+            == "2/5*d(0)"
+
 
 def sequential_converse(window: int) -> Report:
     """The converse as one sequential sweep: every row goes to one
@@ -635,8 +649,9 @@ PUBLIC_CHECKS = {
 
 
 @pytest.mark.parametrize("check", PUBLIC_CHECKS)
-@pytest.mark.parametrize("window", [0, -1])
+@pytest.mark.parametrize("window", [0, -1, True, 2.0])
 def test_window_below_one_fails_loudly(check, window):
-    # a window below 1 has no indices, so any pass there would be vacuous
+    # a window below 1 has no indices, so any pass there would be vacuous;
+    # True would run as window 1, and 2.0 would fail inside range
     with pytest.raises(ValueError, match="window must be at least 1"):
         PUBLIC_CHECKS[check](window)

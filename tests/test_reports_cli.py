@@ -8,17 +8,22 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
+from mhv.algebra import Element, d
 from mhv.cli import ALIASES, build_parser, main
-from mhv.expressions import parse
+from mhv.expressions import MAX_DEGREE, ParseError, parse
 from mhv.lsa import SYMBOLIC, EpsMode
-from mhv.reports import Failure, Report, reports_to_json
-from mhv.suite import CHECK_ORDER, RunConfig, run_chunks, run_suite
+from mhv.reports import Failure, Report, collect, reports_to_json
+from mhv.scalars import Scalar
+from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
+                       run_suite)
+
+# (1+e)/(1+3*e), which is 3/4 at e = 1/5
+RATIO = Scalar((1, 1), (1, 3))
 
 
 class TestReports:
@@ -37,46 +42,67 @@ class TestReports:
         assert [f.inputs for f in r.failures] == ["(d(1))", "(d(2))"]
 
     def test_evaluated_at_maps_residuals(self):
-        r = Report("demo", 3, "symbolic", 1,
-                   [Failure("(d(2), d(1))", "eq",
-                            "((1+e)/(1+3*e))*d(3)")])
+        r = collect("demo", 3, "symbolic",
+                    [((d(2), d(1)), "eq", Element.of((RATIO, d(3))))])
+        assert r.failures[0].residual == "((1+e)/(1+3*e))*d(3)"
         ev = r.evaluated_at(Fraction(1, 5))
         assert ev.eps_mode == "eps=1/5"
         assert ev.failures[0].residual == "3/4*d(3)"
 
     @pytest.mark.parametrize("residual, value", [
-        ("(1+e)/(1+3*e)", "3/4"), ("0", "0")])
+        pytest.param(RATIO, "3/4", id="(1+e)/(1+3*e)-3/4"),
+        pytest.param(Scalar((1, -5), (1,)), "0", id="1-5*e-0")])
     def test_evaluated_at_maps_scalar_residuals(self, residual, value):
-        r = Report("demo", 3, "symbolic", 1, [Failure("w", "eq", residual)])
+        r = collect("demo", 3, "symbolic", [(("w",), "eq", residual)])
         assert r.evaluated_at(Fraction(1, 5)).failures[0].residual == value
 
     def test_evaluated_at_leaves_free_text(self):
-        r = Report("demo", 3, "symbolic", 1,
-                   [Failure("w", "eq", "rank 4 < 5: nope")])
+        # an e-free residual and free text keep no value and stay as they are
+        swept = collect("demo", 3, "symbolic",
+                        [(("w0",), "eq", -Element.basis(d(1))),
+                         (("w1",), "eq", RATIO)])
+        r = Report("demo", 3, "symbolic", 3, swept.failures
+                   + [Failure("(w2)", "eq", "rank 4 < 5: nope")])
+        assert [f.value is None for f in r.failures] == [True, False, True]
+        assert [f.residual for f in r.evaluated_at(Fraction(1, 5)).failures] \
+            == ["-d(1)", "3/4", "rank 4 < 5: nope"]
+
+    def test_evaluated_at_calls_no_parser(self, monkeypatch):
+        import mhv.expressions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated_at parsed a residual")
+
+        for name in ("parse", "parse_element", "parse_scalar",
+                     "parse_rational"):
+            monkeypatch.setattr(mhv.expressions, name, refuse)
+        r = collect("demo", 3, "symbolic",
+                    [(("w0",), "eq", -Element.basis(d(1))),
+                     (("w1",), "eq", RATIO),
+                     (("w2",), "eq", Element.of((RATIO, d(3))))])
+        assert [f.residual for f in r.evaluated_at(Fraction(1, 5)).failures] \
+            == ["-d(1)", "3/4", "3/4*d(3)"]
+
+    def test_evaluated_at_maps_residuals_the_parser_rejects(self):
+        # degree MAX_DEGREE + 1 in e: the parser refuses the rendered text,
+        # so a report parsed back would have kept the residual symbolic
+        power = Scalar((0,) * (MAX_DEGREE + 1) + (1,), (1,))
+        r = collect("demo", 3, "symbolic",
+                    [(("w",), "eq", Element.of((power, d(1))))])
+        with pytest.raises(ParseError):
+            parse(r.failures[0].residual)
         assert r.evaluated_at(Fraction(1, 5)).failures[0].residual \
-            == "rank 4 < 5: nope"
-
-    def test_evaluated_at_parses_each_residual_once(self, monkeypatch):
-        import mhv.reports
-        texts = []
-
-        def counting_parse(text):
-            texts.append(text)
-            return parse(text)
-
-        monkeypatch.setattr(mhv.reports, "parse", counting_parse)
-        residuals = ["-d(1)", "(1+e)/(1+3*e)", "rank 4 < 5: nope"]
-        r = Report("demo", 3, "symbolic", 3,
-                   [Failure(f"w{i}", "eq", text)
-                    for i, text in enumerate(residuals)])
-        r.evaluated_at(Fraction(1, 5))
-        assert texts == residuals
+            == f"{Fraction(1, 5) ** (MAX_DEGREE + 1)}*d(1)"
 
     def test_failing_report_round_trips_through_pickle(self):
         r = Report("demo", 3, "symbolic", 2,
                    [Failure("(d(1), h(1/2))", "eq", "((1+e)/(1+3*e))*d(3)")],
                    {"rank": 4})
         assert pickle.loads(pickle.dumps(r)) == r
+        swept = collect("demo", 3, "symbolic",
+                        [(("w",), "eq", Element.of((RATIO, d(3))))])
+        copy = pickle.loads(pickle.dumps(swept))
+        assert copy.failures[0].value == swept.failures[0].value
 
     def test_json_byte_determinism(self):
         a = run_suite(RunConfig(window=2, checks=("jacobi", "solve-theta")))
@@ -130,6 +156,30 @@ class TestSuite:
     def test_empty_or_repeated_checks_rejected(self, checks):
         with pytest.raises(ValueError):
             RunConfig(window=1, checks=checks)
+
+    @pytest.mark.parametrize("window", [0, True, 2.0, "2"])
+    def test_window_that_is_not_an_int_of_at_least_1_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            RunConfig(window=window, checks=("antisym",))
+
+    def test_residual_values_survive_the_fork_pipe(self, monkeypatch):
+        # no registry check fails at e-dependent residuals, so one is made
+        # to: the symbolic product, swept as lsa-identity's residual; a
+        # value lost on the way back from a child would stay symbolic
+        from mhv import suite
+        monkeypatch.setitem(suite.CHECKS, "lsa-identity", suite._sweep(
+            "lsa-identity", "lsa.identity", 2, suite._product))
+        eps = Fraction(2, 5)
+        symbolic = run_suite(RunConfig(window=2, checks=("lsa-identity",)),
+                             workers=1)
+        evaluated = [r.evaluated_at(eps) for r in symbolic]
+        assert any(f.value is not None for f in symbolic[0].failures)
+        assert not any("e" in f.residual for f in evaluated[0].failures)
+        numeric = RunConfig(window=2, eps=EpsMode.numeric(eps),
+                            checks=("lsa-identity",))
+        for workers in (1, 2, 3):
+            assert reports_to_json(run_suite(numeric, workers=workers)) \
+                == reports_to_json(evaluated)
 
     def test_numeric_run_is_evaluated_symbolic(self):
         sym = run_suite(RunConfig(window=2))
@@ -257,7 +307,7 @@ class TestSuite:
         def die():
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerDiedError):
             run_chunks([die, die], 2)
         assert_no_child_processes()
 
@@ -316,7 +366,7 @@ class TestSuite:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
-        assert "BrokenProcessPool" in proc.stderr
+        assert "WorkerDiedError" in proc.stderr
 
     def test_a_dead_worker_exits_3_with_one_error_line(self):
         # exit code 1 means failed checks; a dead worker is not one
