@@ -25,27 +25,22 @@ of the two indices per tag pair, and zero on every other pair, so every
 table vanishes on C and L by construction.
 
 bilinear(table, x, y) is the one bilinear extension of a table on basis
-pairs to arbitrary elements.  The bracket, the left-symmetric product,
-the biderivation family table and the coefficient oracle's product all
-go through it; linear does the same for maps given on basis vectors, and
-combine builds a table as a linear combination of tables.  Many calls
-have a zero operand or two one-term operands: bilinear returns the
-shared zero element for the first, and for the second the
-table's value itself, or that value scaled once.  So the result of
-bilinear may be the very Element a table has cached.  That is safe
-because Elements are immutable: every term dict is filled before an
-Element takes it (_add_scaled writes only into such fresh dicts), and
-none is written after.
+pairs to arbitrary elements: the element-level bracket, lsa_product,
+bider_eval and BilinearTable go through it.  linear does the same for
+maps given on basis vectors, and combine builds a table as a linear
+combination of tables.
 
 basis_sweep is the one driver of the verification sweeps: it evaluates a
 residual function on every pair or triple of window basis vectors.  The
 function receives the BasisVectors themselves, each standing for itself
 with coefficient one, so a pair value such as [x, y] is a direct call to
 a table.  A residual built from such values adds each second-level term,
-such as f([x, y], z), with its sign into one term dict through
-accumulate_left or accumulate_right, and becomes one Element at the end.
-Like bilinear, the two accumulate functions write only into the fresh
-dict they are given, never into a table's cached Element.
+such as f([x, y], z), times its factor into one term dict through
+accumulate_left or accumulate_right, and becomes one Element at the end;
+no sweep calls bilinear.  bilinear itself is accumulate_right once per
+term of its left operand.  Every term dict is filled before an Element
+takes it, and none is written after, so a table's cached Elements are
+only ever read.
 """
 
 from __future__ import annotations
@@ -401,56 +396,39 @@ def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
 def bilinear(table: Callable[[BasisVector, BasisVector], Element],
              x: Element, y: Element) -> Element:
     """The bilinear extension of table, a map on basis pairs, to x and y:
-    the sum of cu*cv*table(u, v) over the term pairs.
-
-    A zero operand gives the zero element without calling table.  Two
-    one-term operands call table once and return its value itself when
-    both coefficients are ONE, else that value scaled by their product;
-    the result may thus be an Element that table has cached, which no
-    caller can mutate.  Any other pair of operands adds its terms into
-    one fresh dict, so table's Elements are never mutated either."""
-    xs, ys = x._terms, y._terms
-    if not xs or not ys:
-        return _ZERO_ELEMENT
-    if len(xs) == 1 and len(ys) == 1:
-        (u, cu), = xs.items()
-        (v, cv), = ys.items()
-        base = table(u, v)
-        if cu is ONE:
-            return base if cv is ONE else base.scale(cv)
-        return base.scale(cu if cv is ONE else cu * cv)
+    the sum of cu*cv*table(u, v) over the term pairs, added into one fresh
+    dict term by term of x, and for each term of x term by term of y."""
     acc: dict = {}
-    for u, cu in xs.items():
-        for v, cv in ys.items():
-            base = table(u, v)
-            if base._terms:
-                _add_scaled(acc, base,
-                            cu if cv is ONE else cv if cu is ONE else cu * cv)
+    for u, cu in x._terms.items():
+        accumulate_right(acc, cu, table, u, y)
     return Element(acc, _clean=True)
 
 
-def accumulate_left(acc: dict, sign: Scalar, table, x: Element,
+def accumulate_left(acc: dict, factor: Scalar, table, x: Element,
                     w: BasisVector) -> None:
-    """acc += sign * bilinear(table, x, w) on a fresh term dict, for a sign
-    of ONE or MINUS_ONE: the sum of c * table(t, w) over the terms c*t of
-    x.  table is called on every term, as bilinear would call it, and its
-    Elements are only read."""
+    """acc += factor * bilinear(table, x, w) on a fresh term dict: the sum
+    of factor * c * table(t, w) over the terms c*t of x.  A factor or c of
+    ONE costs no multiplication and a factor of MINUS_ONE only a negation;
+    table's Elements are only read."""
     for t, c in x._terms.items():
         value = table(t, w)
         if value._terms:
             _add_scaled(acc, value,
-                        sign if c is ONE else c if sign is ONE else -c)
+                        factor if c is ONE else c if factor is ONE
+                        else -c if factor is MINUS_ONE else factor * c)
 
 
-def accumulate_right(acc: dict, sign: Scalar, table, u: BasisVector,
+def accumulate_right(acc: dict, factor: Scalar, table, u: BasisVector,
                      x: Element) -> None:
-    """acc += sign * bilinear(table, u, x), the mirror of accumulate_left:
-    the sum of c * table(u, t) over the terms c*t of x."""
+    """acc += factor * bilinear(table, u, x), the mirror of
+    accumulate_left: the sum of factor * c * table(u, t) over the terms
+    c*t of x."""
     for t, c in x._terms.items():
         value = table(u, t)
         if value._terms:
             _add_scaled(acc, value,
-                        sign if c is ONE else c if sign is ONE else -c)
+                        factor if c is ONE else c if factor is ONE
+                        else -c if factor is MINUS_ONE else factor * c)
 
 
 def linear(table: Callable[[BasisVector], Element], x: Element) -> Element:

@@ -23,11 +23,12 @@ residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
 Every basis-tuple sweep runs through algebra.basis_sweep, which hands its
 residual functions basis vectors: the axiom residuals of f (a table on
-basis pairs, such as BilinearTable.evaluator), of the post-Lie product
-and of the left-symmetric biderivations call the tables directly and sum
-each residual into one term dict with algebra.accumulate_left and
-accumulate_right.  bider_eval and BilinearTable keep the element-level
-bilinear extension for general elements.
+basis pairs, such as BilinearTable.evaluator), of the post-Lie product,
+of the left-symmetric biderivations and of commuting maps call the
+tables directly and sum each residual into one term dict with
+algebra.accumulate_left and accumulate_right.  bider_eval and
+BilinearTable keep the element-level bilinear extension for general
+elements; no sweep uses it.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -49,11 +50,12 @@ check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member;
 swept over a finite parameter grid they certify the two triviality
 statements: only lambda = 0, Omega = {} survives either axiom system.
+Of the grid points' first nonzero residuals only the zero point's, the
+one witness a grid reports, becomes a Failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
@@ -61,7 +63,7 @@ from typing import Callable
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       BasisVector, CentralTermError, Element, L, _add_scaled,
                       accumulate_left, accumulate_right, basis_sweep,
-                      basis_vectors, bilinear, bracket, combine, d, h, linear,
+                      basis_vectors, bilinear, combine, d, h, linear,
                       project_centerless, tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
@@ -300,10 +302,13 @@ def commuting_residuals(phi: LinearMap, window: int,
     the window basis pairs whose first vector lies in basis[first], as a
     residual stream."""
 
+    br = BRACKET_TABLES[FULL]
+
     def polarized(u: BasisVector, v: BasisVector) -> list:
-        eu, ev = Element.basis(u), Element.basis(v)
-        return [("commuting.polarized",
-                 bracket(phi(eu), ev) + bracket(phi(ev), eu))]
+        acc: dict = {}
+        accumulate_left(acc, ONE, br, phi.evaluator(u), v)
+        accumulate_left(acc, ONE, br, phi.evaluator(v), u)
+        return [("commuting.polarized", Element(acc, _clean=True))]
 
     return basis_sweep(window, 2, polarized, first)
 
@@ -409,13 +414,11 @@ def grid_points() -> list:
 
 
 def _first_failure(residual_source, params: BiderParams,
-                   first: slice = slice(None)) -> Failure | None:
-    """The Failure of the first nonzero residual of a grid point on
-    basis[first], or None if every residual vanishes."""
-    for inputs, eq_id, residual in residual_source(params, first):
-        if not residual.is_zero():
-            return residual_failure(render_inputs(inputs), eq_id, residual)
-    return None
+                   first: slice = slice(None)) -> tuple | None:
+    """The first (inputs, equation_id, residual) of a grid point on
+    basis[first] whose residual is nonzero, or None if every one vanishes."""
+    return next((case for case in residual_source(params, first)
+                 if not case[2].is_zero()), None)
 
 
 def _grid_report(check_name: str, window: int, residual_source,
@@ -444,9 +447,10 @@ def _grid_report(check_name: str, window: int, residual_source,
                 failures.append(Failure(f"({params.describe()})",
                                         "grid.unexpected_pass", "0"))
         elif params.is_zero():
-            failures.append(replace(
-                witness, inputs=f"({params.describe()}) at {witness.inputs}",
-                equation_id=f"grid.trivial_failed[{witness.equation_id}]"))
+            inputs, eq_id, residual = witness
+            failures.append(residual_failure(
+                f"({params.describe()}) at {render_inputs(inputs)}",
+                f"grid.trivial_failed[{eq_id}]", residual))
     extra = {
         "grid_points": len(points),
         "passing_points": [p.describe() for p in passing],

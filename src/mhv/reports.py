@@ -12,7 +12,7 @@ A Report sorts its failures by (inputs, equation_id) when it is built,
 so the failure order is decided here and nowhere else.  Most checks
 stream (inputs, equation_id, residual) triples into collect, which
 counts each triple as a case and keeps each nonzero residual through
-residual_failure, as bider-family's sweep and the grids' witnesses do:
+residual_failure, as bider-family's sweep and a grid's zero point do:
 rendered, and as its value when it depends on e.  Free-text Failures
 (converse, cross-check, solve-theta, a grid's unexpected pass) have none.
 

@@ -357,22 +357,19 @@ class RunConfig:
             raise ValueError(f"repeated checks: {', '.join(self.checks)}")
 
 
-def workers_from_env() -> int:
-    raw = os.environ.get("MHV_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"MHV_WORKERS must be an integer of at least 1, got {raw!r}")
-    return count
-
-
 def run_suite(config: RunConfig, workers: int | None = None) -> list:
-    """Execute the selected checks and return one Report each."""
+    """Execute the selected checks and return one Report each.  workers,
+    by default MHV_WORKERS, must be an int of at least 1 (bool excluded)."""
+    given = workers
     if workers is None:
-        workers = workers_from_env()
+        given = os.environ.get("MHV_WORKERS", "1")
+        try:
+            workers = int(given)
+        except ValueError:
+            pass
+    if type(workers) is not int or workers < 1:
+        raise ValueError(
+            f"MHV_WORKERS must be an integer of at least 1, got {given!r}")
     if not config.eps.is_symbolic:
         config.eps.ensure_admissible(config.window)
 

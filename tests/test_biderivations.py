@@ -26,7 +26,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
 from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
-                         render_inputs, serial)
+                         render_inputs, residual_failure, serial)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import RunConfig, run_chunks, run_suite
 
@@ -453,6 +453,20 @@ class TestGrids:
         report = lsa_bider_grid(2)
         assert report.passed
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
+
+    @pytest.mark.parametrize("grid", [post_lie_grid, lsa_bider_grid])
+    def test_a_passing_grid_builds_no_failure(self, monkeypatch, grid):
+        # the 161 failing nonzero points need no witness; only the zero
+        # point's would be reported
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return residual_failure(*args)
+
+        monkeypatch.setattr(biderivations, "residual_failure", counted)
+        assert grid(2).passed
+        assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
         report = _grid_report("probe", 1, lambda params, first: iter(()),

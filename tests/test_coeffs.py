@@ -186,6 +186,42 @@ class TestBridge:
         assert first["transcribed"] != first["derived"]
         assert docs["ast.4"]["witnesses"]
 
+    @pytest.mark.parametrize("seed", coeffs.SAMPLE_SEEDS)
+    def test_a_chunk_keeps_only_the_witnesses_the_report_logs(self, seed):
+        w = coeffs.SAMPLE_WINDOW
+        _, failures, witnesses = coeffs._compare(random_fns(seed), w,
+                                                 range(-w, w + 1))
+        assert failures == []
+        assert set(witnesses) == set(coeffs.RUNTIME_DISCREPANCIES)
+        assert len(witnesses["star.12"]) == coeffs.LOGGED_WITNESSES
+
+    def test_logged_star12_witnesses_are_the_first_of_every_disagreement(
+            self):
+        # the uncapped sweep over the random tables, in cross_check's
+        # order; each table is fresh, so it draws its values alike
+        w = coeffs.SAMPLE_WINDOW
+        every = []
+        for seed in coeffs.SAMPLE_SEEDS:
+            fns = random_fns(seed)
+            for m in range(-w, w + 1):
+                for n in range(-w, w + 1):
+                    for k in range(-w, w + 1):
+                        transcribed = dict(star_residuals(fns, m, n, k))
+                        transcribed.update(ast_residuals(fns, m, n, k))
+                        t_value = transcribed["star.12"]
+                        d_value = derived_counterparts(fns, m, n, k)["star.12"]
+                        if t_value != d_value:
+                            every.append({
+                                "fns": fns.name,
+                                "tuple": f"({m}, {n}, {k})",
+                                "transcribed": t_value.render(),
+                                "derived": d_value.render()})
+        assert len(every) > coeffs.LOGGED_WITNESSES
+        docs = {e["id"]: e for e in
+                cross_check(3).extra["documented_discrepancies"]}
+        assert docs["star.12"]["witnesses"] \
+            == every[:coeffs.LOGGED_WITNESSES]
+
 
 class TestTheta:
     def test_values(self):

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -504,6 +505,19 @@ class TestSuite:
         assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "MHV_WORKERS" in out.err
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"],
+                             ids=repr)
+    def test_a_worker_argument_that_is_not_a_count_is_refused(
+            self, monkeypatch, workers):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(ValueError, match="MHV_WORKERS must be an "
+                           "integer of at least 1, got "
+                           + re.escape(repr(workers))):
+            run_suite(RunConfig(window=1), workers=workers)
 
     def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
                                                           capsys):

@@ -7,7 +7,8 @@ formula written with bilinear, bracket, lsa_product and the family's
 BilinearTable on Element.basis operands, which the sweeps no longer use.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
-h, a and b parts the closed form sets to zero.
+h, a and b parts the closed form sets to zero.  A whole window-2 suite
+run calls bilinear not once.
 """
 
 from fractions import Fraction
@@ -16,19 +17,22 @@ from itertools import product
 
 import pytest
 
+from mhv import algebra, biderivations, lsa
 from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
                          bilinear, bracket, d, h, project_centerless,
                          tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
-                               _biderivation_residuals, _lsa_bider_residuals,
-                               _post_lie_residuals, check_lsa_biderivation)
+                               LinearMap, _biderivation_residuals,
+                               _lsa_bider_residuals, _post_lie_residuals,
+                               check_lsa_biderivation, commuting_residuals)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, commutator_defect,
                         random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
-from mhv.suite import (_antisym, _compatibility, _grading, _jacobi,
-                       _lsa_identity)
+from mhv.suite import (CHECK_ORDER, RunConfig, _antisym, _commuting_specs,
+                       _compatibility, _grading, _jacobi, _lsa_identity,
+                       run_suite)
 
 WINDOW = 2
 E = Element.basis
@@ -185,3 +189,41 @@ class TestLsaBiderivation:
         # a pair off the pole, and one with a zero index, are values
         assert table(d(-3), d(-3)) == lsa_product(E(d(-3)), E(d(-3)), eps)
         assert table(d(0), d(-7)) == lsa_product(E(d(0)), E(d(-7)), eps)
+
+
+# phi(d(m)) = m d(m), zero elsewhere, is not commuting; its run_suite
+# report is the same for any worker count
+# (test_reports_cli.py::TestSuite::test_commuting_chunks_pool_like_one_sweep)
+NOT_COMMUTING = LinearMap.from_table(
+    {d(m): Element.of((m, d(m))) for m in range(-WINDOW, WINDOW + 1)},
+    "m*d(m)")
+
+
+class TestCommuting:
+    @pytest.mark.parametrize("phi", _commuting_specs(WINDOW) + [NOT_COMMUTING],
+                             ids=lambda phi: phi.name)
+    def test_against_elements(self, phi):
+        swept = swept_by_tuple(commuting_residuals(phi, WINDOW))
+        assert len(swept) == len(tuples(2))
+        for x, y in tuples(2):
+            ex, ey = E(x), E(y)
+            assert swept[(x, y), "commuting.polarized"] \
+                == bracket(phi(ex), ey) + bracket(phi(ey), ex), (x, y)
+
+
+def test_a_suite_run_calls_bilinear_nowhere(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear(*args)
+
+    # bracket looks bilinear up in algebra; lsa and biderivations import it
+    for module in (algebra, lsa, biderivations):
+        monkeypatch.setattr(module, "bilinear", counted)
+    assert bracket(E(d(1)), E(d(2))) == bilinear(algebra._basis_bracket,
+                                                 E(d(1)), E(d(2)))
+    assert len(calls) == 1
+    reports = run_suite(RunConfig(window=WINDOW), workers=1)
+    assert [r.check for r in reports] == list(CHECK_ORDER)
+    assert len(calls) == 1
