@@ -51,6 +51,10 @@ class Failure:
     # the e-dependent Element or Scalar that residual renders, else None
     value: Element | Scalar | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        if self.value is not None and self.value.render() != self.residual:
+            raise ValueError(f"{self.residual!r} does not render its value")
+
     def to_dict(self) -> dict:
         return {
             "inputs": self.inputs,
@@ -114,8 +118,15 @@ def residual_failure(inputs: str, equation_id: str,
     coeffs = residual._terms.values() if isinstance(residual, Element) \
         else (residual,)
     depends = not all(c.is_rational() for c in coeffs)
-    return Failure(inputs, equation_id, residual.render(),
-                   residual if depends else None)
+    return _rendered(inputs, equation_id, residual.render(),
+                     residual if depends else None)
+
+
+def _rendered(inputs: str, equation_id: str, residual: str, value) -> Failure:
+    """A Failure whose residual renders value, built without the check."""
+    failure = Failure(inputs, equation_id, residual)
+    object.__setattr__(failure, "value", value)
+    return failure
 
 
 def render_inputs(inputs: tuple) -> str:
@@ -165,7 +176,8 @@ def prefixed(prefix: str, report: Report) -> Report:
     """The same Report with every failure's inputs led by prefix; only
     failures are relabelled, so a passing report formats no label."""
     return replace(report, failures=[
-        replace(f, inputs=f"{prefix} {f.inputs}") for f in report.failures])
+        _rendered(f"{prefix} {f.inputs}", f.equation_id, f.residual, f.value)
+        for f in report.failures])
 
 
 def reports_to_json(reports: list, config: dict | None = None) -> str:

@@ -13,24 +13,25 @@ equality (and in particular equality to zero) is a plain structural
 comparison.  The parameter e itself and its inverse 1/e are both ordinary
 Scalars; no special-casing is needed anywhere downstream.
 
-Three kinds of result need no polynomial gcd, only the division of num
-and den by their common integer content:
+Arithmetic cancels factors before it multiplies them (Henrici, J. ACM
+3(1), 1956; Knuth, TAOCP vol. 2, 4.5.1).  For canonical a/b and c/d, with
+gcd = pgcd, exact quotients and division by the integer content last:
 
-  * a/b + c/d with b or d a constant, say b: a common factor of positive
-    degree of a*d + c*b and b*d divides d, then c*b, then c, and
-    gcd(c, d) = 1;
-  * a product with a rational factor p/q: a common factor of positive
-    degree of p*a and q*b divides a and b;
-  * a sum, difference or product of two rationals p/q and r/s: num and
-    den are the integers p*s +- r*q or p*r over q*s > 0, so one integer
-    gcd reduces them.
+  * (a/b)*(c/d) is (a/g1)(c/g2) over (b/g2)(d/g1) for g1 = gcd(a, d) and
+    g2 = gcd(c, b), each skipped as 1 when its den is constant.  A factor
+    of positive degree of both would divide one of a/g1, c/g2 and one of
+    b/g2, d/g1, but each such pair is coprime;
+  * a/b +- c/d, with g = gcd(b, d) (b if b == d), b = g*b', d = g*d', is
+    (a*d' +- c*b') over g*b'*d'.  A factor of positive degree of that
+    numerator and b' divides a*d' but not a, so d', prime to b'; likewise
+    for d'.  So the common factor is gcd(numerator, g), skipped if g = 1;
+  * +, - and * of two rationals are ints over an int > 0, reduced by one
+    integer gcd (_rational): most of the arithmetic of e-free checks.
 
-Most of the arithmetic of a verification sweep is of these kinds.  The
-third, most of the arithmetic of the e-free checks, runs on plain ints
-(_rational) instead of coefficient tuples.  Every other result is
-reduced by pgcd, the primitive pseudo-remainder sequence over Z[e]
-(Brown, J. ACM 18(4), 1971), and the exact quotient by it.  A Scalar's
-hash is computed on first use.
+pgcd is the primitive pseudo-remainder sequence over Z[e] (Brown, J. ACM
+18(4), 1971).  A linear remainder b0 + b1*e, b1 > 0, ends it: it divides
+a of degree n exactly when b1^n a(-b0/b1), the integer sum of
+a_i (-b0)^i b1^(n-i), is 0.  A Scalar's hash is computed on first use.
 
 Polynomials are coefficient tuples of int, lowest degree first, with no
 trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
@@ -141,15 +142,20 @@ def pgcd(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         a = a or b
         return _primitive(a) if a else a
-    a, b = _primitive(a), _primitive(b)
+    if len(a) == 1 or len(b) == 1:
+        return PONE
     if len(a) < len(b):
         a, b = b, a
-    while len(b) > 1:
+    b = _primitive(b)
+    while len(b) > 2:
         a, b = b, _pseudo_remainder(a, b)
-        if not b:
-            return a
+        if len(b) < 2:
+            return PONE if b else a
         b = _primitive(b)
-    return PONE
+    value, power = 0, 1
+    for c in reversed(a):
+        value, power = value * -b[0] + c * power, power * b[1]
+    return PONE if value else b
 
 
 def _exact_quotient(a: tuple, b: tuple) -> tuple:
@@ -250,15 +256,7 @@ class Scalar:
             return other
         if not c:
             return self
-        if b == d:
-            num, den = padd(a, c), b
-        else:
-            num, den = padd(pmul(a, d), pmul(c, b)), pmul(b, d)
-        if not num:
-            return ZERO
-        if len(b) == 1 or len(d) == 1:
-            return Scalar(*_reduced(num, den), _canonical=True)
-        return Scalar(*_canonicalize(num, den), _canonical=True)
+        return _sum(a, b, c, d)
 
     def __neg__(self) -> "Scalar":
         if self.is_zero():
@@ -269,7 +267,9 @@ class Scalar:
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == len(b) == len(c) == len(d) == 1:
             return _rational(a[0] * d[0] - c[0] * b[0], b[0] * d[0])
-        return self + (-other)
+        if not a or not c:
+            return self + (-other)
+        return _sum(a, b, pneg(c), d)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.num, self.den, other.num, other.den
@@ -277,10 +277,11 @@ class Scalar:
             return _rational(a[0] * c[0], b[0] * d[0])
         if not a or not c:
             return ZERO
-        num, den = pmul(a, c), pmul(b, d)
-        if self.is_rational() or other.is_rational():
-            return Scalar(*_reduced(num, den), _canonical=True)
-        return Scalar(*_canonicalize(num, den), _canonical=True)
+        if len(d) > 1:
+            a, d = _quotients(a, d, pgcd(a, d))
+        if len(b) > 1:
+            c, b = _quotients(c, b, pgcd(c, b))
+        return Scalar(*_reduced(pmul(a, c), pmul(b, d)), _canonical=True)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
@@ -365,10 +366,27 @@ def _canonicalize(num: tuple, den: tuple) -> tuple:
     """The canonical form of num/den for integer polynomials, den nonzero."""
     if not num:
         return PZERO, PONE
-    g = pgcd(num, den)
-    if len(g) > 1:
-        num, den = _exact_quotient(num, g), _exact_quotient(den, g)
-    return _reduced(num, den)
+    return _reduced(*_quotients(num, den, pgcd(num, den)))
+
+
+def _quotients(a: tuple, b: tuple, g: tuple) -> tuple:
+    """a / g and b / g for a primitive g that divides both over Q[e]."""
+    if len(g) == 1:
+        return a, b
+    return _exact_quotient(a, g), _exact_quotient(b, g)
+
+
+def _sum(a: tuple, b: tuple, c: tuple, d: tuple) -> Scalar:
+    """The Scalar a/b + c/d for canonical a/b and c/d, not both rational."""
+    if b == d:
+        g, num, den = b, padd(a, c), b
+    else:
+        g = pgcd(b, d) if len(b) > 1 and len(d) > 1 else PONE
+        bq, dq = _quotients(b, d, g)
+        num, den = padd(pmul(a, dq), pmul(c, bq)), pmul(b, dq)
+    if len(g) > 1 and num:
+        num, den = _quotients(num, den, pgcd(num, g))
+    return Scalar(*_reduced(num, den), _canonical=True) if num else ZERO
 
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)

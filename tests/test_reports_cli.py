@@ -1,5 +1,6 @@
 """Report determinism, JSON schema, suite orchestration and the CLI."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -18,7 +19,8 @@ from mhv.algebra import Element, d
 from mhv.cli import ALIASES, build_parser, main
 from mhv.expressions import MAX_DEGREE, ParseError, parse
 from mhv.lsa import SYMBOLIC, EpsMode
-from mhv.reports import Failure, Report, collect, reports_to_json
+from mhv.reports import (Failure, Report, collect, prefixed,
+                         reports_to_json)
 from mhv.scalars import Scalar
 from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
                        run_suite)
@@ -67,6 +69,23 @@ class TestReports:
         assert [f.value is None for f in r.failures] == [True, False, True]
         assert [f.residual for f in r.evaluated_at(Fraction(1, 5)).failures] \
             == ["-d(1)", "3/4", "rank 4 < 5: nope"]
+
+    def test_a_copy_with_a_new_residual_keeps_no_stale_value(self):
+        # a copy of a (1+e)/(1+3*e) failure with the residual "7" once kept
+        # the old value and evaluated to 3/4 at e = 1/5
+        swept = collect("demo", 3, "symbolic", [(("w",), "eq", RATIO)])
+        failure = swept.failures[0]
+        with pytest.raises(ValueError, match="does not render its value"):
+            dataclasses.replace(failure, residual="7")
+        with pytest.raises(ValueError, match="does not render its value"):
+            Failure("(w)", "eq", "7", RATIO)
+        # a copy that keeps the residual keeps the value
+        moved = dataclasses.replace(failure, inputs="(v)")
+        part = prefixed("m", swept).failures[0]
+        assert moved.value is part.value is RATIO
+        assert part.inputs == "m (w)"
+        assert prefixed("m", swept).evaluated_at(Fraction(1, 5)).failures \
+            == [Failure("m (w)", "eq", "3/4")]
 
     def test_evaluated_at_calls_no_parser(self, monkeypatch):
         import mhv.expressions

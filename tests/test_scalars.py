@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
@@ -38,6 +39,17 @@ polys = st.lists(rationals, max_size=5).map(ptrim)
 general_scalars = st.builds(
     lambda num, den: Scalar(num, den if den else (Fraction(1),)),
     polys, polys)
+
+# k*num/den for products num and den of a small pool of factors, so that
+# numerators and denominators share factors, are equal, are non-primitive
+# (2+2*e) or cancel; k = 0 draws the zero scalar
+FACTORS = ((1, 1), (2, 2), (3, 2), (-3, 2), (0, 1), (1, 0, 1), (1, 3, 2),
+           (5, -2, 3))
+factor_products = st.lists(st.sampled_from(FACTORS), max_size=3).map(
+    lambda factors: reduce(pmul, factors, (1,)))
+shared_scalars = st.builds(
+    lambda k, num, den: Scalar(pmul((k,), num), den),
+    st.integers(-6, 6), factor_products, factor_products)
 
 
 class TestExamples:
@@ -228,6 +240,51 @@ class TestGcd:
         b = pmul(g, (Fraction(3, 4), Fraction(9)))
         assert monic_pgcd(a, b) == euclid_pgcd(a, b) \
             == pmul(g, (1 / g[-1],))
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # non-primitive and negative-leading linear divisors
+        (pmul((1, 1), (3, 5)), (2, 2), (1, 1)),
+        (pmul((1, 1), (3, 5)), (-4, -4), (1, 1)),
+        (pmul((-3, 2), (1, 0, 1)), (3, -2), (-3, 2)),
+        # a root at the non-integer rational -3/2, and near misses
+        (pmul((3, 2), (1, 0, 1)), (3, 2), (3, 2)),
+        (pmul((3, 1), (1, 0, 1)), (3, 2), (1,)),
+        (pmul((2, 3), (1, 2)), (3, 2), (1,)),
+        # a constant a
+        ((6,), (3, 2), (1,)),
+        ((-4,), (2, 2), (1,)),
+        # repeated factors
+        (pmul((3, 2), (3, 2)), (3, 2), (3, 2)),
+        (pmul(pmul((3, 2), (3, 2)), (1, 1)), pmul((3, 2), (3, 2)),
+         pmul((3, 2), (3, 2))),
+        (pmul(pmul((3, 2), (3, 2)), (1, 1)), pmul((3, 2), (1, 2)), (3, 2)),
+    ])
+    def test_linear_divisors(self, a, b, expected):
+        assert pgcd(a, b) == pgcd(b, a) == expected
+        for x, y in ((a, b), (b, a)):
+            x, y = (tuple(map(Fraction, p)) for p in (x, y))
+            assert monic_pgcd(x, y) == euclid_pgcd(x, y)
+
+
+class TestCrossCancellation:
+    """+, -, * and / cancel common factors of the operands' numerators and
+    denominators before they multiply; the result must be the canonical
+    form the general route Scalar(num, den) computes."""
+
+    @given(shared_scalars, shared_scalars)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_general_route(self, x, y):
+        a, b = x.num, x.den
+        for z in (y, x, -x):
+            c, d = z.num, z.den
+            routes = [(x + z, padd(pmul(a, d), pmul(c, b)), pmul(b, d)),
+                      (x - z, padd(pmul(a, d), pneg(pmul(c, b))), pmul(b, d)),
+                      (x * z, pmul(a, c), pmul(b, d))]
+            if not z.is_zero():
+                routes.append((x / z, pmul(a, d), pmul(b, c)))
+            for value, num, den in routes:
+                expected = Scalar(num, den)
+                assert (value.num, value.den) == (expected.num, expected.den)
 
 
 class TestRationalShortcuts:

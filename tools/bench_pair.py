@@ -8,10 +8,10 @@ For every workload, pair i runs
 
 once in PARENT_DIR and once in this tree, with the parent first in the
 even pairs and the change first in the odd ones, so that a drift of the
-machine's speed does not favour one side.  T is BENCHMARK.json's
-run_seconds, and the pair counts are PAIRS: ten for verify-w5 and
-verify-w4-eps-2workers, enough for a claim that the change wins nine
-pairs of ten, and three for every other workload.  Pair i of every workload uses seed N + i.
+machine's speed does not favour one side.  The workloads are
+BENCHMARK.json's and T is its run_seconds.  Every workload runs PAIRS =
+10 pairs, enough for a claim on any of them that the change wins nine
+pairs of ten.  Pair i of every workload uses seed N + i.
 
 Results go to two new files at the root of this tree: the parent's to
 BENCH_<n>.json and this tree's to BENCH_<n+1>.json, where n is one more
@@ -43,8 +43,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PAIRS = {"verify-w5": 10, "verify-w4-eps-2workers": 10,
-         "kernel-dense-e": 3, "counterexamples": 3}
+PAIRS = 10
 SIDES = ("parent", "change")
 
 
@@ -106,6 +105,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
 
     checkouts = {"parent": parent, "change": ROOT}
     first = next_index()
@@ -120,8 +120,8 @@ def main(argv=None) -> int:
         write(paths[side], results[side], mode="x")
     print(f"parent -> {os.path.basename(paths['parent'])}, change -> "
           f"{os.path.basename(paths['change'])}", flush=True)
-    for workload, count in PAIRS.items():
-        for pair in range(count):
+    for workload in workloads:
+        for pair in range(PAIRS):
             seed = args.seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     print("\nmedian [quartiles] per side; wins: pairs where the change is "
           "better")
-    for workload in PAIRS:
+    for workload in workloads:
         for metric, direction in better.items():
             values = {side: [r["metrics"][metric]
                              for r in results[side]["runs"]
