@@ -30,14 +30,14 @@ bider_eval and BilinearTable go through it.  linear does the same for
 maps given on basis vectors, and combine builds a table as a linear
 combination of tables.
 
-basis_sweep is the one driver of the verification sweeps: it evaluates a
-residual function on every pair or triple of window basis vectors.  The
-function receives the BasisVectors themselves, each standing for itself
-with coefficient one, so a pair value such as [x, y] is a direct call to
-a table.  A residual built from such values adds each second-level term,
-such as f([x, y], z), times its factor into one term dict through
-accumulate_left or accumulate_right, and becomes one Element at the end;
-no sweep calls bilinear.  bilinear itself is accumulate_right once per
+basis_sweep drives the sweeps other than biderivations' derivation
+kernel: it evaluates a residual function on every pair or triple of
+window basis vectors.  The function receives the BasisVectors
+themselves, each standing for itself with coefficient one, so a pair
+value such as [x, y] is a direct call to a table.  A residual built from
+such values adds each second-level term, such as f([x, y], z), times its
+factor into one term dict through accumulate_left or accumulate_right,
+and becomes one Element at the end; no sweep calls bilinear.  bilinear itself is accumulate_right once per
 term of its left operand.  Every term dict is filled before an Element
 takes it, and none is written after, so a table's cached Elements are
 only ever read.
@@ -253,12 +253,8 @@ class Element:
 
     def eval_at(self, eps_value) -> "Element":
         """Element with every coefficient evaluated at e = eps_value."""
-        acc = {}
-        for bv, coeff in self._terms.items():
-            value = coeff.eval_at(eps_value)
-            if value != 0:
-                acc[bv] = sc(value)
-        return Element(acc, _clean=True)
+        return Element({bv: sc(coeff.eval_at(eps_value))
+                        for bv, coeff in self._terms.items()})
 
     # -- comparison / rendering -----------------------------------------------
 
@@ -276,11 +272,9 @@ class Element:
             if coeff == ONE:
                 body = bv.render()
             elif coeff.is_rational():
-                r = coeff.as_rational()
-                if r == -1:
-                    body = f"-{bv.render()}"
-                else:
-                    body = f"{r}*{bv.render()}"
+                n, q = coeff.num[0], coeff.den[0]
+                r = str(n) if q == 1 else f"{n}/{q}"
+                body = f"-{bv.render()}" if r == "-1" else f"{r}*{bv.render()}"
             else:
                 body = f"({coeff.render()})*{bv.render()}"
             parts.append(body)

@@ -21,14 +21,14 @@ generator tables.  check_family uses the parts themselves: the
 derivation axioms are linear in f, so it takes each distinct generator's
 residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
-Every basis-tuple sweep runs through algebra.basis_sweep, which hands its
-residual functions basis vectors: the axiom residuals of f (a table on
-basis pairs, such as BilinearTable.evaluator), of the post-Lie product,
-of the left-symmetric biderivations and of commuting maps call the
-tables directly and sum each residual into one term dict with
-algebra.accumulate_left and accumulate_right.  bider_eval and
-BilinearTable keep the element-level bilinear extension for general
-elements; no sweep uses it.
+Every derivation sweep (check_biderivation, the left-symmetric
+biderivations, bider-family, bider-grid) runs through one kernel,
+derivation_residuals, which takes f(x, .) once per first basis vector x
+and f(x, y) and mul(x, y) once per (x, y); the post-Lie and commuting
+sweeps run through algebra.basis_sweep.  Each sweep calls its tables on
+basis vectors and sums each residual into one term dict with
+algebra.accumulate_left and accumulate_right; no sweep uses the
+element-level bilinear extension of bider_eval and BilinearTable.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -185,58 +185,72 @@ class BilinearTable:
         return bilinear(self.evaluator, x, y)
 
 
-def _derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
-                          y: BasisVector, z: BasisVector) -> tuple:
-    """The two derivation axioms of the table f with respect to the
-    product table mul at the basis triple (x, y, z),
+def derivation_residuals(tables: list, mul: PairTable, x: BasisVector,
+                         ys: list, zs: list, project: bool = False):
+    """The two derivation axioms of each table f in tables with respect to
+    the product table mul at the basis triples (x, y, z), y in ys, z in zs:
 
         f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
-        f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)),
+        f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
 
-    each summed term by term into one dict and returned as an Element."""
-    fxz = f(x, z)
-    left: dict = {}
-    accumulate_left(left, ONE, f, mul(x, y), z)
-    accumulate_left(left, MINUS_ONE, mul, fxz, y)
-    accumulate_right(left, MINUS_ONE, mul, x, f(y, z))
-    right: dict = {}
-    accumulate_right(right, ONE, f, x, mul(y, z))
-    accumulate_left(right, MINUS_ONE, mul, f(x, y), z)
-    accumulate_right(right, MINUS_ONE, mul, y, fxz)
-    return Element(left, _clean=True), Element(right, _clean=True)
-
-
-def _axiom_residuals(f: PairTable, x: BasisVector, y: BasisVector,
-                     z: BasisVector, mode: AlgebraMode = FULL) -> list:
-    """Residuals of the two derivation axioms of the table f, with respect
-    to the bracket, at the basis triple (x, y, z).
-
-    In CENTERLESS mode x, y and z are centerless, so the brackets go to
-    the centerless table directly, without bracket()'s check for central
-    terms.  A candidate's values may still hold C or L (a FULL-mode table
-    checked on the quotient), so the residuals are projected onto the
-    quotient."""
-    left, right = _derivation_residuals(f, BRACKET_TABLES[mode], x, y, z)
-    if mode is CENTERLESS:
-        left, right = project_centerless(left), project_centerless(right)
-    return [("bider.left", left), ("bider.right", right)]
-
-
-def _generator_residuals(tables: list, x: BasisVector, y: BasisVector,
-                         z: BasisVector) -> list:
-    """Each centerless axiom's residuals at the basis triple (x, y, z), one
-    per table: [(equation_id, [residual of each table])].  The axioms are
-    linear in f, so a weighted sum of the tables has the same weighted sum
-    of these residuals."""
-    per_table = [_axiom_residuals(t, x, y, z, CENTERLESS) for t in tables]
-    return [("bider.left", [left for (_, left), _ in per_table]),
-            ("bider.right", [right for _, (_, right) in per_table])]
+    Yields (y, z, left, right) per triple for each table in turn, projected
+    onto the centerless quotient with project (values may hold C or L).
+    No empty value reaches an accumulate kernel, and each table's products
+    come in the order written, so under a numeric e the first pole raises."""
+    fxs = [(f, [f(x, z) for z in zs]) for f in tables]
+    for y in ys:
+        mxy = mul(x, y)
+        per_table = [(f, fx, f(x, y)) for f, fx in fxs]
+        for k, z in enumerate(zs):
+            for f, fx, fxy in per_table:
+                fxz = fx[k]
+                acc: dict = {}
+                if mxy._terms:
+                    accumulate_left(acc, ONE, f, mxy, z)
+                if fxz._terms:
+                    accumulate_left(acc, MINUS_ONE, mul, fxz, y)
+                fyz = f(y, z)
+                if fyz._terms:
+                    accumulate_right(acc, MINUS_ONE, mul, x, fyz)
+                left = Element(acc, _clean=True)
+                myz = mul(y, z)
+                acc = {}
+                if myz._terms:
+                    accumulate_right(acc, ONE, f, x, myz)
+                if fxy._terms:
+                    accumulate_left(acc, MINUS_ONE, mul, fxy, z)
+                if fxz._terms:
+                    accumulate_right(acc, MINUS_ONE, mul, y, fxz)
+                right = Element(acc, _clean=True)
+                if project:
+                    left, right = map(project_centerless, (left, right))
+                yield y, z, left, right
 
 
-def _biderivation_residuals(cand: BilinearTable, window: int,
-                            mode: AlgebraMode):
-    return basis_sweep(window, 3, partial(_axiom_residuals, cand.evaluator,
-                                          mode=mode), mode=mode)
+def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
+                 mode: AlgebraMode, first: slice = slice(None)):
+    """(inputs, equation_id, residual) of the two axioms, name.left and
+    name.right, of the one table f on the triples of the window basis
+    whose first vector lies in basis[first]; on the quotient (CENTERLESS)
+    the residuals are projected."""
+    basis = basis_vectors(window, mode)
+    left_id, right_id = f"{name}.left", f"{name}.right"
+    for x in basis[first]:
+        for y, z, left, right in derivation_residuals(
+                [f], mul, x, basis, basis, mode is CENTERLESS):
+            yield (x, y, z), left_id, left
+            yield (x, y, z), right_id, right
+
+
+def _centerless_triples(tables: list, xs: list, ys: list, zs: list):
+    """derivation_residuals of several tables on the quotient, with respect
+    to the bracket, as one ((x, y, z), lefts, rights) per triple."""
+    for x in xs:
+        triples = derivation_residuals(tables, BRACKET_TABLES[CENTERLESS], x,
+                                       ys, zs, True)
+        for group in zip(*[triples] * len(tables)):
+            y, z, lefts, rights = zip(*group)
+            yield (x, y[0], z[0]), lefts, rights
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -247,7 +261,8 @@ def check_biderivation(cand: BilinearTable, window: int,
     family lives; FULL mode additionally exercises the central extension
     and rejects every candidate with a nonzero Upsilon part."""
     return collect(f"biderivation[{cand.name}]", window, "symbolic",
-                   _biderivation_residuals(cand, window, mode),
+                   _axiom_cases("bider", cand.evaluator, BRACKET_TABLES[mode],
+                                window, mode),
                    {"mode": mode.value})
 
 
@@ -365,19 +380,10 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode,
                          first: slice = slice(None)):
     """The derivation axioms with respect to the left-symmetric product, on
-    the triples whose first basis vector lies in basis[first].
-    The products are taken in the order lsa_product took them, so under
-    a numeric e the first pair at the pole raises the same PoleError:
-    every value of f and of the product has at most one d term, so
-    lsa_product's scan would have listed that pair alone."""
-    f = family_table(params)
-    mul = product_table(eps)
-
-    def axioms(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
-        left, right = _derivation_residuals(f, mul, x, y, z)
-        return [("lsabider.left", left), ("lsabider.right", right)]
-
-    return basis_sweep(window, 3, axioms, first)
+    the triples whose first basis vector lies in basis[first].  A pole
+    raises lsa_product's PoleError: no value of f or mul has two d terms."""
+    return _axiom_cases("lsabider", family_table(params), product_table(eps),
+                        window, FULL, first)
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
@@ -526,9 +532,10 @@ def _converse_chunk(tables: list, family: set, names: list, window: int,
     of the chunk's earlier rows."""
     reducer = RowReducer()
     out = []
-    for z in basis_vectors(window, CENTERLESS):
+    for inputs, lefts, rights in _centerless_triples(
+            tables, [x], [y], basis_vectors(window, CENTERLESS)):
         failures, raising, rows = [], [], 0
-        for _, per_gen in _generator_residuals(tables, x, y, z):
+        for per_gen in (lefts, rights):
             # each generator's residual walked once: output vector ->
             # [(generator, coefficient)] in generator order
             by_vector: dict = {}
@@ -540,7 +547,7 @@ def _converse_chunk(tables: list, family: set, names: list, window: int,
                 for g, coeff in by_vector[w]:
                     if g in family:
                         failures.append(Failure(
-                            render_inputs((x, y, z)),
+                            render_inputs(inputs),
                             "converse.family_residual",
                             f"{names[g]}: {coeff.render()}"))
                     else:
@@ -643,20 +650,22 @@ def _family_sweep(members: list, tables: list, window: int,
     residual formed, as its weighted sum of them."""
     failures = []
     cases = 0
-    for inputs, eq_id, per_table in basis_sweep(
-            window, 3, partial(_generator_residuals, tables), first,
-            CENTERLESS):
-        cases += len(members)
-        if all(res.is_zero() for res in per_table):
-            continue
-        for label, weights in members:
-            acc: dict = {}
-            for weight, i in weights:
-                _add_scaled(acc, per_table[i], weight)
-            if acc:
-                failures.append(residual_failure(
-                    f"{label} {render_inputs(inputs)}", eq_id,
-                    Element(acc, _clean=True)))
+    basis = basis_vectors(window, CENTERLESS)
+    for inputs, lefts, rights in _centerless_triples(tables, basis[first],
+                                                     basis, basis):
+        for eq_id, per_table in (("bider.left", lefts),
+                                 ("bider.right", rights)):
+            cases += len(members)
+            if all(res.is_zero() for res in per_table):
+                continue
+            for label, weights in members:
+                acc: dict = {}
+                for weight, i in weights:
+                    _add_scaled(acc, per_table[i], weight)
+                if acc:
+                    failures.append(residual_failure(
+                        f"{label} {render_inputs(inputs)}", eq_id,
+                        Element(acc, _clean=True)))
     return Report("bider-family", window, "symbolic", cases, failures)
 
 

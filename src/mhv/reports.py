@@ -26,9 +26,9 @@ a check's residual streams as one chunk and pools them.  prefixed leads
 every failure label of a part, such as one family member's, with the
 part's name.
 
-evaluated_at evaluates every value at a rational e, parsing nothing, and
-keeps every other failure: this is how symbolic and numeric runs are
-compared bit for bit.
+evaluated_at evaluates every value at an exact nonzero e, refused first,
+parsing nothing, and keeps every other failure: this is how symbolic and
+numeric runs are compared bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .algebra import Element
-from .scalars import Scalar
+from .scalars import Scalar, ZeroEpsilonError
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +102,13 @@ class Report:
     def evaluated_at(self, eps: Fraction) -> "Report":
         """The report a numeric run at e = eps should reproduce: each value
         evaluated (str renders a Scalar's Fraction as Scalar.render would)
-        and the e-mode relabeled.  Pole errors propagate."""
+        and the e-mode relabeled.  eps, as a Fraction, is checked before
+        any failure: a float raises TypeError, 0 ZeroEpsilonError."""
+        if isinstance(eps, float):
+            raise TypeError(f"e must be exact, not the float {eps!r}")
+        eps = Fraction(eps)
+        if eps == 0:
+            raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
         evaluated = [f if f.value is None else
                      Failure(f.inputs, f.equation_id,
                              str(f.value.eval_at(eps)))

@@ -37,8 +37,9 @@ Polynomials are coefficient tuples of int, lowest degree first, with no
 trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
 precision) enter and leave only at the boundary: Scalar(num, den) also
 accepts Fraction coefficients and clears their denominators,
-from_rational and as_rational convert single rationals, eval_at returns
-a Fraction, and render writes num over Q above the primitive den.
+from_rational and as_rational convert single rationals, and eval_at
+returns one Fraction (num and den times q^degree at e = p/q, by integer
+Horner).  render writes num over Q above the primitive den from ints.
 """
 
 from __future__ import annotations
@@ -152,10 +153,7 @@ def pgcd(a: tuple, b: tuple) -> tuple:
         if len(b) < 2:
             return PONE if b else a
         b = _primitive(b)
-    value, power = 0, 1
-    for c in reversed(a):
-        value, power = value * -b[0] + c * power, power * b[1]
-    return PONE if value else b
+    return PONE if _scaled_value(a, -b[0], b[1], len(a) - 1) else b
 
 
 def _exact_quotient(a: tuple, b: tuple) -> tuple:
@@ -172,15 +170,17 @@ def _exact_quotient(a: tuple, b: tuple) -> tuple:
     return tuple(quo)
 
 
-def peval(a: tuple, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _scaled_value(a: tuple, p: int, q: int, degree: int) -> int:
+    """q^degree * a(p/q) for an integer polynomial a of at most that
+    degree, by Horner's rule over the integers."""
+    value, power = 0, q ** (degree + 1 - len(a))
     for c in reversed(a):
-        acc = acc * x + c
-    return acc
+        value, power = value * p + c * power, power * q
+    return value
 
 
-def prender(a: tuple) -> str:
-    """Deterministic rendering, ascending degree, e.g. "1+3*e" or "-1+e^2"."""
+def prender(a: tuple, content: int = 1) -> str:
+    """a / content in ascending degree, e.g. "1+3*e" or "-1/2+e^2"."""
     if not a:
         return "0"
     parts = []
@@ -188,6 +188,9 @@ def prender(a: tuple) -> str:
         if c == 0:
             continue
         mag = -c if c < 0 else c
+        if content != 1:
+            g = _int_gcd(mag, content)
+            mag = mag // g if g == content else f"{mag // g}/{content // g}"
         if deg == 0:
             body = str(mag)
         else:
@@ -299,10 +302,12 @@ class Scalar:
         x = Fraction(eps_value)
         if x == 0:
             raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
-        d = peval(self.den, x)
-        if d == 0:
+        p, q = x.numerator, x.denominator
+        degree = max(len(self.num), len(self.den)) - 1
+        den = _scaled_value(self.den, p, q, degree)
+        if den == 0:
             raise PoleError(f"pole of {self} at e = {x}")
-        return peval(self.num, x) / d
+        return Fraction(_scaled_value(self.num, p, q, degree), den)
 
     # -- comparison / rendering ---------------------------------------------
 
@@ -320,7 +325,7 @@ class Scalar:
         """num over Q above the primitive den: both are divided by the
         content of den, and a constant den is left out."""
         content = _int_gcd(*self.den)
-        num = prender(tuple(Fraction(c, content) for c in self.num))
+        num = prender(self.num, content)
         if len(self.den) == 1:
             return num
         return f"({num})/({prender(tuple(c // content for c in self.den))})"

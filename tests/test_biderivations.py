@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhv import biderivations
-from mhv.algebra import (CENTERLESS, FULL, BasisVector, C, CentralTermError,
-                         Element, L, basis_vectors, bilinear, bracket, combine,
-                         d, h, project_centerless, tag_table)
+from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
+                         CentralTermError, Element, L, basis_vectors, bilinear,
+                         bracket, combine, d, h, project_centerless,
+                         tag_table)
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
-                               BilinearTable, LinearMap, _biderivation_residuals,
+                               BilinearTable, LinearMap, _axiom_cases,
                                _candidate_generators, _central_residuals,
-                               _generator_residuals, _grid_report, bider_eval,
+                               _grid_report, bider_eval,
                                check_bider_converse, check_biderivation,
                                check_commuting, check_family,
                                check_lsa_biderivation, check_post_lie,
@@ -29,6 +30,7 @@ from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          render_inputs, residual_failure, serial)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import RunConfig, run_chunks, run_suite
+from test_sweeps import axiom_oracle
 
 E = Element.basis
 
@@ -228,9 +230,9 @@ class TestFamilyByLinearity:
         return pooled("bider-family", window, [
             prefixed(f"params=({p.describe()})", collect(
                 "bider-family", window, "symbolic", chain(
-                    _biderivation_residuals(
-                        BilinearTable.from_params(p, CENTERLESS), window,
-                        CENTERLESS),
+                    _axiom_cases("bider", family_table(p, CENTERLESS),
+                                 BRACKET_TABLES[CENTERLESS], window,
+                                 CENTERLESS),
                     _central_residuals(p, basis))))
             for p in biderivations.FAMILY_SAMPLES])
 
@@ -515,7 +517,8 @@ class TestGrids:
 def sequential_converse(window: int) -> Report:
     """The converse as one sequential sweep: every row goes to one
     RowReducer, and the sweep stops after the first triple at which the
-    rank is certified.  The oracle for the chunked check."""
+    rank is certified.  The oracle for the chunked check; its residuals
+    come from the element-level formula, axiom_oracle."""
     gens = biderivations._candidate_generators()
     names = [name for name, _ in gens]
     tables = [fn for _, fn in gens]
@@ -527,7 +530,10 @@ def sequential_converse(window: int) -> Report:
     rows_used = 0
     basis = basis_vectors(window, CENTERLESS)
     for x, y, z in product(basis, repeat=3):
-        for _, per_gen in _generator_residuals(tables, x, y, z):
+        oracles = [axiom_oracle(BilinearTable(t), CENTERLESS, x, y, z)
+                   for t in tables]
+        for eq_id in ("bider.left", "bider.right"):
+            per_gen = [oracle[eq_id] for oracle in oracles]
             supports = set()
             for res in per_gen:
                 supports.update(res.support())

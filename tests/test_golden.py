@@ -6,11 +6,13 @@ numeric mode (verify at window 2) and, through the failing runs, the
 rendering of failure inputs and residuals, which passing reports never
 show: a full-mode bider-check whose residuals lie in l, an
 LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
-run numerically at e = 2/5, a post-Lie check of a nonzero family member,
-a commuting check of a map that does not commute, and the family check
-at window 1 with a dd -> d part added to every member.  Two text
-summaries cover the human format: verify at window 1, and the failing
-bider-check, whose 24 failures exercise the five-failure cut.
+run numerically at e = 2/5 (one member at window 1, and the 644 failures
+of lambda = 2, Omega = {0: 1} at window 2), a post-Lie check of a
+nonzero family member, a commuting check of a map that does not
+commute, and the family check at window 1 with a dd -> d part added to
+every member.  Two text summaries cover the human format: verify at
+window 1, and the failing bider-check, whose 24 failures exercise the
+five-failure cut.
 
 The gate-*.json files are the window-5 and window-4 (e = 2/5) verify
 outputs; tools/gate.py reproduces and compares them in about 10 s, and
@@ -73,6 +75,20 @@ def test_lsa_biderivation_reports_are_golden():
     assert symbolic.evaluated_at(E_VALUE).to_json() + "\n" \
         == golden("lsabider-w1-evaluated-2-5.json")
     assert numeric.to_json() + "\n" == golden("lsabider-w1-numeric-2-5.json")
+
+
+def test_larger_lsa_biderivation_reports_are_golden():
+    # 644 failures, 384 of them e-dependent: the symbolic sweep, its
+    # evaluation and the numeric sweep of a member with lambda and Omega
+    params = BiderParams(2, {0: 1})
+    symbolic = check_lsa_biderivation(params, 2)
+    numeric = check_lsa_biderivation(params, 2, EpsMode.numeric(E_VALUE))
+    assert symbolic.to_json() + "\n" \
+        == golden("lsabider-l2-o0-w2-symbolic.json")
+    assert symbolic.evaluated_at(E_VALUE).to_json() + "\n" \
+        == golden("lsabider-l2-o0-w2-evaluated-2-5.json")
+    assert numeric.to_json() + "\n" \
+        == golden("lsabider-l2-o0-w2-numeric-2-5.json")
 
 
 def test_post_lie_report_is_golden():

@@ -21,7 +21,7 @@ from mhv.expressions import MAX_DEGREE, ParseError, parse
 from mhv.lsa import SYMBOLIC, EpsMode
 from mhv.reports import (Failure, Report, collect, prefixed,
                          reports_to_json)
-from mhv.scalars import Scalar
+from mhv.scalars import Scalar, ZeroEpsilonError
 from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
                        run_suite)
 
@@ -58,6 +58,23 @@ class TestReports:
     def test_evaluated_at_maps_scalar_residuals(self, residual, value):
         r = collect("demo", 3, "symbolic", [(("w",), "eq", residual)])
         assert r.evaluated_at(Fraction(1, 5)).failures[0].residual == value
+
+    @pytest.mark.parametrize("e_dependent", [False, True])
+    def test_evaluated_at_checks_e_before_the_failures(self, e_dependent):
+        # 0 was once accepted unless a failure depended on e, and a float
+        # was labelled with its decimal text but evaluated at its binary
+        # value: 1+e at 0.4 rendered 12610078956637389/9007199254740992
+        residual = Scalar((1, 1), (1,)) if e_dependent \
+            else Element.basis(d(1))
+        r = collect("demo", 3, "symbolic", [(("w",), "eq", residual)])
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroEpsilonError):
+                r.evaluated_at(zero)
+        with pytest.raises(TypeError):
+            r.evaluated_at(0.4)
+        ev = r.evaluated_at(2)
+        assert ev.eps_mode == "eps=2"
+        assert ev.failures[0].residual == ("3" if e_dependent else "d(1)")
 
     def test_evaluated_at_leaves_free_text(self):
         # an e-free residual and free text keep no value and stay as they are
@@ -438,13 +455,13 @@ class TestSuite:
         from mhv.algebra import CENTERLESS, FULL, basis_vectors
         from mhv.biderivations import FAMILY_SAMPLES, check_family
         basis = basis_vectors(2, CENTERLESS)
-        residuals = biderivations._generator_residuals
+        residuals = biderivations.derivation_residuals
         firsts = []
         parts = []
 
-        def record(tables, x, y, z):
+        def record(tables, mul, x, ys, zs, project=False):
             firsts[-1].add(x)
-            return residuals(tables, x, y, z)
+            return residuals(tables, mul, x, ys, zs, project)
 
         def run(chunks):
             for chunk in chunks:
@@ -452,7 +469,7 @@ class TestSuite:
                 parts.append(chunk())
             return parts
 
-        monkeypatch.setattr(biderivations, "_generator_residuals", record)
+        monkeypatch.setattr(biderivations, "derivation_residuals", record)
         report = check_family(2, run)
         assert firsts == [{bv} for bv in basis]
         assert [p.total_cases for p in parts] \

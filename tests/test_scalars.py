@@ -7,8 +7,9 @@ from functools import reduce
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from mhv.algebra import C, Element, L, d, h
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
                          ScalarDivisionError, ZeroEpsilonError, padd, pgcd,
                          pmul, pneg, prender, ptrim, sc)
@@ -390,6 +391,104 @@ class TestHash:
     def test_hash_is_stable(self):
         value = (ONE + EPS) / (ONE + sc(3) * EPS)
         assert hash(value) == hash(value) == hash((value.num, value.den))
+
+
+def fraction_horner(a: tuple, x: Fraction) -> Fraction:
+    """a(x) by Horner's rule in Fractions, as eval_at once computed it."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_scalar_render(value: Scalar) -> str:
+    """Scalar.render as it was written with a Fraction per coefficient."""
+    content = gcd(*value.den)
+    num = prender(tuple(Fraction(c, content) for c in value.num))
+    if len(value.den) == 1:
+        return num
+    return f"({num})/({prender(tuple(c // content for c in value.den))})"
+
+
+def fraction_element_render(x: Element) -> str:
+    """Element.render as it was written with as_rational's Fraction."""
+    if x.is_zero():
+        return "0"
+    parts = []
+    for bv, coeff in x.terms():
+        if coeff == ONE:
+            body = bv.render()
+        elif coeff.is_rational():
+            r = coeff.as_rational()
+            body = f"-{bv.render()}" if r == -1 else f"{r}*{bv.render()}"
+        else:
+            body = f"({fraction_scalar_render(coeff)})*{bv.render()}"
+        parts.append(body)
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
+
+
+# +-1, integers, p/q, and Q(e) values whose den has content > 1 (shared)
+render_scalars = st.one_of(
+    st.sampled_from([ONE, -ONE]), st.integers(-30, 30).map(sc),
+    rationals.map(sc), general_scalars, shared_scalars).filter(
+        lambda v: not v.is_zero())
+render_vectors = st.sampled_from([d(m) for m in range(-2, 3)]
+                                 + [h(n) for n in range(-2, 3)] + [C, L])
+
+
+class TestReportKernels:
+    """eval_at by integer Horner steps and the renderings from canonical
+    ints, against the Fraction-based code they replaced."""
+
+    @given(general_scalars, nonzero_rationals)
+    @example(Scalar((1, 2, 3, 4), (1, 1)), Fraction(-3, 2))
+    @example(Scalar((5,), (1, 0, 2)), Fraction(2, 7))
+    @example(Scalar((), (1,)), Fraction(-4))
+    @settings(max_examples=150, deadline=None)
+    def test_eval_at_matches_fraction_horner(self, a, x):
+        den = fraction_horner(a.den, x)
+        if den == 0:
+            with pytest.raises(PoleError, match=r"^pole of .* at e = "):
+                a.eval_at(x)
+        else:
+            value = a.eval_at(x)
+            assert type(value) is Fraction
+            assert value == fraction_horner(a.num, x) / den
+
+    @given(polys, polys, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_pole_message_at_a_root_of_den(self, num, den, p, q):
+        # den * (q*e - p) vanishes at p/q unless num cancels the factor
+        a = Scalar(num, pmul(den or (1,), (-p, q)))
+        x = Fraction(p, q)
+        assume(fraction_horner(a.den, x) == 0)
+        with pytest.raises(PoleError) as info:
+            a.eval_at(x)
+        assert str(info.value) == f"pole of {fraction_scalar_render(a)} " \
+            f"at e = {x}"
+
+    @given(general_scalars)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_is_refused(self, a):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroEpsilonError):
+                a.eval_at(zero)
+
+    @given(render_scalars)
+    @example(Scalar((1,), (2, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_render(self, a):
+        assert a.render() == fraction_scalar_render(a)
+
+    @given(st.dictionaries(render_vectors, render_scalars, max_size=6))
+    @example({d(1): ONE, h(0): -ONE, C: sc(-3), L: sc(Fraction(-2, 7))})
+    @settings(max_examples=80, deadline=None)
+    def test_element_render(self, terms):
+        x = Element(terms)
+        assert x.render() == fraction_element_render(x)
 
 
 # sums of rational functions of degree 64 whose canonicalisation ran for

@@ -5,6 +5,8 @@ residual term by term from the tables on basis pairs.  Here, at window 2
 and on every basis tuple, each swept residual is compared with the same
 formula written with bilinear, bracket, lsa_product and the family's
 BilinearTable on Element.basis operands, which the sweeps no longer use.
+The derivation kernel, which takes several tables at once, is compared
+table by table with that formula, axiom_oracle.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
 h, a and b parts the closed form sets to zero.  A whole window-2 suite
@@ -18,13 +20,15 @@ from itertools import product
 import pytest
 
 from mhv import algebra, biderivations, lsa
-from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
+from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
+                         accumulate_left, accumulate_right, basis_vectors,
                          bilinear, bracket, d, h, project_centerless,
                          tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
-                               LinearMap, _biderivation_residuals,
+                               LinearMap, _axiom_cases, _candidate_generators,
                                _lsa_bider_residuals, _post_lie_residuals,
-                               check_lsa_biderivation, commuting_residuals)
+                               check_lsa_biderivation, commuting_residuals,
+                               derivation_residuals, family_table)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, commutator_defect,
                         random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
@@ -104,7 +108,8 @@ def axiom_oracle(cand: BilinearTable, mode, x, y, z) -> dict:
 
 
 def assert_axioms_match(cand: BilinearTable, mode) -> None:
-    swept = swept_by_tuple(_biderivation_residuals(cand, WINDOW, mode))
+    swept = swept_by_tuple(_axiom_cases("bider", cand.evaluator,
+                                        BRACKET_TABLES[mode], WINDOW, mode))
     triples = tuples(3, mode)
     assert len(swept) == 2 * len(triples)
     for x, y, z in triples:
@@ -130,6 +135,61 @@ class TestAxiomResiduals:
             dh=lambda m, n: Element.of((1, h(m + n)), (m, L)),
             hh=lambda m, n: Element.of((1, C), (m - n, L))), "central")
         assert_axioms_match(cand, CENTERLESS)
+
+
+def assert_kernel_matches(tables: list, mode, window: int = WINDOW) -> None:
+    """derivation_residuals of all the tables at once, with respect to
+    the bracket, against axiom_oracle for each table on its own."""
+    basis = basis_vectors(window, mode)
+    cands = [BilinearTable(t) for t in tables]
+    for x in basis:
+        items = list(derivation_residuals(tables, BRACKET_TABLES[mode], x,
+                                          basis, basis, mode is CENTERLESS))
+        expected = [(y, z, cand) for y, z in product(basis, repeat=2)
+                    for cand in cands]
+        assert len(items) == len(expected)
+        for (y, z, left, right), (ey, ez, cand) in zip(items, expected):
+            assert (y, z) == (ey, ez)
+            oracle = axiom_oracle(cand, mode, x, y, z)
+            assert left == oracle["bider.left"], (x, y, z)
+            assert right == oracle["bider.right"], (x, y, z)
+
+
+# values of several terms on every tag pair, central ones included
+SEVERAL_TERMS = tag_table(
+    dd=lambda m, n: Element.of((m, d(m + n)), (1, h(m - n)), (n + 1, C)),
+    dh=lambda m, n: Element.of((1, h(m + n)), (n - m, d(m)), (m, L)),
+    hd=lambda m, n: Element.of((2, d(m - n)), (Fraction(1, 3), h(n))),
+    hh=lambda m, n: Element.of((1, C), (m - n, L), (m, d(m + n + 1))))
+
+
+class TestDerivationKernel:
+    def test_the_converse_generators(self):
+        # the bracket, every upsilon[s] and every decoy, in one call
+        tables = [t for _, t in _candidate_generators()]
+        assert_kernel_matches(tables, CENTERLESS, window=1)
+
+    @pytest.mark.parametrize("mode", [FULL, CENTERLESS],
+                             ids=lambda m: m.value)
+    def test_full_valued_and_several_term_tables(self, mode):
+        # the full table holds C, and [h, h] a multiple of L; on the
+        # quotient both are projected away
+        full = family_table(BiderParams(2, {0: 1}), FULL)
+        assert_kernel_matches([SEVERAL_TERMS, full, BRACKET_TABLES[FULL]],
+                              mode)
+
+    def test_no_empty_value_reaches_an_accumulate_kernel(self, monkeypatch):
+        def nonempty(kernel):
+            def checked(acc, factor, table, u, x):
+                assert x._terms if kernel is accumulate_right else u._terms
+                kernel(acc, factor, table, u, x)
+            return checked
+
+        for kernel in (accumulate_left, accumulate_right):
+            monkeypatch.setattr(biderivations, kernel.__name__,
+                                nonempty(kernel))
+        assert_kernel_matches([SEVERAL_TERMS, BRACKET_TABLES[FULL]], FULL,
+                              window=1)
 
 
 class TestPostLie:

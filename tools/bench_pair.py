@@ -24,8 +24,19 @@ appended if tracked files differed from HEAD when the series started.
 Both files are rewritten after every run, so an interrupted series keeps
 the pairs it finished.  Each pair's wall_s is printed as it finishes,
 and at the end, for every workload and end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the number of pairs
-the change won.
+BENCHMARK.json, each side's median and quartiles, the number of pairs
+the change won, and a verdict, the first of these that holds:
+
+    gain        the change won at least 9 pairs in 10, and its median is
+                better than the parent's by more than the parent's
+                interquartile range;
+    worse       the change's median is worse than the parent's by more
+                than the metric's bound, a fraction of the parent's median;
+    unresolved  the parent's interquartile range exceeds that bound;
+    same        otherwise.
+
+Every run whose result is not correct, or that failed an operation, is
+printed as a FLAG line.
 
 perfbench keeps its own records of every round in perfbench/out/ of each
 checkout.
@@ -87,6 +98,38 @@ def summary(values: list) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def wins(parent: list, change: list, better: str) -> int:
+    """The number of pairs in which the change's value is the better."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """gain, worse, unresolved or same for one metric's paired values, as
+    the module docstring defines them."""
+    if len(parent) < 2:
+        return "unresolved"
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    gap = (median - statistics.median(change)) \
+        * (1 if better == "lower" else -1)
+    if wins(parent, change, better) >= 0.9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    return "same"
+
+
+def flagged(results: dict) -> list:
+    """A line for every run that was not correct or failed an operation."""
+    return [f"FLAG {side} {run['workload']} pair {run['pair']} seed "
+            f"{run['seed']}: correct {run['correct']}, failed "
+            f"{run['failed']} of {run['attempted']}"
+            for side in SIDES for run in results[side]["runs"]
+            if not run["correct"] or run["failed"] > 0]
+
+
 def write(path: str, side: dict, mode: str = "w") -> None:
     with open(path, mode) as fh:
         json.dump(side, fh, indent=1, sort_keys=True)
@@ -136,21 +179,22 @@ def main(argv=None) -> int:
                   f"({order[0]} first): wall_s {walls[0]:.3f} -> "
                   f"{walls[1]:.3f}", flush=True)
 
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     print("\nmedian [quartiles] per side; wins: pairs where the change is "
           "better")
     for workload in workloads:
-        for metric, direction in better.items():
-            values = {side: [r["metrics"][metric]
+        for metric in benchmark["end_to_end"]:
+            values = {side: [r["metrics"][metric["name"]]
                              for r in results[side]["runs"]
                              if r["workload"] == workload] for side in SIDES}
-            sign = 1 if direction == "lower" else -1
-            wins = sum(sign * (c - p) < 0
-                       for p, c in zip(values["parent"], values["change"]))
-            print(f"{workload:24s} {metric:12s} "
+            won = wins(values["parent"], values["change"], metric["better"])
+            print(f"{workload:24s} {metric['name']:12s} "
                   f"{summary(values['parent'])} -> "
-                  f"{summary(values['change'])}  wins {wins}/"
-                  f"{len(values['change'])}")
+                  f"{summary(values['change'])}  wins {won}/"
+                  f"{len(values['change'])}  "
+                  + verdict(values["parent"], values["change"],
+                            metric["better"], metric["bound"]))
+    for line in flagged(results):
+        print(line)
     return 0
 
 
