@@ -447,7 +447,7 @@ class TestReportKernels:
     @example(Scalar((1, 2, 3, 4), (1, 1)), Fraction(-3, 2))
     @example(Scalar((5,), (1, 0, 2)), Fraction(2, 7))
     @example(Scalar((), (1,)), Fraction(-4))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_eval_at_matches_fraction_horner(self, a, x):
         den = fraction_horner(a.den, x)
         if den == 0:
@@ -459,7 +459,7 @@ class TestReportKernels:
             assert value == fraction_horner(a.num, x) / den
 
     @given(polys, polys, st.integers(-6, 6).filter(bool), st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_pole_message_at_a_root_of_den(self, num, den, p, q):
         # den * (q*e - p) vanishes at p/q unless num cancels the factor
         a = Scalar(num, pmul(den or (1,), (-p, q)))
@@ -479,13 +479,13 @@ class TestReportKernels:
 
     @given(render_scalars)
     @example(Scalar((1,), (2, 4)))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_scalar_render(self, a):
         assert a.render() == fraction_scalar_render(a)
 
     @given(st.dictionaries(render_vectors, render_scalars, max_size=6))
     @example({d(1): ONE, h(0): -ONE, C: sc(-3), L: sc(Fraction(-2, 7))})
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_element_render(self, terms):
         x = Element(terms)
         assert x.render() == fraction_element_render(x)
