@@ -37,10 +37,10 @@ themselves, each standing for itself with coefficient one, so a pair
 value such as [x, y] is a direct call to a table.  A residual built from
 such values adds each second-level term, such as f([x, y], z), times its
 factor into one term dict through accumulate_left or accumulate_right,
-and becomes one Element at the end; no sweep calls bilinear.  bilinear itself is accumulate_right once per
-term of its left operand.  Every term dict is filled before an Element
-takes it, and none is written after, so a table's cached Elements are
-only ever read.
+and becomes one Element at the end; no sweep calls bilinear.  bilinear
+itself is accumulate_right once per term of its left operand.  Every
+term dict is filled before an Element takes it, and none is written
+after, so a table's cached Elements are only ever read.
 """
 
 from __future__ import annotations
