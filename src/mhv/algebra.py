@@ -14,11 +14,12 @@ The bracket table:
     C, L central.
 
 Centerless mode works on the quotient by the center: C and L are rejected
-in inputs and the central output terms are dropped.  There is one bracket
-table on basis pairs, _basis_bracket; the centerless table is its value
-under project_centerless, the quotient map.  Elements produced by
-the bracket are never truncated to any index window; windows only bound
-the loops of verification sweeps.
+in inputs and the central output terms are dropped.  The bracket is
+declared once, as the int table _int_bracket = 2[., .]; its Scalar table
+_basis_bracket is that halved by scalar_table, and the centerless tables
+are their values under project_centerless, the quotient map.  Elements
+produced by the bracket are never truncated to any index window; windows
+only bound the loops of verification sweeps.
 
 tag_table is the one way a table on basis pairs is given: one function
 of the two indices per tag pair, and zero on every other pair, so every
@@ -40,18 +41,20 @@ factor into one term dict through accumulate_left or accumulate_right,
 and becomes one Element at the end; no sweep calls bilinear.  bilinear
 itself is accumulate_right once per term of its left operand.  Every
 term dict is filled before an Element takes it, and none is written
-after, so a table's cached Elements are only ever read.
+after, so a table's cached Elements are only ever read.  The kernels use
+coefficients only through +, -, *, unary - and `not c` (ONE, MINUS_ONE
+are identity fast paths), so an int table sums ints and a Scalar table
+Scalars.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, sc
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, ratio, sc
 
 
 class AlgebraError(ValueError):
@@ -175,8 +178,7 @@ class Element:
         if terms is None:
             terms = {}
         elif not _clean:
-            terms = {bv: coeff for bv, coeff in terms.items()
-                     if not coeff.is_zero()}
+            terms = {bv: coeff for bv, coeff in terms.items() if coeff}
         self._terms = terms
 
     # -- constructors -------------------------------------------------------
@@ -331,23 +333,32 @@ def tag_table(dd=None, dh=None, hd=None,
     return table
 
 
-def _dd_bracket(m: int, n: int) -> Element:
-    if m + n == 0:
-        return Element.of((m - n, d(0)), (Fraction(m**3 - m, 12), C))
-    return Element.of((m - n, d(m + n)))
+def scalar_element(x: Element, scale: int) -> Element:
+    """x / scale with Scalar coefficients, for an x with int ones; the
+    zero element is itself."""
+    if not x._terms:
+        return x
+    return Element({bv: ratio(c, scale) for bv, c in x._terms.items()},
+                   _clean=True)
 
 
-def _hh_bracket(m: int, n: int) -> Element:
-    if m + n + 1 != 0:
-        return _ZERO_ELEMENT
-    return Element.of((Fraction(2 * m + 1, 2), L))
+def scalar_table(ints: Callable, scale: int) -> Callable:
+    """ints / scale, for a table ints with int coefficients; its int_form
+    is (ints, scale)."""
+    def table(u: BasisVector, v: BasisVector) -> Element:
+        return scalar_element(ints(u, v), scale)
+    table.int_form = (ints, scale)
+    return table
 
 
-_basis_bracket = lru_cache(maxsize=None)(tag_table(
-    dd=_dd_bracket,
-    dh=lambda m, n: Element.of((Fraction(-(2 * n + 1), 2), h(m + n))),
-    hd=lambda m, n: Element.of((Fraction(2 * m + 1, 2), h(m + n))),
-    hh=_hh_bracket))
+# 2[., .], the int table that declares the bracket; Element drops zeros
+_int_bracket = lru_cache(maxsize=None)(tag_table(
+    dd=lambda m, n: Element({d(m + n): 2 * (m - n),
+                             C: 0 if m + n else (m**3 - m) // 6}),
+    dh=lambda m, n: Element({h(m + n): -(2 * n + 1)}),
+    hd=lambda m, n: Element({h(m + n): 2 * m + 1}),
+    hh=lambda m, n: Element({L: 0 if m + n + 1 else 2 * m + 1})))
+_basis_bracket = lru_cache(maxsize=None)(scalar_table(_int_bracket, 2))
 
 
 def project_centerless(x: Element) -> Element:
@@ -381,7 +392,7 @@ def _add_scaled(acc: dict, x: Element, factor: Scalar) -> None:
                 coeff = coeff * factor
             if prev is not None:
                 coeff = prev + coeff
-        if prev is not None and coeff.is_zero():
+        if prev is not None and not coeff:
             del acc[bv]
         else:
             acc[bv] = coeff
@@ -447,12 +458,12 @@ def combine(parts: list) -> Callable[[BasisVector, BasisVector], Element]:
     return table
 
 
-# the bracket's table on basis pairs, per mode: the centerless table is
-# the full one followed by the quotient map
+# the bracket's table on basis pairs, per mode, with the int_form
+# (2[., .], 2): the centerless tables are the full ones then the quotient
 BRACKET_TABLES = {
     FULL: _basis_bracket,
-    CENTERLESS: lru_cache(maxsize=None)(
-        lambda u, v: project_centerless(_basis_bracket(u, v))),
+    CENTERLESS: lru_cache(maxsize=None)(scalar_table(lru_cache(maxsize=None)(
+        lambda u, v: project_centerless(_int_bracket(u, v))), 2)),
 }
 
 

@@ -23,12 +23,16 @@ residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
 Every derivation sweep (check_biderivation, the left-symmetric
 biderivations, bider-family, bider-grid) runs through one kernel,
-derivation_residuals, which takes f(x, .) once per first basis vector x
-and f(x, y) and mul(x, y) once per (x, y); the post-Lie and commuting
-sweeps run through algebra.basis_sweep.  Each sweep calls its tables on
-basis vectors and sums each residual into one term dict with
-algebra.accumulate_left and accumulate_right; no sweep uses the
-element-level bilinear extension of bider_eval and BilinearTable.
+derivation_residuals, which takes f(x, .) once per first basis vector x,
+as the sweep reaches it, and f(x, y) and mul(x, y) once per (x, y); the
+post-Lie and commuting sweeps run through algebra.basis_sweep.  Each
+sweep calls its tables on basis vectors and sums each residual into one
+term dict with algebra.accumulate_left and accumulate_right; no sweep
+uses the element-level bilinear extension of bider_eval and
+BilinearTable.  bider-family and bider-grid sweep each table's int_form
+in ints against 2[., .]: a residual is scale(f)*scale(mul) times the true
+one (4 for the bracket, 2 for upsilon[s]), and is divided back only when
+it is nonzero.  A table without an int_form is swept in Scalars.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -64,7 +68,8 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       BasisVector, CentralTermError, Element, L, _add_scaled,
                       accumulate_left, accumulate_right, basis_sweep,
                       basis_vectors, bilinear, combine, d, h, linear,
-                      project_centerless, tag_table)
+                      project_centerless, scalar_element, scalar_table,
+                      tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, collect, pooled, prefixed,
@@ -110,12 +115,18 @@ class BiderParams:
 PairTable = Callable[[BasisVector, BasisVector], Element]
 
 
+# h(k) with the int coefficient 1: every value of an upsilon[s] int_form
+_unit_h = lru_cache(maxsize=None)(lambda k: Element({h(k): 1}, _clean=True))
+
+
 @lru_cache(maxsize=None)
 def _upsilon_generator(s: int) -> PairTable:
-    """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair.
-    One table per shift, so members that share a generator share it by
-    identity."""
-    return tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
+    """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair,
+    with the int_form of coefficient 1 and scale 1.  One table per shift,
+    so members that share a generator share it by identity."""
+    table = tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
+    table.int_form = (tag_table(dd=lambda m, n: _unit_h(m + n + s)), 1)
+    return table
 
 
 def family_parts(params: BiderParams, mode: AlgebraMode) -> list:
@@ -196,13 +207,16 @@ def derivation_residuals(tables: list, mul: PairTable, x: BasisVector,
     Yields (y, z, left, right) per triple for each table in turn, projected
     onto the centerless quotient with project (values may hold C or L).
     No empty value reaches an accumulate kernel, and each table's products
-    come in the order written, so under a numeric e the first pole raises."""
-    fxs = [(f, [f(x, z) for z in zs]) for f in tables]
+    come in the order written, so under a numeric e the first pole raises.
+    f(x, z) is taken at the first y, when the sweep first needs it."""
+    fxs = [(f, []) for f in tables]
     for y in ys:
         mxy = mul(x, y)
         per_table = [(f, fx, f(x, y)) for f, fx in fxs]
         for k, z in enumerate(zs):
             for f, fx, fxy in per_table:
+                if k == len(fx):
+                    fx.append(f(x, z))
                 fxz = fx[k]
                 acc: dict = {}
                 if mxy._terms:
@@ -242,14 +256,28 @@ def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
             yield (x, y, z), right_id, right
 
 
-def _centerless_triples(tables: list, xs: list, ys: list, zs: list):
-    """derivation_residuals of several tables on the quotient, with respect
-    to the bracket, as one ((x, y, z), lefts, rights) per triple."""
+def _lanes(tables: list) -> list:
+    """Per table, the (table, bracket, scale) that sweeps it on the
+    quotient: ints against 2[., .] for a table with an int_form (ints, s),
+    scale 2s, else the table itself against the bracket, scale 1."""
+    br = BRACKET_TABLES[CENTERLESS]
+    ints, two = br.int_form
+    return [(f.int_form[0], ints, two * f.int_form[1])
+            if hasattr(f, "int_form") else (f, br, 1) for f in tables]
+
+
+def _true_residual(residual: Element, scale: int) -> Element:
+    """A residual swept at scale times the true one, divided back."""
+    return residual if scale == 1 else scalar_element(residual, scale)
+
+
+def _centerless_triples(lanes: list, xs: list, ys: list, zs: list):
+    """derivation_residuals of each (table, bracket, scale) of lanes on the
+    quotient, as one ((x, y, z), lefts, rights) per triple."""
     for x in xs:
-        triples = derivation_residuals(tables, BRACKET_TABLES[CENTERLESS], x,
-                                       ys, zs, True)
-        for group in zip(*[triples] * len(tables)):
-            y, z, lefts, rights = zip(*group)
+        for items in zip(*[derivation_residuals([f], mul, x, ys, zs, True)
+                           for f, mul, _ in lanes]):
+            y, z, lefts, rights = zip(*items)
             yield (x, y[0], z[0]), lefts, rights
 
 
@@ -499,21 +527,23 @@ def _candidate_generators() -> list:
     solved."""
     gens = [("bracket", BRACKET_TABLES[CENTERLESS])]
     gens += [(f"upsilon[{s}]", _upsilon_generator(s)) for s in UPSILON_SHIFTS]
-    # each decoy lives on the pairs whose tags its name starts with
+    # each decoy lives on the pairs whose tags its name starts with, as
+    # scale times itself in ints
     decoys = (
-        ("dd->d", lambda m, n, s: Element.basis(d(m + n + s))),
-        ("dd->(m-n)d", lambda m, n, s: Element.of((m - n, d(m + n + s)))),
-        ("dd->(m-n)h", lambda m, n, s: Element.of((m - n, h(m + n + s)))),
-        ("dh->h", lambda m, n, s: Element.basis(h(m + n + s))),
-        ("dh->-(n+1/2)h", lambda m, n, s:
-         Element.of((Fraction(-(2 * n + 1), 2), h(m + n + s)))),
-        ("hd->h", lambda m, n, s: Element.basis(h(m + n + s))),
-        ("hh->d", lambda m, n, s: Element.basis(d(m + n + s))),
-        ("hh->h", lambda m, n, s: Element.basis(h(m + n + s))),
+        ("dd->d", 1, lambda m, n, s: Element({d(m + n + s): 1})),
+        ("dd->(m-n)d", 1, lambda m, n, s: Element({d(m + n + s): m - n})),
+        ("dd->(m-n)h", 1, lambda m, n, s: Element({h(m + n + s): m - n})),
+        ("dh->h", 1, lambda m, n, s: Element({h(m + n + s): 1})),
+        ("dh->-(n+1/2)h", 2,
+         lambda m, n, s: Element({h(m + n + s): -(2 * n + 1)})),
+        ("hd->h", 1, lambda m, n, s: Element({h(m + n + s): 1})),
+        ("hh->d", 1, lambda m, n, s: Element({d(m + n + s): 1})),
+        ("hh->h", 1, lambda m, n, s: Element({h(m + n + s): 1})),
     )
     for s in _DECOY_SHIFTS:
-        gens += [(f"{name}[{s}]", tag_table(**{name[:2]: partial(fn, s=s)}))
-                 for name, fn in decoys]
+        gens += [(f"{name}[{s}]", scalar_table(
+            tag_table(**{name[:2]: partial(fn, s=s)}), scale))
+            for name, scale, fn in decoys]
     return gens
 
 
@@ -522,24 +552,27 @@ FAMILY_GENERATORS = ("bracket",) + tuple(f"upsilon[{s}]"
                                          for s in UPSILON_SHIFTS)
 
 
-def _converse_chunk(tables: list, family: set, names: list, window: int,
+def _converse_chunk(lanes: list, family: set, names: list, window: int,
                     x: BasisVector, y: BasisVector) -> list:
     """One chunk of check_bider_converse: the triples (x, y, z) in sweep
     order, each as (rows, failures, raising).  rows counts its linear
     equations, one per (axiom, output vector); failures are its rendered
     family residuals; raising holds, in order, the rows that raised the
     rank of this chunk's own RowReducer.  Every other row lies in the span
-    of the chunk's earlier rows."""
+    of the chunk's earlier rows.  A column swept at a scale changes neither
+    the rank nor the rows that raise it."""
     reducer = RowReducer()
     out = []
     for inputs, lefts, rights in _centerless_triples(
-            tables, [x], [y], basis_vectors(window, CENTERLESS)):
+            lanes, [x], [y], basis_vectors(window, CENTERLESS)):
         failures, raising, rows = [], [], 0
         for per_gen in (lefts, rights):
             # each generator's residual walked once: output vector ->
             # [(generator, coefficient)] in generator order
             by_vector: dict = {}
             for g, res in enumerate(per_gen):
+                if g in family:
+                    res = _true_residual(res, lanes[g][2])
                 for w, coeff in res._terms.items():
                     by_vector.setdefault(w, []).append((g, coeff))
             for w in sorted(by_vector, key=BasisVector.sort_key):
@@ -551,7 +584,8 @@ def _converse_chunk(tables: list, family: set, names: list, window: int,
                             "converse.family_residual",
                             f"{names[g]}: {coeff.render()}"))
                     else:
-                        row[g] = coeff.as_rational()
+                        row[g] = coeff if lanes[g][2] > 1 \
+                            else coeff.as_rational()
                 if reducer.add_row(row):
                     raising.append(row)
             rows += len(by_vector)
@@ -584,11 +618,11 @@ def check_bider_converse(window: int, run=serial, width: int = 1) -> Report:
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
-    tables = [fn for _, fn in gens]
+    lanes = _lanes([fn for _, fn in gens])
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
     basis = basis_vectors(window, CENTERLESS)
-    chunks = [partial(_converse_chunk, tables, family, names, window, x, y)
+    chunks = [partial(_converse_chunk, lanes, family, names, window, x, y)
               for x in basis for y in basis]
 
     def triples():
@@ -641,23 +675,25 @@ def _central_residuals(params: BiderParams, basis: list):
             yield (central, u, "right"), "bider.central", f(u, central)
 
 
-def _family_sweep(members: list, tables: list, window: int,
+def _family_sweep(members: list, lanes: list, window: int,
                   first: slice) -> Report:
     """Every member's centerless axiom cases on the basis triples whose
     first vector lies in the centerless basis[first].  members holds
-    (label, [(weight, index into tables)]).  Each triple takes each
+    (label, [(weight, index into lanes)]).  Each triple takes each
     table's residuals once; only when one is nonzero is each member's
-    residual formed, as its weighted sum of them."""
+    residual formed, as its weighted sum of them divided back."""
     failures = []
     cases = 0
     basis = basis_vectors(window, CENTERLESS)
-    for inputs, lefts, rights in _centerless_triples(tables, basis[first],
+    for inputs, lefts, rights in _centerless_triples(lanes, basis[first],
                                                      basis, basis):
         for eq_id, per_table in (("bider.left", lefts),
                                  ("bider.right", rights)):
             cases += len(members)
-            if all(res.is_zero() for res in per_table):
+            if not any(per_table):  # every residual is the zero Element
                 continue
+            per_table = [_true_residual(res, lane[2])
+                         for res, lane in zip(per_table, lanes)]
             for label, weights in members:
                 acc: dict = {}
                 for weight, i in weights:
@@ -688,7 +724,7 @@ def check_family(window: int, run=serial) -> Report:
     central = [prefixed(label, collect("bider-family", window, "symbolic",
                                        _central_residuals(params, basis)))
                for (label, _), params in zip(members, FAMILY_SAMPLES)]
-    sweeps = run([partial(_family_sweep, members, list(index), window,
+    sweeps = run([partial(_family_sweep, members, _lanes(list(index)), window,
                           slice(i, i + 1))
                   for i in range(len(basis_vectors(window, CENTERLESS)))])
     return pooled("bider-family", window, central + sweeps)

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals: incremental row reduction for
 rank certificates and a small dense solver for square-ish systems.
 
-Rows are sparse dicts {column: Fraction}.  The RowReducer keeps a set of
-reduced pivot rows; feeding it rows one at a time gives the rank of
-everything seen so far, which lets sweeps stop early once a target rank
-is certified.
+Rows are sparse dicts {column: int or Fraction}, exact over Q either way;
+any other entry, a float above all, raises TypeError.  The RowReducer
+keeps a set of reduced pivot rows; feeding it rows one at a time gives the
+rank of everything seen so far, which lets sweeps stop early once a target
+rank is certified.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ class RowReducer:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        """Row reduced against the current pivots (input not mutated)."""
+        """Row reduced against the current pivots (input not mutated); an
+        entry that is not an int or a Fraction raises TypeError."""
+        if not all(isinstance(v, (int, Fraction)) for v in row.values()):
+            raise TypeError(f"row entries must be ints or Fractions: {row}")
         row = {c: v for c, v in row.items() if v != 0}
         while row:
             lead = min(row)
@@ -40,7 +44,7 @@ class RowReducer:
                 return row
             factor = row[lead]
             for c, v in pivot.items():
-                newv = row.get(c, Fraction(0)) - factor * v
+                newv = row.get(c, 0) - factor * v
                 if newv == 0:
                     row.pop(c, None)
                 else:
@@ -53,7 +57,7 @@ class RowReducer:
         if not reduced:
             return False
         lead = min(reduced)
-        inv = 1 / reduced[lead]
+        inv = 1 / Fraction(reduced[lead])
         self.pivots[lead] = {c: v * inv for c, v in reduced.items()}
         return True
 

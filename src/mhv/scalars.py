@@ -25,13 +25,14 @@ gcd = pgcd, exact quotients and division by the integer content last:
     (a*d' +- c*b') over g*b'*d'.  A factor of positive degree of that
     numerator and b' divides a*d' but not a, so d', prime to b'; likewise
     for d'.  So the common factor is gcd(numerator, g), skipped if g = 1;
-  * +, - and * of two rationals are ints over an int > 0, reduced by one
-    integer gcd (_rational): most of the arithmetic of e-free checks.
+  * +, - and * of two rationals are ints over an int > 0, reduced inline
+    by one integer gcd and built by _make, which skips __init__.
 
 pgcd is the primitive pseudo-remainder sequence over Z[e] (Brown, J. ACM
 18(4), 1971).  A linear remainder b0 + b1*e, b1 > 0, ends it: it divides
 a of degree n exactly when b1^n a(-b0/b1), the integer sum of
-a_i (-b0)^i b1^(n-i), is 0.  A Scalar's hash is computed on first use.
+a_i (-b0)^i b1^(n-i), is 0.  A Scalar's hash is computed on first use;
+it is false exactly when it is zero, so `not c` tests an int or a Scalar.
 
 Polynomials are coefficient tuples of int, lowest degree first, with no
 trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
@@ -49,6 +50,7 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
+_new = object.__new__
 
 
 class ScalarError(ArithmeticError):
@@ -215,14 +217,11 @@ class Scalar:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den, _canonical: bool = False):
-        if not _canonical:
-            num, den = _integral(ptrim(num), ptrim(den))
-            if not den:
-                raise ScalarDivisionError("zero denominator")
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den):
+        num, den = _integral(ptrim(num), ptrim(den))
+        if not den:
+            raise ScalarDivisionError("zero denominator")
+        self.num, self.den = _canonicalize(num, den)
         self._hash = None
 
     # -- constructors -------------------------------------------------------
@@ -231,14 +230,15 @@ class Scalar:
     def from_rational(r: RationalLike) -> "Scalar":
         if not isinstance(r, (int, Fraction)):
             r = Fraction(r)
-        if r == 0:
-            return ZERO
-        return Scalar((r.numerator,), (r.denominator,), _canonical=True)
+        return ratio(r.numerator, r.denominator)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_rational(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
@@ -254,7 +254,9 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == len(b) == len(c) == len(d) == 1:
-            return _rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0])
+            n, q = a[0] * d[0] + c[0] * b[0], b[0] * d[0]
+            g = _int_gcd(n, q)
+            return _make((n // g,), (q // g,)) if n else ZERO
         if not a:
             return other
         if not c:
@@ -262,14 +264,17 @@ class Scalar:
         return _sum(a, b, c, d)
 
     def __neg__(self) -> "Scalar":
-        if self.is_zero():
-            return self
-        return Scalar(pneg(self.num), self.den, _canonical=True)
+        num = self.num
+        if len(num) == 1:
+            return _make((-num[0],), self.den)
+        return _make(pneg(num), self.den) if num else self
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == len(b) == len(c) == len(d) == 1:
-            return _rational(a[0] * d[0] - c[0] * b[0], b[0] * d[0])
+            n, q = a[0] * d[0] - c[0] * b[0], b[0] * d[0]
+            g = _int_gcd(n, q)
+            return _make((n // g,), (q // g,)) if n else ZERO
         if not a or not c:
             return self + (-other)
         return _sum(a, b, pneg(c), d)
@@ -277,14 +282,16 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.num, self.den, other.num, other.den
         if len(a) == len(b) == len(c) == len(d) == 1:
-            return _rational(a[0] * c[0], b[0] * d[0])
+            n, q = a[0] * c[0], b[0] * d[0]
+            g = _int_gcd(n, q)
+            return _make((n // g,), (q // g,))
         if not a or not c:
             return ZERO
         if len(d) > 1:
             a, d = _quotients(a, d, pgcd(a, d))
         if len(b) > 1:
             c, b = _quotients(c, b, pgcd(c, b))
-        return Scalar(*_reduced(pmul(a, c), pmul(b, d)), _canonical=True)
+        return _make(*_reduced(pmul(a, c), pmul(b, d)))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if other.is_zero():
@@ -292,7 +299,7 @@ class Scalar:
         num, den = other.den, other.num
         if den[-1] < 0:
             num, den = pneg(num), pneg(den)
-        return self * Scalar(num, den, _canonical=True)
+        return self * _make(num, den)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -337,22 +344,27 @@ class Scalar:
         return f"Scalar({self.render()})"
 
 
+def _make(num: tuple, den: tuple) -> Scalar:
+    """The Scalar of a canonical (num, den), built without __init__."""
+    self = _new(Scalar)
+    self.num = num
+    self.den = den
+    self._hash = None
+    return self
+
+
+def ratio(n: int, d: int) -> Scalar:
+    """The Scalar n/d for ints n and d > 0."""
+    g = _int_gcd(n, d)
+    return _make((n // g,), (d // g,)) if n else ZERO
+
+
 def _integral(num: tuple, den: tuple) -> tuple:
     """num and den, coefficients int or Fraction, both multiplied by the
     least common multiple of their coefficients' denominators."""
     m = _int_lcm(*(c.denominator for c in num + den))
     return (tuple(c.numerator * (m // c.denominator) for c in num),
             tuple(c.numerator * (m // c.denominator) for c in den))
-
-
-def _rational(n: int, d: int) -> Scalar:
-    """The Scalar n/d for ints n and d > 0."""
-    if not n:
-        return ZERO
-    g = _int_gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    return Scalar((n,), (d,), _canonical=True)
 
 
 def _reduced(num: tuple, den: tuple) -> tuple:
@@ -391,13 +403,13 @@ def _sum(a: tuple, b: tuple, c: tuple, d: tuple) -> Scalar:
         num, den = padd(pmul(a, dq), pmul(c, bq)), pmul(b, dq)
     if len(g) > 1 and num:
         num, den = _quotients(num, den, pgcd(num, g))
-    return Scalar(*_reduced(num, den), _canonical=True) if num else ZERO
+    return _make(*_reduced(num, den)) if num else ZERO
 
 
-ZERO = Scalar(PZERO, PONE, _canonical=True)
-ONE = Scalar(PONE, PONE, _canonical=True)
+ZERO = _make(PZERO, PONE)
+ONE = _make(PONE, PONE)
 MINUS_ONE = -ONE
-EPS = Scalar((0, 1), PONE, _canonical=True)
+EPS = _make((0, 1), PONE)
 EPS_INV = ONE / EPS
 
 

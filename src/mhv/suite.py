@@ -55,7 +55,7 @@ from functools import partial
 
 from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
                       accumulate_right, basis_sweep, basis_vectors,
-                      grading_degree, window_indices)
+                      grading_degree, scalar_element, window_indices)
 from .biderivations import (LinearMap, check_bider_converse, check_family,
                             commuting_residuals, lsa_bider_grid,
                             post_lie_grid)
@@ -192,16 +192,18 @@ def run_chunks(chunks: list, workers: int) -> list:
 
 # the bracket and the symbolic product as tables on basis pairs
 _bracket = BRACKET_TABLES[FULL]
+_ints, _scale = _bracket.int_form
 _product = product_table(SYMBOLIC)
 
 
 def _jacobi(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
-    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]]."""
+    """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], summed on the int form,
+    whose two bracket factors make it _scale**2 times the true one."""
     acc: dict = {}
-    accumulate_right(acc, ONE, _bracket, x, _bracket(y, z))
-    accumulate_right(acc, ONE, _bracket, y, _bracket(z, x))
-    accumulate_right(acc, ONE, _bracket, z, _bracket(x, y))
-    return Element(acc, _clean=True)
+    accumulate_right(acc, ONE, _ints, x, _ints(y, z))
+    accumulate_right(acc, ONE, _ints, y, _ints(z, x))
+    accumulate_right(acc, ONE, _ints, z, _ints(x, y))
+    return scalar_element(Element(acc, _clean=True), _scale * _scale)
 
 
 def _antisym(x: BasisVector, y: BasisVector) -> Element:

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, AlgebraError,
                          AlgebraMode, BasisVector, C, CentralTermError,
                          Element, L, MIXED, ZeroElementError, _basis_bracket,
-                         basis_vectors, bracket, d, grading_degree, h)
+                         _int_bracket, basis_vectors, bracket, d,
+                         grading_degree, h)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import run_chunks
 
@@ -57,6 +58,29 @@ class TestBracketTable:
             bracket(E(C), E(d(1)), CENTERLESS)
         with pytest.raises(CentralTermError):
             bracket(E(d(1)), el((1, d(0)), (1, L)), CENTERLESS)
+
+
+class TestIntBracket:
+    """The bracket is declared once, as the int table 2[., .]; the Scalar
+    tables of both modes are that table halved."""
+
+    @pytest.mark.parametrize("mode", list(AlgebraMode))
+    def test_int_form_is_twice_the_scalar_table(self, mode):
+        ints, scale = BRACKET_TABLES[mode].int_form
+        assert scale == 2
+        central = set()
+        for u in basis_vectors(6, mode):
+            for v in basis_vectors(6, mode):
+                twice, value = ints(u, v), BRACKET_TABLES[mode](u, v)
+                assert all(type(c) is int for c in twice._terms.values())
+                assert Element({bv: sc(c) for bv, c in twice._terms.items()}) \
+                    == value.scale(sc(2)), (u, v)
+                central.update(bv for bv in twice.support()
+                               if bv.is_central())
+        assert central == ({C, L} if mode is FULL else set())
+
+    def test_full_int_form_is_the_declaration(self):
+        assert _basis_bracket.int_form == (_int_bracket, 2)
 
 
 class TestGrading:

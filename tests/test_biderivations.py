@@ -3,6 +3,9 @@ left-symmetric triviality sweeps, and the converse certificate."""
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
@@ -18,7 +21,8 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _axiom_cases,
                                _candidate_generators, _central_residuals,
-                               _grid_report, bider_eval,
+                               _first_failure, _grid_report,
+                               _lsa_bider_residuals, bider_eval,
                                check_bider_converse, check_biderivation,
                                check_commuting, check_family,
                                check_lsa_biderivation, check_post_lie,
@@ -26,6 +30,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
+from mhv.lsa import SYMBOLIC
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          render_inputs, residual_failure, serial)
 from mhv.scalars import EPS, ONE, sc
@@ -504,6 +509,30 @@ class TestGrids:
             "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
             "d(0)")]
 
+    def test_failing_points_take_only_the_values_they_use(self,
+                                                          monkeypatch):
+        # every nonzero point fails at its first triple, which uses five
+        # values of its table; taking all of f(x, .) up front made 3,864
+        calls = []
+        table_of = biderivations.family_table
+
+        def counting(params, mode=FULL):
+            table = table_of(params, mode)
+
+            def counted(u, v):
+                calls.append((u, v))
+                return table(u, v)
+            return counted
+
+        monkeypatch.setattr(biderivations, "family_table", counting)
+        points = grid_points()[1:]
+        for params in points:
+            assert _first_failure(
+                lambda p, first: _lsa_bider_residuals(p, 4, SYMBOLIC, first),
+                params) is not None
+        assert len(points) == 161
+        assert len(calls) <= 805
+
     def test_a_zero_point_witness_keeps_its_value(self):
         def source(params, first):
             yield (d(0),), "probe", E(d(0)).scale(EPS)
@@ -650,6 +679,93 @@ class TestConverse:
         params = BiderParams(0, {1: 1})
         table = BilinearTable.from_params(params, CENTERLESS)
         assert check_biderivation(table, 2).passed
+
+
+# the candidate shapes in Scalars, as declared before they had int forms
+SHAPES = {
+    "upsilon": ("dd", lambda m, n, s: E(h(m + n + s))),
+    "dd->d": ("dd", lambda m, n, s: E(d(m + n + s))),
+    "dd->(m-n)d": ("dd", lambda m, n, s: Element.of((m - n, d(m + n + s)))),
+    "dd->(m-n)h": ("dd", lambda m, n, s: Element.of((m - n, h(m + n + s)))),
+    "dh->h": ("dh", lambda m, n, s: E(h(m + n + s))),
+    "dh->-(n+1/2)h": ("dh", lambda m, n, s: Element.of(
+        (Fraction(-(2 * n + 1), 2), h(m + n + s)))),
+    "hd->h": ("hd", lambda m, n, s: E(h(m + n + s))),
+    "hh->d": ("hh", lambda m, n, s: E(d(m + n + s))),
+    "hh->h": ("hh", lambda m, n, s: E(h(m + n + s))),
+}
+
+# jacobi, bider-family and compatibility at window 1, and the same
+# residuals in Scalars: jacobi from the element-level bracket, each
+# member's from check_biderivation of its own table
+MUTANT_SCRIPT = """
+import json
+from itertools import product
+from mhv.algebra import CENTERLESS, FULL, Element, basis_vectors, bracket
+from mhv.biderivations import FAMILY_SAMPLES, BilinearTable, check_biderivation
+from mhv.reports import render_inputs
+from mhv.suite import RunConfig, run_suite
+checks = ("jacobi", "bider-family", "compatibility")
+out = {r.check: [[f.inputs, f.equation_id, f.residual] for f in r.failures]
+       for r in run_suite(RunConfig(window=1, checks=checks), workers=1)}
+E = Element.basis
+out["scalar jacobi"] = [
+    [render_inputs((x, y, z)), "jacobi", res.render()]
+    for x, y, z in product(basis_vectors(1, FULL), repeat=3)
+    if not (res := bracket(E(x), bracket(E(y), E(z)))
+            + bracket(E(y), bracket(E(z), E(x)))
+            + bracket(E(z), bracket(E(x), E(y)))).is_zero()]
+out["scalar members"] = [
+    [f"params=({p.describe()}) {f.inputs}", f.equation_id, f.residual]
+    for p in FAMILY_SAMPLES for f in check_biderivation(
+        BilinearTable.from_params(p, CENTERLESS), 1).failures]
+print(json.dumps(out))
+"""
+DH_PART = "dh=lambda m, n: Element({h(m + n): -(2 * n + 1)}),"
+
+
+class TestIntLane:
+    """bider-family, bider-grid and jacobi sweep int tables whose values
+    are scale times the Scalar ones, and divide a residual back before it
+    is rendered."""
+
+    def test_generators_are_their_shapes_times_their_scale(self):
+        basis = basis_vectors(3, CENTERLESS)
+        for name, table in _candidate_generators()[1:]:
+            base, s = name.rstrip("]").split("[")
+            tags, shape = SHAPES[base]
+            expected = tag_table(**{tags: partial(shape, s=int(s))})
+            ints, scale = table.int_form
+            assert scale == (2 if base == "dh->-(n+1/2)h" else 1)
+            for u, v in product(basis, repeat=2):
+                value = ints(u, v)
+                assert all(type(c) is int for c in value._terms.values())
+                assert Element({w: sc(c) for w, c in value._terms.items()}) \
+                    == expected(u, v).scale(sc(scale)), (name, u, v)
+                assert table(u, v) == expected(u, v), (name, u, v)
+
+    def test_a_dh_sign_flip_fails_every_lane_alike(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src", "mhv")
+        shutil.copytree(src, tmp_path / "mhv",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        algebra = tmp_path / "mhv" / "algebra.py"
+        text = algebra.read_text()
+        assert text.count(DH_PART) == 1
+        algebra.write_text(text.replace(DH_PART, DH_PART.replace(
+            "-(2 * n + 1)", "2 * n + 1")))
+        proc = subprocess.run(
+            [sys.executable, "-c", MUTANT_SCRIPT], capture_output=True,
+            text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+        out = json.loads(proc.stdout)
+        # compatibility runs on the Scalar table, so it sees the one
+        # declaration too
+        assert out["jacobi"] and out["bider-family"] and out["compatibility"]
+        # each residual is the one the Scalar lane renders: divided back
+        assert sorted(out["jacobi"]) == sorted(out["scalar jacobi"])
+        swept = [f for f in out["bider-family"] if f[1] != "bider.central"]
+        assert sorted(swept) == sorted(out["scalar members"])
 
 
 MEMBER = BiderParams(1, {0: 1})

@@ -61,3 +61,27 @@ class TestSolveUnique:
         x = solve_unique(rows, rhs, 2)
         for row, b in zip(rows, rhs):
             assert sum(row.get(i, Fraction(0)) * x[i] for i in range(2)) == b
+
+
+class TestIntRows:
+    """Int rows are reduced exactly: every pivot row is normalised with a
+    Fraction, never with a float."""
+
+    def test_proportional_int_rows_have_rank_one(self):
+        r = RowReducer()
+        assert r.add_row({0: 49, 1: 1})
+        assert not r.add_row({0: 98, 1: 2})
+        assert r.rank == 1
+        assert r.pivots == {0: {0: 1, 1: Fraction(1, 49)}}
+        assert all(type(v) is Fraction for v in r.pivots[0].values())
+
+    def test_solve_unique_on_ints(self):
+        solution = solve_unique([{0: 3}], [1], 1)
+        assert solution == [Fraction(1, 3)]
+        assert type(solution[0]) is Fraction
+
+    def test_a_float_entry_is_refused(self):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            RowReducer().add_row({0: 1, 1: 0.5})
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            solve_unique([{0: 3}], [0.5], 1)

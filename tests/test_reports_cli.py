@@ -386,12 +386,13 @@ class TestSuite:
         assert pids == pids[:3] * 2 + pids[:2]
 
     def test_the_calling_process_keeps_its_memo_tables_warm(self):
-        # a fresh interpreter, so that no earlier test has filled the memo
+        # a fresh interpreter, so that no earlier test has filled the memo;
+        # jacobi sweeps the int form of the bracket
         code = ("from mhv import algebra\n"
                 "from mhv.suite import RunConfig, run_suite\n"
                 "run_suite(RunConfig(window=2, checks=('jacobi',)), "
                 "workers=2)\n"
-                "print(algebra._basis_bracket.cache_info().currsize)\n")
+                "print(algebra._int_bracket.cache_info().currsize)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60,
                               check=True)

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mhv.algebra import C, Element, L, d, h
+from mhv.reports import residual_failure
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
-                         ScalarDivisionError, ZeroEpsilonError, padd, pgcd,
-                         pmul, pneg, prender, ptrim, sc)
+                         ScalarDivisionError, ZeroEpsilonError, _make, padd,
+                         pgcd, pmul, pneg, prender, ptrim, sc)
+from mhv.suite import run_chunks
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
@@ -296,24 +298,22 @@ class TestRationalShortcuts:
     @given(general_scalars, lane_rationals)
     @settings(max_examples=200, deadline=None)
     def test_product(self, a, r):
-        expected = Scalar(pmul(a.num, (r,)), a.den, _canonical=False)
+        expected = Scalar(pmul(a.num, (r,)), a.den)
         for value in (a * sc(r), sc(r) * a):
             assert (value.num, value.den) == (expected.num, expected.den)
 
     @given(general_scalars, lane_rationals)
     @settings(max_examples=200, deadline=None)
     def test_sum(self, a, r):
-        expected = Scalar(padd(a.num, pmul(a.den, (r,))), a.den,
-                          _canonical=False)
+        expected = Scalar(padd(a.num, pmul(a.den, (r,))), a.den)
         for value in (a + sc(r), sc(r) + a):
             assert (value.num, value.den) == (expected.num, expected.den)
 
     @given(general_scalars, lane_rationals)
     @settings(max_examples=200, deadline=None)
     def test_difference(self, a, r):
-        expected = Scalar(padd(a.num, pmul(a.den, (-r,))), a.den,
-                          _canonical=False)
-        negated = Scalar(pneg(expected.num), expected.den, _canonical=False)
+        expected = Scalar(padd(a.num, pmul(a.den, (-r,))), a.den)
+        negated = Scalar(pneg(expected.num), expected.den)
         for value, want in ((a - sc(r), expected), (sc(r) - a, negated)):
             assert (value.num, value.den) == (want.num, want.den)
 
@@ -324,12 +324,15 @@ class TestRationalShortcuts:
 
 
 class TestRationalLane:
-    """+, - and * of two nonzero rationals compute with ints and one gcd;
-    the result must be the canonical form of the Fraction result."""
+    """+, - and * of two nonzero rationals compute with ints and one gcd,
+    and unary - negates the numerator; the result must be the canonical
+    form of the Fraction result, as Scalar(num, den) computes it."""
 
     @staticmethod
     def check(value, expected):
         assert value == Scalar.from_rational(expected)
+        oracle = Scalar((expected.numerator,), (expected.denominator,))
+        assert (value.num, value.den) == (oracle.num, oracle.den)
         if expected == 0:
             assert (value.num, value.den) == ((), (1,))
         else:
@@ -344,6 +347,7 @@ class TestRationalLane:
         self.check(a + b, x + y)
         self.check(a - b, x - y)
         self.check(a * b, x * y)
+        self.check(-a, -x)
 
     @given(lane_rationals)
     @settings(max_examples=100, deadline=None)
@@ -391,6 +395,40 @@ class TestHash:
     def test_hash_is_stable(self):
         value = (ONE + EPS) / (ONE + sc(3) * EPS)
         assert hash(value) == hash(value) == hash((value.num, value.den))
+
+
+class TestMake:
+    """Arithmetic builds its results with _make, which skips __init__."""
+
+    def test_a_scalar_is_false_exactly_when_zero(self):
+        assert not ZERO and not sc(0) and not EPS - EPS
+        assert EPS and EPS_INV and sc(Fraction(-1, 3))
+
+    @given(general_scalars, general_scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_hash_and_equality_agree_with_init(self, x, y):
+        for made in (_make(x.num, x.den), x + y, x * y):
+            built = Scalar(made.num, made.den)
+            assert made == built and built == made
+            assert hash(made) == hash(built)
+            assert {built: 1}[made] == 1
+
+    def test_pickles_through_a_forked_worker(self):
+        def chunk():
+            fresh = (ONE + EPS) / sc(3)  # its hash never taken
+            hashed = sc(Fraction(2, 7)) * EPS
+            hash(hashed)
+            residual = Element.of((fresh, d(0)), (Fraction(1, 2), h(1)))
+            return fresh, hashed, residual_failure("(x)", "probe", residual)
+
+        here = chunk()
+        assert here[0]._hash is None
+        for fresh, hashed, failure in run_chunks([chunk, chunk], 2):
+            assert (fresh.num, fresh.den) == (here[0].num, here[0].den)
+            assert hash(fresh) == hash(here[0])
+            assert hashed == here[1] and hash(hashed) == hash(here[1])
+            assert failure == here[2] and failure.value == here[2].value
+            assert failure.value.coeff(d(0)).eval_at(2) == 1
 
 
 def fraction_horner(a: tuple, x: Fraction) -> Fraction:
