@@ -47,8 +47,8 @@ The converse is certified in bounded brute-force form by
 check_bider_converse, which solves the (centerless) axiom equations
 exactly over a declared candidate space of bilinear shapes and confirms
 that the solution set is precisely the family span.  It sweeps the
-basis triples itself, one chunk per (first, second) pair of basis
-vectors, because it stops as soon as the rank is certified.
+basis triples in order, in one process, and stops after the triple at
+which its rows certify the rank.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member;
@@ -122,11 +122,9 @@ _unit_h = lru_cache(maxsize=None)(lambda k: Element({h(k): 1}, _clean=True))
 @lru_cache(maxsize=None)
 def _upsilon_generator(s: int) -> PairTable:
     """upsilon[s]: d_m, d_n -> h_{m+n+s+1/2}, zero on every other pair,
-    with the int_form of coefficient 1 and scale 1.  One table per shift,
-    so members that share a generator share it by identity."""
-    table = tag_table(dd=lambda m, n: Element.basis(h(m + n + s)))
-    table.int_form = (tag_table(dd=lambda m, n: _unit_h(m + n + s)), 1)
-    return table
+    declared in ints at scale 1.  One table per shift, so members that
+    share a generator share it by identity."""
+    return scalar_table(tag_table(dd=lambda m, n: _unit_h(m + n + s)), 1)
 
 
 def family_parts(params: BiderParams, mode: AlgebraMode) -> list:
@@ -552,20 +550,33 @@ FAMILY_GENERATORS = ("bracket",) + tuple(f"upsilon[{s}]"
                                          for s in UPSILON_SHIFTS)
 
 
-def _converse_chunk(lanes: list, family: set, names: list, window: int,
-                    x: BasisVector, y: BasisVector) -> list:
-    """One chunk of check_bider_converse: the triples (x, y, z) in sweep
-    order, each as (rows, failures, raising).  rows counts its linear
-    equations, one per (axiom, output vector); failures are its rendered
-    family residuals; raising holds, in order, the rows that raised the
-    rank of this chunk's own RowReducer.  Every other row lies in the span
-    of the chunk's earlier rows.  A column swept at a scale changes neither
-    the rank nor the rows that raise it."""
+def check_bider_converse(window: int) -> Report:
+    """Solve the (centerless) biderivation axioms exactly over the candidate
+    space and certify that the solution set is exactly the family span.
+
+    The axiom residual of a candidate sum_g u_g * g is linear in u, so every
+    (triple, axiom, output vector) gives one linear equation.  Family
+    generators satisfy the axioms identically, so their columns are zero in
+    every row and the system's solution space always contains the family;
+    the certificate is that the rank over the remaining columns is full,
+    leaving nothing else.  The triples are swept in order and every row
+    goes to one RowReducer; the sweep stops after the first triple at which
+    the target rank is reached, unless a family residual was found.  A
+    column swept at a scale changes neither the rank nor the rows that
+    raise it, so only the family columns are divided back.
+    """
+    gens = _candidate_generators()
+    names = [name for name, _ in gens]
+    lanes = _lanes([fn for _, fn in gens])
+    family = {names.index(name) for name in FAMILY_GENERATORS}
+    target = len(gens) - len(family)
+    basis = basis_vectors(window, CENTERLESS)
+
     reducer = RowReducer()
-    out = []
-    for inputs, lefts, rights in _centerless_triples(
-            lanes, [x], [y], basis_vectors(window, CENTERLESS)):
-        failures, raising, rows = [], [], 0
+    failures = []
+    rows_used = 0
+    for inputs, lefts, rights in _centerless_triples(lanes, basis, basis,
+                                                     basis):
         for per_gen in (lefts, rights):
             # each generator's residual walked once: output vector ->
             # [(generator, coefficient)] in generator order
@@ -586,58 +597,8 @@ def _converse_chunk(lanes: list, family: set, names: list, window: int,
                     else:
                         row[g] = coeff if lanes[g][2] > 1 \
                             else coeff.as_rational()
-                if reducer.add_row(row):
-                    raising.append(row)
-            rows += len(by_vector)
-        out.append((rows, failures, raising))
-    return out
-
-
-def check_bider_converse(window: int, run=serial, width: int = 1) -> Report:
-    """Solve the (centerless) biderivation axioms exactly over the candidate
-    space and certify that the solution set is exactly the family span.
-
-    The axiom residual of a candidate sum_g u_g * g is linear in u, so every
-    (triple, axiom, output vector) gives one linear equation.  Family
-    generators satisfy the axioms identically, so their columns are zero in
-    every row and the system's solution space always contains the family;
-    the certificate is that the rank over the remaining columns is full,
-    leaving nothing else.  The sweep stops after the first triple at which
-    the target rank is reached, unless a family residual was found.
-
-    A chunk is the triples (x, y, .) of one (first, second) pair of basis
-    vectors, in sweep order.  It reduces its rows in its own RowReducer
-    and returns, per triple, only the rows that raised that local rank: a
-    row that did not lies in the span of earlier rows of the same chunk.
-    So adding just those rows, in order, to the global reducer gives the
-    rank that every row would give, after every triple; the sweep stops at
-    the same triple and counts the same rows_used.  run runs the chunks in
-    waves of width, one chunk per process (suite.run_chunks with width
-    workers), and no wave starts once the sweep has stopped; a chunk past
-    the stop in the last wave is discarded.
-    """
-    gens = _candidate_generators()
-    names = [name for name, _ in gens]
-    lanes = _lanes([fn for _, fn in gens])
-    family = {names.index(name) for name in FAMILY_GENERATORS}
-    target = len(gens) - len(family)
-    basis = basis_vectors(window, CENTERLESS)
-    chunks = [partial(_converse_chunk, lanes, family, names, window, x, y)
-              for x in basis for y in basis]
-
-    def triples():
-        for start in range(0, len(chunks), width):
-            for chunk in run(chunks[start:start + width]):
-                yield from chunk
-
-    reducer = RowReducer()
-    failures = []
-    rows_used = 0
-    for rows, triple_failures, raising in triples():
-        rows_used += rows
-        failures += triple_failures
-        for row in raising:
-            reducer.add_row(row)
+                reducer.add_row(row)
+            rows_used += len(by_vector)
         if reducer.rank >= target and not failures:
             break
     if reducer.rank < target:

@@ -39,7 +39,7 @@ from functools import lru_cache, partial
 
 from .algebra import C, Element, L, bilinear, d, h
 from .coeffs import closed_form_fns
-from .scalars import PoleError
+from .scalars import PoleError, exact
 
 
 class AdmissibilityError(ValueError):
@@ -47,20 +47,20 @@ class AdmissibilityError(ValueError):
 
 
 class EpsMode:
-    """Symbolic e, or a fixed nonzero rational value of e."""
+    """Symbolic e, or a fixed nonzero rational value of e (not a float)."""
 
     __slots__ = ("eps",)
 
     def __init__(self, eps: Fraction | None):
         if eps is not None:
-            eps = Fraction(eps)
+            eps = exact(eps)
             if eps == 0:
                 raise AdmissibilityError("e must be nonzero")
         self.eps = eps
 
     @staticmethod
     def numeric(eps) -> "EpsMode":
-        return EpsMode(Fraction(eps))
+        return EpsMode(exact(eps))
 
     @property
     def is_symbolic(self) -> bool:

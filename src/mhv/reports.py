@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .algebra import Element
-from .scalars import Scalar, ZeroEpsilonError
+from .scalars import Scalar, ZeroEpsilonError, exact
 
 SCHEMA_VERSION = 1
 
@@ -104,9 +104,7 @@ class Report:
         evaluated (str renders a Scalar's Fraction as Scalar.render would)
         and the e-mode relabeled.  eps, as a Fraction, is checked before
         any failure: a float raises TypeError, 0 ZeroEpsilonError."""
-        if isinstance(eps, float):
-            raise TypeError(f"e must be exact, not the float {eps!r}")
-        eps = Fraction(eps)
+        eps = exact(eps)
         if eps == 0:
             raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
         evaluated = [f if f.value is None else

@@ -229,7 +229,7 @@ class Scalar:
     @staticmethod
     def from_rational(r: RationalLike) -> "Scalar":
         if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
+            r = exact(r)
         return ratio(r.numerator, r.denominator)
 
     # -- predicates ---------------------------------------------------------
@@ -411,6 +411,14 @@ ONE = _make(PONE, PONE)
 MINUS_ONE = -ONE
 EPS = _make((0, 1), PONE)
 EPS_INV = ONE / EPS
+
+
+def exact(r) -> Fraction:
+    """r as a Fraction; a float raises TypeError, since its binary value is
+    not the decimal it was written as."""
+    if isinstance(r, float):
+        raise TypeError(f"a rational must be exact, not the float {r!r}")
+    return Fraction(r)
 
 
 def sc(value: RationalLike) -> Scalar:

@@ -27,21 +27,17 @@ inherits them.  The chunked checks and their chunks are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
-    bider-grid              one (first, second) pair of basis vectors
-                            (centerless), in waves of one chunk per process
     commuting               one (sample, first basis vector) pair
     cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point; the zero point one
                                    first basis vector
     star, ast               m
 
-bider-grid stops after the triple at which its rows certify the rank, so
-it hands run_chunks one wave of MHV_WORKERS chunks at a time and starts
-no wave after the stop; each chunk sends back only the rows that raised
-its own rank, which give the same rank after every triple as all of its
-rows.  solve-theta is small and runs in one piece.  A check's chunk list
-depends on the window alone and the worker count only decides where the
-chunks run, so output is byte-identical for any worker count.
+bider-grid, which stops after the triple at which its rows certify the
+rank, and solve-theta, which is small, each run in one piece, in this
+process.  A check's chunk list depends on the window alone and the worker
+count only decides where the chunks run, so output is byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -327,9 +323,7 @@ CHECKS = {
     "lsa-identity": _sweep("lsa-identity", "lsa.identity", 3, _lsa_identity),
     "compatibility": _sweep("compatibility", "lsa.compat", 2, _compatibility),
     "bider-family": check_family,
-    # waves of one chunk per process
-    "bider-grid": lambda window, run: check_bider_converse(
-        window, run, run.keywords["workers"]),
+    "bider-grid": _whole(check_bider_converse),
     "commuting": _check_commuting_samples,
     "postlie-grid": post_lie_grid,
     "lsa-bider-grid": lsa_bider_grid,

@@ -1,8 +1,10 @@
 """The public API: every callable exported by the package has annotations
-that resolve."""
+that resolve, and every entry point that lifts a rational refuses a
+float."""
 
 import inspect
 import typing
+from fractions import Fraction
 
 import pytest
 
@@ -29,3 +31,29 @@ def public_callables():
                                  for name, obj in public_callables()])
 def test_type_hints_resolve(obj):
     typing.get_type_hints(obj)
+
+
+# each entry point that takes a rational, with the float it must refuse
+# and the exact value it must keep taking
+RATIONAL_ENTRIES = {
+    "sc": (mhv.sc, 0.1, Fraction(1, 10)),
+    "Scalar.from_rational": (mhv.Scalar.from_rational, 0.1, Fraction(1, 10)),
+    "EpsMode": (mhv.EpsMode, 0.4, Fraction(2, 5)),
+    "EpsMode.numeric": (mhv.EpsMode.numeric, 0.4, Fraction(2, 5)),
+    "BiderParams lambda": (mhv.BiderParams, 0.1, Fraction(1, 10)),
+    "BiderParams mu": (lambda mu: mhv.BiderParams(1, {0: mu}), 0.5,
+                       Fraction(1, 2)),
+    "LinearMap.from_spec": (mhv.LinearMap.from_spec, 0.5, Fraction(1, 2)),
+    "Element.of": (lambda c: mhv.Element.of((c, mhv.d(1))), 0.5,
+                   Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
+def test_a_float_is_refused(entry):
+    # a float would be taken at its binary value: sc(0.1) was
+    # 3602879701896397/36028797018963968
+    lift, inexact, exact = RATIONAL_ENTRIES[entry]
+    with pytest.raises(TypeError, match="float"):
+        lift(inexact)
+    lift(exact)

@@ -34,7 +34,7 @@ from mhv.lsa import SYMBOLIC
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          render_inputs, residual_failure, serial)
 from mhv.scalars import EPS, ONE, sc
-from mhv.suite import RunConfig, run_chunks, run_suite
+from mhv.suite import RunConfig, run_suite
 from test_sweeps import axiom_oracle
 
 E = Element.basis
@@ -546,7 +546,7 @@ class TestGrids:
 def sequential_converse(window: int) -> Report:
     """The converse as one sequential sweep: every row goes to one
     RowReducer, and the sweep stops after the first triple at which the
-    rank is certified.  The oracle for the chunked check; its residuals
+    rank is certified.  The oracle for check_bider_converse; its residuals
     come from the element-level formula, axiom_oracle."""
     gens = biderivations._candidate_generators()
     names = [name for name, _ in gens]
@@ -598,32 +598,29 @@ def sequential_converse(window: int) -> Report:
                   extra)
 
 
-def converse_in_waves(window: int, workers: int) -> Report:
-    return check_bider_converse(window, partial(run_chunks, workers=workers),
-                                workers)
+def converse_in_suite(window: int, workers: int) -> Report:
+    report, = run_suite(RunConfig(window=window, checks=("bider-grid",)),
+                        workers=workers)
+    return report
 
 
 class TestConverse:
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_waves_match_the_sequential_sweep(self, window):
-        # the sweep stops after chunk 7, 11, 8 and 10 of these windows, so
-        # 2 and 3 workers each discard a chunk past the stop somewhere
+        # the suite's bider-grid against the element-level oracle, at every
+        # worker count
         expected = sequential_converse(window).to_json()
         for workers in (1, 2, 3):
-            report, = run_suite(RunConfig(window=window,
-                                          checks=("bider-grid",)),
-                                workers=workers)
-            assert report.to_json() == expected, workers
+            assert converse_in_suite(window, workers).to_json() == expected, \
+                workers
 
-    def test_no_wave_starts_after_the_stop(self):
-        waves = []
+    def test_bider_grid_forks_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("bider-grid forked")
 
-        def run(chunks):
-            waves.append(len(chunks))
-            return serial(chunks)
-
-        check_bider_converse(4, run, 3)
-        assert waves == [3, 3, 3, 3]
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert converse_in_suite(2, 3).to_json() \
+            == sequential_converse(2).to_json()
 
     def test_rank_certificate(self):
         report = check_bider_converse(3)
@@ -654,10 +651,10 @@ class TestConverse:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_family_residual_fails_in_any_process(self, monkeypatch,
                                                      workers):
-        # forked children inherit the patched family
+        # the suite runs the check in this process at any worker count
         monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",
                             FAMILY_GENERATORS + ("dd->d[0]",))
-        report = converse_in_waves(1, workers)
+        report = converse_in_suite(1, workers)
         assert report.to_json() == sequential_converse(1).to_json()
         assert report.failures[0] == Failure(
             "(d(-1), d(-1), d(0))", "converse.family_residual",
@@ -668,7 +665,7 @@ class TestConverse:
         gens = _candidate_generators()
         monkeypatch.setattr(biderivations, "_candidate_generators",
                             lambda: gens + gens[-1:])
-        report = converse_in_waves(1, workers)
+        report = converse_in_suite(1, workers)
         assert report.to_json() == sequential_converse(1).to_json()
         assert [f.equation_id for f in report.failures] \
             == ["converse.rank_deficit"]
