@@ -72,8 +72,8 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
-from .reports import (Failure, Report, collect, pooled, prefixed,
-                      render_inputs, residual_failure, serial)
+from .reports import (Failure, Report, collect, finished, pooled, prefixed,
+                      render_inputs, residual_failure)
 from .scalars import MINUS_ONE, ONE, Scalar, sc
 
 
@@ -453,62 +453,68 @@ def _first_failure(residual_source, params: BiderParams,
                  if not case[2].is_zero()), None)
 
 
-def _grid_report(check_name: str, window: int, residual_source,
-                 run) -> Report:
-    """Sweep the grid; pass iff the passing set is exactly the zero point.
+def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
+    """Plan the grid; pass iff the passing set is exactly the zero point.
 
     residual_source(params, first) yields the residuals of a point on the
     tuples whose first basis vector lies in basis[first].  A point that
     fails stops at its first nonzero residual, so each is one chunk; the
     zero point, which is to pass and so sweeps every residual, is one
     chunk per first basis vector, and its witness is the first of theirs."""
-    failures = []
     points = grid_points()
-    passing = []
     width = len(basis_vectors(window, FULL))
-    found = run([partial(_first_failure, residual_source, points[0],
-                         slice(i, i + 1)) for i in range(width)]
-                + [partial(_first_failure, residual_source, params)
-                   for params in points[1:]])
-    witnesses = [next((w for w in found[:width] if w is not None), None)]
-    witnesses += found[width:]
-    for params, witness in zip(points, witnesses):
-        if witness is None:
-            passing.append(params)
-            if not params.is_zero():
-                failures.append(Failure(f"({params.describe()})",
-                                        "grid.unexpected_pass", "0"))
-        elif params.is_zero():
-            inputs, eq_id, residual = witness
-            failures.append(residual_failure(
-                f"({params.describe()}) at {render_inputs(inputs)}",
-                f"grid.trivial_failed[{eq_id}]", residual))
-    extra = {
-        "grid_points": len(points),
-        "passing_points": [p.describe() for p in passing],
-    }
-    return Report(check_name, window, "symbolic", len(points), failures,
-                  extra)
+
+    def finish(found: list) -> Report:
+        failures = []
+        passing = []
+        witnesses = [next((w for w in found[:width] if w is not None), None)]
+        for params, witness in zip(points, witnesses + found[width:]):
+            if witness is None:
+                passing.append(params)
+                if not params.is_zero():
+                    failures.append(Failure(f"({params.describe()})",
+                                            "grid.unexpected_pass", "0"))
+            elif params.is_zero():
+                inputs, eq_id, residual = witness
+                failures.append(residual_failure(
+                    f"({params.describe()}) at {render_inputs(inputs)}",
+                    f"grid.trivial_failed[{eq_id}]", residual))
+        extra = {
+            "grid_points": len(points),
+            "passing_points": [p.describe() for p in passing],
+        }
+        return Report(check_name, window, "symbolic", len(points), failures,
+                      extra)
+
+    return ([partial(_first_failure, residual_source, points[0],
+                     slice(i, i + 1)) for i in range(width)]
+            + [partial(_first_failure, residual_source, params)
+               for params in points[1:]], finish)
 
 
-def post_lie_grid(window: int, run=serial) -> Report:
+def post_lie_plan(window: int) -> tuple:
+    """The plan of post_lie_grid."""
+    return _grid_plan("postlie-grid", window, lambda params, first:
+                      _post_lie_residuals(params, window, first))
+
+
+def lsa_bider_plan(window: int) -> tuple:
+    """The plan of lsa_bider_grid."""
+    return _grid_plan("lsa-bider-grid", window, lambda params, first:
+                      _lsa_bider_residuals(params, window, SYMBOLIC, first))
+
+
+def post_lie_grid(window: int) -> Report:
     """Exactly one grid point (the zero product) may satisfy all post-Lie
-    axioms: the triviality statement in brute-force form.  run runs the
-    per-point chunks (reports.serial or suite.run_chunks)."""
-    return _grid_report(
-        "postlie-grid", window,
-        lambda params, first: _post_lie_residuals(params, window, first),
-        run)
+    axioms: the triviality statement in brute-force form."""
+    return finished(post_lie_plan(window))
 
 
-def lsa_bider_grid(window: int, run=serial) -> Report:
+def lsa_bider_grid(window: int) -> Report:
     """Exactly one grid point (f = 0) may satisfy the left-symmetric
     biderivation axioms: the final triviality statement in brute-force
-    form.  run runs the per-point chunks."""
-    return _grid_report(
-        "lsa-bider-grid", window,
-        lambda params, first: _lsa_bider_residuals(params, window, SYMBOLIC,
-                                                   first), run)
+    form."""
+    return finished(lsa_bider_plan(window))
 
 
 # ---------------------------------------------------------------------------
@@ -666,16 +672,13 @@ def _family_sweep(members: list, lanes: list, window: int,
     return Report("bider-family", window, "symbolic", cases, failures)
 
 
-def check_family(window: int, run=serial) -> Report:
-    """The forward direction on canned family members (centerless axioms),
-    plus central annihilation of both arguments in the full algebra.
-
-    The axioms are linear in f, so the members are checked by linearity
-    over their distinct generator tables (family_parts): run runs one
-    chunk per first centerless basis vector, which takes each generator's
-    residuals once per triple and counts every member's cases.  The
-    central cases are collected per member's table, here.  A failure's
-    label leads with its member's params."""
+def family_plan(window: int) -> tuple:
+    """The plan of check_family.  The axioms are linear in f, so the
+    members are checked by linearity over their distinct generator tables
+    (family_parts): one chunk per first centerless basis vector takes each
+    generator's residuals once per triple and counts every member's cases.
+    The central cases are collected per member's table as the plan is
+    made.  A failure's label leads with its member's params."""
     index: dict = {}
     members = [(f"params=({params.describe()})",
                 [(weight, index.setdefault(table, len(index)))
@@ -685,7 +688,13 @@ def check_family(window: int, run=serial) -> Report:
     central = [prefixed(label, collect("bider-family", window, "symbolic",
                                        _central_residuals(params, basis)))
                for (label, _), params in zip(members, FAMILY_SAMPLES)]
-    sweeps = run([partial(_family_sweep, members, _lanes(list(index)), window,
-                          slice(i, i + 1))
-                  for i in range(len(basis_vectors(window, CENTERLESS)))])
-    return pooled("bider-family", window, central + sweeps)
+    return ([partial(_family_sweep, members, _lanes(list(index)), window,
+                     slice(i, i + 1))
+             for i in range(len(basis_vectors(window, CENTERLESS)))],
+            lambda sweeps: pooled("bider-family", window, central + sweeps))
+
+
+def check_family(window: int) -> Report:
+    """The forward direction on canned family members (centerless axioms),
+    plus central annihilation of both arguments in the full algebra."""
+    return finished(family_plan(window))

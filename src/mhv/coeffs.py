@@ -56,7 +56,7 @@ from typing import Callable
 from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
                       accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
-from .reports import Failure, Report, serial
+from .reports import Failure, Report, finished
 from .scalars import EPS, EPS_INV, MINUS_ONE, ONE, ZERO, Scalar, sc
 
 
@@ -410,15 +410,18 @@ def _compare(fns: CoeffFns, w: int, ms) -> tuple:
     return cases, failures, witnesses
 
 
-def cross_check(window: int, run=serial) -> Report:
+def cross_check(window: int) -> Report:
     """Compare every transcribed residual against its oracle-derived
     counterpart: on the closed-form solution over the full window, and on
     seeded random tables over a smaller window (random tables are what
     actually exercises the equations' shapes).  Disagreement anywhere
     except the documented star.12 is a failure; of star.12's, each chunk
-    renders its first LOGGED_WITNESSES and the report logs the first of all.
+    renders its first LOGGED_WITNESSES and the report logs the first of all."""
+    return finished(cross_check_plan(window))
 
-    run runs the chunks: the closed form by m, and each random table
+
+def cross_check_plan(window: int) -> tuple:
+    """The plan of cross_check: the closed form by m, and each random table
     whole, because it draws each key on first use and split across
     processes it would draw different values."""
     closed = closed_form_fns()
@@ -427,30 +430,15 @@ def cross_check(window: int, run=serial) -> Report:
     chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,
                        range(-SAMPLE_WINDOW, SAMPLE_WINDOW + 1))
                for seed in SAMPLE_SEEDS]
+    return chunks, partial(_cross_check_report, window)
 
-    failures = []
-    cases = 0
+
+def _cross_check_report(window: int, parts: list) -> Report:
+    """cross_check's Report from its chunks' (cases, failures, witnesses)."""
     witnesses: dict = {}
-    for part_cases, part_failures, part_witnesses in run(chunks):
-        cases += part_cases
-        failures += part_failures
+    for _, _, part_witnesses in parts:
         for eq_id, entries in part_witnesses.items():
             witnesses.setdefault(eq_id, []).extend(entries)
-
-    documented = []
-    documented.append({
-        "id": "star.10",
-        "note": "arrives with an unbindable index; completed with the "
-                "index the identity expansion dictates, so transcription "
-                "and oracle agree by construction",
-        "witnesses": [],
-    })
-    documented.append({
-        "id": "star.12",
-        "note": "transcribed second term repeats b(m,k); the identity "
-                "expansion yields b(n,k)",
-        "witnesses": witnesses.get("star.12", [])[:LOGGED_WITNESSES],
-    })
     ast4_witness = []
     probe = random_fns(SAMPLE_SEEDS[0])
     for (m, n, k) in ((0, 1, 0), (1, 2, -1), (0, 2, 1)):
@@ -463,17 +451,28 @@ def cross_check(window: int, run=serial) -> Report:
                 "primary_form": primary.render(),
                 "swapped_form": swapped.render(),
             })
-    documented.append({
+    documented = [{
+        "id": "star.10",
+        "note": "arrives with an unbindable index; completed with the "
+                "index the identity expansion dictates, so transcription "
+                "and oracle agree by construction",
+        "witnesses": [],
+    }, {
+        "id": "star.12",
+        "note": "transcribed second term repeats b(m,k); the identity "
+                "expansion yields b(n,k)",
+        "witnesses": witnesses.get("star.12", [])[:LOGGED_WITNESSES],
+    }, {
         "id": "ast.4",
         "note": "circulates in two argument-naming conventions; the two "
                 "forms are pointwise different instances of the same "
                 "equation family and the oracle matches the primary form",
         "witnesses": ast4_witness[:LOGGED_WITNESSES],
-    })
-
-    extra = {"documented_discrepancies": documented}
-    return Report("cross-check", window, "symbolic", cases, failures,
-                  extra)
+    }]
+    return Report("cross-check", window, "symbolic",
+                  sum(part[0] for part in parts),
+                  [f for part in parts for f in part[1]],
+                  {"documented_discrepancies": documented})
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,14 @@ residual_failure, as bider-family's sweep and a grid's zero point do:
 rendered, and as its value when it depends on e.  Free-text Failures
 (converse, cross-check, solve-theta, a grid's unexpected pass) have none.
 
-A check that splits its work into independent chunks (zero-argument
-callables returning picklable data) takes a chunk runner: serial
-runs them here, in order; suite.run_chunks shares them between this
-process and forked workers.  pooled sums the cases and pools the
-failures of a check's part Reports into one Report, and the sort makes
-the result independent of where the parts ran; chunked collects each of
-a check's residual streams as one chunk and pools them.  prefixed leads
-every failure label of a part, such as one family member's, with the
-part's name.
+A check's plan is its chunks, independent zero-argument callables
+returning picklable data, and a finish, which makes its Report of their
+results in chunk order; finished runs a plan here, in order.  pooled
+sums the cases and pools the failures of a check's part Reports into one
+Report, and the sort makes the result independent of where the parts
+ran; chunked plans a check whose chunks collect one residual stream each
+and whose finish pools them.  prefixed leads every failure label of a
+part, such as one family member's, with the part's name.
 
 evaluated_at evaluates every value at an exact nonzero e, refused first,
 parsing nothing, and keeps every other failure: this is how symbolic and
@@ -36,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 from .algebra import Element
 from .scalars import Scalar, ZeroEpsilonError, exact
@@ -163,17 +163,18 @@ def pooled(check: str, window: int, parts: list) -> Report:
                   [f for p in parts for f in p.failures])
 
 
-def chunked(check: str, window: int, run, streams: list) -> Report:
-    """The pooled Report of a check's streams, zero-argument callables
-    returning residual streams: run collects each one as a chunk."""
-    return pooled(check, window, run([
-        lambda stream=stream: collect(check, window, "symbolic", stream())
-        for stream in streams]))
+def chunked(check: str, window: int, streams: list) -> tuple:
+    """The plan of a check's streams, zero-argument callables returning
+    residual streams: a chunk collects each one, and finish pools them."""
+    return ([lambda stream=stream: collect(check, window, "symbolic",
+                                           stream()) for stream in streams],
+            partial(pooled, check, window))
 
 
-def serial(chunks: list) -> list:
-    """The results of a check's chunks, run in this process in order."""
-    return [chunk() for chunk in chunks]
+def finished(plan: tuple) -> Report:
+    """The Report of a plan (chunks, finish), its chunks run here in order."""
+    chunks, finish = plan
+    return finish([chunk() for chunk in chunks])
 
 
 def prefixed(prefix: str, report: Report) -> Report:

@@ -304,9 +304,9 @@ class Scalar:
     # -- evaluation ---------------------------------------------------------
 
     def eval_at(self, eps_value: RationalLike) -> Fraction:
-        """Exact value at e = eps_value; eps_value must be a nonzero rational
-        that is not a root of the denominator."""
-        x = Fraction(eps_value)
+        """Exact value at e = eps_value; eps_value must be a nonzero rational,
+        not a float, that is not a root of the denominator."""
+        x = exact(eps_value)
         if x == 0:
             raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
         p, q = x.numerator, x.denominator
@@ -354,15 +354,15 @@ def _make(num: tuple, den: tuple) -> Scalar:
 
 
 def ratio(n: int, d: int) -> Scalar:
-    """The Scalar n/d for ints n and d > 0."""
+    """The Scalar n/d for ints n and d > 0; the shared ONE when n == d."""
     g = _int_gcd(n, d)
-    return _make((n // g,), (d // g,)) if n else ZERO
+    return ONE if n == d else _make((n // g,), (d // g,)) if n else ZERO
 
 
 def _integral(num: tuple, den: tuple) -> tuple:
-    """num and den, coefficients int or Fraction, both multiplied by the
-    least common multiple of their coefficients' denominators."""
-    m = _int_lcm(*(c.denominator for c in num + den))
+    """num and den, of int or Fraction coefficients (a float raises
+    TypeError), times the lcm of their coefficients' denominators."""
+    m = _int_lcm(*(exact(c).denominator for c in num + den))
     return (tuple(c.numerator * (m // c.denominator) for c in num),
             tuple(c.numerator * (m // c.denominator) for c in den))
 

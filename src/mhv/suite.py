@@ -10,34 +10,32 @@ window-level admissibility guard refuses a numeric e whose pole degree
 undefined on the window's own output degrees.
 
 The check registry CHECKS maps each check name, in canonical order, to
-the function check(window, run) -> Report that runs it, where run is the
-chunk runner partial(run_chunks, workers=N); CHECK_ORDER is its keys:
+its plan builder, plan(window) -> (chunks, finish), where finish(results)
+-> Report takes the chunks' results in order; CHECK_ORDER is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
     cross-check solve-theta
 
-The environment variable MHV_WORKERS, an integer of at least 1 (default
-1), caps process parallelism.  run_chunks is the one scheduler: a check
-hands it a list of independent chunks and gets their results in chunk
-order.  With MHV_WORKERS=N, N processes, this one and N-1 forked
-children, share the chunks by index, each taking every N-th; the chunks
-this process runs keep its memo tables warm, and every later fork
-inherits them.  The chunked checks and their chunks are
+run_suite runs the chunks of the selected checks as one list, in
+config.checks order, through run_chunks, then finishes each check.
+MHV_WORKERS=N, an integer of at least 1 (default 1), caps process
+parallelism: this process and N-1 children, forked once per run, share
+the list by index, each taking every N-th chunk.  A plan builder's own
+work (the closed form, bider-family's central cases) runs here, before
+the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
     commuting               one (sample, first basis vector) pair
-    cross-check             the closed form by m; each random table whole
     postlie-grid, lsa-bider-grid   one grid point; the zero point one
                                    first basis vector
     star, ast               m
+    cross-check             the closed form by m; each random table whole
+    bider-grid, solve-theta the whole check (bider-grid stops early)
 
-bider-grid, which stops after the triple at which its rows certify the
-rank, and solve-theta, which is small, each run in one piece, in this
-process.  A check's chunk list depends on the window alone and the worker
-count only decides where the chunks run, so output is byte-identical for
-any worker count.
+The chunk list depends on the window and the selected checks alone, so
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -48,20 +46,20 @@ import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
                       accumulate_right, basis_sweep, basis_vectors,
                       grading_degree, scalar_element, window_indices)
-from .biderivations import (LinearMap, check_bider_converse, check_family,
-                            commuting_residuals, lsa_bider_grid,
-                            post_lie_grid)
+from .biderivations import (LinearMap, check_bider_converse,
+                            commuting_residuals, family_plan, lsa_bider_plan,
+                            post_lie_plan)
 from .coeffs import (ast_residuals, associator_defect, closed_form_fns,
-                     commutator_defect, cross_check, solve_theta,
+                     commutator_defect, cross_check_plan, solve_theta,
                      star_residuals)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import SYMBOLIC, EpsMode, product_table
-from .reports import (Failure, Report, chunked, collect, pooled, prefixed,
-                      serial)
+from .reports import Failure, Report, chunked, collect, pooled, prefixed
 from .scalars import ONE, sc
 
 
@@ -141,7 +139,7 @@ def run_chunks(chunks: list, workers: int) -> list:
     chunks.  Every child has exited by the time this returns or raises."""
     total = len(chunks)
     if workers <= 1 or total <= 1:
-        return serial(chunks)
+        return [chunk() for chunk in chunks]
     step = min(workers, total)
     stop = mmap.mmap(-1, 1)  # one byte shared with every child
     children, results = [], [None] * total
@@ -219,22 +217,17 @@ _compatibility = partial(commutator_defect, _product)
 
 
 def _sweep(name: str, eq_id: str, arity: int, residual):
-    """A registry entry that runs a basis sweep, one chunk per first basis
+    """The plan builder of a basis sweep, one chunk per first basis
     vector."""
-
-    def check(window: int, run) -> Report:
-        return chunked(name, window, run,
-                       [partial(basis_sweep, window, arity,
-                                lambda *xs: [(eq_id, residual(*xs))],
-                                slice(i, i + 1))
-                        for i in range(len(basis_vectors(window, FULL)))])
-
-    return check
+    return lambda window: chunked(name, window, [
+        partial(basis_sweep, window, arity,
+                lambda *xs: [(eq_id, residual(*xs))], slice(i, i + 1))
+        for i in range(len(basis_vectors(window, FULL)))])
 
 
-def _whole(check):
-    """A registry entry for a check that takes the window alone."""
-    return lambda window, run: check(window)
+def _one_chunk(check):
+    """The plan builder of a check, check(window) -> Report, run whole."""
+    return lambda window: ([partial(check, window)], itemgetter(0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +252,23 @@ def _commuting_specs(window: int) -> list:
     return specs
 
 
-def _check_commuting_samples(window: int, run) -> Report:
+def _commuting_plan(window: int) -> tuple:
     """The commuting condition of each sample, one chunk per (sample,
     first basis vector)."""
     width = len(basis_vectors(window, FULL))
-    return pooled("commuting", window, run([
-        lambda phi=phi, i=i: prefixed(phi.name, collect(
-            "commuting", window, "symbolic",
-            commuting_residuals(phi, window, slice(i, i + 1))))
-        for phi in _commuting_specs(window) for i in range(width)]))
+    return ([lambda phi=phi, i=i: prefixed(phi.name, collect(
+                "commuting", window, "symbolic",
+                commuting_residuals(phi, window, slice(i, i + 1))))
+             for phi in _commuting_specs(window) for i in range(width)],
+            partial(pooled, "commuting", window))
 
 
 def _equation_sweep(name: str, residuals):
-    """A registry entry that evaluates an equation system, residuals(fns,
-    m, n, k) -> [(id, Scalar)], on the closed form over the window cube,
-    one chunk per m; the closed form is built once, before the chunks."""
+    """The plan builder of an equation system, residuals(fns, m, n, k) ->
+    [(id, Scalar)], evaluated on the closed form over the window cube, one
+    chunk per m; the closed form is built once, as the plan is made."""
 
-    def check(window: int, run) -> Report:
+    def plan(window: int) -> tuple:
         fns = closed_form_fns()
         indices = window_indices(window)
 
@@ -284,53 +277,47 @@ def _equation_sweep(name: str, residuals):
                     for n in indices for k in indices
                     for eq_id, residual in residuals(fns, m, n, k))
 
-        return chunked(name, window, run,
-                       [partial(stream, m) for m in indices])
+        return chunked(name, window, [partial(stream, m) for m in indices])
 
-    return check
+    return plan
 
 
 def _check_solve_theta(window: int) -> Report:
-    failures = []
-    extra = {}
-    cases = 0
     try:
         table = solve_theta(max(window, 2))
-        cases = table.equations
-        extra = {
-            "unknowns": table.unknowns,
-            "rank": table.rank,
-            "equations": table.equations,
-            "theta": {str(n): str(v)
-                      for n, v in sorted(table.values.items())},
-        }
-        for n, value in sorted(table.values.items()):
-            expected = Fraction(2 * n + 1, 4)
-            if value != expected:
-                failures.append(Failure(f"theta({n})", "theta.value",
-                                        f"{value} != {expected}"))
     except (InconsistentSystemError, UnderdeterminedSystemError) as exc:
-        failures.append(Failure(f"window={window}", "theta.system", str(exc)))
-    return Report("solve-theta", window, "symbolic", cases, failures,
-                  extra)
+        return Report("solve-theta", window, "symbolic", 0, [Failure(
+            f"window={window}", "theta.system", str(exc))], {})
+    values = sorted(table.values.items())
+    failures = []
+    for n, value in values:
+        expected = Fraction(2 * n + 1, 4)
+        if value != expected:
+            failures.append(Failure(f"theta({n})", "theta.value",
+                                    f"{value} != {expected}"))
+    extra = {"unknowns": table.unknowns, "rank": table.rank,
+             "equations": table.equations,
+             "theta": {str(n): str(v) for n, v in values}}
+    return Report("solve-theta", window, "symbolic", table.equations,
+                  failures, extra)
 
 
-# name -> check(window, run) -> Report, in canonical order
+# name -> plan(window) -> (chunks, finish), in canonical order
 CHECKS = {
     "jacobi": _sweep("jacobi", "jacobi", 3, _jacobi),
     "antisym": _sweep("antisym", "antisym", 2, _antisym),
     "grading": _sweep("grading", "grading", 2, _grading),
     "lsa-identity": _sweep("lsa-identity", "lsa.identity", 3, _lsa_identity),
     "compatibility": _sweep("compatibility", "lsa.compat", 2, _compatibility),
-    "bider-family": check_family,
-    "bider-grid": _whole(check_bider_converse),
-    "commuting": _check_commuting_samples,
-    "postlie-grid": post_lie_grid,
-    "lsa-bider-grid": lsa_bider_grid,
+    "bider-family": family_plan,
+    "bider-grid": _one_chunk(check_bider_converse),
+    "commuting": _commuting_plan,
+    "postlie-grid": post_lie_plan,
+    "lsa-bider-grid": lsa_bider_plan,
     "star": _equation_sweep("star", star_residuals),
     "ast": _equation_sweep("ast", ast_residuals),
-    "cross-check": cross_check,
-    "solve-theta": _whole(_check_solve_theta),
+    "cross-check": cross_check_plan,
+    "solve-theta": _one_chunk(_check_solve_theta),
 }
 
 CHECK_ORDER = tuple(CHECKS)
@@ -354,8 +341,9 @@ class RunConfig:
 
 
 def run_suite(config: RunConfig, workers: int | None = None) -> list:
-    """Execute the selected checks and return one Report each.  workers,
-    by default MHV_WORKERS, must be an int of at least 1 (bool excluded)."""
+    """Execute the selected checks and return one Report each, their
+    chunks run by one call of run_chunks.  workers, by default
+    MHV_WORKERS, must be an int of at least 1 (bool excluded)."""
     given = workers
     if workers is None:
         given = os.environ.get("MHV_WORKERS", "1")
@@ -369,10 +357,12 @@ def run_suite(config: RunConfig, workers: int | None = None) -> list:
     if not config.eps.is_symbolic:
         config.eps.ensure_admissible(config.window)
 
-    run = partial(run_chunks, workers=workers)
+    plans = [CHECKS[name](config.window) for name in config.checks]
+    results = iter(run_chunks([c for chunks, _ in plans for c in chunks],
+                              workers))
     reports = []
-    for name in config.checks:
-        report = CHECKS[name](config.window, run)
+    for chunks, finish in plans:
+        report = finish([next(results) for _ in chunks])
         if not config.eps.is_symbolic:
             report = report.evaluated_at(config.eps.eps)
         reports.append(report)

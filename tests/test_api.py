@@ -46,6 +46,11 @@ RATIONAL_ENTRIES = {
     "LinearMap.from_spec": (mhv.LinearMap.from_spec, 0.5, Fraction(1, 2)),
     "Element.of": (lambda c: mhv.Element.of((c, mhv.d(1))), 0.5,
                    Fraction(1, 2)),
+    "Scalar num": (lambda c: mhv.Scalar((c,), (1,)), 0.5, Fraction(1, 2)),
+    "Scalar den": (lambda c: mhv.Scalar((1,), (c,)), 0.5, Fraction(1, 2)),
+    "Scalar.eval_at": ((mhv.ONE + mhv.EPS).eval_at, 0.4, Fraction(2, 5)),
+    "Element.eval_at": (mhv.Element.of((mhv.ONE + mhv.EPS, mhv.d(1))).eval_at,
+                        0.4, Fraction(2, 5)),
 }
 
 

@@ -21,7 +21,7 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _axiom_cases,
                                _candidate_generators, _central_residuals,
-                               _first_failure, _grid_report,
+                               _first_failure, _grid_plan,
                                _lsa_bider_residuals, bider_eval,
                                check_bider_converse, check_biderivation,
                                check_commuting, check_family,
@@ -32,7 +32,7 @@ from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
 from mhv.lsa import SYMBOLIC
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
-                         render_inputs, residual_failure, serial)
+                         finished, render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import RunConfig, run_suite
 from test_sweeps import axiom_oracle
@@ -476,8 +476,8 @@ class TestGrids:
         assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = _grid_report("probe", 1, lambda params, first: iter(()),
-                              serial)
+        report = finished(_grid_plan("probe", 1,
+                                     lambda params, first: iter(())))
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
@@ -493,7 +493,7 @@ class TestGrids:
                 seen.extend(basis[first])
                 if len(seen) in (4, 6):
                     yield tuple(basis[first]), "probe", E(d(0))
-        report = _grid_report("probe", 2, source, serial)
+        report = finished(_grid_plan("probe", 2, source))
         assert seen == basis
         assert [f for f in report.failures
                 if f.equation_id != "grid.unexpected_pass"] == [Failure(
@@ -504,7 +504,7 @@ class TestGrids:
         def source(params, first):
             yield (d(0),), "probe", E(d(0))
 
-        report = _grid_report("probe", 1, source, serial)
+        report = finished(_grid_plan("probe", 1, source))
         assert report.failures == [Failure(
             "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
             "d(0)")]
@@ -537,7 +537,7 @@ class TestGrids:
         def source(params, first):
             yield (d(0),), "probe", E(d(0)).scale(EPS)
 
-        report = _grid_report("probe", 1, source, serial)
+        report = finished(_grid_plan("probe", 1, source))
         assert report.failures[0].residual == "(e)*d(0)"
         assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
             == "2/5*d(0)"

@@ -25,7 +25,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -37,7 +36,7 @@ from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
 from mhv.cli import main
 from mhv.lsa import EpsMode
 from mhv.scalars import ONE
-from mhv.suite import run_chunks
+from mhv.suite import RunConfig, run_suite
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 E_VALUE = Fraction(2, 5)
@@ -114,8 +113,9 @@ def test_failing_family_report_is_golden(monkeypatch):
     report = check_family(1).to_json()
     assert report + "\n" == golden("bider-family-dd-d-w1.json")
     for workers in (1, 3):
-        assert check_family(1, partial(run_chunks, workers=workers)) \
-            .to_json() == report
+        family, = run_suite(RunConfig(window=1, checks=("bider-family",)),
+                            workers=workers)
+        assert family.to_json() == report
 
 
 def test_gate_passes():

@@ -378,6 +378,27 @@ class TestSuite:
         assert sorted(map(int, log.read_text().split())) \
             == list(range(2000))
 
+    @pytest.mark.parametrize("workers, forks", [(2, 1), (3, 2)])
+    def test_one_run_of_every_check_forks_once_per_extra_worker(
+            self, monkeypatch, workers, forks):
+        # every check's chunks go into one list, which one call of
+        # run_chunks shares; forking per chunked check made 12 children
+        # per extra worker
+        from mhv import suite
+        fork = suite.os.fork
+        forked = []
+
+        def counted():
+            forked.append(None)
+            return fork()
+
+        monkeypatch.setattr(suite.os, "fork", counted)
+        reports = run_suite(RunConfig(window=1), workers=workers)
+        assert len(forked) == forks
+        assert [r.check for r in reports] == list(CHECK_ORDER)
+        assert reports_to_json(reports) \
+            == reports_to_json(run_suite(RunConfig(window=1), workers=1))
+
     def test_the_calling_process_runs_every_nth_chunk(self):
         # process k of 3 runs chunks k, k + 3, ...; this process is k = 0
         pids = run_chunks([os.getpid] * 8, 3)
@@ -412,7 +433,7 @@ class TestSuite:
                 "from mhv import suite\n"
                 "from mhv.cli import main\n"
                 + DIE + "suite.CHECKS['jacobi'] = "
-                "lambda window, run: run([die, die])\n"
+                "lambda window: ([die, die], None)\n"
                 "sys.exit(main(['verify', '--window', '1', "
                 "'--checks', 'jacobi']))\n")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -437,13 +458,11 @@ class TestSuite:
             firsts[-1].add(x)
             return Element.zero()
 
-        def run(chunks):
-            for chunk in chunks:
-                firsts.append(set())
-                parts.append(chunk())
-            return parts
-
-        report = _sweep("probe", "probe", 2, record)(3, run)
+        chunks, finish = _sweep("probe", "probe", 2, record)(3)
+        for chunk in chunks:
+            firsts.append(set())
+            parts.append(chunk())
+        report = finish(parts)
         assert firsts == [{bv} for bv in basis]
         assert [p.total_cases for p in parts] == [len(basis)] * len(basis)
         assert report.passed and report.total_cases == len(basis) ** 2
@@ -454,7 +473,7 @@ class TestSuite:
         # basis vector is basis[i]; the central cases run outside the chunks
         from mhv import biderivations
         from mhv.algebra import CENTERLESS, FULL, basis_vectors
-        from mhv.biderivations import FAMILY_SAMPLES, check_family
+        from mhv.biderivations import FAMILY_SAMPLES, family_plan
         basis = basis_vectors(2, CENTERLESS)
         residuals = biderivations.derivation_residuals
         firsts = []
@@ -464,14 +483,13 @@ class TestSuite:
             firsts[-1].add(x)
             return residuals(tables, mul, x, ys, zs, project)
 
-        def run(chunks):
-            for chunk in chunks:
-                firsts.append(set())
-                parts.append(chunk())
-            return parts
-
         monkeypatch.setattr(biderivations, "derivation_residuals", record)
-        report = check_family(2, run)
+        chunks, finish = family_plan(2)
+        assert firsts == []
+        for chunk in chunks:
+            firsts.append(set())
+            parts.append(chunk())
+        report = finish(parts)
         assert firsts == [{bv} for bv in basis]
         assert [p.total_cases for p in parts] \
             == [2 * len(basis)**2 * len(FAMILY_SAMPLES)] * len(basis)

@@ -13,7 +13,7 @@ from mhv.algebra import C, Element, L, d, h
 from mhv.reports import residual_failure
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError, Scalar,
                          ScalarDivisionError, ZeroEpsilonError, _make, padd,
-                         pgcd, pmul, pneg, prender, ptrim, sc)
+                         pgcd, pmul, pneg, prender, ptrim, ratio, sc)
 from mhv.suite import run_chunks
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -354,6 +354,16 @@ class TestRationalLane:
     def test_cancellation(self, x):
         self.check(sc(x) - sc(x), 0)
         self.check(sc(x) + sc(-x), 0)
+
+    def test_a_unit_ratio_is_the_shared_one(self):
+        # so that a table entry of weight 1, such as upsilon[s]'s, takes
+        # the kernels' `is ONE` fast paths
+        from mhv.biderivations import _upsilon_generator
+        for n in (1, 2, 7, 2**70):
+            assert ratio(n, n) is ONE
+        assert ratio(2, 4) == sc(Fraction(1, 2))
+        value = _upsilon_generator(0)(d(1), d(2))
+        assert value.coeff(h(3)) is ONE
 
 
 class TestIntegerForm:

@@ -5,8 +5,8 @@ byte for byte, with the goldens in tests/golden.
 
 runs `mhv verify --window 5` and `mhv verify --window 4 --eps 2/5`, each
 with MHV_WORKERS=1, 2 and 3, in a fresh interpreter on the package in
-src/.  Two and three workers split every chunked check two and three
-ways, so each stripe of chunks must give the one-process report.  It
+src/.  Two and three workers split the run's one chunk list two and
+three ways, so each stripe of chunks must give the one-process report.  It
 prints one line per run, its verdict and then its wall time, the whole
 CLI run's, and exits 0 iff every output matches its golden, 1
 otherwise.  The six runs take about 10 s; tests/test_golden.py runs
