@@ -403,13 +403,14 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 # biderivations of the left-symmetric algebra
 # ---------------------------------------------------------------------------
 
-def _lsa_bider_residuals(params: BiderParams, window: int, eps: EpsMode,
+def _lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable,
                          first: slice = slice(None)):
-    """The derivation axioms with respect to the left-symmetric product, on
-    the triples whose first basis vector lies in basis[first].  A pole
-    raises lsa_product's PoleError: no value of f or mul has two d terms."""
-    return _axiom_cases("lsabider", family_table(params), product_table(eps),
-                        window, FULL, first)
+    """The derivation axioms with respect to the left-symmetric product,
+    given as its product_table mul, on the triples whose first basis vector
+    lies in basis[first].  A pole raises lsa_product's PoleError: no value
+    of f or mul has two d terms."""
+    return _axiom_cases("lsabider", family_table(params), mul, window, FULL,
+                        first)
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
@@ -417,7 +418,7 @@ def check_lsa_biderivation(params: BiderParams, window: int,
     """Derivation axioms of f_params with respect to the left-symmetric
     product, on all window basis triples."""
     return collect(f"lsabider[{params.describe()}]", window, eps.describe(),
-                   _lsa_bider_residuals(params, window, eps))
+                   _lsa_bider_residuals(params, window, product_table(eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +499,12 @@ def post_lie_plan(window: int) -> tuple:
                       _post_lie_residuals(params, window, first))
 
 
-def lsa_bider_plan(window: int) -> tuple:
-    """The plan of lsa_bider_grid."""
+def lsa_bider_plan(window: int, eps: EpsMode = SYMBOLIC) -> tuple:
+    """The plan of lsa_bider_grid under the e-mode eps: every grid point
+    sweeps one product table."""
+    mul = product_table(eps)
     return _grid_plan("lsa-bider-grid", window, lambda params, first:
-                      _lsa_bider_residuals(params, window, SYMBOLIC, first))
+                      _lsa_bider_residuals(params, window, mul, first))
 
 
 def post_lie_grid(window: int) -> Report:

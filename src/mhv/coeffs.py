@@ -17,10 +17,13 @@ transcription arrives with an unbindable index (a coefficient
 dictates.
 
 CoeffFns.product is the product of the ansatz as a table on basis pairs,
-memoized for the life of its CoeffFns; on closed_form_fns it is the
-symbolic product of the lsa module.  CoeffFns.pair_relations, the
-oracle's compatibility components of an index pair, follows the same
-memo rule: it lives and dies with its CoeffFns.
+memoized for the life of its CoeffFns; on closed_form_fns() it is the
+symbolic product of the lsa module.  closed_form_fns(eps) is the closed
+form with e = eps substituted, a new CoeffFns over Q for each call, which
+star, ast and cross-check take in a numeric run.
+CoeffFns.pair_relations, the oracle's compatibility components of an
+index pair, follows the same memo rule: it lives and dies with its
+CoeffFns.
 associator_defect and commutator_defect are the two residuals of a
 product table on basis vectors: the left-symmetric identity's defect and
 the commutator minus the bracket.  The lsa-identity and compatibility
@@ -57,7 +60,7 @@ from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
                       accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
 from .reports import Failure, Report, finished
-from .scalars import EPS, EPS_INV, MINUS_ONE, ONE, ZERO, Scalar, sc
+from .scalars import EPS, MINUS_ONE, ONE, ZERO, Scalar, sc
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,22 @@ def _half(n: int) -> Scalar:
     return sc(Fraction(2 * n + 1, 2))
 
 
-@cache
-def closed_form_fns() -> CoeffFns:
+def closed_form_fns(eps: Fraction | None = None) -> CoeffFns:
     """The closed-form solution of both equation systems: the product table
-    of the lsa module docstring.  One shared instance, so every check that
-    uses it fills one product memo."""
+    of the lsa module docstring, with e = eps substituted when eps, a
+    nonzero rational, is given, so that its values are rationals.
+    closed_form_fns() is one shared instance, so every symbolic check
+    fills one product memo; each call with eps makes a new instance, whose
+    memos die with it."""
+    return _CLOSED_FORM if eps is None else _closed_form(sc(eps))
+
+
+def _closed_form(e: Scalar) -> CoeffFns:
+    """The closed form at e, a Scalar: EPS, or a nonzero rational."""
+    e_inv = ONE / e
 
     def f(m: int, n: int) -> Scalar:
-        return sc(-n) * (ONE + sc(n) * EPS) / (ONE + sc(m + n) * EPS)
+        return sc(-n) * (ONE + sc(n) * e) / (ONE + sc(m + n) * e)
 
     def g(m: int, n: int) -> Scalar:
         return -_half(n)
@@ -132,7 +143,7 @@ def closed_form_fns() -> CoeffFns:
     def omega(m: int, n: int) -> Scalar:
         if m + n != 0:
             return ZERO
-        return (sc(m**3 - m) + (EPS - EPS_INV) * sc(m * m)) * sc(Fraction(1, 24))
+        return (sc(m**3 - m) + (e - e_inv) * sc(m * m)) * sc(Fraction(1, 24))
 
     def rho(m: int, n: int) -> Scalar:
         if m + n + 1 != 0:
@@ -140,6 +151,9 @@ def closed_form_fns() -> CoeffFns:
         return sc(Fraction(1, 2)) * _half(m)
 
     return CoeffFns.make(f, g, zero, zero, zero, omega, rho, "closed-form")
+
+
+_CLOSED_FORM = _closed_form(EPS)
 
 
 def zero_fns() -> CoeffFns:
@@ -420,11 +434,11 @@ def cross_check(window: int) -> Report:
     return finished(cross_check_plan(window))
 
 
-def cross_check_plan(window: int) -> tuple:
-    """The plan of cross_check: the closed form by m, and each random table
-    whole, because it draws each key on first use and split across
-    processes it would draw different values."""
-    closed = closed_form_fns()
+def cross_check_plan(window: int, eps: Fraction | None = None) -> tuple:
+    """The plan of cross_check: the closed form by m, at e = eps if eps is
+    given, and each random table whole, because it draws each key on first
+    use and split across processes it would draw different values."""
+    closed = closed_form_fns(eps)
     chunks = [partial(_compare, closed, window, (m,))
               for m in window_indices(window)]
     chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,

@@ -15,9 +15,11 @@ that is forced by compatibility with the bracket (the commutator must give
 
 The symbolic table is closed_form_fns().product: the closed-form
 coefficient functions of the coeffs module are its one declaration, so
-the lsa-identity and compatibility sweeps, star, ast and cross-check all
-read the same functions.  _basis_product_numeric writes the table out a
-second time with plain Fractions, as an independent oracle.
+the symbolic lsa-identity and compatibility sweeps, star, ast and
+cross-check all read the same functions.  _basis_product_numeric writes
+the table out a second time with plain Fractions, as an independent
+oracle: a numeric verification run sweeps it where it computes over Q
+(see the suite module).
 
 Symbolic mode is total: 1+e*(m+n) is never the zero rational function.
 Numeric mode fixes e to a nonzero rational; a product pre-scans every
@@ -28,8 +30,9 @@ whose negative lies inside [-N, N] (the product on the window's own
 degrees would be undefined).
 
 The basis sweeps take the product as a table on basis pairs from
-product_table; under a numeric e that is _basis_product_numeric memoized,
-which raises at a pole as the scan does for that one pair.
+product_table; under a numeric e that is _basis_product_numeric, memoized
+in a new table on each call, which raises at a pole as the scan does for
+that one pair.  A plan takes one table and sweeps it at every case.
 """
 
 from __future__ import annotations
@@ -159,9 +162,11 @@ def _scan_poles(x: Element, y: Element, eps: EpsMode) -> None:
 
 def product_table(eps: EpsMode):
     """The product as a table on basis pairs, for the sweeps: the shared
-    symbolic table, or under a numeric e _basis_product_numeric memoized
-    for the table's own life.  A pair at the pole raises the PoleError
-    lsa_product raises for it, and a raise is never cached."""
+    symbolic table, or under a numeric e a new table of
+    _basis_product_numeric, memoized for the table's own life, so a caller
+    that sweeps many cases takes one table for all of them.  A pair at the
+    pole raises the PoleError lsa_product raises for it, and a raise is
+    never cached."""
     if eps.is_symbolic:
         return _basis_product_symbolic
     return lru_cache(maxsize=None)(partial(_basis_product_numeric,

@@ -26,8 +26,10 @@ and whose finish pools them.  prefixed leads every failure label of a
 part, such as one family member's, with the part's name.
 
 evaluated_at evaluates every value at an exact nonzero e, refused first,
-parsing nothing, and keeps every other failure: this is how symbolic and
-numeric runs are compared bit for bit.
+parsing nothing, and keeps every other failure: a symbolic report
+evaluated at e is the report a numeric run must give, whether that run
+computed the check symbolically or over Q, where every value is already
+rational and evaluated_at only relabels the e-mode.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class Report:
     def evaluated_at(self, eps: Fraction) -> "Report":
         """The report a numeric run at e = eps should reproduce: each value
         evaluated (str renders a Scalar's Fraction as Scalar.render would)
-        and the e-mode relabeled.  eps, as a Fraction, is checked before
+        and the e-mode relabeled; a report computed over Q keeps no value,
+        so it is only relabeled.  eps, as a Fraction, is checked before
         any failure: a float raises TypeError, 0 ZeroEpsilonError."""
         eps = exact(eps)
         if eps == 0:

@@ -1,17 +1,29 @@
 """Orchestration of the exhaustive verification checks.
 
 run_suite executes a selection of named checks at a common window and
-e-mode and returns one Report per check.  All checks compute residuals
-symbolically; a numeric run evaluates every reported value at the fixed
-rational e afterwards, which is exactly the contract the JSON reports
-promise (a numeric report is the symbolic report evaluated at e).  The
-window-level admissibility guard refuses a numeric e whose pole degree
--1/e lies inside the window itself, where the product table would be
-undefined on the window's own output degrees.
+e-mode and returns one Report per check.  The JSON reports promise that
+a numeric report is the symbolic report evaluated at the fixed rational
+e.  The window-level admissibility guard refuses a numeric e whose pole
+degree -1/e lies inside the window itself, where the product table would
+be undefined on the window's own output degrees.
+
+A numeric run computes its e-dependent checks over Q when no product it
+takes can reach the pole, that is when 1 + e*s vanishes at no index sum
+|s| <= 3*window (_computed_in): lsa-identity, compatibility and
+lsa-bider-grid sweep the plain-Fraction product of the lsa module, an
+independent declaration of the table, and star, ast and cross-check the
+closed form at e.  Every other numeric run, and every e-free check,
+computes symbolically.  Either way each report is then evaluated at e,
+which for a report computed over Q only relabels its e-mode.  A passing
+report is the same by either route; a failing one computed over Q may
+differ, where a residual vanishes at e or a free-text failure (a
+cross-check mismatch) renders its values.
 
 The check registry CHECKS maps each check name, in canonical order, to
-its plan builder, plan(window) -> (chunks, finish), where finish(results)
--> Report takes the chunks' results in order; CHECK_ORDER is its keys:
+its plan builder, plan(window, eps) -> (chunks, finish), where eps is
+the e-mode the check computes in (a check that does not depend on e
+ignores it) and finish(results) -> Report takes the chunks' results in order;
+CHECK_ORDER is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
@@ -22,8 +34,8 @@ config.checks order, through run_chunks, then finishes each check.
 MHV_WORKERS=N, an integer of at least 1 (default 1), caps process
 parallelism: this process and N-1 children, forked once per run, share
 the list by index, each taking every N-th chunk.  A plan builder's own
-work (the closed form, bider-family's central cases) runs here, before
-the fork.  The chunks of each check are
+work (the closed form, a product table, bider-family's central cases)
+runs here, before the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
@@ -34,8 +46,8 @@ the fork.  The chunks of each check are
     cross-check             the closed form by m; each random table whole
     bider-grid, solve-theta the whole check (bider-grid stops early)
 
-The chunk list depends on the window and the selected checks alone, so
-output is byte-identical for any worker count.
+The chunk list depends on the window, the e-mode and the selected checks
+alone, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -184,10 +196,9 @@ def run_chunks(chunks: list, workers: int) -> list:
 # full-mode window basis, through the tables on basis pairs
 # ---------------------------------------------------------------------------
 
-# the bracket and the symbolic product as tables on basis pairs
+# the bracket as a table on basis pairs
 _bracket = BRACKET_TABLES[FULL]
 _ints, _scale = _bracket.int_form
-_product = product_table(SYMBOLIC)
 
 
 def _jacobi(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
@@ -212,10 +223,6 @@ def _grading(x: BasisVector, y: BasisVector) -> Element:
     return value
 
 
-_lsa_identity = partial(associator_defect, _product)
-_compatibility = partial(commutator_defect, _product)
-
-
 def _sweep(name: str, eq_id: str, arity: int, residual):
     """The plan builder of a basis sweep, one chunk per first basis
     vector."""
@@ -225,9 +232,23 @@ def _sweep(name: str, eq_id: str, arity: int, residual):
         for i in range(len(basis_vectors(window, FULL)))])
 
 
+def _product_sweep(name: str, eq_id: str, arity: int, defect):
+    """The plan builder, plan(window, eps), of a basis sweep of
+    defect(mul, *xs), with mul the product table of the e-mode eps, taken
+    once per plan."""
+    return lambda window, eps: _sweep(name, eq_id, arity, partial(
+        defect, product_table(eps)))(window)
+
+
 def _one_chunk(check):
     """The plan builder of a check, check(window) -> Report, run whole."""
     return lambda window: ([partial(check, window)], itemgetter(0))
+
+
+def _e_free(plan):
+    """The plan builder, plan(window, eps), of a check that does not
+    depend on e, planned by plan(window)."""
+    return lambda window, eps: plan(window)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +286,12 @@ def _commuting_plan(window: int) -> tuple:
 
 def _equation_sweep(name: str, residuals):
     """The plan builder of an equation system, residuals(fns, m, n, k) ->
-    [(id, Scalar)], evaluated on the closed form over the window cube, one
-    chunk per m; the closed form is built once, as the plan is made."""
+    [(id, Scalar)], evaluated on the closed form of the run's e-mode over
+    the window cube, one chunk per m; the closed form is taken once, as
+    the plan is made."""
 
-    def plan(window: int) -> tuple:
-        fns = closed_form_fns()
+    def plan(window: int, eps: EpsMode) -> tuple:
+        fns = closed_form_fns(eps.eps)
         indices = window_indices(window)
 
         def stream(m: int):
@@ -302,22 +324,25 @@ def _check_solve_theta(window: int) -> Report:
                   failures, extra)
 
 
-# name -> plan(window) -> (chunks, finish), in canonical order
+# name -> plan(window, eps) -> (chunks, finish), in canonical order; the
+# checks that do not depend on e are planned through _e_free
 CHECKS = {
-    "jacobi": _sweep("jacobi", "jacobi", 3, _jacobi),
-    "antisym": _sweep("antisym", "antisym", 2, _antisym),
-    "grading": _sweep("grading", "grading", 2, _grading),
-    "lsa-identity": _sweep("lsa-identity", "lsa.identity", 3, _lsa_identity),
-    "compatibility": _sweep("compatibility", "lsa.compat", 2, _compatibility),
-    "bider-family": family_plan,
-    "bider-grid": _one_chunk(check_bider_converse),
-    "commuting": _commuting_plan,
-    "postlie-grid": post_lie_plan,
+    "jacobi": _e_free(_sweep("jacobi", "jacobi", 3, _jacobi)),
+    "antisym": _e_free(_sweep("antisym", "antisym", 2, _antisym)),
+    "grading": _e_free(_sweep("grading", "grading", 2, _grading)),
+    "lsa-identity": _product_sweep("lsa-identity", "lsa.identity", 3,
+                                   associator_defect),
+    "compatibility": _product_sweep("compatibility", "lsa.compat", 2,
+                                    commutator_defect),
+    "bider-family": _e_free(family_plan),
+    "bider-grid": _e_free(_one_chunk(check_bider_converse)),
+    "commuting": _e_free(_commuting_plan),
+    "postlie-grid": _e_free(post_lie_plan),
     "lsa-bider-grid": lsa_bider_plan,
     "star": _equation_sweep("star", star_residuals),
     "ast": _equation_sweep("ast", ast_residuals),
-    "cross-check": cross_check_plan,
-    "solve-theta": _one_chunk(_check_solve_theta),
+    "cross-check": lambda window, eps: cross_check_plan(window, eps.eps),
+    "solve-theta": _e_free(_one_chunk(_check_solve_theta)),
 }
 
 CHECK_ORDER = tuple(CHECKS)
@@ -331,6 +356,8 @@ class RunConfig:
 
     def __post_init__(self):
         window_indices(self.window)  # refuses a non-int window or one below 1
+        if not isinstance(self.eps, EpsMode):
+            raise TypeError(f"eps must be an EpsMode, got {self.eps!r}")
         if not self.checks:
             raise ValueError("no checks selected")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
@@ -338,6 +365,15 @@ class RunConfig:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         if len(set(self.checks)) < len(self.checks):
             raise ValueError(f"repeated checks: {', '.join(self.checks)}")
+
+
+def _computed_in(eps: EpsMode, window: int) -> EpsMode:
+    """The e-mode in which a run at eps and window computes its checks:
+    eps itself, over Q, unless 1 + e*s = 0 at an index sum s with |s| <=
+    3*window, the deepest a triple product of window basis vectors
+    reaches; then SYMBOLIC, and the reports are evaluated at e."""
+    s = eps.pole_sum()
+    return eps if s is None or abs(s) > 3 * window else SYMBOLIC
 
 
 def run_suite(config: RunConfig, workers: int | None = None) -> list:
@@ -357,7 +393,8 @@ def run_suite(config: RunConfig, workers: int | None = None) -> list:
     if not config.eps.is_symbolic:
         config.eps.ensure_admissible(config.window)
 
-    plans = [CHECKS[name](config.window) for name in config.checks]
+    mode = _computed_in(config.eps, config.window)
+    plans = [CHECKS[name](config.window, mode) for name in config.checks]
     results = iter(run_chunks([c for chunks, _ in plans for c in chunks],
                               workers))
     reports = []

@@ -204,7 +204,11 @@ def test_criterion_9_commuting_maps():
 def test_criterion_10_numeric_symbolic_coherence():
     with criterion(10, "for eps in {1/7, 2/5, -3/4} (admissible at window "
                        "4) the numeric run reproduces the evaluated "
-                       "symbolic run bit for bit"):
+                       "symbolic run bit for bit; at 2/5 and -3/4 it "
+                       "computes over Q, through the plain-Fraction "
+                       "product and the closed form at e, and at 1/7, "
+                       "whose pole 1+e*(-7) a triple product reaches, "
+                       "symbolically"):
         symbolic = run_suite(RunConfig(window=4))
         assert all(r.passed for r in symbolic)
         for eps in (Fraction(1, 7), Fraction(2, 5), Fraction(-3, 4)):

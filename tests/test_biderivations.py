@@ -30,7 +30,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                post_lie_grid, upsilon)
 from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
-from mhv.lsa import SYMBOLIC
+from mhv.lsa import SYMBOLIC, product_table
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          finished, render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
@@ -526,9 +526,10 @@ class TestGrids:
 
         monkeypatch.setattr(biderivations, "family_table", counting)
         points = grid_points()[1:]
+        mul = product_table(SYMBOLIC)
         for params in points:
             assert _first_failure(
-                lambda p, first: _lsa_bider_residuals(p, 4, SYMBOLIC, first),
+                lambda p, first: _lsa_bider_residuals(p, 4, mul, first),
                 params) is not None
         assert len(points) == 161
         assert len(calls) <= 805

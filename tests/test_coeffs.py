@@ -46,6 +46,23 @@ class TestClosedForms:
             for n in range(-5, 6):
                 assert FNS.f(m, n) - FNS.f(n, m) == sc(m - n), (m, n)
 
+    @pytest.mark.parametrize("eps", [Fraction(2, 5), Fraction(-3, 4)])
+    def test_closed_form_at_e_is_the_closed_form_evaluated(self, eps):
+        at = closed_form_fns(eps)
+        assert at.name == FNS.name
+        for name in ("f", "g", "h", "a", "b", "omega", "rho"):
+            for m in range(-6, 7):
+                for n in range(-6, 7):
+                    assert getattr(at, name)(m, n) \
+                        == sc(getattr(FNS, name)(m, n).eval_at(eps))
+
+    def test_one_symbolic_closed_form(self):
+        # the symbolic product and every symbolic check share one instance;
+        # one at e is new on each call, so its memos die with it
+        assert closed_form_fns() is FNS
+        assert closed_form_fns(Fraction(2, 5)) \
+            is not closed_form_fns(Fraction(2, 5))
+
 
 class TestTranscribedSystems:
     def test_closed_forms_solve_everything(self):
@@ -171,10 +188,15 @@ class TestBridge:
             return [(eq_id, value + ONE if eq_id == "compat.dd.d" else value)
                     for eq_id, value in compat(fns, m, n)]
 
+        # cross-check runs on a fresh closed form, so the perturbed pair
+        # relations die with it and the shared instance's memo is untouched
+        shared = FNS.pair_relations.cache_info()
+        monkeypatch.setattr(coeffs, "_CLOSED_FORM", coeffs._closed_form(EPS))
         monkeypatch.setattr(coeffs, "compat_residuals", perturbed)
         report = cross_check(1)
         assert not report.passed
         assert "cross.star.1" in {f.equation_id for f in report.failures}
+        assert FNS.pair_relations.cache_info() == shared
 
     def test_cross_check_report(self):
         report = cross_check(2)

@@ -1,6 +1,7 @@
 """Report determinism, JSON schema, suite orchestration and the CLI."""
 
 import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from functools import partial
@@ -18,10 +20,11 @@ import pytest
 from mhv.algebra import Element, d
 from mhv.cli import ALIASES, build_parser, main
 from mhv.expressions import MAX_DEGREE, ParseError, parse
-from mhv.lsa import SYMBOLIC, EpsMode
+from mhv.coeffs import associator_defect
+from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, collect, prefixed,
                          reports_to_json)
-from mhv.scalars import Scalar, ZeroEpsilonError
+from mhv.scalars import PoleError, Scalar, ZeroEpsilonError
 from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
                        run_suite)
 
@@ -178,6 +181,21 @@ def assert_no_child_processes():
         os.waitpid(-1, os.WNOHANG)
 
 
+# one-line mutations of lsa._basis_product_numeric: (source, mutant, the
+# checks that fail at window 2 and e = 2/5)
+NUMERIC_MUTANTS = {
+    "dh-sign": ("Fraction(-(2 * n + 1), 2)", "Fraction(2 * n + 1, 2)",
+                {"lsa-identity", "compatibility"}),
+    "c-term": ("(eps - 1 / eps)", "(eps + 1 / eps)", {"lsa-identity"}),
+}
+
+
+@pytest.fixture(scope="module")
+def symbolic_w2():
+    """The symbolic reports of every check at window 2."""
+    return run_suite(RunConfig(window=2), workers=1)
+
+
 class TestSuite:
     def test_jacobi_case_count_formula(self):
         # full-mode basis of window 4 has 2*9+2 = 20 vectors
@@ -201,22 +219,22 @@ class TestSuite:
 
     def test_residual_values_survive_the_fork_pipe(self, monkeypatch):
         # no registry check fails at e-dependent residuals, so one is made
-        # to: the symbolic product, swept as lsa-identity's residual; a
-        # value lost on the way back from a child would stay symbolic
+        # to: the symbolic product, swept as lsa-identity's residual.  A
+        # numeric run computes it over Q, so symbolic runs carry the values;
+        # one lost on the way back from a child would stay symbolic
         from mhv import suite
-        monkeypatch.setitem(suite.CHECKS, "lsa-identity", suite._sweep(
-            "lsa-identity", "lsa.identity", 2, suite._product))
+        monkeypatch.setitem(suite.CHECKS, "lsa-identity", suite._e_free(
+            suite._sweep("lsa-identity", "lsa.identity", 2,
+                         product_table(SYMBOLIC))))
         eps = Fraction(2, 5)
-        symbolic = run_suite(RunConfig(window=2, checks=("lsa-identity",)),
-                             workers=1)
+        config = RunConfig(window=2, checks=("lsa-identity",))
+        symbolic = run_suite(config, workers=1)
         evaluated = [r.evaluated_at(eps) for r in symbolic]
         assert any(f.value is not None for f in symbolic[0].failures)
         assert not any("e" in f.residual for f in evaluated[0].failures)
-        numeric = RunConfig(window=2, eps=EpsMode.numeric(eps),
-                            checks=("lsa-identity",))
         for workers in (1, 2, 3):
-            assert reports_to_json(run_suite(numeric, workers=workers)) \
-                == reports_to_json(evaluated)
+            assert reports_to_json([r.evaluated_at(eps) for r in run_suite(
+                config, workers=workers)]) == reports_to_json(evaluated)
 
     def test_numeric_run_is_evaluated_symbolic(self):
         sym = run_suite(RunConfig(window=2))
@@ -224,6 +242,64 @@ class TestSuite:
         num = run_suite(RunConfig(window=2, eps=EpsMode.numeric(eps)))
         assert reports_to_json([r.evaluated_at(eps) for r in sym]) \
             == reports_to_json(num)
+
+    @pytest.mark.parametrize("eps, over_q", [
+        (Fraction(1, 7), True), (Fraction(-1, 7), True),
+        (Fraction(1, 6), False), (Fraction(-1, 6), False)])
+    def test_a_pole_in_reach_keeps_a_numeric_run_symbolic(
+            self, symbolic_w2, monkeypatch, eps, over_q):
+        # at window 2 a triple product reaches index sums up to 6 in size:
+        # e = +-1/7 is computed over Q, through the plain-Fraction product
+        # and the closed form at e (star, ast, cross-check: three), and
+        # e = +-1/6 symbolically; either way the reports are the symbolic
+        # ones evaluated at e
+        from mhv import coeffs, lsa
+        numeric, closed = lsa._basis_product_numeric, coeffs._closed_form
+        products, forms = [], []
+        monkeypatch.setattr(lsa, "_basis_product_numeric", lambda u, v, eps:
+                            products.append(eps) or numeric(u, v, eps))
+        monkeypatch.setattr(coeffs, "_closed_form",
+                            lambda e: forms.append(e) or closed(e))
+        reports = run_suite(RunConfig(window=2, eps=EpsMode.numeric(eps)),
+                            workers=1)
+        assert reports_to_json(reports) == reports_to_json(
+            [r.evaluated_at(eps) for r in symbolic_w2])
+        assert set(products) == ({eps} if over_q else set())
+        assert len(forms) == (3 if over_q else 0)
+
+    def test_the_route_bound_is_tight(self):
+        # at e = 1/6 the product of window-2 vectors d(-2)*d(-2) is d(-4),
+        # and d(-4)*d(-2) is at the pole: a run there cannot be over Q
+        table = product_table(EpsMode.numeric(Fraction(1, 6)))
+        with pytest.raises(PoleError, match=re.escape("d(-4)*d(-2)")):
+            associator_defect(table, d(-2), d(-2), d(-2))
+
+    def test_a_symbolic_run_builds_no_second_closed_form(self, monkeypatch):
+        from mhv import coeffs
+        monkeypatch.setattr(coeffs, "_closed_form", None)
+        assert all(r.passed for r in run_suite(RunConfig(window=1)))
+
+    @pytest.mark.parametrize("mutant", NUMERIC_MUTANTS)
+    def test_numeric_oracle_mutants_fail_a_numeric_run(self, monkeypatch,
+                                                       mutant):
+        # one-line source mutations of the plain-Fraction product: a run at
+        # e = 2/5 sweeps it, so the checks that read it fail
+        from mhv import lsa
+        old, new, failing = NUMERIC_MUTANTS[mutant]
+        source = textwrap.dedent(inspect.getsource(lsa._basis_product_numeric))
+        assert source.count(old) == 1
+        namespace = dict(vars(lsa))
+        exec(source.replace(old, new), namespace)
+        monkeypatch.setattr(lsa, "_basis_product_numeric",
+                            namespace["_basis_product_numeric"])
+        reports = run_suite(RunConfig(
+            window=2, eps=EpsMode.numeric(Fraction(2, 5))), workers=1)
+        assert {r.check for r in reports if not r.passed} == failing
+
+    @pytest.mark.parametrize("eps", [Fraction(2, 5), None, "2/5"])
+    def test_eps_that_is_not_an_eps_mode_rejected(self, eps):
+        with pytest.raises(TypeError, match="eps must be an EpsMode"):
+            RunConfig(window=2, eps=eps)
 
     def test_inadmissible_eps_refused(self):
         from mhv.lsa import AdmissibilityError
@@ -433,7 +509,7 @@ class TestSuite:
                 "from mhv import suite\n"
                 "from mhv.cli import main\n"
                 + DIE + "suite.CHECKS['jacobi'] = "
-                "lambda window: ([die, die], None)\n"
+                "lambda window, eps: ([die, die], None)\n"
                 "sys.exit(main(['verify', '--window', '1', "
                 "'--checks', 'jacobi']))\n")
         proc = subprocess.run([sys.executable, "-c", code],

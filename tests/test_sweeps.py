@@ -35,8 +35,7 @@ from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
 from mhv.suite import (CHECK_ORDER, RunConfig, _antisym, _commuting_specs,
-                       _compatibility, _grading, _jacobi, _lsa_identity,
-                       run_suite)
+                       _grading, _jacobi, run_suite)
 
 WINDOW = 2
 E = Element.basis
@@ -57,6 +56,10 @@ def swept_by_tuple(sweep) -> dict:
     return out
 
 
+# the e-modes a sweep of the product runs in: symbolic, and over Q
+SWEPT_MODES = (SYMBOLIC, EpsMode.numeric(Fraction(2, 5)))
+
+
 class TestSuiteSweeps:
     def test_jacobi(self):
         for x, y, z in tuples(3):
@@ -65,17 +68,22 @@ class TestSuiteSweeps:
                 + bracket(ey, bracket(ez, ex)) + bracket(ez, bracket(ex, ey))
 
     def test_lsa_identity(self):
-        for x, y, z in tuples(3):
-            assert _lsa_identity(x, y, z) \
-                == lsa_associator_defect(E(x), E(y), E(z), SYMBOLIC)
+        # lsa-identity sweeps the product table of the run's e-mode
+        for eps in SWEPT_MODES:
+            mul = product_table(eps)
+            for x, y, z in tuples(3):
+                assert associator_defect(mul, x, y, z) \
+                    == lsa_associator_defect(E(x), E(y), E(z), eps)
 
     def test_pair_sweeps(self):
         for x, y in tuples(2):
             ex, ey = E(x), E(y)
             value = bracket(ex, ey)
             assert _antisym(x, y) == value + bracket(ey, ex)
-            assert _compatibility(x, y) == lsa_commutator(ex, ey) - value
             assert _grading(x, y).is_zero()
+            for eps in SWEPT_MODES:
+                assert commutator_defect(product_table(eps), x, y) \
+                    == lsa_commutator(ex, ey, eps) - value
 
     @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
     def test_kernels_on_random_tables(self, seed):
@@ -219,7 +227,8 @@ class TestLsaBiderivation:
     def test_against_elements(self, params, eps):
         f = BilinearTable.from_params(params)
         mul = lambda a, b: lsa_product(a, b, eps)       # noqa: E731
-        swept = swept_by_tuple(_lsa_bider_residuals(params, WINDOW, eps))
+        swept = swept_by_tuple(_lsa_bider_residuals(params, WINDOW,
+                                                    product_table(eps)))
         assert len(swept) == 2 * len(tuples(3))
         for x, y, z in tuples(3):
             ex, ey, ez = E(x), E(y), E(z)
