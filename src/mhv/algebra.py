@@ -501,15 +501,15 @@ def basis_vectors(window: int, mode: AlgebraMode = FULL) -> list:
     return out
 
 
-def basis_sweep(window: int, arity: int, residuals, first: slice = slice(None),
-                mode: AlgebraMode = FULL) -> Iterator[tuple]:
+def basis_sweep(window: int, arity: int, residuals,
+                first: slice = slice(None)) -> Iterator[tuple]:
     """Yield (inputs, equation_id, residual) for every arity-tuple of the
-    window basis whose first entry lies in basis[first].
+    full-mode window basis whose first entry lies in basis[first].
 
     residuals(*vectors) returns the [(equation_id, residual)] of one tuple
     of basis vectors, each meaning itself with coefficient one; inputs is
     that tuple."""
-    basis = basis_vectors(window, mode)
+    basis = basis_vectors(window)
     for xs in product(basis[first], *[basis] * (arity - 1)):
         for eq_id, residual in residuals(*xs):
             yield xs, eq_id, residual

@@ -32,7 +32,7 @@ uses the element-level bilinear extension of bider_eval and
 BilinearTable.  bider-family and bider-grid sweep each table's int_form
 in ints against 2[., .]: a residual is scale(f)*scale(mul) times the true
 one (4 for the bracket, 2 for upsilon[s]), and is divided back only when
-it is nonzero.  A table without an int_form is swept in Scalars.
+it is nonzero.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -54,8 +54,8 @@ check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member;
 swept over a finite parameter grid they certify the two triviality
 statements: only lambda = 0, Omega = {} survives either axiom system.
-Of the grid points' first nonzero residuals only the zero point's, the
-one witness a grid reports, becomes a Failure.
+Each grid point is one chunk, which stops at its first nonzero residual;
+only the zero point's, the one witness a grid reports, becomes a Failure.
 """
 
 from __future__ import annotations
@@ -194,87 +194,81 @@ class BilinearTable:
         return bilinear(self.evaluator, x, y)
 
 
-def derivation_residuals(tables: list, mul: PairTable, x: BasisVector,
-                         ys: list, zs: list, project: bool = False):
-    """The two derivation axioms of each table f in tables with respect to
-    the product table mul at the basis triples (x, y, z), y in ys, z in zs:
+def derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
+                         basis: list, project: bool = False):
+    """The two derivation axioms of the table f with respect to the product
+    table mul at the basis triples (x, y, z), y and z in basis:
 
         f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
         f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
 
-    Yields (y, z, left, right) per triple for each table in turn, projected
-    onto the centerless quotient with project (values may hold C or L).
-    No empty value reaches an accumulate kernel, and each table's products
-    come in the order written, so under a numeric e the first pole raises.
-    f(x, z) is taken at the first y, when the sweep first needs it."""
-    fxs = [(f, []) for f in tables]
-    for y in ys:
+    Yields (y, z, left, right) per triple, projected onto the centerless
+    quotient with project (values may hold C or L).  No empty value
+    reaches an accumulate kernel, and the products come in the order
+    written, so under a numeric e the first pole raises.  f(x, z) is
+    taken at the first y, when the sweep first needs it."""
+    fx = []
+    for y in basis:
         mxy = mul(x, y)
-        per_table = [(f, fx, f(x, y)) for f, fx in fxs]
-        for k, z in enumerate(zs):
-            for f, fx, fxy in per_table:
-                if k == len(fx):
-                    fx.append(f(x, z))
-                fxz = fx[k]
-                acc: dict = {}
-                if mxy._terms:
-                    accumulate_left(acc, ONE, f, mxy, z)
-                if fxz._terms:
-                    accumulate_left(acc, MINUS_ONE, mul, fxz, y)
-                fyz = f(y, z)
-                if fyz._terms:
-                    accumulate_right(acc, MINUS_ONE, mul, x, fyz)
-                left = Element(acc, _clean=True)
-                myz = mul(y, z)
-                acc = {}
-                if myz._terms:
-                    accumulate_right(acc, ONE, f, x, myz)
-                if fxy._terms:
-                    accumulate_left(acc, MINUS_ONE, mul, fxy, z)
-                if fxz._terms:
-                    accumulate_right(acc, MINUS_ONE, mul, y, fxz)
-                right = Element(acc, _clean=True)
-                if project:
-                    left, right = map(project_centerless, (left, right))
-                yield y, z, left, right
+        fxy = f(x, y)
+        for k, z in enumerate(basis):
+            if k == len(fx):
+                fx.append(f(x, z))
+            fxz = fx[k]
+            acc: dict = {}
+            if mxy._terms:
+                accumulate_left(acc, ONE, f, mxy, z)
+            if fxz._terms:
+                accumulate_left(acc, MINUS_ONE, mul, fxz, y)
+            fyz = f(y, z)
+            if fyz._terms:
+                accumulate_right(acc, MINUS_ONE, mul, x, fyz)
+            left = Element(acc, _clean=True)
+            myz = mul(y, z)
+            acc = {}
+            if myz._terms:
+                accumulate_right(acc, ONE, f, x, myz)
+            if fxy._terms:
+                accumulate_left(acc, MINUS_ONE, mul, fxy, z)
+            if fxz._terms:
+                accumulate_right(acc, MINUS_ONE, mul, y, fxz)
+            right = Element(acc, _clean=True)
+            if project:
+                left, right = map(project_centerless, (left, right))
+            yield y, z, left, right
 
 
 def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
-                 mode: AlgebraMode, first: slice = slice(None)):
+                 mode: AlgebraMode):
     """(inputs, equation_id, residual) of the two axioms, name.left and
-    name.right, of the one table f on the triples of the window basis
-    whose first vector lies in basis[first]; on the quotient (CENTERLESS)
-    the residuals are projected."""
+    name.right, of the table f on every triple of the window basis; on the
+    quotient (CENTERLESS) the residuals are projected."""
     basis = basis_vectors(window, mode)
     left_id, right_id = f"{name}.left", f"{name}.right"
-    for x in basis[first]:
-        for y, z, left, right in derivation_residuals(
-                [f], mul, x, basis, basis, mode is CENTERLESS):
+    for x in basis:
+        for y, z, left, right in derivation_residuals(f, mul, x, basis,
+                                                      mode is CENTERLESS):
             yield (x, y, z), left_id, left
             yield (x, y, z), right_id, right
 
 
+# 2[., .] on the quotient, the int table every lane sweeps against
+_ints, _two = BRACKET_TABLES[CENTERLESS].int_form
+
+
 def _lanes(tables: list) -> list:
-    """Per table, the (table, bracket, scale) that sweeps it on the
-    quotient: ints against 2[., .] for a table with an int_form (ints, s),
-    scale 2s, else the table itself against the bracket, scale 1."""
-    br = BRACKET_TABLES[CENTERLESS]
-    ints, two = br.int_form
-    return [(f.int_form[0], ints, two * f.int_form[1])
-            if hasattr(f, "int_form") else (f, br, 1) for f in tables]
+    """Per table, with int_form (ints, s), the (ints, 2s) that sweeps it on
+    the quotient against 2[., .], at 2s times the true residual."""
+    return [(ints, _two * s) for ints, s in (f.int_form for f in tables)]
 
 
-def _true_residual(residual: Element, scale: int) -> Element:
-    """A residual swept at scale times the true one, divided back."""
-    return residual if scale == 1 else scalar_element(residual, scale)
-
-
-def _centerless_triples(lanes: list, xs: list, ys: list, zs: list):
-    """derivation_residuals of each (table, bracket, scale) of lanes on the
-    quotient, as one ((x, y, z), lefts, rights) per triple."""
+def _centerless_triples(lanes: list, xs: list, basis: list):
+    """derivation_residuals of each (ints, scale) of lanes against
+    2[., .] on the quotient, at the triples (x, y, z) with x in xs and y, z
+    in basis, as one ((x, y, z), lefts, rights) per triple."""
     for x in xs:
-        for items in zip(*[derivation_residuals([f], mul, x, ys, zs, True)
-                           for f, mul, _ in lanes]):
+        for items in zip(*[derivation_residuals(f, _ints, x, basis, True)
+                           for f, _ in lanes]):
             y, z, lefts, rights = zip(*items)
             yield (x, y[0], z[0]), lefts, rights
 
@@ -337,11 +331,9 @@ class LinearMap:
         return linear(self.evaluator, x)
 
 
-def commuting_residuals(phi: LinearMap, window: int,
-                        first: slice = slice(None)):
+def commuting_residuals(phi: LinearMap, window: int):
     """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
-    the window basis pairs whose first vector lies in basis[first], as a
-    residual stream."""
+    the window basis pairs, as a residual stream."""
 
     br = BRACKET_TABLES[FULL]
 
@@ -351,7 +343,7 @@ def commuting_residuals(phi: LinearMap, window: int,
         accumulate_left(acc, ONE, br, phi.evaluator(v), u)
         return [("commuting.polarized", Element(acc, _clean=True))]
 
-    return basis_sweep(window, 2, polarized, first)
+    return basis_sweep(window, 2, polarized)
 
 
 def check_commuting(phi: LinearMap, window: int) -> Report:
@@ -365,10 +357,8 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 # commutative post-Lie structures
 # ---------------------------------------------------------------------------
 
-def _post_lie_residuals(params: BiderParams, window: int,
-                        first: slice = slice(None)):
-    """Yields (inputs, equation_id, residual) for the three axioms, on the
-    tuples whose first basis vector lies in basis[first]."""
+def _post_lie_residuals(params: BiderParams, window: int):
+    """Yields (inputs, equation_id, residual) for the three axioms."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
 
@@ -389,8 +379,8 @@ def _post_lie_residuals(params: BiderParams, window: int,
         return [("postlie.bracket_product", Element(bp, _clean=True)),
                 ("postlie.product_bracket", Element(pb, _clean=True))]
 
-    yield from basis_sweep(window, 2, commutative, first)
-    yield from basis_sweep(window, 3, triple, first)
+    yield from basis_sweep(window, 2, commutative)
+    yield from basis_sweep(window, 3, triple)
 
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
@@ -403,14 +393,11 @@ def check_post_lie(params: BiderParams, window: int) -> Report:
 # biderivations of the left-symmetric algebra
 # ---------------------------------------------------------------------------
 
-def _lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable,
-                         first: slice = slice(None)):
+def _lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable):
     """The derivation axioms with respect to the left-symmetric product,
-    given as its product_table mul, on the triples whose first basis vector
-    lies in basis[first].  A pole raises lsa_product's PoleError: no value
-    of f or mul has two d terms."""
-    return _axiom_cases("lsabider", family_table(params), mul, window, FULL,
-                        first)
+    given as its product_table mul.  A pole raises lsa_product's
+    PoleError: no value of f or mul has two d terms."""
+    return _axiom_cases("lsabider", family_table(params), mul, window, FULL)
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
@@ -446,30 +433,25 @@ def grid_points() -> list:
     return points
 
 
-def _first_failure(residual_source, params: BiderParams,
-                   first: slice = slice(None)) -> tuple | None:
-    """The first (inputs, equation_id, residual) of a grid point on
-    basis[first] whose residual is nonzero, or None if every one vanishes."""
-    return next((case for case in residual_source(params, first)
+def _first_failure(residual_source, params: BiderParams) -> tuple | None:
+    """The first (inputs, equation_id, residual) of a grid point whose
+    residual is nonzero, or None if every one vanishes."""
+    return next((case for case in residual_source(params)
                  if not case[2].is_zero()), None)
 
 
 def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
-    """Plan the grid; pass iff the passing set is exactly the zero point.
+    """Plan the grid, one chunk per point; pass iff the passing set is
+    exactly the zero point.
 
-    residual_source(params, first) yields the residuals of a point on the
-    tuples whose first basis vector lies in basis[first].  A point that
-    fails stops at its first nonzero residual, so each is one chunk; the
-    zero point, which is to pass and so sweeps every residual, is one
-    chunk per first basis vector, and its witness is the first of theirs."""
+    residual_source(params) yields the residuals of a point, and its chunk
+    stops at the first nonzero one, the point's witness."""
     points = grid_points()
-    width = len(basis_vectors(window, FULL))
 
     def finish(found: list) -> Report:
         failures = []
         passing = []
-        witnesses = [next((w for w in found[:width] if w is not None), None)]
-        for params, witness in zip(points, witnesses + found[width:]):
+        for params, witness in zip(points, found):
             if witness is None:
                 passing.append(params)
                 if not params.is_zero():
@@ -487,24 +469,22 @@ def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
         return Report(check_name, window, "symbolic", len(points), failures,
                       extra)
 
-    return ([partial(_first_failure, residual_source, points[0],
-                     slice(i, i + 1)) for i in range(width)]
-            + [partial(_first_failure, residual_source, params)
-               for params in points[1:]], finish)
+    return ([partial(_first_failure, residual_source, params)
+             for params in points], finish)
 
 
 def post_lie_plan(window: int) -> tuple:
     """The plan of post_lie_grid."""
-    return _grid_plan("postlie-grid", window, lambda params, first:
-                      _post_lie_residuals(params, window, first))
+    return _grid_plan("postlie-grid", window,
+                      partial(_post_lie_residuals, window=window))
 
 
 def lsa_bider_plan(window: int, eps: EpsMode = SYMBOLIC) -> tuple:
     """The plan of lsa_bider_grid under the e-mode eps: every grid point
     sweeps one product table."""
     mul = product_table(eps)
-    return _grid_plan("lsa-bider-grid", window, lambda params, first:
-                      _lsa_bider_residuals(params, window, mul, first))
+    return _grid_plan("lsa-bider-grid", window,
+                      partial(_lsa_bider_residuals, window=window, mul=mul))
 
 
 def post_lie_grid(window: int) -> Report:
@@ -584,15 +564,14 @@ def check_bider_converse(window: int) -> Report:
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    for inputs, lefts, rights in _centerless_triples(lanes, basis, basis,
-                                                     basis):
+    for inputs, lefts, rights in _centerless_triples(lanes, basis, basis):
         for per_gen in (lefts, rights):
             # each generator's residual walked once: output vector ->
             # [(generator, coefficient)] in generator order
             by_vector: dict = {}
             for g, res in enumerate(per_gen):
                 if g in family:
-                    res = _true_residual(res, lanes[g][2])
+                    res = scalar_element(res, lanes[g][1])
                 for w, coeff in res._terms.items():
                     by_vector.setdefault(w, []).append((g, coeff))
             for w in sorted(by_vector, key=BasisVector.sort_key):
@@ -604,8 +583,7 @@ def check_bider_converse(window: int) -> Report:
                             "converse.family_residual",
                             f"{names[g]}: {coeff.render()}"))
                     else:
-                        row[g] = coeff if lanes[g][2] > 1 \
-                            else coeff.as_rational()
+                        row[g] = coeff
                 reducer.add_row(row)
             rows_used += len(by_vector)
         if reducer.rank >= target and not failures:
@@ -656,14 +634,14 @@ def _family_sweep(members: list, lanes: list, window: int,
     cases = 0
     basis = basis_vectors(window, CENTERLESS)
     for inputs, lefts, rights in _centerless_triples(lanes, basis[first],
-                                                     basis, basis):
+                                                     basis):
         for eq_id, per_table in (("bider.left", lefts),
                                  ("bider.right", rights)):
             cases += len(members)
             if not any(per_table):  # every residual is the zero Element
                 continue
-            per_table = [_true_residual(res, lane[2])
-                         for res, lane in zip(per_table, lanes)]
+            per_table = [scalar_element(res, scale)
+                         for res, (_, scale) in zip(per_table, lanes)]
             for label, weights in members:
                 acc: dict = {}
                 for weight, i in weights:

@@ -60,7 +60,7 @@ from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
                       accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
 from .reports import Failure, Report, finished
-from .scalars import EPS, MINUS_ONE, ONE, ZERO, Scalar, sc
+from .scalars import EPS, MINUS_ONE, ONE, ZERO, PoleError, Scalar, sc
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,14 @@ def _closed_form(e: Scalar) -> CoeffFns:
     e_inv = ONE / e
 
     def f(m: int, n: int) -> Scalar:
-        return sc(-n) * (ONE + sc(n) * e) / (ONE + sc(m + n) * e)
+        # -n(1+e*n)/(1+e*(m+n)) cancels at m = 0 or n = 0, even at a pole
+        if m == 0 or n == 0:
+            return sc(-n) if m == 0 else ZERO
+        den = ONE + sc(m + n) * e
+        if den.is_zero():
+            raise PoleError(f"1+e*({m + n}) = 0 at e = {e}; "
+                            f"offending pairs: d({m})*d({n})")
+        return sc(-n) * (ONE + sc(n) * e) / den
 
     def g(m: int, n: int) -> Scalar:
         return -_half(n)

@@ -50,7 +50,7 @@ class AdmissibilityError(ValueError):
 
 
 class EpsMode:
-    """Symbolic e, or a fixed nonzero rational value of e (not a float)."""
+    """Symbolic e, or a fixed nonzero rational e (not a float or a bool)."""
 
     __slots__ = ("eps",)
 

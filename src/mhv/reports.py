@@ -106,7 +106,7 @@ class Report:
         evaluated (str renders a Scalar's Fraction as Scalar.render would)
         and the e-mode relabeled; a report computed over Q keeps no value,
         so it is only relabeled.  eps, as a Fraction, is checked before
-        any failure: a float raises TypeError, 0 ZeroEpsilonError."""
+        any failure: a float or bool raises TypeError, 0 ZeroEpsilonError."""
         eps = exact(eps)
         if eps == 0:
             raise ZeroEpsilonError("evaluation at e = 0 is not admissible")

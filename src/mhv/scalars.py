@@ -305,7 +305,7 @@ class Scalar:
 
     def eval_at(self, eps_value: RationalLike) -> Fraction:
         """Exact value at e = eps_value; eps_value must be a nonzero rational,
-        not a float, that is not a root of the denominator."""
+        not a float or a bool, that is not a root of the denominator."""
         x = exact(eps_value)
         if x == 0:
             raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
@@ -415,9 +415,10 @@ EPS_INV = ONE / EPS
 
 def exact(r) -> Fraction:
     """r as a Fraction; a float raises TypeError, since its binary value is
-    not the decimal it was written as."""
-    if isinstance(r, float):
-        raise TypeError(f"a rational must be exact, not the float {r!r}")
+    not the decimal it was written as, and so does a bool."""
+    if isinstance(r, (float, bool)):
+        raise TypeError(
+            f"a rational must be exact, not the {type(r).__name__} {r!r}")
     return Fraction(r)
 
 

@@ -39,9 +39,8 @@ runs here, before the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
-    commuting               one (sample, first basis vector) pair
-    postlie-grid, lsa-bider-grid   one grid point; the zero point one
-                                   first basis vector
+    commuting               one sample
+    postlie-grid, lsa-bider-grid   one grid point
     star, ast               m
     cross-check             the closed form by m; each random table whole
     bider-grid, solve-theta the whole check (bider-grid stops early)
@@ -274,13 +273,11 @@ def _commuting_specs(window: int) -> list:
 
 
 def _commuting_plan(window: int) -> tuple:
-    """The commuting condition of each sample, one chunk per (sample,
-    first basis vector)."""
-    width = len(basis_vectors(window, FULL))
-    return ([lambda phi=phi, i=i: prefixed(phi.name, collect(
+    """The commuting condition of each sample, one chunk per sample."""
+    return ([lambda phi=phi: prefixed(phi.name, collect(
                 "commuting", window, "symbolic",
-                commuting_residuals(phi, window, slice(i, i + 1))))
-             for phi in _commuting_specs(window) for i in range(width)],
+                commuting_residuals(phi, window)))
+             for phi in _commuting_specs(window)],
             partial(pooled, "commuting", window))
 
 

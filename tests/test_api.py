@@ -51,7 +51,14 @@ RATIONAL_ENTRIES = {
     "Scalar.eval_at": ((mhv.ONE + mhv.EPS).eval_at, 0.4, Fraction(2, 5)),
     "Element.eval_at": (mhv.Element.of((mhv.ONE + mhv.EPS, mhv.d(1))).eval_at,
                         0.4, Fraction(2, 5)),
+    "Report.evaluated_at": (
+        mhv.Report("probe", 1, "symbolic", 0, [], {}).evaluated_at, 0.4,
+        Fraction(2, 5)),
 }
+
+# the entry points that take e refuse a bool too: True would run at e = 1
+E_ENTRIES = ("EpsMode", "EpsMode.numeric", "Scalar.eval_at",
+             "Element.eval_at", "Report.evaluated_at")
 
 
 @pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
@@ -61,4 +68,7 @@ def test_a_float_is_refused(entry):
     lift, inexact, exact = RATIONAL_ENTRIES[entry]
     with pytest.raises(TypeError, match="float"):
         lift(inexact)
+    for flag in (True, False) if entry in E_ENTRIES else ():
+        with pytest.raises(TypeError, match="bool"):
+            lift(flag)
     lift(exact)

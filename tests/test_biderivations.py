@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mhv import biderivations
 from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
                          CentralTermError, Element, L, basis_vectors, bilinear,
-                         bracket, combine, d, h, project_centerless,
+                         bracket, d, h, project_centerless, scalar_table,
                          tag_table)
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _axiom_cases,
@@ -27,14 +27,15 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                check_commuting, check_family,
                                check_lsa_biderivation, check_post_lie,
                                family_table, grid_points, lsa_bider_grid,
-                               post_lie_grid, upsilon)
+                               lsa_bider_plan, post_lie_grid, post_lie_plan,
+                               upsilon)
 from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
-from mhv.lsa import SYMBOLIC, product_table
+from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          finished, render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
-from mhv.suite import RunConfig, run_suite
+from mhv.suite import RunConfig, _commuting_plan, run_suite
 from test_sweeps import axiom_oracle
 
 E = Element.basis
@@ -201,7 +202,8 @@ class TestFamilyLabels:
     def test_failing_member_label(self, monkeypatch):
         # a dd -> d part breaks the axioms of every member alike
         parts_of = biderivations.family_parts
-        part = tag_table(dd=lambda m, n: E(d(m + n)))
+        part = scalar_table(tag_table(dd=lambda m, n: Element({d(m + n): 1})),
+                            1)
         monkeypatch.setattr(
             biderivations, "family_parts",
             lambda params, mode: parts_of(params, mode) + [(ONE, part)])
@@ -244,10 +246,10 @@ class TestFamilyByLinearity:
     @staticmethod
     def break_upsilon_0(monkeypatch):
         """Give upsilon[0], one table shared by every member that uses
-        it, an extra dd -> d part."""
+        it, an extra dd -> d part, declared in ints as upsilon[0] is."""
         original = biderivations._upsilon_generator
-        broken = combine([(ONE, original(0)),
-                          (ONE, tag_table(dd=lambda m, n: E(d(m + n))))])
+        broken = scalar_table(tag_table(
+            dd=lambda m, n: Element({h(m + n): 1, d(m + n): 1})), 1)
         monkeypatch.setattr(biderivations, "_upsilon_generator",
                             lambda s: broken if s == 0 else original(s))
 
@@ -451,6 +453,14 @@ class TestGrids:
     def test_grid_size(self):
         assert len(grid_points()) == 6 * 27
 
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_each_grid_point_and_commuting_sample_is_one_chunk(self, window):
+        points = len(grid_points())
+        assert len(post_lie_plan(window)[0]) == points
+        for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
+            assert len(lsa_bider_plan(window, eps)[0]) == points
+        assert len(_commuting_plan(window)[0]) == 3
+
     def test_post_lie_grid(self):
         report = post_lie_grid(2)
         assert report.passed
@@ -476,32 +486,31 @@ class TestGrids:
         assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = finished(_grid_plan("probe", 1,
-                                     lambda params, first: iter(())))
+        report = finished(_grid_plan("probe", 1, lambda params: iter(())))
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
 
-    def test_the_zero_point_is_swept_on_every_first_basis_vector(self):
-        # one chunk per first basis vector; the first that fails is the
-        # witness
+    def test_the_zero_point_witness_is_its_first_nonzero_residual(self):
+        # the zero point's chunk sweeps in order and stops at its first
+        # nonzero residual, the witness
         basis = basis_vectors(2, FULL)
         seen = []
 
-        def source(params, first):
-            if params.is_zero():
-                seen.extend(basis[first])
-                if len(seen) in (4, 6):
-                    yield tuple(basis[first]), "probe", E(d(0))
+        def source(params):
+            for i, bv in enumerate(basis):
+                if params.is_zero():
+                    seen.append(bv)
+                yield (bv,), "probe", E(d(0)) if i in (3, 5) else Element()
         report = finished(_grid_plan("probe", 2, source))
-        assert seen == basis
+        assert seen == basis[:4]
         assert [f for f in report.failures
                 if f.equation_id != "grid.unexpected_pass"] == [Failure(
                     f"(lambda=0, omega={{}}) at ({basis[3]})",
                     "grid.trivial_failed[probe]", "d(0)")]
 
     def test_a_zero_point_that_fails_fails_the_grid(self):
-        def source(params, first):
+        def source(params):
             yield (d(0),), "probe", E(d(0))
 
         report = finished(_grid_plan("probe", 1, source))
@@ -529,13 +538,12 @@ class TestGrids:
         mul = product_table(SYMBOLIC)
         for params in points:
             assert _first_failure(
-                lambda p, first: _lsa_bider_residuals(p, 4, mul, first),
-                params) is not None
+                lambda p: _lsa_bider_residuals(p, 4, mul), params) is not None
         assert len(points) == 161
         assert len(calls) <= 805
 
     def test_a_zero_point_witness_keeps_its_value(self):
-        def source(params, first):
+        def source(params):
             yield (d(0),), "probe", E(d(0)).scale(EPS)
 
         report = finished(_grid_plan("probe", 1, source))

@@ -14,7 +14,8 @@ from mhv.coeffs import (ast4_swapped_form, ast_residuals, cross_check,
                         residuals_from_identity, solve_theta, star_residuals,
                         closed_form_fns, theta_equations, zero_fns)
 from mhv.linalg import UnderdeterminedSystemError, solve_unique
-from mhv.scalars import EPS, EPS_INV, ONE, ZERO, sc
+from mhv.lsa import _basis_product_numeric
+from mhv.scalars import EPS, EPS_INV, ONE, ZERO, PoleError, sc
 
 FNS = closed_form_fns()
 
@@ -55,6 +56,29 @@ class TestClosedForms:
                 for n in range(-6, 7):
                     assert getattr(at, name)(m, n) \
                         == sc(getattr(FNS, name)(m, n).eval_at(eps))
+
+    def test_closed_form_at_a_pole_is_as_defined_as_the_oracle(self):
+        # at e = 1/6, 1+e*(m+n) vanishes at m+n = -6; f cancels at m = 0
+        # or n = 0, as the evaluated closed form and the plain-Fraction
+        # product do, and raises the product's PoleError at every other pair
+        eps = Fraction(1, 6)
+        at = closed_form_fns(eps)
+        poles = []
+        for m in range(-6, 7):
+            for n in range(-6, 7):
+                try:
+                    expected = FNS.f(m, n).eval_at(eps)
+                except PoleError:
+                    poles.append((m, n))
+                    with pytest.raises(PoleError) as info:
+                        at.f(m, n)
+                    with pytest.raises(PoleError) as oracle:
+                        _basis_product_numeric(d(m), d(n), eps)
+                    assert str(info.value) == str(oracle.value)
+                else:
+                    assert at.f(m, n) == sc(expected), (m, n)
+        assert poles == [(m, -6 - m) for m in range(-5, 0)]
+        assert (at.f(0, -6), at.f(-6, 0)) == (sc(6), ZERO)
 
     def test_one_symbolic_closed_form(self):
         # the symbolic product and every symbolic check share one instance;

@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from mhv import biderivations
-from mhv.algebra import Element, d, tag_table
+from mhv.algebra import Element, d, scalar_table, tag_table
 from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
                                check_family, check_lsa_biderivation,
                                check_post_lie)
@@ -106,7 +106,7 @@ def test_failing_family_report_is_golden(monkeypatch):
     # one dd -> d generator, of weight 1 in every member, breaks the axioms
     # of each; the members' failures are pooled across forked chunks alike
     parts_of = biderivations.family_parts
-    part = tag_table(dd=lambda m, n: Element.basis(d(m + n)))
+    part = scalar_table(tag_table(dd=lambda m, n: Element({d(m + n): 1})), 1)
     monkeypatch.setattr(
         biderivations, "family_parts",
         lambda params, mode: parts_of(params, mode) + [(ONE, part)])

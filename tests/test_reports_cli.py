@@ -555,9 +555,9 @@ class TestSuite:
         firsts = []
         parts = []
 
-        def record(tables, mul, x, ys, zs, project=False):
+        def record(f, mul, x, basis, project=False):
             firsts[-1].add(x)
-            return residuals(tables, mul, x, ys, zs, project)
+            return residuals(f, mul, x, basis, project)
 
         monkeypatch.setattr(biderivations, "derivation_residuals", record)
         chunks, finish = family_plan(2)
@@ -574,8 +574,8 @@ class TestSuite:
         assert report.total_cases == cases * len(FAMILY_SAMPLES)
 
     def test_commuting_chunks_pool_like_one_sweep(self, monkeypatch):
-        # one chunk per (sample, first basis vector); with samples that
-        # fail, the pooled failures show that no process changes them
+        # one chunk per sample; with samples that fail, the pooled
+        # failures show that no process changes them
         from mhv import suite
         from mhv.algebra import Element, d, h
         from mhv.biderivations import LinearMap, commuting_residuals

@@ -5,8 +5,8 @@ residual term by term from the tables on basis pairs.  Here, at window 2
 and on every basis tuple, each swept residual is compared with the same
 formula written with bilinear, bracket, lsa_product and the family's
 BilinearTable on Element.basis operands, which the sweeps no longer use.
-The derivation kernel, which takes several tables at once, is compared
-table by table with that formula, axiom_oracle.
+The derivation kernel, which takes one table, is compared table by table
+with that formula, axiom_oracle.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
 h, a and b parts the closed form sets to zero.  A whole window-2 suite
@@ -146,21 +146,20 @@ class TestAxiomResiduals:
 
 
 def assert_kernel_matches(tables: list, mode, window: int = WINDOW) -> None:
-    """derivation_residuals of all the tables at once, with respect to
-    the bracket, against axiom_oracle for each table on its own."""
+    """derivation_residuals of each table, with respect to the bracket,
+    against axiom_oracle."""
     basis = basis_vectors(window, mode)
-    cands = [BilinearTable(t) for t in tables]
-    for x in basis:
-        items = list(derivation_residuals(tables, BRACKET_TABLES[mode], x,
-                                          basis, basis, mode is CENTERLESS))
-        expected = [(y, z, cand) for y, z in product(basis, repeat=2)
-                    for cand in cands]
-        assert len(items) == len(expected)
-        for (y, z, left, right), (ey, ez, cand) in zip(items, expected):
-            assert (y, z) == (ey, ez)
-            oracle = axiom_oracle(cand, mode, x, y, z)
-            assert left == oracle["bider.left"], (x, y, z)
-            assert right == oracle["bider.right"], (x, y, z)
+    for table in tables:
+        cand = BilinearTable(table)
+        for x in basis:
+            items = list(derivation_residuals(table, BRACKET_TABLES[mode], x,
+                                              basis, mode is CENTERLESS))
+            assert [(y, z) for y, z, _, _ in items] \
+                == list(product(basis, repeat=2))
+            for y, z, left, right in items:
+                oracle = axiom_oracle(cand, mode, x, y, z)
+                assert left == oracle["bider.left"], (x, y, z)
+                assert right == oracle["bider.right"], (x, y, z)
 
 
 # values of several terms on every tag pair, central ones included
@@ -173,7 +172,7 @@ SEVERAL_TERMS = tag_table(
 
 class TestDerivationKernel:
     def test_the_converse_generators(self):
-        # the bracket, every upsilon[s] and every decoy, in one call
+        # the bracket, every upsilon[s] and every decoy
         tables = [t for _, t in _candidate_generators()]
         assert_kernel_matches(tables, CENTERLESS, window=1)
 
