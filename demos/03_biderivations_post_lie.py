@@ -12,7 +12,7 @@ from mhv import (BiderParams, BilinearTable, CENTERLESS, Element, FULL,
                  check_biderivation, check_commuting, check_lsa_biderivation,
                  check_post_lie, d, h, upsilon)
 from mhv.algebra import C
-from mhv.biderivations import lsa_bider_grid, post_lie_grid
+from mhv.suite import RunConfig, run_suite
 
 E = Element.basis
 
@@ -62,9 +62,9 @@ print(f"phi(d_m) = m d_m: passed={report.passed}, "
 
 print()
 print("== triviality sweeps over the parameter grid ==")
-report = post_lie_grid(3)
+report = run_suite(RunConfig(window=3, checks=("postlie-grid",)))[0]
 print("commutative post-Lie grid:", report.extra["passing_points"])
-report = lsa_bider_grid(3)
+report = run_suite(RunConfig(window=3, checks=("lsa-bider-grid",)))[0]
 print("left-symmetric biderivation grid:", report.extra["passing_points"])
 
 print()

@@ -3,8 +3,8 @@ functional-equation systems that govern them, the independent oracle
 derived from the identities themselves, and the theta linear system.
 """
 
-from mhv import (ast_residuals, cross_check, derived_counterparts,
-                 random_fns, residuals_from_identity, solve_theta,
+from mhv import (RunConfig, ast_residuals, derived_counterparts,
+                 random_fns, residuals_from_identity, run_suite, solve_theta,
                  star_residuals, closed_form_fns)
 
 fns = closed_form_fns()
@@ -39,7 +39,7 @@ for eq_id in ("star.5", "star.11", "star.12"):
     print(f"{eq_id}: transcribed {transcribed[eq_id]}  |  "
           f"derived {derived[eq_id]}  |  agree: {agree}")
 
-report = cross_check(3)
+report = run_suite(RunConfig(window=3, checks=("cross-check",)))[0]
 print(f"cross-check window 3: passed={report.passed}")
 for entry in report.extra["documented_discrepancies"]:
     print(f"  documented: {entry['id']} - {entry['note'][:60]}...")

@@ -14,9 +14,8 @@ from .biderivations import (BiderParams, BilinearTable, LinearMap,
                             bider_eval, check_bider_converse,
                             check_biderivation, check_commuting,
                             check_lsa_biderivation, check_post_lie,
-                            grid_points, lsa_bider_grid, post_lie_grid,
-                            upsilon)
-from .coeffs import (CoeffFns, ThetaTable, ast_residuals, cross_check,
+                            grid_points, upsilon)
+from .coeffs import (CoeffFns, ThetaTable, ast_residuals,
                      derived_counterparts, random_fns,
                      residuals_from_identity, solve_theta, star_residuals,
                      closed_form_fns, zero_fns)

@@ -17,22 +17,22 @@ d_m, d_n to h_{m+n+s+1/2}).  family_table sums them into the member's
 table on basis pairs, once per member; bider_eval, upsilon,
 BilinearTable.from_params and the post-Lie and left-symmetric sweeps
 derive from it, and the converse's candidate space holds the same
-generator tables.  check_family uses the parts themselves: the
+generator tables.  family_plan uses the parts themselves: the
 derivation axioms are linear in f, so it takes each distinct generator's
 residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
 Every derivation sweep (check_biderivation, the left-symmetric
 biderivations, bider-family, bider-grid) runs through one kernel,
 derivation_residuals, which takes f(x, .) once per first basis vector x,
-as the sweep reaches it, and f(x, y) and mul(x, y) once per (x, y); the
-post-Lie and commuting sweeps run through algebra.basis_sweep.  Each
-sweep calls its tables on basis vectors and sums each residual into one
-term dict with algebra.accumulate_left and accumulate_right; no sweep
-uses the element-level bilinear extension of bider_eval and
-BilinearTable.  bider-family and bider-grid sweep each table's int_form
-in ints against 2[., .]: a residual is scale(f)*scale(mul) times the true
-one (4 for the bracket, 2 for upsilon[s]), and is divided back only when
-it is nonzero.
+as the sweep reaches it, and f(x, y) and mul(x, y) once per (x, y), and
+projects nothing; the post-Lie and commuting sweeps run through
+algebra.basis_sweep.  Each sweep calls its tables on basis vectors and
+sums each residual into one term dict with algebra.accumulate_left and
+accumulate_right; no sweep uses the element-level bilinear extension of
+bider_eval and BilinearTable.  bider-family and bider-grid sweep each
+table's int_form in ints against 2[., .]: a residual is
+scale(f)*scale(mul) times the true one (4 for the bracket, 2 for
+upsilon[s]), and is divided back only when it is nonzero.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -51,11 +51,10 @@ basis triples in order, in one process, and stops after the triple at
 which its rows certify the rank.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
-axioms and the left-symmetric biderivation axioms for a family member;
-swept over a finite parameter grid they certify the two triviality
-statements: only lambda = 0, Omega = {} survives either axiom system.
-Each grid point is one chunk, which stops at its first nonzero residual;
-only the zero point's, the one witness a grid reports, becomes a Failure.
+axioms and the left-symmetric biderivation axioms for a family member.
+post_lie_plan and lsa_bider_plan sweep them over a parameter grid, one
+chunk per point, which stops at its first nonzero residual; only the
+zero point's, the one witness a grid reports, becomes a Failure.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
-from .reports import (Failure, Report, collect, finished, pooled, prefixed,
+from .reports import (Failure, Report, collect, pooled, prefixed,
                       render_inputs, residual_failure)
 from .scalars import MINUS_ONE, ONE, Scalar, sc
 
@@ -195,15 +194,15 @@ class BilinearTable:
 
 
 def derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
-                         basis: list, project: bool = False):
+                         basis: list):
     """The two derivation axioms of the table f with respect to the product
     table mul at the basis triples (x, y, z), y and z in basis:
 
         f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
         f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
 
-    Yields (y, z, left, right) per triple, projected onto the centerless
-    quotient with project (values may hold C or L).  No empty value
+    Yields (y, z, left, right) per triple, projecting nothing: on the
+    quotient, f's values must already be centerless.  No empty value
     reaches an accumulate kernel, and the products come in the order
     written, so under a numeric e the first pole raises.  f(x, z) is
     taken at the first y, when the sweep first needs it."""
@@ -233,8 +232,6 @@ def derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
             if fxz._terms:
                 accumulate_right(acc, MINUS_ONE, mul, y, fxz)
             right = Element(acc, _clean=True)
-            if project:
-                left, right = map(project_centerless, (left, right))
             yield y, z, left, right
 
 
@@ -242,12 +239,13 @@ def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
                  mode: AlgebraMode):
     """(inputs, equation_id, residual) of the two axioms, name.left and
     name.right, of the table f on every triple of the window basis; on the
-    quotient (CENTERLESS) the residuals are projected."""
+    quotient (CENTERLESS) f's values are projected, which projects the
+    residuals, as the centerless bracket sends C and L to zero."""
     basis = basis_vectors(window, mode)
     left_id, right_id = f"{name}.left", f"{name}.right"
+    g = f if mode is FULL else lambda u, v: project_centerless(f(u, v))
     for x in basis:
-        for y, z, left, right in derivation_residuals(f, mul, x, basis,
-                                                      mode is CENTERLESS):
+        for y, z, left, right in derivation_residuals(g, mul, x, basis):
             yield (x, y, z), left_id, left
             yield (x, y, z), right_id, right
 
@@ -265,9 +263,10 @@ def _lanes(tables: list) -> list:
 def _centerless_triples(lanes: list, xs: list, basis: list):
     """derivation_residuals of each (ints, scale) of lanes against
     2[., .] on the quotient, at the triples (x, y, z) with x in xs and y, z
-    in basis, as one ((x, y, z), lefts, rights) per triple."""
+    in basis, as one ((x, y, z), lefts, rights) per triple; every int
+    table swept here is centerless-valued."""
     for x in xs:
-        for items in zip(*[derivation_residuals(f, _ints, x, basis, True)
+        for items in zip(*[derivation_residuals(f, _ints, x, basis)
                            for f, _ in lanes]):
             y, z, lefts, rights = zip(*items)
             yield (x, y[0], z[0]), lefts, rights
@@ -474,30 +473,19 @@ def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
 
 
 def post_lie_plan(window: int) -> tuple:
-    """The plan of post_lie_grid."""
+    """The plan of postlie-grid: exactly one grid point (the zero product)
+    may satisfy all post-Lie axioms, the triviality statement."""
     return _grid_plan("postlie-grid", window,
                       partial(_post_lie_residuals, window=window))
 
 
 def lsa_bider_plan(window: int, eps: EpsMode = SYMBOLIC) -> tuple:
-    """The plan of lsa_bider_grid under the e-mode eps: every grid point
-    sweeps one product table."""
+    """The plan of lsa-bider-grid under the e-mode eps, every grid point
+    on one product table: exactly one grid point (f = 0) may satisfy the
+    left-symmetric biderivation axioms, the final triviality statement."""
     mul = product_table(eps)
     return _grid_plan("lsa-bider-grid", window,
                       partial(_lsa_bider_residuals, window=window, mul=mul))
-
-
-def post_lie_grid(window: int) -> Report:
-    """Exactly one grid point (the zero product) may satisfy all post-Lie
-    axioms: the triviality statement in brute-force form."""
-    return finished(post_lie_plan(window))
-
-
-def lsa_bider_grid(window: int) -> Report:
-    """Exactly one grid point (f = 0) may satisfy the left-symmetric
-    biderivation axioms: the final triviality statement in brute-force
-    form."""
-    return finished(lsa_bider_plan(window))
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +642,12 @@ def _family_sweep(members: list, lanes: list, window: int,
 
 
 def family_plan(window: int) -> tuple:
-    """The plan of check_family.  The axioms are linear in f, so the
-    members are checked by linearity over their distinct generator tables
-    (family_parts): one chunk per first centerless basis vector takes each
-    generator's residuals once per triple and counts every member's cases.
-    The central cases are collected per member's table as the plan is
-    made.  A failure's label leads with its member's params."""
+    """The plan of bider-family: the canned members' centerless axioms,
+    checked by linearity over their distinct generator tables
+    (family_parts), one chunk per first centerless basis vector; and the
+    central annihilation of both arguments in the full algebra, collected
+    per member's table as the plan is made.  A failure's label leads with
+    its member's params."""
     index: dict = {}
     members = [(f"params=({params.describe()})",
                 [(weight, index.setdefault(table, len(index)))
@@ -673,9 +661,3 @@ def family_plan(window: int) -> tuple:
                      slice(i, i + 1))
              for i in range(len(basis_vectors(window, CENTERLESS)))],
             lambda sweeps: pooled("bider-family", window, central + sweeps))
-
-
-def check_family(window: int) -> Report:
-    """The forward direction on canned family members (centerless axioms),
-    plus central annihilation of both arguments in the full algebra."""
-    return finished(family_plan(window))

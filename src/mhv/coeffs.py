@@ -36,7 +36,7 @@ returns raw component residuals.  derived_counterparts rearranges those
 raw components into the transcription's shapes (substituting the pair
 relations the same way the equations themselves are arranged), giving a
 per-equation reference value to compare against the transcription.
-cross_check runs the comparison on the closed-form solution and on
+cross_check_plan plans the comparison on the closed-form solution and on
 seeded random coefficient tables; it is expected to expose exactly one
 transcription error at runtime (star.12, whose second term repeats
 b(m,k) where the expansion yields b(n,k)) and documents two more
@@ -59,7 +59,7 @@ from typing import Callable
 from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
                       accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
-from .reports import Failure, Report, finished
+from .reports import Failure, Report
 from .scalars import EPS, MINUS_ONE, ONE, ZERO, PoleError, Scalar, sc
 
 
@@ -389,7 +389,7 @@ def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int) -> dict:
 # ast.4), star.12 is the only one expected to disagree at runtime
 RUNTIME_DISCREPANCIES = ("star.12",)
 
-# cross_check's random tables: their seeds, and the window they run on
+# cross-check's random tables: their seeds, and the window they run on
 SAMPLE_SEEDS = (1, 2)
 SAMPLE_WINDOW = 2
 
@@ -397,7 +397,7 @@ LOGGED_WITNESSES = 3  # witnesses logged per documented discrepancy
 
 
 def _compare(fns: CoeffFns, w: int, ms) -> tuple:
-    """One chunk of cross_check over the tuples (m, n, k) of the window
+    """One chunk of cross-check over the tuples (m, n, k) of the window
     [-w, w] with m in ms: (cases, failures, witnesses), where witnesses
     maps each runtime discrepancy to its first LOGGED_WITNESSES cases."""
     failures = []
@@ -431,20 +431,13 @@ def _compare(fns: CoeffFns, w: int, ms) -> tuple:
     return cases, failures, witnesses
 
 
-def cross_check(window: int) -> Report:
-    """Compare every transcribed residual against its oracle-derived
-    counterpart: on the closed-form solution over the full window, and on
-    seeded random tables over a smaller window (random tables are what
-    actually exercises the equations' shapes).  Disagreement anywhere
-    except the documented star.12 is a failure; of star.12's, each chunk
-    renders its first LOGGED_WITNESSES and the report logs the first of all."""
-    return finished(cross_check_plan(window))
-
-
 def cross_check_plan(window: int, eps: Fraction | None = None) -> tuple:
-    """The plan of cross_check: the closed form by m, at e = eps if eps is
-    given, and each random table whole, because it draws each key on first
-    use and split across processes it would draw different values."""
+    """The plan of cross-check: each transcribed residual against its
+    oracle-derived counterpart, on the closed form (at e = eps if given)
+    over the window, by m, and on each seeded random table over a smaller
+    window, whole, since it draws each key on first use.  Disagreement
+    except the documented star.12 fails; of star.12's, the report logs
+    the first LOGGED_WITNESSES."""
     closed = closed_form_fns(eps)
     chunks = [partial(_compare, closed, window, (m,))
               for m in window_indices(window)]
@@ -455,7 +448,7 @@ def cross_check_plan(window: int, eps: Fraction | None = None) -> tuple:
 
 
 def _cross_check_report(window: int, parts: list) -> Report:
-    """cross_check's Report from its chunks' (cases, failures, witnesses)."""
+    """cross-check's Report from its chunks' (cases, failures, witnesses)."""
     witnesses: dict = {}
     for _, _, part_witnesses in parts:
         for eq_id, entries in part_witnesses.items():

@@ -29,8 +29,8 @@ the parse stops with a ParseError at the offending token.
 
 The parser reads the CLI's input.  Element.render / Scalar.render emit
 this grammar, so parsing a rendered value reproduces it term for term, as
-tools/parse_corpus.py still tests.  Errors carry the byte offset of the
-offending token.
+tests/test_expressions.py checks on the corpus that tools/parse_corpus.py
+writes.  Errors carry the byte offset of the offending token.
 """
 
 from __future__ import annotations

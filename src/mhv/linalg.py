@@ -2,10 +2,10 @@
 rank certificates and a small dense solver for square-ish systems.
 
 Rows are sparse dicts {column: int or Fraction}, exact over Q either way;
-any other entry, a float above all, raises TypeError.  The RowReducer
-keeps a set of reduced pivot rows; feeding it rows one at a time gives the
-rank of everything seen so far, which lets sweeps stop early once a target
-rank is certified.
+any other entry, a float or a bool above all, raises TypeError.  The
+RowReducer keeps a set of reduced pivot rows; feeding it rows one at a
+time gives the rank of everything seen so far, which lets sweeps stop
+early once a target rank is certified.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ class RowReducer:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        """Row reduced against the current pivots (input not mutated); an
-        entry that is not an int or a Fraction raises TypeError."""
-        if not all(isinstance(v, (int, Fraction)) for v in row.values()):
+        """Row reduced against the current pivots (input not mutated); a
+        bool, or any entry not an int or a Fraction, raises TypeError."""
+        if any(isinstance(v, bool) or not isinstance(v, (int, Fraction))
+               for v in row.values()):
             raise TypeError(f"row entries must be ints or Fractions: {row}")
         row = {c: v for c, v in row.items() if v != 0}
         while row:

@@ -18,12 +18,12 @@ rendered, and as its value when it depends on e.  Free-text Failures
 
 A check's plan is its chunks, independent zero-argument callables
 returning picklable data, and a finish, which makes its Report of their
-results in chunk order; finished runs a plan here, in order.  pooled
-sums the cases and pools the failures of a check's part Reports into one
-Report, and the sort makes the result independent of where the parts
-ran; chunked plans a check whose chunks collect one residual stream each
-and whose finish pools them.  prefixed leads every failure label of a
-part, such as one family member's, with the part's name.
+results in chunk order.  pooled sums the cases and pools the failures of
+a check's part Reports into one Report, and the sort makes the result
+independent of where the parts ran; chunked plans a check whose chunks
+collect one residual stream each and whose finish pools them.  prefixed
+leads every failure label of a part, such as one family member's, with
+the part's name.
 
 evaluated_at evaluates every value at an exact nonzero e, refused first,
 parsing nothing, and keeps every other failure: a symbolic report
@@ -172,12 +172,6 @@ def chunked(check: str, window: int, streams: list) -> tuple:
     return ([lambda stream=stream: collect(check, window, "symbolic",
                                            stream()) for stream in streams],
             partial(pooled, check, window))
-
-
-def finished(plan: tuple) -> Report:
-    """The Report of a plan (chunks, finish), its chunks run here in order."""
-    chunks, finish = plan
-    return finish([chunk() for chunk in chunks])
 
 
 def prefixed(prefix: str, report: Report) -> Report:

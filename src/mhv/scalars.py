@@ -228,8 +228,8 @@ class Scalar:
 
     @staticmethod
     def from_rational(r: RationalLike) -> "Scalar":
-        if not isinstance(r, (int, Fraction)):
-            r = exact(r)
+        if type(r) is not int and not isinstance(r, Fraction):
+            r = exact(r)  # refuses a float or a bool
         return ratio(r.numerator, r.denominator)
 
     # -- predicates ---------------------------------------------------------

@@ -29,11 +29,12 @@ CHECK_ORDER is its keys:
     bider-grid commuting postlie-grid lsa-bider-grid star ast
     cross-check solve-theta
 
-run_suite runs the chunks of the selected checks as one list, in
-config.checks order, through run_chunks, then finishes each check.
-MHV_WORKERS=N, an integer of at least 1 (default 1), caps process
-parallelism: this process and N-1 children, forked once per run, share
-the list by index, each taking every N-th chunk.  A plan builder's own
+run_suite(config) runs the chunks of the selected checks as one list,
+in config.checks order, through run_chunks, then finishes each check.
+MHV_WORKERS=N, read by run_suite alone, an integer of at least 1
+(default 1; any other value is refused), caps process parallelism:
+this process and N-1 children, forked once per run, share the list by
+index, each taking every N-th chunk.  A plan builder's own
 work (the closed form, a product table, bider-family's central cases)
 runs here, before the fork.  The chunks of each check are
 
@@ -373,18 +374,15 @@ def _computed_in(eps: EpsMode, window: int) -> EpsMode:
     return eps if s is None or abs(s) > 3 * window else SYMBOLIC
 
 
-def run_suite(config: RunConfig, workers: int | None = None) -> list:
+def run_suite(config: RunConfig) -> list:
     """Execute the selected checks and return one Report each, their
-    chunks run by one call of run_chunks.  workers, by default
-    MHV_WORKERS, must be an int of at least 1 (bool excluded)."""
-    given = workers
-    if workers is None:
-        given = os.environ.get("MHV_WORKERS", "1")
-        try:
-            workers = int(given)
-        except ValueError:
-            pass
-    if type(workers) is not int or workers < 1:
+    chunks run by one call of run_chunks with MHV_WORKERS workers."""
+    given = os.environ.get("MHV_WORKERS", "1")
+    try:
+        workers = int(given)
+    except ValueError:
+        workers = 0
+    if workers < 1:
         raise ValueError(
             f"MHV_WORKERS must be an integer of at least 1, got {given!r}")
     if not config.eps.is_symbolic:

@@ -11,10 +11,9 @@ from fractions import Fraction
 from mhv.algebra import (CENTERLESS, FULL, C, Element, L, basis_vectors,
                          bracket, d, h)
 from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
-                               check_family, check_lsa_biderivation,
-                               grid_points, lsa_bider_grid, post_lie_grid)
-from mhv.coeffs import (ast_residuals, cross_check, residuals_from_identity,
-                        solve_theta, star_residuals, closed_form_fns)
+                               check_lsa_biderivation, grid_points)
+from mhv.coeffs import (ast_residuals, residuals_from_identity, solve_theta,
+                        star_residuals, closed_form_fns)
 from mhv.expressions import parse_element
 from mhv.lsa import EpsMode, lsa_commutator
 from mhv.reports import reports_to_json
@@ -91,7 +90,7 @@ def test_criterion_3_compatibility():
 def test_criterion_4_biderivation_family():
     with criterion(4, "five family members pass the axiom check at window "
                       "5 and annihilate the center on both sides"):
-        report = check_family(5)
+        report = run_suite(RunConfig(window=5, checks=("bider-family",)))[0]
         assert report.passed
         central_cases = 5 * 4 * len(basis_vectors(5, FULL))
         axiom_cases = 5 * 2 * len(basis_vectors(5, CENTERLESS)) ** 3
@@ -114,7 +113,7 @@ def test_criterion_5_equation_systems():
                         assert value.is_zero(), (m, n, k, eq_id)
                     for eq_id, value in residuals_from_identity(fns, m, n, k):
                         assert value.is_zero(), (m, n, k, eq_id)
-        report = cross_check(5)
+        report = run_suite(RunConfig(window=5, checks=("cross-check",)))[0]
         assert report.passed
         docs = report.extra["documented_discrepancies"]
         assert len(docs) <= 3
@@ -142,7 +141,7 @@ def test_criterion_6_theta_oracle():
 def test_criterion_7_post_lie_grid():
     with criterion(7, "post-Lie grid at window 4: exactly the zero point "
                       "satisfies all axioms"):
-        report = post_lie_grid(4)
+        report = run_suite(RunConfig(window=4, checks=("postlie-grid",)))[0]
         assert report.passed
         assert report.total_cases == len(grid_points()) == 162
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
@@ -152,7 +151,7 @@ def test_criterion_8_lsa_biderivation_grid():
     with criterion(8, "left-symmetric biderivation grid at window 4: "
                       "exactly the zero point passes; witness "
                       "coefficients at (d_2, d_1, d_3) as predicted"):
-        report = lsa_bider_grid(4)
+        report = run_suite(RunConfig(window=4, checks=("lsa-bider-grid",)))[0]
         assert report.passed
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
 

@@ -1,6 +1,6 @@
 """The public API: every callable exported by the package has annotations
 that resolve, and every entry point that lifts a rational refuses a
-float."""
+float and a bool."""
 
 import inspect
 import typing
@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import mhv
+from mhv.linalg import RowReducer
 
 
 def public_callables():
@@ -56,9 +57,11 @@ RATIONAL_ENTRIES = {
         Fraction(2, 5)),
 }
 
-# the entry points that take e refuse a bool too: True would run at e = 1
-E_ENTRIES = ("EpsMode", "EpsMode.numeric", "Scalar.eval_at",
-             "Element.eval_at", "Report.evaluated_at")
+# the entry points that refuse a bool too, which would run at e = 1 or be
+# taken as the rational 1; a coefficient sequence of Scalar(num, den) is
+# trimmed of zeros first, so it keeps a False
+BOOL_ENTRIES = tuple(entry for entry in RATIONAL_ENTRIES
+                     if entry not in ("Scalar num", "Scalar den"))
 
 
 @pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
@@ -68,7 +71,14 @@ def test_a_float_is_refused(entry):
     lift, inexact, exact = RATIONAL_ENTRIES[entry]
     with pytest.raises(TypeError, match="float"):
         lift(inexact)
-    for flag in (True, False) if entry in E_ENTRIES else ():
+    for flag in (True, False) if entry in BOOL_ENTRIES else ():
         with pytest.raises(TypeError, match="bool"):
             lift(flag)
     lift(exact)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_row_entry_that_is_a_bool_is_refused(flag):
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        RowReducer().add_row({0: flag})
+    assert RowReducer().add_row({0: 1, 1: Fraction(1, 2)})

@@ -24,21 +24,30 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                _first_failure, _grid_plan,
                                _lsa_bider_residuals, bider_eval,
                                check_bider_converse, check_biderivation,
-                               check_commuting, check_family,
-                               check_lsa_biderivation, check_post_lie,
-                               family_table, grid_points, lsa_bider_grid,
-                               lsa_bider_plan, post_lie_grid, post_lie_plan,
+                               check_commuting, check_lsa_biderivation,
+                               check_post_lie, family_parts, family_table,
+                               grid_points, lsa_bider_plan, post_lie_plan,
                                upsilon)
-from mhv.coeffs import cross_check
 from mhv.linalg import RowReducer
 from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
-                         finished, render_inputs, residual_failure)
+                         render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
-from mhv.suite import RunConfig, _commuting_plan, run_suite
+from mhv.suite import RunConfig, _commuting_plan, run_chunks, run_suite
 from test_sweeps import axiom_oracle
 
 E = Element.basis
+
+
+def run_check(name: str, window: int) -> Report:
+    """The Report of the registry check name, as mhv verify runs it."""
+    return run_suite(RunConfig(window=window, checks=(name,)))[0]
+
+
+def run_probe(plan: tuple) -> Report:
+    """The Report of a probe plan (chunks, finish), run in this process."""
+    chunks, finish = plan
+    return finish(run_chunks(chunks, 1))
 
 
 class TestUpsilon:
@@ -181,7 +190,7 @@ class TestAxiomChecker:
         assert report.passed
 
     def test_family_samples_window3(self):
-        report = check_family(3)
+        report = run_check("bider-family", 3)
         assert report.passed
         assert len(FAMILY_SAMPLES) == 5
 
@@ -196,7 +205,7 @@ class TestFamilyLabels:
             raise AssertionError(f"rendered {bv.tag}")
 
         monkeypatch.setattr(BasisVector, "render", render)
-        assert check_family(1).passed
+        assert run_check("bider-family", 1).passed
         assert run_suite(RunConfig(window=1, checks=("commuting",)))[0].passed
 
     def test_failing_member_label(self, monkeypatch):
@@ -207,7 +216,7 @@ class TestFamilyLabels:
         monkeypatch.setattr(
             biderivations, "family_parts",
             lambda params, mode: parts_of(params, mode) + [(ONE, part)])
-        report = check_family(1)
+        report = run_check("bider-family", 1)
         assert len(report.failures) == 5 * 144
         assert report.failures[0] == Failure(
             "params=(lambda=-2, omega={0: 1, 2: -3}) (d(-1), d(-1), d(0))",
@@ -215,7 +224,7 @@ class TestFamilyLabels:
 
 
 class TestFamilyByLinearity:
-    """check_family checks every member by linearity over its generator
+    """bider-family checks every member by linearity over its generator
     tables; its report equals the one of sweeping each member's own
     table, byte for byte."""
 
@@ -263,7 +272,7 @@ class TestFamilyByLinearity:
                                 self.EXTRA_MEMBERS)
         if broken:
             self.break_upsilon_0(monkeypatch)
-        report = check_family(window)
+        report = run_check("bider-family", window)
         reference = self.reference(window)
         assert report.passed is not broken
         assert report.to_json() == reference.to_json()
@@ -462,16 +471,17 @@ class TestGrids:
         assert len(_commuting_plan(window)[0]) == 3
 
     def test_post_lie_grid(self):
-        report = post_lie_grid(2)
+        report = run_check("postlie-grid", 2)
         assert report.passed
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
 
     def test_lsa_bider_grid(self):
-        report = lsa_bider_grid(2)
+        report = run_check("lsa-bider-grid", 2)
         assert report.passed
         assert report.extra["passing_points"] == ["lambda=0, omega={}"]
 
-    @pytest.mark.parametrize("grid", [post_lie_grid, lsa_bider_grid])
+    @pytest.mark.parametrize("grid", ["postlie-grid", "lsa-bider-grid"],
+                             ids=["post_lie_grid", "lsa_bider_grid"])
     def test_a_passing_grid_builds_no_failure(self, monkeypatch, grid):
         # the 161 failing nonzero points need no witness; only the zero
         # point's would be reported
@@ -482,11 +492,12 @@ class TestGrids:
             return residual_failure(*args)
 
         monkeypatch.setattr(biderivations, "residual_failure", counted)
-        assert grid(2).passed
+        monkeypatch.setenv("MHV_WORKERS", "1")  # count in this process
+        assert run_check(grid, 2).passed
         assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = finished(_grid_plan("probe", 1, lambda params: iter(())))
+        report = run_probe(_grid_plan("probe", 1, lambda params: iter(())))
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
@@ -502,7 +513,7 @@ class TestGrids:
                 if params.is_zero():
                     seen.append(bv)
                 yield (bv,), "probe", E(d(0)) if i in (3, 5) else Element()
-        report = finished(_grid_plan("probe", 2, source))
+        report = run_probe(_grid_plan("probe", 2, source))
         assert seen == basis[:4]
         assert [f for f in report.failures
                 if f.equation_id != "grid.unexpected_pass"] == [Failure(
@@ -513,7 +524,7 @@ class TestGrids:
         def source(params):
             yield (d(0),), "probe", E(d(0))
 
-        report = finished(_grid_plan("probe", 1, source))
+        report = run_probe(_grid_plan("probe", 1, source))
         assert report.failures == [Failure(
             "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
             "d(0)")]
@@ -546,7 +557,7 @@ class TestGrids:
         def source(params):
             yield (d(0),), "probe", E(d(0)).scale(EPS)
 
-        report = finished(_grid_plan("probe", 1, source))
+        report = run_probe(_grid_plan("probe", 1, source))
         assert report.failures[0].residual == "(e)*d(0)"
         assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
             == "2/5*d(0)"
@@ -607,20 +618,20 @@ def sequential_converse(window: int) -> Report:
                   extra)
 
 
-def converse_in_suite(window: int, workers: int) -> Report:
-    report, = run_suite(RunConfig(window=window, checks=("bider-grid",)),
-                        workers=workers)
-    return report
+def converse_in_suite(monkeypatch, window: int, workers: int) -> Report:
+    monkeypatch.setenv("MHV_WORKERS", str(workers))
+    return run_check("bider-grid", window)
 
 
 class TestConverse:
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_waves_match_the_sequential_sweep(self, window):
+    def test_waves_match_the_sequential_sweep(self, monkeypatch, window):
         # the suite's bider-grid against the element-level oracle, at every
         # worker count
         expected = sequential_converse(window).to_json()
         for workers in (1, 2, 3):
-            assert converse_in_suite(window, workers).to_json() == expected, \
+            assert converse_in_suite(monkeypatch, window, workers).to_json() \
+                == expected, \
                 workers
 
     def test_bider_grid_forks_no_process(self, monkeypatch):
@@ -628,7 +639,7 @@ class TestConverse:
             raise AssertionError("bider-grid forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert converse_in_suite(2, 3).to_json() \
+        assert converse_in_suite(monkeypatch, 2, 3).to_json() \
             == sequential_converse(2).to_json()
 
     def test_rank_certificate(self):
@@ -663,7 +674,7 @@ class TestConverse:
         # the suite runs the check in this process at any worker count
         monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",
                             FAMILY_GENERATORS + ("dd->d[0]",))
-        report = converse_in_suite(1, workers)
+        report = converse_in_suite(monkeypatch, 1, workers)
         assert report.to_json() == sequential_converse(1).to_json()
         assert report.failures[0] == Failure(
             "(d(-1), d(-1), d(0))", "converse.family_residual",
@@ -674,7 +685,7 @@ class TestConverse:
         gens = _candidate_generators()
         monkeypatch.setattr(biderivations, "_candidate_generators",
                             lambda: gens + gens[-1:])
-        report = converse_in_suite(1, workers)
+        report = converse_in_suite(monkeypatch, 1, workers)
         assert report.to_json() == sequential_converse(1).to_json()
         assert [f.equation_id for f in report.failures] \
             == ["converse.rank_deficit"]
@@ -713,7 +724,7 @@ from mhv.reports import render_inputs
 from mhv.suite import RunConfig, run_suite
 checks = ("jacobi", "bider-family", "compatibility")
 out = {r.check: [[f.inputs, f.equation_id, f.residual] for f in r.failures]
-       for r in run_suite(RunConfig(window=1, checks=checks), workers=1)}
+       for r in run_suite(RunConfig(window=1, checks=checks))}
 E = Element.basis
 out["scalar jacobi"] = [
     [render_inputs((x, y, z)), "jacobi", res.render()]
@@ -750,6 +761,20 @@ class TestIntLane:
                     == expected(u, v).scale(sc(scale)), (name, u, v)
                 assert table(u, v) == expected(u, v), (name, u, v)
 
+    def test_every_swept_int_table_is_centerless_valued(self):
+        # the derivation kernel projects nothing, so a C or L term in an
+        # int lane of bider-family or bider-grid would reach a report
+        tables = {table for _, table in _candidate_generators()}
+        tables.update(table for params in FAMILY_SAMPLES
+                      for _, table in family_parts(params, CENTERLESS))
+        assert len(tables) == 46 + 2  # upsilon[-3] and upsilon[3]
+        basis = basis_vectors(3, CENTERLESS)
+        for table in tables:
+            ints, _ = table.int_form
+            for u, v in product(basis, repeat=2):
+                assert not any(w.is_central() for w in ints(u, v)._terms), \
+                    (u, v)
+
     def test_a_dh_sign_flip_fails_every_lane_alike(self, tmp_path):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src", "mhv")
@@ -763,7 +788,7 @@ class TestIntLane:
         proc = subprocess.run(
             [sys.executable, "-c", MUTANT_SCRIPT], capture_output=True,
             text=True, timeout=120, check=True,
-            env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+            env=dict(os.environ, PYTHONPATH=str(tmp_path), MHV_WORKERS="1"))
         out = json.loads(proc.stdout)
         # compatibility runs on the Scalar table, so it sees the one
         # declaration too
@@ -782,11 +807,12 @@ PUBLIC_CHECKS = {
     "check_post_lie": lambda window: check_post_lie(MEMBER, window),
     "check_lsa_biderivation": lambda window: check_lsa_biderivation(
         MEMBER, window),
-    "check_family": check_family,
     "check_bider_converse": check_bider_converse,
-    "post_lie_grid": post_lie_grid,
-    "lsa_bider_grid": lsa_bider_grid,
-    "cross_check": cross_check,
+    # the checks that run only through the registry, as mhv verify runs them
+    "check_family": partial(run_check, "bider-family"),
+    "post_lie_grid": partial(run_check, "postlie-grid"),
+    "lsa_bider_grid": partial(run_check, "lsa-bider-grid"),
+    "cross_check": partial(run_check, "cross-check"),
 }
 
 

@@ -9,15 +9,21 @@ import pytest
 
 from mhv import coeffs
 from mhv.algebra import d, h
-from mhv.coeffs import (ast4_swapped_form, ast_residuals, cross_check,
+from mhv.coeffs import (ast4_swapped_form, ast_residuals,
                         derived_counterparts, random_fns,
                         residuals_from_identity, solve_theta, star_residuals,
                         closed_form_fns, theta_equations, zero_fns)
 from mhv.linalg import UnderdeterminedSystemError, solve_unique
 from mhv.lsa import _basis_product_numeric
 from mhv.scalars import EPS, EPS_INV, ONE, ZERO, PoleError, sc
+from mhv.suite import RunConfig, run_suite
 
 FNS = closed_form_fns()
+
+
+def run_cross_check(window: int):
+    """cross-check's Report, as mhv verify runs it."""
+    return run_suite(RunConfig(window=window, checks=("cross-check",)))[0]
 
 
 class TestClosedForms:
@@ -165,7 +171,7 @@ class TestBridge:
     def test_pair_memo_keeps_the_random_draw_order(self, monkeypatch):
         # a pair is expanded on first use, as when each call expanded its
         # own pairs, so the random tables draw the same values
-        expected = cross_check(2).to_json()
+        expected = run_cross_check(2).to_json()
         derived = coeffs.derived_counterparts
 
         def unmemoized(fns, m, n, k):
@@ -173,7 +179,7 @@ class TestBridge:
             return derived(fns, m, n, k)
 
         monkeypatch.setattr(coeffs, "derived_counterparts", unmemoized)
-        assert cross_check(2).to_json() == expected
+        assert run_cross_check(2).to_json() == expected
 
     def test_agreement_except_star12(self):
         for fns in (FNS, random_fns(1), random_fns(2)):
@@ -217,13 +223,13 @@ class TestBridge:
         shared = FNS.pair_relations.cache_info()
         monkeypatch.setattr(coeffs, "_CLOSED_FORM", coeffs._closed_form(EPS))
         monkeypatch.setattr(coeffs, "compat_residuals", perturbed)
-        report = cross_check(1)
+        report = run_cross_check(1)
         assert not report.passed
         assert "cross.star.1" in {f.equation_id for f in report.failures}
         assert FNS.pair_relations.cache_info() == shared
 
     def test_cross_check_report(self):
-        report = cross_check(2)
+        report = run_cross_check(2)
         assert report.passed
         docs = {e["id"]: e for e in report.extra["documented_discrepancies"]}
         assert set(docs) == {"star.10", "star.12", "ast.4"}
@@ -243,7 +249,7 @@ class TestBridge:
 
     def test_logged_star12_witnesses_are_the_first_of_every_disagreement(
             self):
-        # the uncapped sweep over the random tables, in cross_check's
+        # the uncapped sweep over the random tables, in cross-check's
         # order; each table is fresh, so it draws its values alike
         w = coeffs.SAMPLE_WINDOW
         every = []
@@ -264,7 +270,7 @@ class TestBridge:
                                 "derived": d_value.render()})
         assert len(every) > coeffs.LOGGED_WITNESSES
         docs = {e["id"]: e for e in
-                cross_check(3).extra["documented_discrepancies"]}
+                run_cross_check(3).extra["documented_discrepancies"]}
         assert docs["star.12"]["witnesses"] \
             == every[:coeffs.LOGGED_WITNESSES]
 

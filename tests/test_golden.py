@@ -31,8 +31,7 @@ import pytest
 from mhv import biderivations
 from mhv.algebra import Element, d, scalar_table, tag_table
 from mhv.biderivations import (BiderParams, LinearMap, check_commuting,
-                               check_family, check_lsa_biderivation,
-                               check_post_lie)
+                               check_lsa_biderivation, check_post_lie)
 from mhv.cli import main
 from mhv.lsa import EpsMode
 from mhv.scalars import ONE
@@ -110,12 +109,11 @@ def test_failing_family_report_is_golden(monkeypatch):
     monkeypatch.setattr(
         biderivations, "family_parts",
         lambda params, mode: parts_of(params, mode) + [(ONE, part)])
-    report = check_family(1).to_json()
-    assert report + "\n" == golden("bider-family-dd-d-w1.json")
-    for workers in (1, 3):
-        family, = run_suite(RunConfig(window=1, checks=("bider-family",)),
-                            workers=workers)
-        assert family.to_json() == report
+    config = RunConfig(window=1, checks=("bider-family",))
+    for workers in ("1", "3"):
+        monkeypatch.setenv("MHV_WORKERS", workers)
+        family, = run_suite(config)
+        assert family.to_json() + "\n" == golden("bider-family-dd-d-w1.json")
 
 
 def test_gate_passes():

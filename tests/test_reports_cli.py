@@ -32,6 +32,13 @@ from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
 RATIO = Scalar((1, 1), (1, 3))
 
 
+def run_with(workers: int, config: RunConfig) -> list:
+    """run_suite(config) with MHV_WORKERS set to workers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MHV_WORKERS", str(workers))
+        return run_suite(config)
+
+
 class TestReports:
     def test_schema_fields(self):
         r = Report("demo", 3, "symbolic", 10,
@@ -193,7 +200,7 @@ NUMERIC_MUTANTS = {
 @pytest.fixture(scope="module")
 def symbolic_w2():
     """The symbolic reports of every check at window 2."""
-    return run_suite(RunConfig(window=2), workers=1)
+    return run_with(1, RunConfig(window=2))
 
 
 class TestSuite:
@@ -212,7 +219,7 @@ class TestSuite:
         with pytest.raises(ValueError):
             RunConfig(window=1, checks=checks)
 
-    @pytest.mark.parametrize("window", [0, True, 2.0, "2"])
+    @pytest.mark.parametrize("window", [0, -1, True, 2.0, "2"])
     def test_window_that_is_not_an_int_of_at_least_1_rejected(self, window):
         with pytest.raises(ValueError, match="window must be at least 1"):
             RunConfig(window=window, checks=("antisym",))
@@ -228,13 +235,13 @@ class TestSuite:
                          product_table(SYMBOLIC))))
         eps = Fraction(2, 5)
         config = RunConfig(window=2, checks=("lsa-identity",))
-        symbolic = run_suite(config, workers=1)
+        symbolic = run_with(1, config)
         evaluated = [r.evaluated_at(eps) for r in symbolic]
         assert any(f.value is not None for f in symbolic[0].failures)
         assert not any("e" in f.residual for f in evaluated[0].failures)
         for workers in (1, 2, 3):
-            assert reports_to_json([r.evaluated_at(eps) for r in run_suite(
-                config, workers=workers)]) == reports_to_json(evaluated)
+            assert reports_to_json([r.evaluated_at(eps) for r in run_with(
+                workers, config)]) == reports_to_json(evaluated)
 
     def test_numeric_run_is_evaluated_symbolic(self):
         sym = run_suite(RunConfig(window=2))
@@ -260,8 +267,7 @@ class TestSuite:
                             products.append(eps) or numeric(u, v, eps))
         monkeypatch.setattr(coeffs, "_closed_form",
                             lambda e: forms.append(e) or closed(e))
-        reports = run_suite(RunConfig(window=2, eps=EpsMode.numeric(eps)),
-                            workers=1)
+        reports = run_with(1, RunConfig(window=2, eps=EpsMode.numeric(eps)))
         assert reports_to_json(reports) == reports_to_json(
             [r.evaluated_at(eps) for r in symbolic_w2])
         assert set(products) == ({eps} if over_q else set())
@@ -292,8 +298,8 @@ class TestSuite:
         exec(source.replace(old, new), namespace)
         monkeypatch.setattr(lsa, "_basis_product_numeric",
                             namespace["_basis_product_numeric"])
-        reports = run_suite(RunConfig(
-            window=2, eps=EpsMode.numeric(Fraction(2, 5))), workers=1)
+        reports = run_with(1, RunConfig(
+            window=2, eps=EpsMode.numeric(Fraction(2, 5))))
         assert {r.check for r in reports if not r.passed} == failing
 
     @pytest.mark.parametrize("eps", [Fraction(2, 5), None, "2/5"])
@@ -320,8 +326,8 @@ class TestSuite:
         # process, symbolic and at a rational e
         for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
             cfg = RunConfig(window=2, eps=eps)
-            serial = reports_to_json(run_suite(cfg, workers=1))
-            parallel = reports_to_json(run_suite(cfg, workers=3))
+            serial = reports_to_json(run_with(1, cfg))
+            parallel = reports_to_json(run_with(3, cfg))
             assert serial == parallel
 
     def test_workers_do_not_change_random_table_residuals(self,
@@ -331,10 +337,10 @@ class TestSuite:
         # table split across processes (each drawing its own values) would
         monkeypatch.setattr("mhv.coeffs.RUNTIME_DISCREPANCIES", ())
         cfg = RunConfig(window=2, checks=("cross-check",))
-        serial = run_suite(cfg, workers=1)
+        serial = run_with(1, cfg)
         assert not serial[0].passed
         assert reports_to_json(serial) \
-            == reports_to_json(run_suite(cfg, workers=3))
+            == reports_to_json(run_with(3, cfg))
 
     def test_run_chunks_keeps_chunk_order_without_pickling_chunks(self):
         # closures over local state cannot be pickled; forked workers
@@ -412,8 +418,7 @@ class TestSuite:
         assert run_chunks([lambda i=i: i for i in range(9)], 3) \
             == list(range(9))
         assert_no_child_processes()
-        run_suite(RunConfig(window=1, checks=("jacobi", "bider-family")),
-                  workers=2)
+        run_with(2, RunConfig(window=1, checks=("jacobi", "bider-family")))
         assert_no_child_processes()
         caller = os.getpid()
 
@@ -469,11 +474,11 @@ class TestSuite:
             return fork()
 
         monkeypatch.setattr(suite.os, "fork", counted)
-        reports = run_suite(RunConfig(window=1), workers=workers)
+        reports = run_with(workers, RunConfig(window=1))
         assert len(forked) == forks
         assert [r.check for r in reports] == list(CHECK_ORDER)
         assert reports_to_json(reports) \
-            == reports_to_json(run_suite(RunConfig(window=1), workers=1))
+            == reports_to_json(run_with(1, RunConfig(window=1)))
 
     def test_the_calling_process_runs_every_nth_chunk(self):
         # process k of 3 runs chunks k, k + 3, ...; this process is k = 0
@@ -487,10 +492,10 @@ class TestSuite:
         # jacobi sweeps the int form of the bracket
         code = ("from mhv import algebra\n"
                 "from mhv.suite import RunConfig, run_suite\n"
-                "run_suite(RunConfig(window=2, checks=('jacobi',)), "
-                "workers=2)\n"
+                "run_suite(RunConfig(window=2, checks=('jacobi',)))\n"
                 "print(algebra._int_bracket.cache_info().currsize)\n")
         proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, MHV_WORKERS="2"),
                               capture_output=True, text=True, timeout=60,
                               check=True)
         assert int(proc.stdout) > 0
@@ -555,9 +560,9 @@ class TestSuite:
         firsts = []
         parts = []
 
-        def record(f, mul, x, basis, project=False):
+        def record(f, mul, x, basis):
             firsts[-1].add(x)
-            return residuals(f, mul, x, basis, project)
+            return residuals(f, mul, x, basis)
 
         monkeypatch.setattr(biderivations, "derivation_residuals", record)
         chunks, finish = family_plan(2)
@@ -581,9 +586,8 @@ class TestSuite:
         from mhv.biderivations import LinearMap, commuting_residuals
         from mhv.reports import collect, pooled, prefixed
         cfg = RunConfig(window=2, checks=("commuting",))
-        assert {reports_to_json(run_suite(cfg, workers=k))
-                for k in (1, 2, 3)} \
-            == {reports_to_json(run_suite(cfg, workers=1))}
+        assert {reports_to_json(run_with(k, cfg)) for k in (1, 2, 3)} \
+            == {reports_to_json(run_with(1, cfg))}
         maps = [LinearMap.from_table({d(m): Element.of((m, d(m)))
                                       for m in range(-2, 3)}, "m*d(m)"),
                 LinearMap.from_table({h(m): Element.basis(h(m))
@@ -595,7 +599,7 @@ class TestSuite:
             for phi in maps])
         assert not expected.passed
         for workers in (1, 2, 3):
-            report, = run_suite(cfg, workers=workers)
+            report, = run_with(workers, cfg)
             assert report.to_json() == expected.to_json(), workers
 
     def test_an_inhomogeneous_bracket_fails_grading(self, monkeypatch):
@@ -629,26 +633,18 @@ class TestSuite:
                                            "no solution")]
         assert report.total_cases == 0
 
-    @pytest.mark.parametrize("workers", ["-3", "0", "x"])
+    @pytest.mark.parametrize("workers", ["-3", "0", "x", "2.0", "True", ""])
     def test_worker_count_below_one_is_a_usage_error(self, monkeypatch,
                                                       capsys, workers):
-        monkeypatch.setenv("MHV_WORKERS", workers)
-        assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
-        out = capsys.readouterr()
-        assert out.out == "" and "MHV_WORKERS" in out.err
-
-    @pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"],
-                             ids=repr)
-    def test_a_worker_argument_that_is_not_a_count_is_refused(
-            self, monkeypatch, workers):
+        # refused before any fork
         def no_fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        with pytest.raises(ValueError, match="MHV_WORKERS must be an "
-                           "integer of at least 1, got "
-                           + re.escape(repr(workers))):
-            run_suite(RunConfig(window=1), workers=workers)
+        monkeypatch.setenv("MHV_WORKERS", workers)
+        assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "MHV_WORKERS" in out.err
 
     def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
                                                           capsys):
