@@ -34,9 +34,9 @@ in config.checks order, through run_chunks, then finishes each check.
 MHV_WORKERS=N, read by run_suite alone, an integer of at least 1
 (default 1; any other value is refused), caps process parallelism:
 this process and N-1 children, forked once per run, share the list by
-index, each taking every N-th chunk.  A plan builder's own
-work (the closed form, a product table, bider-family's central cases)
-runs here, before the fork.  The chunks of each check are
+index, each taking every N-th chunk.  A plan builder's own work (the
+closed form, a product table, bider-family's central cases) runs here,
+before the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)

@@ -644,7 +644,8 @@ class TestSuite:
         monkeypatch.setenv("MHV_WORKERS", workers)
         assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "MHV_WORKERS" in out.err
+        assert out.out == "" and "MHV_WORKERS must be an integer of at " \
+            f"least 1, got {workers!r}" in out.err
 
     def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
                                                           capsys):
