@@ -60,7 +60,8 @@ from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
                       accumulate_right, d, h, tag_table, window_indices)
 from .linalg import solve_unique
 from .reports import Failure, Report
-from .scalars import EPS, MINUS_ONE, ONE, ZERO, PoleError, Scalar, sc
+from .scalars import (EPS, MINUS_ONE, ONE, ZERO, Scalar, nonzero_eps,
+                      pole_error, sc)
 
 
 @dataclass(frozen=True)
@@ -120,11 +121,11 @@ def _half(n: int) -> Scalar:
 def closed_form_fns(eps: Fraction | None = None) -> CoeffFns:
     """The closed-form solution of both equation systems: the product table
     of the lsa module docstring, with e = eps substituted when eps, a
-    nonzero rational, is given, so that its values are rationals.
-    closed_form_fns() is one shared instance, so every symbolic check
-    fills one product memo; each call with eps makes a new instance, whose
-    memos die with it."""
-    return _CLOSED_FORM if eps is None else _closed_form(sc(eps))
+    nonzero rational (0 raises ZeroEpsilonError), is given, so that its
+    values are rationals.  closed_form_fns() is one shared instance, so
+    every symbolic check fills one product memo; each call with eps makes
+    a new instance, whose memos die with it."""
+    return _CLOSED_FORM if eps is None else _closed_form(sc(nonzero_eps(eps)))
 
 
 def _closed_form(e: Scalar) -> CoeffFns:
@@ -137,8 +138,7 @@ def _closed_form(e: Scalar) -> CoeffFns:
             return sc(-n) if m == 0 else ZERO
         den = ONE + sc(m + n) * e
         if den.is_zero():
-            raise PoleError(f"1+e*({m + n}) = 0 at e = {e}; "
-                            f"offending pairs: d({m})*d({n})")
+            raise pole_error(m + n, e, [(m, n)])
         return sc(-n) * (ONE + sc(n) * e) / den
 
     def g(m: int, n: int) -> Scalar:
@@ -431,14 +431,14 @@ def _compare(fns: CoeffFns, w: int, ms) -> tuple:
     return cases, failures, witnesses
 
 
-def cross_check_plan(window: int, eps: Fraction | None = None) -> tuple:
-    """The plan of cross-check: each transcribed residual against its
-    oracle-derived counterpart, on the closed form (at e = eps if given)
-    over the window, by m, and on each seeded random table over a smaller
-    window, whole, since it draws each key on first use.  Disagreement
-    except the documented star.12 fails; of star.12's, the report logs
-    the first LOGGED_WITNESSES."""
-    closed = closed_form_fns(eps)
+def cross_check_plan(window: int, eps) -> tuple:
+    """The plan of cross-check under the e-mode eps, an lsa.EpsMode: each
+    transcribed residual against its oracle-derived counterpart, on the
+    closed form of eps over the window, by m, and on each seeded random
+    table over a smaller window, whole, since it draws each key on first
+    use.  Disagreement except the documented star.12 fails; of star.12's,
+    the report logs the first LOGGED_WITNESSES."""
+    closed = closed_form_fns(eps.eps)
     chunks = [partial(_compare, closed, window, (m,))
               for m in window_indices(window)]
     chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,

@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 
 from .algebra import C, Element, L, bilinear, d, h
 from .coeffs import closed_form_fns
-from .scalars import PoleError, exact
+from .scalars import exact, pole_error
 
 
 class AdmissibilityError(ValueError):
@@ -78,22 +78,22 @@ class EpsMode:
             return None
         return -int(inv)
 
-    def ensure_admissible(self, window: int) -> None:
-        """Window-level guard: reject e whose pole degree falls in the window."""
+    def computed_in(self, window: int) -> "EpsMode":
+        """The mode a run at window computes in: AdmissibilityError if the
+        pole degree s, 1 + e*s = 0, lies in the window; SYMBOLIC, the
+        reports then evaluated at e, if |s| <= 3*window, the deepest a
+        triple product of window basis vectors reaches; else this mode."""
         s = self.pole_sum()
-        if s is not None and -window <= s <= window:
+        if s is None or abs(s) > 3 * window:
+            return self
+        if abs(s) <= window:
             raise AdmissibilityError(
                 f"e = {self.eps} is not admissible at window {window}: "
                 f"1+e*({s}) = 0 and {s} lies in [-{window}, {window}]")
+        return SYMBOLIC
 
     def describe(self) -> str:
         return "symbolic" if self.eps is None else f"eps={self.eps}"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EpsMode) and self.eps == other.eps
-
-    def __hash__(self) -> int:
-        return hash(self.eps)
 
     def __repr__(self) -> str:
         return f"EpsMode({self.describe()})"
@@ -124,8 +124,7 @@ def _basis_product_numeric(u, v, eps: Fraction) -> Element:
         else:
             den = 1 + eps * (m + n)
             if den == 0:
-                raise PoleError(f"1+e*({m + n}) = 0 at e = {eps}; "
-                                f"offending pairs: d({m})*d({n})")
+                raise pole_error(m + n, eps, [(m, n)])
             f_value = Fraction(-n) * (1 + eps * n) / den
         if f_value != 0:
             pairs.append((f_value, d(m + n)))
@@ -155,9 +154,7 @@ def _scan_poles(x: Element, y: Element, eps: EpsMode) -> None:
     offenders = sorted((m, n) for m in left for n in right
                        if m + n == pole_sum and m != 0 and n != 0)
     if offenders:
-        pairs = ", ".join(f"d({m})*d({n})" for m, n in offenders)
-        raise PoleError(
-            f"1+e*({pole_sum}) = 0 at e = {eps.eps}; offending pairs: {pairs}")
+        raise pole_error(pole_sum, eps.eps, offenders)
 
 
 def product_table(eps: EpsMode):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import partial
 
 from .algebra import Element
-from .scalars import Scalar, ZeroEpsilonError, exact
+from .scalars import Scalar, nonzero_eps
 
 SCHEMA_VERSION = 1
 
@@ -107,9 +107,7 @@ class Report:
         and the e-mode relabeled; a report computed over Q keeps no value,
         so it is only relabeled.  eps, as a Fraction, is checked before
         any failure: a float or bool raises TypeError, 0 ZeroEpsilonError."""
-        eps = exact(eps)
-        if eps == 0:
-            raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
+        eps = nonzero_eps(eps)
         evaluated = [f if f.value is None else
                      Failure(f.inputs, f.equation_id,
                              str(f.value.eval_at(eps)))

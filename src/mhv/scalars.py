@@ -31,16 +31,17 @@ gcd = pgcd, exact quotients and division by the integer content last:
 pgcd is the primitive pseudo-remainder sequence over Z[e] (Brown, J. ACM
 18(4), 1971).  A linear remainder b0 + b1*e, b1 > 0, ends it: it divides
 a of degree n exactly when b1^n a(-b0/b1), the integer sum of
-a_i (-b0)^i b1^(n-i), is 0.  A Scalar's hash is computed on first use;
-it is false exactly when it is zero, so `not c` tests an int or a Scalar.
+a_i (-b0)^i b1^(n-i), is 0.  A Scalar is false exactly when it is zero,
+so `not c` tests an int or a Scalar.
 
 Polynomials are coefficient tuples of int, lowest degree first, with no
 trailing zeros; () is the zero polynomial.  Fractions (exact, arbitrary
 precision) enter and leave only at the boundary: Scalar(num, den) also
-accepts Fraction coefficients and clears their denominators,
-from_rational and as_rational convert single rationals, and eval_at
-returns one Fraction (num and den times q^degree at e = p/q, by integer
-Horner).  render writes num over Q above the primitive den from ints.
+accepts Fraction coefficients, clears their denominators and divides the
+two polynomials with the field's own division, from_rational and
+as_rational convert single rationals, and eval_at returns one Fraction
+(num and den times q^degree at e = p/q, by integer Horner).  render
+writes num over Q above the primitive den from ints.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ class PoleError(ScalarError):
 
 class ZeroEpsilonError(ScalarError):
     """Evaluation at e = 0, which is outside the admissible parameter range."""
+
+
+def pole_error(s: int, eps, pairs) -> PoleError:
+    """The PoleError of the product pairs d(m)*d(n), (m, n) in pairs, whose
+    denominator 1+e*(s), s = m + n, vanishes at e = eps."""
+    return PoleError(f"1+e*({s}) = 0 at e = {eps}; offending pairs: "
+                     + ", ".join(f"d({m})*d({n})" for m, n in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +221,14 @@ class Scalar:
     """An element of Q(e) in canonical form.  Immutable and hashable.
 
     Scalar(num, den) takes coefficient sequences of int or Fraction, den
-    nonzero, and stores the canonical form of num/den."""
+    nonzero, and stores num/den, the quotient of two polynomial Scalars."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num, den = _integral(ptrim(num), ptrim(den))
-        if not den:
-            raise ScalarDivisionError("zero denominator")
-        self.num, self.den = _canonicalize(num, den)
-        self._hash = None
+        num, den = _integral(num, den)
+        value = _make(ptrim(num), PONE) / _make(ptrim(den), PONE)
+        self.num, self.den = value.num, value.den
 
     # -- constructors -------------------------------------------------------
 
@@ -306,9 +312,7 @@ class Scalar:
     def eval_at(self, eps_value: RationalLike) -> Fraction:
         """Exact value at e = eps_value; eps_value must be a nonzero rational,
         not a float or a bool, that is not a root of the denominator."""
-        x = exact(eps_value)
-        if x == 0:
-            raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
+        x = nonzero_eps(eps_value)
         p, q = x.numerator, x.denominator
         degree = max(len(self.num), len(self.den)) - 1
         den = _scaled_value(self.den, p, q, degree)
@@ -323,10 +327,7 @@ class Scalar:
             and self.den == other.den
 
     def __hash__(self) -> int:
-        # computed on first use: most scalars are never hashed
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     def render(self) -> str:
         """num over Q above the primitive den: both are divided by the
@@ -349,7 +350,6 @@ def _make(num: tuple, den: tuple) -> Scalar:
     self = _new(Scalar)
     self.num = num
     self.den = den
-    self._hash = None
     return self
 
 
@@ -359,10 +359,11 @@ def ratio(n: int, d: int) -> Scalar:
     return ONE if n == d else _make((n // g,), (d // g,)) if n else ZERO
 
 
-def _integral(num: tuple, den: tuple) -> tuple:
-    """num and den, of int or Fraction coefficients (a float raises
-    TypeError), times the lcm of their coefficients' denominators."""
-    m = _int_lcm(*(exact(c).denominator for c in num + den))
+def _integral(num, den) -> tuple:
+    """num and den, of int or Fraction coefficients (a float or a bool
+    raises TypeError), times the lcm of their coefficients' denominators."""
+    num, den = [exact(c) for c in num], [exact(c) for c in den]
+    m = _int_lcm(*(c.denominator for c in num + den))
     return (tuple(c.numerator * (m // c.denominator) for c in num),
             tuple(c.numerator * (m // c.denominator) for c in den))
 
@@ -377,13 +378,6 @@ def _reduced(num: tuple, den: tuple) -> tuple:
     if g == 1:
         return num, den
     return tuple(c // g for c in num), tuple(c // g for c in den)
-
-
-def _canonicalize(num: tuple, den: tuple) -> tuple:
-    """The canonical form of num/den for integer polynomials, den nonzero."""
-    if not num:
-        return PZERO, PONE
-    return _reduced(*_quotients(num, den, pgcd(num, den)))
 
 
 def _quotients(a: tuple, b: tuple, g: tuple) -> tuple:
@@ -420,6 +414,15 @@ def exact(r) -> Fraction:
         raise TypeError(
             f"a rational must be exact, not the {type(r).__name__} {r!r}")
     return Fraction(r)
+
+
+def nonzero_eps(eps) -> Fraction:
+    """eps as a Fraction; a float or a bool raises TypeError, and 0, outside
+    the admissible range of e, ZeroEpsilonError."""
+    eps = exact(eps)
+    if eps == 0:
+        raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
+    return eps
 
 
 def sc(value: RationalLike) -> Scalar:

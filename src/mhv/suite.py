@@ -3,21 +3,21 @@
 run_suite executes a selection of named checks at a common window and
 e-mode and returns one Report per check.  The JSON reports promise that
 a numeric report is the symbolic report evaluated at the fixed rational
-e.  The window-level admissibility guard refuses a numeric e whose pole
-degree -1/e lies inside the window itself, where the product table would
-be undefined on the window's own output degrees.
+e.  EpsMode.computed_in refuses a numeric e whose pole degree -1/e lies
+inside the window itself, where the product table would be undefined on
+the window's own output degrees, and routes the run.
 
 A numeric run computes its e-dependent checks over Q when no product it
 takes can reach the pole, that is when 1 + e*s vanishes at no index sum
-|s| <= 3*window (_computed_in): lsa-identity, compatibility and
-lsa-bider-grid sweep the plain-Fraction product of the lsa module, an
-independent declaration of the table, and star, ast and cross-check the
-closed form at e.  Every other numeric run, and every e-free check,
-computes symbolically.  Either way each report is then evaluated at e,
-which for a report computed over Q only relabels its e-mode.  A passing
-report is the same by either route; a failing one computed over Q may
-differ, where a residual vanishes at e or a free-text failure (a
-cross-check mismatch) renders its values.
+|s| <= 3*window: lsa-identity, compatibility and lsa-bider-grid sweep
+the plain-Fraction product of the lsa module, an independent declaration
+of the table, and star, ast and cross-check the closed form at e.  Every
+other numeric run, and every e-free check, computes symbolically.
+Either way each report is then evaluated at e, which for a report
+computed over Q only relabels its e-mode.  A passing report is the same
+by either route; a failing one computed over Q may differ, where a
+residual vanishes at e or a free-text failure (a cross-check mismatch)
+renders its values.
 
 The check registry CHECKS maps each check name, in canonical order, to
 its plan builder, plan(window, eps) -> (chunks, finish), where eps is
@@ -339,7 +339,7 @@ CHECKS = {
     "lsa-bider-grid": lsa_bider_plan,
     "star": _equation_sweep("star", star_residuals),
     "ast": _equation_sweep("ast", ast_residuals),
-    "cross-check": lambda window, eps: cross_check_plan(window, eps.eps),
+    "cross-check": cross_check_plan,
     "solve-theta": _e_free(_one_chunk(_check_solve_theta)),
 }
 
@@ -356,6 +356,9 @@ class RunConfig:
         window_indices(self.window)  # refuses a non-int window or one below 1
         if not isinstance(self.eps, EpsMode):
             raise TypeError(f"eps must be an EpsMode, got {self.eps!r}")
+        if isinstance(self.checks, str):
+            raise TypeError("checks must be a sequence of check names, not "
+                            f"the string {self.checks!r}")
         if not self.checks:
             raise ValueError("no checks selected")
         unknown = [c for c in self.checks if c not in CHECK_ORDER]
@@ -363,15 +366,6 @@ class RunConfig:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         if len(set(self.checks)) < len(self.checks):
             raise ValueError(f"repeated checks: {', '.join(self.checks)}")
-
-
-def _computed_in(eps: EpsMode, window: int) -> EpsMode:
-    """The e-mode in which a run at eps and window computes its checks:
-    eps itself, over Q, unless 1 + e*s = 0 at an index sum s with |s| <=
-    3*window, the deepest a triple product of window basis vectors
-    reaches; then SYMBOLIC, and the reports are evaluated at e."""
-    s = eps.pole_sum()
-    return eps if s is None or abs(s) > 3 * window else SYMBOLIC
 
 
 def run_suite(config: RunConfig) -> list:
@@ -385,10 +379,7 @@ def run_suite(config: RunConfig) -> list:
     if workers < 1:
         raise ValueError(
             f"MHV_WORKERS must be an integer of at least 1, got {given!r}")
-    if not config.eps.is_symbolic:
-        config.eps.ensure_admissible(config.window)
-
-    mode = _computed_in(config.eps, config.window)
+    mode = config.eps.computed_in(config.window)
     plans = [CHECKS[name](config.window, mode) for name in config.checks]
     results = iter(run_chunks([c for chunks, _ in plans for c in chunks],
                               workers))

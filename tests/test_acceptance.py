@@ -212,7 +212,7 @@ def test_criterion_10_numeric_symbolic_coherence():
         assert all(r.passed for r in symbolic)
         for eps in (Fraction(1, 7), Fraction(2, 5), Fraction(-3, 4)):
             mode = EpsMode.numeric(eps)
-            mode.ensure_admissible(4)
+            mode.computed_in(4)
             numeric = run_suite(RunConfig(window=4, eps=mode))
             evaluated = [r.evaluated_at(eps) for r in symbolic]
             assert reports_to_json(evaluated) == reports_to_json(numeric), \

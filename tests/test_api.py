@@ -49,6 +49,8 @@ RATIONAL_ENTRIES = {
                    Fraction(1, 2)),
     "Scalar num": (lambda c: mhv.Scalar((c,), (1,)), 0.5, Fraction(1, 2)),
     "Scalar den": (lambda c: mhv.Scalar((1,), (c,)), 0.5, Fraction(1, 2)),
+    "Scalar top coefficient": (lambda c: mhv.Scalar((1, c), (1,)), 0.5,
+                               Fraction(1, 2)),
     "Scalar.eval_at": ((mhv.ONE + mhv.EPS).eval_at, 0.4, Fraction(2, 5)),
     "Element.eval_at": (mhv.Element.of((mhv.ONE + mhv.EPS, mhv.d(1))).eval_at,
                         0.4, Fraction(2, 5)),
@@ -57,24 +59,24 @@ RATIONAL_ENTRIES = {
         Fraction(2, 5)),
 }
 
-# the entry points that refuse a bool too, which would run at e = 1 or be
-# taken as the rational 1; a coefficient sequence of Scalar(num, den) is
-# trimmed of zeros first, so it keeps a False
-BOOL_ENTRIES = tuple(entry for entry in RATIONAL_ENTRIES
-                     if entry not in ("Scalar num", "Scalar den"))
-
-
 @pytest.mark.parametrize("entry", RATIONAL_ENTRIES)
 def test_a_float_is_refused(entry):
     # a float would be taken at its binary value: sc(0.1) was
-    # 3602879701896397/36028797018963968
+    # 3602879701896397/36028797018963968; a bool would run at e = 1 or be
+    # taken as the rational 1, a False coefficient even where a trailing
+    # zero is trimmed
     lift, inexact, exact = RATIONAL_ENTRIES[entry]
     with pytest.raises(TypeError, match="float"):
         lift(inexact)
-    for flag in (True, False) if entry in BOOL_ENTRIES else ():
+    for flag in (True, False):
         with pytest.raises(TypeError, match="bool"):
             lift(flag)
     lift(exact)
+
+
+def test_checks_that_are_a_string_are_refused():
+    with pytest.raises(TypeError, match="'jacobi'"):
+        mhv.RunConfig(window=2, checks="jacobi")
 
 
 @pytest.mark.parametrize("flag", [True, False])

@@ -15,7 +15,8 @@ from mhv.coeffs import (ast4_swapped_form, ast_residuals,
                         closed_form_fns, theta_equations, zero_fns)
 from mhv.linalg import UnderdeterminedSystemError, solve_unique
 from mhv.lsa import _basis_product_numeric
-from mhv.scalars import EPS, EPS_INV, ONE, ZERO, PoleError, sc
+from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError,
+                         ZeroEpsilonError, sc)
 from mhv.suite import RunConfig, run_suite
 
 FNS = closed_form_fns()
@@ -85,6 +86,10 @@ class TestClosedForms:
                     assert at.f(m, n) == sc(expected), (m, n)
         assert poles == [(m, -6 - m) for m in range(-5, 0)]
         assert (at.f(0, -6), at.f(-6, 0)) == (sc(6), ZERO)
+
+    def test_closed_form_at_zero_is_refused(self):
+        with pytest.raises(ZeroEpsilonError):
+            closed_form_fns(0)
 
     def test_one_symbolic_closed_form(self):
         # the symbolic product and every symbolic check share one instance;

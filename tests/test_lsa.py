@@ -127,9 +127,21 @@ class TestNumericMode:
 
     def test_window_admissibility(self):
         with pytest.raises(AdmissibilityError):
-            EpsMode.numeric(Fraction(-1, 2)).ensure_admissible(3)
-        EpsMode.numeric(Fraction(1, 7)).ensure_admissible(4)
-        EpsMode.numeric(Fraction(2, 5)).ensure_admissible(12)
+            EpsMode.numeric(Fraction(-1, 2)).computed_in(3)
+        EpsMode.numeric(Fraction(1, 7)).computed_in(4)
+        EpsMode.numeric(Fraction(2, 5)).computed_in(12)
+
+    def test_computed_in_routes_by_the_pole_degree(self):
+        # 1+e*(-7) = 0 at e = 1/7: inside window 7 it is refused, in
+        # (w, 3w] a triple product reaches it, beyond 3w none does
+        mode = EpsMode.numeric(Fraction(1, 7))
+        for window in (7, 10):
+            with pytest.raises(AdmissibilityError, match=r"1\+e\*\(-7\)"):
+                mode.computed_in(window)
+        for window in (3, 4, 6):
+            assert mode.computed_in(window) is SYMBOLIC
+        assert mode.computed_in(2) is mode
+        assert SYMBOLIC.computed_in(5) is SYMBOLIC
 
     def test_identity_residuals_evaluate_cleanly(self):
         # residuals are identically zero, so numeric verification via

@@ -425,14 +425,13 @@ class TestMake:
 
     def test_pickles_through_a_forked_worker(self):
         def chunk():
-            fresh = (ONE + EPS) / sc(3)  # its hash never taken
+            fresh = (ONE + EPS) / sc(3)
             hashed = sc(Fraction(2, 7)) * EPS
             hash(hashed)
             residual = Element.of((fresh, d(0)), (Fraction(1, 2), h(1)))
             return fresh, hashed, residual_failure("(x)", "probe", residual)
 
         here = chunk()
-        assert here[0]._hash is None
         for fresh, hashed, failure in run_chunks([chunk, chunk], 2):
             assert (fresh.num, fresh.den) == (here[0].num, here[0].den)
             assert hash(fresh) == hash(here[0])

@@ -29,8 +29,8 @@ from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                _lsa_bider_residuals, _post_lie_residuals,
                                check_lsa_biderivation, commuting_residuals,
                                derivation_residuals, family_table)
-from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, commutator_defect,
-                        random_fns)
+from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, closed_form_fns,
+                        commutator_defect, random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
@@ -257,6 +257,10 @@ class TestLsaBiderivation:
             with pytest.raises(PoleError) as info:
                 table(d(-4), d(-3))
             assert str(info.value) == str(expected.value)
+        # so does the closed form at e, which builds the same message
+        with pytest.raises(PoleError) as info:
+            closed_form_fns(eps.eps).f(-4, -3)
+        assert str(info.value) == str(expected.value)
         # a pair off the pole, and one with a zero index, are values
         assert table(d(-3), d(-3)) == lsa_product(E(d(-3)), E(d(-3)), eps)
         assert table(d(0), d(-7)) == lsa_product(E(d(0)), E(d(-7)), eps)
