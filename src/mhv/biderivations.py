@@ -52,9 +52,10 @@ which its rows certify the rank.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member.
-post_lie_plan and lsa_bider_plan sweep them over a parameter grid, one
-chunk per point, which stops at its first nonzero residual; only the
-zero point's, the one witness a grid reports, becomes a Failure.
+grid_plan sweeps their residuals (post_lie_residuals, lsa_bider_residuals)
+over a parameter grid, one chunk per point, which stops at its first
+nonzero residual; only the zero point's, the one witness a grid reports,
+becomes a Failure.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 # commutative post-Lie structures
 # ---------------------------------------------------------------------------
 
-def _post_lie_residuals(params: BiderParams, window: int):
+def post_lie_residuals(params: BiderParams, window: int):
     """Yields (inputs, equation_id, residual) for the three axioms."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
@@ -385,14 +386,14 @@ def _post_lie_residuals(params: BiderParams, window: int):
 def check_post_lie(params: BiderParams, window: int) -> Report:
     """All three commutative post-Lie axioms for x*y := f_params(x, y)."""
     return collect(f"postlie[{params.describe()}]", window, "symbolic",
-                   _post_lie_residuals(params, window))
+                   post_lie_residuals(params, window))
 
 
 # ---------------------------------------------------------------------------
 # biderivations of the left-symmetric algebra
 # ---------------------------------------------------------------------------
 
-def _lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable):
+def lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable):
     """The derivation axioms with respect to the left-symmetric product,
     given as its product_table mul.  A pole raises lsa_product's
     PoleError: no value of f or mul has two d terms."""
@@ -404,7 +405,7 @@ def check_lsa_biderivation(params: BiderParams, window: int,
     """Derivation axioms of f_params with respect to the left-symmetric
     product, on all window basis triples."""
     return collect(f"lsabider[{params.describe()}]", window, eps.describe(),
-                   _lsa_bider_residuals(params, window, product_table(eps)))
+                   lsa_bider_residuals(params, window, product_table(eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +440,7 @@ def _first_failure(residual_source, params: BiderParams) -> tuple | None:
                  if not case[2].is_zero()), None)
 
 
-def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
+def grid_plan(check_name: str, window: int, residual_source) -> tuple:
     """Plan the grid, one chunk per point; pass iff the passing set is
     exactly the zero point.
 
@@ -470,22 +471,6 @@ def _grid_plan(check_name: str, window: int, residual_source) -> tuple:
 
     return ([partial(_first_failure, residual_source, params)
              for params in points], finish)
-
-
-def post_lie_plan(window: int) -> tuple:
-    """The plan of postlie-grid: exactly one grid point (the zero product)
-    may satisfy all post-Lie axioms, the triviality statement."""
-    return _grid_plan("postlie-grid", window,
-                      partial(_post_lie_residuals, window=window))
-
-
-def lsa_bider_plan(window: int, eps: EpsMode = SYMBOLIC) -> tuple:
-    """The plan of lsa-bider-grid under the e-mode eps, every grid point
-    on one product table: exactly one grid point (f = 0) may satisfy the
-    left-symmetric biderivation axioms, the final triviality statement."""
-    mul = product_table(eps)
-    return _grid_plan("lsa-bider-grid", window,
-                      partial(_lsa_bider_residuals, window=window, mul=mul))
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,7 @@ from functools import lru_cache, partial
 
 from .algebra import C, Element, L, bilinear, d, h
 from .coeffs import closed_form_fns
-from .scalars import exact, pole_error
-
-
-class AdmissibilityError(ValueError):
-    """A numeric value of e is not admissible for the requested window."""
+from .scalars import AdmissibilityError, nonzero_eps, pole_error
 
 
 class EpsMode:
@@ -55,15 +51,13 @@ class EpsMode:
     __slots__ = ("eps",)
 
     def __init__(self, eps: Fraction | None):
-        if eps is not None:
-            eps = exact(eps)
-            if eps == 0:
-                raise AdmissibilityError("e must be nonzero")
-        self.eps = eps
+        self.eps = None if eps is None else nonzero_eps(eps)
 
     @staticmethod
     def numeric(eps) -> "EpsMode":
-        return EpsMode(exact(eps))
+        if eps is None:
+            raise TypeError("a numeric e must be a rational, not None")
+        return EpsMode(eps)
 
     @property
     def is_symbolic(self) -> bool:

@@ -66,8 +66,12 @@ class PoleError(ScalarError):
     """Evaluation at a point where the denominator vanishes."""
 
 
-class ZeroEpsilonError(ScalarError):
-    """Evaluation at e = 0, which is outside the admissible parameter range."""
+class AdmissibilityError(ValueError):
+    """A numeric value of e is not admissible for the requested window."""
+
+
+class ZeroEpsilonError(ScalarError, AdmissibilityError):
+    """e = 0, which is outside the admissible parameter range."""
 
 
 def pole_error(s: int, eps, pairs) -> PoleError:
@@ -421,7 +425,7 @@ def nonzero_eps(eps) -> Fraction:
     the admissible range of e, ZeroEpsilonError."""
     eps = exact(eps)
     if eps == 0:
-        raise ZeroEpsilonError("evaluation at e = 0 is not admissible")
+        raise ZeroEpsilonError("e = 0 is not admissible")
     return eps
 
 

@@ -19,11 +19,12 @@ by either route; a failing one computed over Q may differ, where a
 residual vanishes at e or a free-text failure (a cross-check mismatch)
 renders its values.
 
-The check registry CHECKS maps each check name, in canonical order, to
-its plan builder, plan(window, eps) -> (chunks, finish), where eps is
-the e-mode the check computes in (a check that does not depend on e
-ignores it) and finish(results) -> Report takes the chunks' results in order;
-CHECK_ORDER is its keys:
+The check registry CHECKS is one flat table from each check name, in
+canonical order, to its plan, plan(window, eps) -> (chunks, finish),
+where eps is the e-mode the check computes in (a check that does not
+depend on e ignores it) and finish(results) -> Report takes the chunks'
+results in order.  Each entry calls its planner directly.  CHECK_ORDER
+is its keys:
 
     jacobi antisym grading lsa-identity compatibility bider-family
     bider-grid commuting postlie-grid lsa-bider-grid star ast
@@ -34,9 +35,9 @@ in config.checks order, through run_chunks, then finishes each check.
 MHV_WORKERS=N, read by run_suite alone, an integer of at least 1
 (default 1; any other value is refused), caps process parallelism:
 this process and N-1 children, forked once per run, share the list by
-index, each taking every N-th chunk.  A plan builder's own work (the
-closed form, a product table, bider-family's central cases) runs here,
-before the fork.  The chunks of each check are
+index, each taking every N-th chunk.  A plan's own work (the closed
+form, a product table, bider-family's central cases) runs here, as the
+plan is made, before the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
@@ -64,8 +65,8 @@ from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
                       accumulate_right, basis_sweep, basis_vectors,
                       grading_degree, scalar_element, window_indices)
 from .biderivations import (LinearMap, check_bider_converse,
-                            commuting_residuals, family_plan, lsa_bider_plan,
-                            post_lie_plan)
+                            commuting_residuals, family_plan, grid_plan,
+                            lsa_bider_residuals, post_lie_residuals)
 from .coeffs import (ast_residuals, associator_defect, closed_form_fns,
                      commutator_defect, cross_check_plan, solve_theta,
                      star_residuals)
@@ -223,32 +224,12 @@ def _grading(x: BasisVector, y: BasisVector) -> Element:
     return value
 
 
-def _sweep(name: str, eq_id: str, arity: int, residual):
-    """The plan builder of a basis sweep, one chunk per first basis
-    vector."""
-    return lambda window: chunked(name, window, [
+def _sweep(name: str, eq_id: str, arity: int, residual, window: int) -> tuple:
+    """The plan of a basis sweep, one chunk per first basis vector."""
+    return chunked(name, window, [
         partial(basis_sweep, window, arity,
                 lambda *xs: [(eq_id, residual(*xs))], slice(i, i + 1))
         for i in range(len(basis_vectors(window, FULL)))])
-
-
-def _product_sweep(name: str, eq_id: str, arity: int, defect):
-    """The plan builder, plan(window, eps), of a basis sweep of
-    defect(mul, *xs), with mul the product table of the e-mode eps, taken
-    once per plan."""
-    return lambda window, eps: _sweep(name, eq_id, arity, partial(
-        defect, product_table(eps)))(window)
-
-
-def _one_chunk(check):
-    """The plan builder of a check, check(window) -> Report, run whole."""
-    return lambda window: ([partial(check, window)], itemgetter(0))
-
-
-def _e_free(plan):
-    """The plan builder, plan(window, eps), of a check that does not
-    depend on e, planned by plan(window)."""
-    return lambda window, eps: plan(window)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +263,19 @@ def _commuting_plan(window: int) -> tuple:
             partial(pooled, "commuting", window))
 
 
-def _equation_sweep(name: str, residuals):
-    """The plan builder of an equation system, residuals(fns, m, n, k) ->
-    [(id, Scalar)], evaluated on the closed form of the run's e-mode over
-    the window cube, one chunk per m; the closed form is taken once, as
-    the plan is made."""
+def _equation_sweep(name: str, residuals, window: int, eps: EpsMode) -> tuple:
+    """The plan of an equation system, residuals(fns, m, n, k) ->
+    [(id, Scalar)], evaluated on the closed form of the e-mode eps over
+    the window cube, one chunk per m."""
+    fns = closed_form_fns(eps.eps)
+    indices = window_indices(window)
 
-    def plan(window: int, eps: EpsMode) -> tuple:
-        fns = closed_form_fns(eps.eps)
-        indices = window_indices(window)
+    def stream(m: int):
+        return (((m, n, k), eq_id, residual)
+                for n in indices for k in indices
+                for eq_id, residual in residuals(fns, m, n, k))
 
-        def stream(m: int):
-            return (((m, n, k), eq_id, residual)
-                    for n in indices for k in indices
-                    for eq_id, residual in residuals(fns, m, n, k))
-
-        return chunked(name, window, [partial(stream, m) for m in indices])
-
-    return plan
+    return chunked(name, window, [partial(stream, m) for m in indices])
 
 
 def _check_solve_theta(window: int) -> Report:
@@ -322,25 +298,33 @@ def _check_solve_theta(window: int) -> Report:
                   failures, extra)
 
 
-# name -> plan(window, eps) -> (chunks, finish), in canonical order; the
-# checks that do not depend on e are planned through _e_free
+# name -> plan(window, eps) -> (chunks, finish), in canonical order.  A
+# grid passes iff its zero point alone satisfies the axioms: the zero
+# product the post-Lie ones, f = 0 the left-symmetric biderivation ones.
 CHECKS = {
-    "jacobi": _e_free(_sweep("jacobi", "jacobi", 3, _jacobi)),
-    "antisym": _e_free(_sweep("antisym", "antisym", 2, _antisym)),
-    "grading": _e_free(_sweep("grading", "grading", 2, _grading)),
-    "lsa-identity": _product_sweep("lsa-identity", "lsa.identity", 3,
-                                   associator_defect),
-    "compatibility": _product_sweep("compatibility", "lsa.compat", 2,
-                                    commutator_defect),
-    "bider-family": _e_free(family_plan),
-    "bider-grid": _e_free(_one_chunk(check_bider_converse)),
-    "commuting": _e_free(_commuting_plan),
-    "postlie-grid": _e_free(post_lie_plan),
-    "lsa-bider-grid": lsa_bider_plan,
-    "star": _equation_sweep("star", star_residuals),
-    "ast": _equation_sweep("ast", ast_residuals),
+    "jacobi": lambda w, eps: _sweep("jacobi", "jacobi", 3, _jacobi, w),
+    "antisym": lambda w, eps: _sweep("antisym", "antisym", 2, _antisym, w),
+    "grading": lambda w, eps: _sweep("grading", "grading", 2, _grading, w),
+    "lsa-identity": lambda w, eps: _sweep(
+        "lsa-identity", "lsa.identity", 3,
+        partial(associator_defect, product_table(eps)), w),
+    "compatibility": lambda w, eps: _sweep(
+        "compatibility", "lsa.compat", 2,
+        partial(commutator_defect, product_table(eps)), w),
+    "bider-family": lambda w, eps: family_plan(w),
+    "bider-grid": lambda w, eps: ([partial(check_bider_converse, w)],
+                                  itemgetter(0)),
+    "commuting": lambda w, eps: _commuting_plan(w),
+    "postlie-grid": lambda w, eps: grid_plan(
+        "postlie-grid", w, partial(post_lie_residuals, window=w)),
+    "lsa-bider-grid": lambda w, eps: grid_plan(
+        "lsa-bider-grid", w, partial(lsa_bider_residuals, window=w,
+                                     mul=product_table(eps))),
+    "star": lambda w, eps: _equation_sweep("star", star_residuals, w, eps),
+    "ast": lambda w, eps: _equation_sweep("ast", ast_residuals, w, eps),
     "cross-check": cross_check_plan,
-    "solve-theta": _e_free(_one_chunk(_check_solve_theta)),
+    "solve-theta": lambda w, eps: ([partial(_check_solve_theta, w)],
+                                   itemgetter(0)),
 }
 
 CHECK_ORDER = tuple(CHECKS)

@@ -21,19 +21,18 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _axiom_cases,
                                _candidate_generators, _central_residuals,
-                               _first_failure, _grid_plan,
-                               _lsa_bider_residuals, bider_eval,
+                               _first_failure, bider_eval,
                                check_bider_converse, check_biderivation,
                                check_commuting, check_lsa_biderivation,
                                check_post_lie, family_parts, family_table,
-                               grid_points, lsa_bider_plan, post_lie_plan,
+                               grid_plan, grid_points, lsa_bider_residuals,
                                upsilon)
 from mhv.linalg import RowReducer
 from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
-from mhv.suite import RunConfig, _commuting_plan, run_chunks, run_suite
+from mhv.suite import CHECKS, RunConfig, run_chunks, run_suite
 from test_sweeps import axiom_oracle
 
 E = Element.basis
@@ -465,10 +464,10 @@ class TestGrids:
     @pytest.mark.parametrize("window", [1, 4])
     def test_each_grid_point_and_commuting_sample_is_one_chunk(self, window):
         points = len(grid_points())
-        assert len(post_lie_plan(window)[0]) == points
+        assert len(CHECKS["postlie-grid"](window, SYMBOLIC)[0]) == points
         for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
-            assert len(lsa_bider_plan(window, eps)[0]) == points
-        assert len(_commuting_plan(window)[0]) == 3
+            assert len(CHECKS["lsa-bider-grid"](window, eps)[0]) == points
+        assert len(CHECKS["commuting"](window, SYMBOLIC)[0]) == 3
 
     def test_post_lie_grid(self):
         report = run_check("postlie-grid", 2)
@@ -497,7 +496,7 @@ class TestGrids:
         assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = run_probe(_grid_plan("probe", 1, lambda params: iter(())))
+        report = run_probe(grid_plan("probe", 1, lambda params: iter(())))
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
@@ -513,7 +512,7 @@ class TestGrids:
                 if params.is_zero():
                     seen.append(bv)
                 yield (bv,), "probe", E(d(0)) if i in (3, 5) else Element()
-        report = run_probe(_grid_plan("probe", 2, source))
+        report = run_probe(grid_plan("probe", 2, source))
         assert seen == basis[:4]
         assert [f for f in report.failures
                 if f.equation_id != "grid.unexpected_pass"] == [Failure(
@@ -524,7 +523,7 @@ class TestGrids:
         def source(params):
             yield (d(0),), "probe", E(d(0))
 
-        report = run_probe(_grid_plan("probe", 1, source))
+        report = run_probe(grid_plan("probe", 1, source))
         assert report.failures == [Failure(
             "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
             "d(0)")]
@@ -549,7 +548,7 @@ class TestGrids:
         mul = product_table(SYMBOLIC)
         for params in points:
             assert _first_failure(
-                lambda p: _lsa_bider_residuals(p, 4, mul), params) is not None
+                lambda p: lsa_bider_residuals(p, 4, mul), params) is not None
         assert len(points) == 161
         assert len(calls) <= 805
 
@@ -557,7 +556,7 @@ class TestGrids:
         def source(params):
             yield (d(0),), "probe", E(d(0)).scale(EPS)
 
-        report = run_probe(_grid_plan("probe", 1, source))
+        report = run_probe(grid_plan("probe", 1, source))
         assert report.failures[0].residual == "(e)*d(0)"
         assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
             == "2/5*d(0)"

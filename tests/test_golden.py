@@ -2,9 +2,10 @@
 earlier version of mhv.
 
 The files in tests/golden cover all fourteen checks in symbolic and
-numeric mode (verify at window 2) and, through the failing runs, the
-rendering of failure inputs and residuals, which passing reports never
-show: a full-mode bider-check whose residuals lie in l, an
+numeric mode: verify at window 2, symbolic, at e = 2/5 (computed over
+Q) and at e = 1/5 (computed symbolically, as its pole degree -5 lies in
+(2, 6]).  Through the failing runs they cover the rendering of failure
+inputs and residuals, which passing reports never show: a full-mode bider-check whose residuals lie in l, an
 LSA-biderivation check reported symbolically, evaluated at e = 2/5 and
 run numerically at e = 2/5 (one member at window 1, and the 644 failures
 of lambda = 2, Omega = {0: 1} at window 2), a post-Lie check of a
@@ -57,6 +58,8 @@ def golden(name: str) -> str:
     ("bider-check-l1-o0-w1-full.txt",
      ["bider-check", "--lambda", "1", "--omega", "0=1", "--window", "1",
       "--full", "--format", "text"], 1),
+    ("verify-w2-eps-1-5.json", ["verify", "--window", "2", "--eps", "1/5"],
+     0),
 ])
 def test_cli_output_is_golden(name, argv, code):
     out = io.StringIO()

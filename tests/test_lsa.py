@@ -11,7 +11,7 @@ from mhv.coeffs import closed_form_fns
 from mhv import lsa
 from mhv.lsa import (SYMBOLIC, AdmissibilityError, EpsMode,
                      lsa_associator_defect, lsa_commutator, lsa_product)
-from mhv.scalars import EPS, ONE, PoleError, sc
+from mhv.scalars import EPS, ONE, PoleError, ZeroEpsilonError, sc
 
 E = Element.basis
 
@@ -101,6 +101,17 @@ class TestNumericMode:
     def test_rejects_zero(self):
         with pytest.raises(AdmissibilityError):
             EpsMode.numeric(0)
+
+    @pytest.mark.parametrize("make", [EpsMode, EpsMode.numeric],
+                             ids=["EpsMode", "numeric"])
+    def test_zero_is_refused_by_the_one_rule(self, make):
+        # scalars.nonzero_eps's refusal, an AdmissibilityError too
+        with pytest.raises(ZeroEpsilonError):
+            make(0)
+
+    def test_numeric_none_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            EpsMode.numeric(None)
 
     def test_coherence_with_symbolic(self):
         # the symbolic table against the independent plain-Fraction route

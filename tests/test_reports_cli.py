@@ -230,9 +230,9 @@ class TestSuite:
         # numeric run computes it over Q, so symbolic runs carry the values;
         # one lost on the way back from a child would stay symbolic
         from mhv import suite
-        monkeypatch.setitem(suite.CHECKS, "lsa-identity", suite._e_free(
-            suite._sweep("lsa-identity", "lsa.identity", 2,
-                         product_table(SYMBOLIC))))
+        monkeypatch.setitem(suite.CHECKS, "lsa-identity", lambda w, eps:
+                            suite._sweep("lsa-identity", "lsa.identity", 2,
+                                         product_table(SYMBOLIC), w))
         eps = Fraction(2, 5)
         config = RunConfig(window=2, checks=("lsa-identity",))
         symbolic = run_with(1, config)
@@ -539,7 +539,7 @@ class TestSuite:
             firsts[-1].add(x)
             return Element.zero()
 
-        chunks, finish = _sweep("probe", "probe", 2, record)(3)
+        chunks, finish = _sweep("probe", "probe", 2, record, 3)
         for chunk in chunks:
             firsts.append(set())
             parts.append(chunk())

@@ -26,9 +26,9 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
                          tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                LinearMap, _axiom_cases, _candidate_generators,
-                               _lsa_bider_residuals, _post_lie_residuals,
                                check_lsa_biderivation, commuting_residuals,
-                               derivation_residuals, family_table)
+                               derivation_residuals, family_table,
+                               lsa_bider_residuals, post_lie_residuals)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, closed_form_fns,
                         commutator_defect, random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
@@ -206,7 +206,7 @@ class TestPostLie:
     @pytest.mark.parametrize("params", MEMBERS, ids=repr)
     def test_against_elements(self, params):
         dot = BilinearTable.from_params(params)
-        swept = swept_by_tuple(_post_lie_residuals(params, WINDOW))
+        swept = swept_by_tuple(post_lie_residuals(params, WINDOW))
         assert len(swept) == len(tuples(2)) + 2 * len(tuples(3))
         for x, y in tuples(2):
             assert swept[(x, y), "postlie.commutative"] \
@@ -229,7 +229,7 @@ class TestLsaBiderivation:
     def test_against_elements(self, params, eps):
         f = BilinearTable.from_params(params)
         mul = lambda a, b: lsa_product(a, b, eps)       # noqa: E731
-        swept = swept_by_tuple(_lsa_bider_residuals(params, WINDOW,
+        swept = swept_by_tuple(lsa_bider_residuals(params, WINDOW,
                                                     product_table(eps)))
         assert len(swept) == 2 * len(tuples(3))
         for x, y, z in tuples(3):
