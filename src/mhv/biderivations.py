@@ -52,10 +52,10 @@ which its rows certify the rank.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
 axioms and the left-symmetric biderivation axioms for a family member.
-grid_plan sweeps their residuals (post_lie_residuals, lsa_bider_residuals)
-over a parameter grid, one chunk per point, which stops at its first
-nonzero residual; only the zero point's, the one witness a grid reports,
-becomes a Failure.
+grid_plan sweeps their residuals (post_lie_residuals, lsa_bider_residuals,
+each as pieces) over a parameter grid, one chunk per point, which stops at
+its first nonzero residual, or per piece of the zero point; only the zero
+point's, the one witness a grid reports, becomes a Failure.
 """
 
 from __future__ import annotations
@@ -237,15 +237,15 @@ def derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
 
 
 def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
-                 mode: AlgebraMode):
+                 mode: AlgebraMode, first: slice = slice(None)):
     """(inputs, equation_id, residual) of the two axioms, name.left and
-    name.right, of the table f on every triple of the window basis; on the
-    quotient (CENTERLESS) f's values are projected, which projects the
-    residuals, as the centerless bracket sends C and L to zero."""
+    name.right, of the table f on the window basis triples with first
+    vector in basis[first]; on the quotient (CENTERLESS) f's values are
+    projected, as the centerless bracket sends C and L to zero."""
     basis = basis_vectors(window, mode)
     left_id, right_id = f"{name}.left", f"{name}.right"
     g = f if mode is FULL else lambda u, v: project_centerless(f(u, v))
-    for x in basis:
+    for x in basis[first]:
         for y, z, left, right in derivation_residuals(g, mul, x, basis):
             yield (x, y, z), left_id, left
             yield (x, y, z), right_id, right
@@ -357,8 +357,10 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 # commutative post-Lie structures
 # ---------------------------------------------------------------------------
 
-def post_lie_residuals(params: BiderParams, window: int):
-    """Yields (inputs, equation_id, residual) for the three axioms."""
+def post_lie_residuals(params: BiderParams, window: int) -> list:
+    """The three axioms as pieces, zero-argument callables that yield
+    (inputs, equation_id, residual), in canonical order: the pairs, then
+    the triples by first basis vector."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
 
@@ -379,33 +381,41 @@ def post_lie_residuals(params: BiderParams, window: int):
         return [("postlie.bracket_product", Element(bp, _clean=True)),
                 ("postlie.product_bracket", Element(pb, _clean=True))]
 
-    yield from basis_sweep(window, 2, commutative)
-    yield from basis_sweep(window, 3, triple)
+    return [partial(basis_sweep, window, 2, commutative)] + [
+        partial(basis_sweep, window, 3, triple, slice(i, i + 1))
+        for i in range(len(basis_vectors(window)))]
 
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
     """All three commutative post-Lie axioms for x*y := f_params(x, y)."""
     return collect(f"postlie[{params.describe()}]", window, "symbolic",
-                   post_lie_residuals(params, window))
+                   (case for piece in post_lie_residuals(params, window)
+                    for case in piece()))
 
 
 # ---------------------------------------------------------------------------
 # biderivations of the left-symmetric algebra
 # ---------------------------------------------------------------------------
 
-def lsa_bider_residuals(params: BiderParams, window: int, mul: PairTable):
+def lsa_bider_residuals(params: BiderParams, window: int,
+                        mul: PairTable) -> list:
     """The derivation axioms with respect to the left-symmetric product,
-    given as its product_table mul.  A pole raises lsa_product's
-    PoleError: no value of f or mul has two d terms."""
-    return _axiom_cases("lsabider", family_table(params), mul, window, FULL)
+    given as its product_table mul, as one piece (see post_lie_residuals)
+    per first basis vector.  A pole raises lsa_product's PoleError: no
+    value of f or mul has two d terms."""
+    f = family_table(params)
+    return [partial(_axiom_cases, "lsabider", f, mul, window, FULL,
+                    slice(i, i + 1))
+            for i in range(len(basis_vectors(window)))]
 
 
 def check_lsa_biderivation(params: BiderParams, window: int,
                            eps: EpsMode = SYMBOLIC) -> Report:
     """Derivation axioms of f_params with respect to the left-symmetric
     product, on all window basis triples."""
+    pieces = lsa_bider_residuals(params, window, product_table(eps))
     return collect(f"lsabider[{params.describe()}]", window, eps.describe(),
-                   lsa_bider_residuals(params, window, product_table(eps)))
+                   (case for piece in pieces for case in piece()))
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +443,29 @@ def grid_points() -> list:
     return points
 
 
-def _first_failure(residual_source, params: BiderParams) -> tuple | None:
-    """The first (inputs, equation_id, residual) of a grid point whose
-    residual is nonzero, or None if every one vanishes."""
-    return next((case for case in residual_source(params)
+def _first_failure(pieces: list) -> tuple | None:
+    """The first (inputs, equation_id, residual) of the pieces, in turn,
+    whose residual is nonzero, or None if every one vanishes."""
+    return next((case for piece in pieces for case in piece()
                  if not case[2].is_zero()), None)
 
 
 def grid_plan(check_name: str, window: int, residual_source) -> tuple:
-    """Plan the grid, one chunk per point; pass iff the passing set is
-    exactly the zero point.
+    """Plan the grid; pass iff the passing set is exactly the zero point.
 
-    residual_source(params) yields the residuals of a point, and its chunk
-    stops at the first nonzero one, the point's witness."""
+    residual_source(params) gives a point's residuals as pieces (see
+    post_lie_residuals).  Each nonzero point is one chunk, which stops at
+    its first nonzero residual.  The zero point, which must sweep every
+    case, is one chunk per piece at the head of the list; its witness is
+    the first piece's, the first nonzero residual of the whole sweep."""
     points = grid_points()
+    pieces = residual_source(points[0])
 
     def finish(found: list) -> Report:
         failures = []
         passing = []
-        for params, witness in zip(points, found):
+        zero = next((w for w in found[:len(pieces)] if w is not None), None)
+        for params, witness in zip(points, [zero] + found[len(pieces):]):
             if witness is None:
                 passing.append(params)
                 if not params.is_zero():
@@ -469,8 +483,9 @@ def grid_plan(check_name: str, window: int, residual_source) -> tuple:
         return Report(check_name, window, "symbolic", len(points), failures,
                       extra)
 
-    return ([partial(_first_failure, residual_source, params)
-             for params in points], finish)
+    return ([partial(_first_failure, [piece]) for piece in pieces]
+            + [lambda params=params: _first_failure(residual_source(params))
+               for params in points[1:]], finish)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ rank certificates and a small dense solver for square-ish systems.
 
 Rows are sparse dicts {column: int or Fraction}, exact over Q either way;
 any other entry, a float or a bool above all, raises TypeError.  The
-RowReducer keeps a set of reduced pivot rows; feeding it rows one at a
-time gives the rank of everything seen so far, which lets sweeps stop
-early once a target rank is certified.
+RowReducer eliminates fraction-free (after Bareiss, Math. Comp. 22, 1968)
+on rows scaled to ints, keeping primitive int pivot rows; feeding it rows
+one at a time gives the rank of everything seen so far, which lets sweeps
+stop early once a target rank is certified.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class InconsistentSystemError(ValueError):
@@ -22,30 +24,36 @@ class UnderdeterminedSystemError(ValueError):
 
 
 class RowReducer:
-    """Incremental Gaussian elimination over Q with sparse rows."""
+    """Incremental fraction-free Gaussian elimination with sparse rows."""
 
     def __init__(self):
-        self.pivots: dict = {}   # pivot column -> reduced row (lead coeff 1)
+        self.pivots: dict = {}   # pivot column -> primitive int row, lead > 0
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, row: dict) -> dict:
-        """Row reduced against the current pivots (input not mutated); a
-        bool, or any entry not an int or a Fraction, raises TypeError."""
+        """Row, scaled to ints, reduced against the pivots (input not
+        mutated); a bool, or an entry not an int or a Fraction, raises."""
         if any(isinstance(v, bool) or not isinstance(v, (int, Fraction))
                for v in row.values()):
             raise TypeError(f"row entries must be ints or Fractions: {row}")
-        row = {c: v for c, v in row.items() if v != 0}
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator)
+               for c, v in row.items() if v != 0}
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]
+            # row * (p/g) - pivot * (a/g) clears the lead a against p
+            g = gcd(pivot[lead], row[lead])
+            p, a = pivot[lead] // g, row[lead] // g
+            if p != 1:
+                row = {c: p * v for c, v in row.items()}
             for c, v in pivot.items():
-                newv = row.get(c, 0) - factor * v
+                newv = row.get(c, 0) - a * v
                 if newv == 0:
                     row.pop(c, None)
                 else:
@@ -58,8 +66,8 @@ class RowReducer:
         if not reduced:
             return False
         lead = min(reduced)
-        inv = 1 / Fraction(reduced[lead])
-        self.pivots[lead] = {c: v * inv for c, v in reduced.items()}
+        g = gcd(*reduced.values()) * (1 if reduced[lead] > 0 else -1)
+        self.pivots[lead] = {c: v // g for c, v in reduced.items()}
         return True
 
     def in_row_space(self, row: dict) -> bool:
@@ -89,9 +97,9 @@ def solve_unique(rows: list, rhs: list, n_unknowns: int) -> list:
     solution = [Fraction(0)] * n_unknowns
     for col in sorted(reducer.pivots, reverse=True):
         row = reducer.pivots[col]
-        value = row.get(aug_col, Fraction(0))
+        value = Fraction(row.get(aug_col, 0))
         for c, v in row.items():
             if c != col and c != aug_col:
                 value -= v * solution[c]
-        solution[col] = value
+        solution[col] = value / row[col]  # the lead, an int
     return solution

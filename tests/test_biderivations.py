@@ -462,11 +462,18 @@ class TestGrids:
         assert len(grid_points()) == 6 * 27
 
     @pytest.mark.parametrize("window", [1, 4])
-    def test_each_grid_point_and_commuting_sample_is_one_chunk(self, window):
-        points = len(grid_points())
-        assert len(CHECKS["postlie-grid"](window, SYMBOLIC)[0]) == points
+    def test_each_nonzero_point_and_commuting_sample_is_one_chunk(self,
+                                                                  window):
+        # the zero point is its pieces: postlie-grid's pair sweep and its
+        # triples by first basis vector, lsa-bider-grid's triples by first
+        # basis vector
+        nonzero = len(grid_points()) - 1
+        basis = len(basis_vectors(window, FULL))
+        assert len(CHECKS["postlie-grid"](window, SYMBOLIC)[0]) \
+            == 1 + basis + nonzero
         for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
-            assert len(CHECKS["lsa-bider-grid"](window, eps)[0]) == points
+            assert len(CHECKS["lsa-bider-grid"](window, eps)[0]) \
+                == basis + nonzero
         assert len(CHECKS["commuting"](window, SYMBOLIC)[0]) == 3
 
     def test_post_lie_grid(self):
@@ -496,7 +503,7 @@ class TestGrids:
         assert built == []
 
     def test_a_nonzero_point_that_passes_fails_the_grid(self):
-        report = run_probe(grid_plan("probe", 1, lambda params: iter(())))
+        report = run_probe(grid_plan("probe", 1, lambda params: [tuple]))
         assert len(report.failures) == len(grid_points()) - 1
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
@@ -507,12 +514,13 @@ class TestGrids:
         basis = basis_vectors(2, FULL)
         seen = []
 
-        def source(params):
+        def piece(params):
             for i, bv in enumerate(basis):
                 if params.is_zero():
                     seen.append(bv)
                 yield (bv,), "probe", E(d(0)) if i in (3, 5) else Element()
-        report = run_probe(grid_plan("probe", 2, source))
+        report = run_probe(grid_plan(
+            "probe", 2, lambda params: [partial(piece, params)]))
         assert seen == basis[:4]
         assert [f for f in report.failures
                 if f.equation_id != "grid.unexpected_pass"] == [Failure(
@@ -521,7 +529,7 @@ class TestGrids:
 
     def test_a_zero_point_that_fails_fails_the_grid(self):
         def source(params):
-            yield (d(0),), "probe", E(d(0))
+            return [lambda: [((d(0),), "probe", E(d(0)))]]
 
         report = run_probe(grid_plan("probe", 1, source))
         assert report.failures == [Failure(
@@ -547,19 +555,43 @@ class TestGrids:
         points = grid_points()[1:]
         mul = product_table(SYMBOLIC)
         for params in points:
-            assert _first_failure(
-                lambda p: lsa_bider_residuals(p, 4, mul), params) is not None
+            assert _first_failure(lsa_bider_residuals(params, 4, mul)) \
+                is not None
         assert len(points) == 161
         assert len(calls) <= 805
 
     def test_a_zero_point_witness_keeps_its_value(self):
         def source(params):
-            yield (d(0),), "probe", E(d(0)).scale(EPS)
+            return [lambda: [((d(0),), "probe", E(d(0)).scale(EPS))]]
 
         report = run_probe(grid_plan("probe", 1, source))
         assert report.failures[0].residual == "(e)*d(0)"
         assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
             == "2/5*d(0)"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earlier_failing_piece_holds_the_witness(self, workers):
+        # the zero point fails in the triple pieces of d(-1) and d(1), with
+        # different values; the earlier piece's residual is the witness,
+        # in any process, as in the unsplit sweep
+        def source(params):
+            def pair_piece():
+                return [((d(0), d(0)), "probe.pair", Element())]
+
+            def triple_piece(x):
+                value = {d(-1): E(d(5)), d(1): E(h(3)).scale(EPS)}
+                return [((x, d(0), d(0)), "probe.triple",
+                         value.get(x, Element()) if params.is_zero()
+                         else E(d(0)))]
+            return [pair_piece] + [partial(triple_piece, x)
+                                   for x in basis_vectors(1, FULL)]
+
+        chunks, finish = grid_plan("probe", 1, source)
+        assert len(chunks) == 1 + len(basis_vectors(1, FULL)) + 161
+        report = finish(run_chunks(chunks, workers))
+        assert report.failures == [Failure(
+            "(lambda=0, omega={}) at (d(-1), d(0), d(0))",
+            "grid.trivial_failed[probe.triple]", "d(5)")]
 
 
 def sequential_converse(window: int) -> Report:

@@ -1,8 +1,10 @@
 """Exact rational linear algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mhv.linalg import (InconsistentSystemError, RowReducer,
                         UnderdeterminedSystemError, solve_unique)
@@ -10,6 +12,30 @@ from mhv.linalg import (InconsistentSystemError, RowReducer,
 
 def F(x):
     return Fraction(x)
+
+
+COLUMNS = 5
+# sparse rows of small ints and Fractions, zeros included
+ROWS = st.dictionaries(
+    st.integers(0, COLUMNS - 1),
+    st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4),
+    max_size=COLUMNS)
+
+
+def plain_rank(rows: list) -> int:
+    """The rank of rows by dense Gaussian elimination in Fractions."""
+    m = [[Fraction(row.get(c, 0)) for c in range(COLUMNS)] for row in rows]
+    rank = 0
+    for c in range(COLUMNS):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            factor = m[i][c] / m[rank][c]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 class TestRowReducer:
@@ -64,16 +90,39 @@ class TestSolveUnique:
 
 
 class TestIntRows:
-    """Int rows are reduced exactly: every pivot row is normalised with a
-    Fraction, never with a float."""
+    """Rows are reduced exactly and fraction-free: every pivot row is a
+    primitive int row with a positive lead, never a float or a Fraction."""
 
     def test_proportional_int_rows_have_rank_one(self):
         r = RowReducer()
         assert r.add_row({0: 49, 1: 1})
         assert not r.add_row({0: 98, 1: 2})
         assert r.rank == 1
-        assert r.pivots == {0: {0: 1, 1: Fraction(1, 49)}}
-        assert all(type(v) is Fraction for v in r.pivots[0].values())
+        assert r.pivots == {0: {0: 49, 1: 1}}
+        assert all(type(v) is int for v in r.pivots[0].values())
+
+    def test_fraction_rows_give_primitive_int_pivots(self):
+        r = RowReducer()
+        assert r.add_row({0: Fraction(-2, 3), 2: Fraction(4, 9)})
+        assert r.add_row({0: 1, 1: 1})
+        assert r.pivots == {0: {0: 3, 2: -2}, 1: {1: 3, 2: 2}}
+        assert all(type(v) is int for row in r.pivots.values()
+                   for v in row.values())
+
+    @given(st.lists(ROWS, max_size=7), ROWS)
+    def test_rank_and_row_space_agree_with_plain_elimination(self, rows,
+                                                             probe):
+        r = RowReducer()
+        for i, row in enumerate(rows):
+            assert r.add_row(row) \
+                == (plain_rank(rows[:i + 1]) > plain_rank(rows[:i]))
+        assert r.rank == plain_rank(rows)
+        assert r.in_row_space(probe) \
+            == (plain_rank(rows + [probe]) == plain_rank(rows))
+        for col, pivot in r.pivots.items():
+            assert all(type(v) is int for v in pivot.values())
+            assert min(pivot) == col and pivot[col] > 0
+            assert gcd(*pivot.values()) == 1
 
     def test_solve_unique_on_ints(self):
         solution = solve_unique([{0: 3}], [1], 1)

@@ -25,8 +25,8 @@ from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, collect, prefixed,
                          reports_to_json)
 from mhv.scalars import PoleError, Scalar, ZeroEpsilonError
-from mhv.suite import (CHECK_ORDER, RunConfig, WorkerDiedError, run_chunks,
-                       run_suite)
+from mhv.suite import (CHECK_ORDER, CHECKS, RunConfig, WorkerDiedError,
+                       run_chunks, run_suite)
 
 # (1+e)/(1+3*e), which is 3/4 at e = 1/5
 RATIO = Scalar((1, 1), (1, 3))
@@ -480,12 +480,24 @@ class TestSuite:
         assert reports_to_json(reports) \
             == reports_to_json(run_with(1, RunConfig(window=1)))
 
-    def test_the_calling_process_runs_every_nth_chunk(self):
-        # process k of 3 runs chunks k, k + 3, ...; this process is k = 0
+    def test_process_k_runs_chunk_k_first(self):
+        # process k of 3 runs chunk k, this process k = 0; the rest go to
+        # whichever process asks first
         pids = run_chunks([os.getpid] * 8, 3)
         assert pids[0] == os.getpid()
-        assert len(set(pids)) == 3
-        assert pids == pids[:3] * 2 + pids[:2]
+        assert len(set(pids[:3])) == 3
+        assert set(pids) == set(pids[:3])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_real_chunk_list_reversed_gives_the_reversed_results(
+            self, workers):
+        # the costliest chunks (bider-grid's one chunk, the grids' zero
+        # point pieces) come last, where the queue must still place every
+        # result by its index
+        chunks = [chunk for name in ("bider-grid", "postlie-grid", "ast")
+                  for chunk in CHECKS[name](2, SYMBOLIC)[0]]
+        serial = run_chunks(chunks, 1)
+        assert run_chunks(chunks[::-1], workers) == serial[::-1]
 
     def test_the_calling_process_keeps_its_memo_tables_warm(self):
         # a fresh interpreter, so that no earlier test has filled the memo;
@@ -506,6 +518,24 @@ class TestSuite:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
+        assert "WorkerDiedError" in proc.stderr
+
+    def test_a_worker_killed_holding_the_queue_lock_fails_the_run(self):
+        # the kernel drops a dead process's record lock, so this process
+        # takes the next chunks and then reports the dead child
+        code = ("import fcntl, os, signal, time\n"
+                "from mhv.suite import run_chunks\n"
+                "caller, lockf = os.getpid(), fcntl.lockf\n"
+                "def locked(fd, cmd, *args):\n"
+                "    lockf(fd, cmd, *args)\n"
+                "    if cmd == fcntl.LOCK_EX and os.getpid() != caller:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "fcntl.lockf = locked\n"
+                "print(run_chunks([lambda: time.sleep(0.2)] * 4, 2))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
         assert "WorkerDiedError" in proc.stderr
 
     def test_a_dead_worker_exits_3_with_one_error_line(self):
@@ -633,10 +663,11 @@ class TestSuite:
                                            "no solution")]
         assert report.total_cases == 0
 
-    @pytest.mark.parametrize("workers", ["-3", "0", "x", "2.0", "True", ""])
+    @pytest.mark.parametrize("workers",
+                             ["-3", "0", "x", "2.0", "True", "", "65"])
     def test_worker_count_below_one_is_a_usage_error(self, monkeypatch,
                                                       capsys, workers):
-        # refused before any fork
+        # refused before any fork; 64 is the ceiling, whatever the cores
         def no_fork():
             raise AssertionError("forked")
 
@@ -644,8 +675,8 @@ class TestSuite:
         monkeypatch.setenv("MHV_WORKERS", workers)
         assert main(["verify", "--window", "1", "--checks", "jacobi"]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "MHV_WORKERS must be an integer of at " \
-            f"least 1, got {workers!r}" in out.err
+        assert out.out == "" and "MHV_WORKERS must be an integer from 1 " \
+            f"to 64, got {workers!r}" in out.err
 
     def test_worker_count_from_env_does_not_change_output(self, monkeypatch,
                                                           capsys):

@@ -56,6 +56,11 @@ def swept_by_tuple(sweep) -> dict:
     return out
 
 
+def joined(pieces: list):
+    """The cases of a grid source's pieces, in turn."""
+    return (case for piece in pieces for case in piece())
+
+
 # the e-modes a sweep of the product runs in: symbolic, and over Q
 SWEPT_MODES = (SYMBOLIC, EpsMode.numeric(Fraction(2, 5)))
 
@@ -206,7 +211,7 @@ class TestPostLie:
     @pytest.mark.parametrize("params", MEMBERS, ids=repr)
     def test_against_elements(self, params):
         dot = BilinearTable.from_params(params)
-        swept = swept_by_tuple(post_lie_residuals(params, WINDOW))
+        swept = swept_by_tuple(joined(post_lie_residuals(params, WINDOW)))
         assert len(swept) == len(tuples(2)) + 2 * len(tuples(3))
         for x, y in tuples(2):
             assert swept[(x, y), "postlie.commutative"] \
@@ -229,8 +234,8 @@ class TestLsaBiderivation:
     def test_against_elements(self, params, eps):
         f = BilinearTable.from_params(params)
         mul = lambda a, b: lsa_product(a, b, eps)       # noqa: E731
-        swept = swept_by_tuple(lsa_bider_residuals(params, WINDOW,
-                                                    product_table(eps)))
+        swept = swept_by_tuple(joined(lsa_bider_residuals(
+            params, WINDOW, product_table(eps))))
         assert len(swept) == 2 * len(tuples(3))
         for x, y, z in tuples(3):
             ex, ey, ez = E(x), E(y), E(z)
