@@ -3,10 +3,12 @@ rank certificates and a small dense solver for square-ish systems.
 
 Rows are sparse dicts {column: int or Fraction}, exact over Q either way;
 any other entry, a float or a bool above all, raises TypeError.  The
-RowReducer eliminates fraction-free (after Bareiss, Math. Comp. 22, 1968)
-on rows scaled to ints, keeping primitive int pivot rows; feeding it rows
-one at a time gives the rank of everything seen so far, which lets sweeps
-stop early once a target rank is certified.
+RowReducer eliminates fraction-free on rows scaled to ints: pivot rows
+are primitive, and a row being reduced has its content (the gcd of its
+entries) taken out after each step that scaled it, when it is the
+primitive int multiple of the row elimination over Q would give.  Feeding it rows one at a time gives the rank of
+everything seen so far, which lets sweeps stop early once a target rank
+is certified.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class RowReducer:
                     row.pop(c, None)
                 else:
                     row[c] = newv
+            if p != 1 and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
         return row
 
     def add_row(self, row: dict) -> bool:

@@ -34,10 +34,10 @@ run_suite(config) runs the chunks of the selected checks as one list,
 in config.checks order, through run_chunks, then finishes each check.
 MHV_WORKERS=N, read by run_suite alone, an integer from 1 to 64
 (default 1; any other value is refused), caps process parallelism:
-this process and N-1 children, forked once per run, share the list
-through one queue of chunk indices (run_chunks).  A plan's own work (the
-closed form, a product table, bider-family's central cases) runs here,
-as the plan is made, before the fork.  The chunks of each check are
+this process and N-1 children, forked once per run, share the list by
+index, each taking every N-th chunk.  A plan's own work (the closed
+form, a product table, bider-family's central cases) runs here, as the
+plan is made, before the fork.  The chunks of each check are
 
     the five basis sweeps   one first basis vector
     bider-family            one first basis vector (centerless)
@@ -49,17 +49,14 @@ as the plan is made, before the fork.  The chunks of each check are
     bider-grid, solve-theta the whole check (bider-grid stops early)
 
 The chunk list depends on the window, the e-mode and the selected checks
-alone, and every result is placed by its index, so output is
-byte-identical for any worker count.
+alone, so output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
-import fcntl
 import mmap
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -96,30 +93,27 @@ class WorkerDiedError(RuntimeError):
     """A forked child of run_chunks ended before sending its results."""
 
 
-def _share(chunks: list, first: int, shared, fd: int) -> list:
-    """[(index, result)] of chunk first, then of each next untaken index
-    (shared[1:9]), until they run out or a process sets shared[0]."""
-    done, index = [], first
-    while index < len(chunks) and not shared[0]:
+def _stripe(chunks: list, first: int, step: int, stop) -> list:
+    """[(index, result)] of chunks first, first + step, ... in turn, until
+    they run out or another process sets stop."""
+    done = []
+    for index in range(first, len(chunks), step):
+        if stop[0]:
+            break
         done.append((index, chunks[index]()))
-        # a record lock, which the kernel drops if its holder dies
-        fcntl.lockf(fd, fcntl.LOCK_EX)
-        index = int.from_bytes(shared[1:9], "little")
-        shared[1:9] = (index + 1).to_bytes(8, "little")
-        fcntl.lockf(fd, fcntl.LOCK_UN)
     return done
 
 
-def _work(chunks: list, first: int, shared, fd: int, writer: int) -> None:
-    """A forked child: run its share, send one pickled
+def _work(chunks: list, first: int, step: int, stop, writer: int) -> None:
+    """A forked child: run its stripe, send one pickled
     ([(index, result)], exception, traceback) down writer, and exit."""
     status = 1
     try:
         try:
-            data = pickle.dumps((_share(chunks, first, shared, fd), None,
+            data = pickle.dumps((_stripe(chunks, first, step, stop), None,
                                  ""))
         except BaseException as exc:
-            shared[0] = 1  # no process starts another chunk
+            stop[0] = 1  # no process starts another chunk
             import traceback
             trace = traceback.format_exc()
             try:
@@ -149,14 +143,13 @@ def run_chunks(chunks: list, workers: int) -> list:
 
     With one worker (or one chunk) they run here, in order.  Otherwise
     N = min(workers, len(chunks)) processes, this one (k = 0) and N-1
-    forked children (k = 1 .. N-1), share them: process k runs chunk k,
-    then each takes the next untaken index from one shared counter until
-    the list runs out.  Which process runs a later chunk depends on
-    timing, so memo tables fill differently from run to run; that changes
-    speed only, as no chunk's result depends on what ran before it.
-    A child inherits the chunk list without pickling, so chunks may be
-    closures, and sends its results back once, so a chunk must return
-    picklable data (Reports, Failures, strings, ints).
+    forked children (k = 1 .. N-1), share them by index: process k runs
+    chunks k, k + N, k + 2N, ... in turn.  Which process runs a chunk
+    depends on N alone, so this process does the same work, and fills its
+    memo tables the same way, in every run; every later fork inherits
+    those tables.  A child inherits the chunk list without pickling, so
+    chunks may be closures, and sends its results back once, so a chunk
+    must return picklable data (Reports, Failures, strings, ints).
     The first exception of a chunk, here or in a child, stops every
     process from starting another chunk and is raised here; a child that
     dies raises WorkerDiedError here once this process has run its own
@@ -164,31 +157,30 @@ def run_chunks(chunks: list, workers: int) -> list:
     total = len(chunks)
     if workers <= 1 or total <= 1:
         return [chunk() for chunk in chunks]
-    count = min(workers, total)
+    step = min(workers, total)
+    stop = mmap.mmap(-1, 1)  # one byte shared with every child
     children, results = [], [None] * total
-    # the stop byte and the next untaken index, and a file to lock
-    with mmap.mmap(-1, 9) as shared, tempfile.TemporaryFile() as lock:
-        shared[1:9] = count.to_bytes(8, "little")
-        try:
-            for first in range(1, count):
-                reader, writer = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(reader)
-                    os.close(writer)
-                    raise
-                if pid == 0:
-                    _work(chunks, first, shared, lock.fileno(), writer)
+    try:
+        for first in range(1, step):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
                 os.close(writer)
-                children.append((pid, reader))
-            for index, result in _share(chunks, 0, shared, lock.fileno()):
-                results[index] = result
-        except BaseException:
-            shared[0] = 1
-            raise
-        finally:
-            sent = [_join(pid, reader) for pid, reader in children]
+                raise
+            if pid == 0:
+                _work(chunks, first, step, stop, writer)
+            os.close(writer)
+            children.append((pid, reader))
+        for index, result in _stripe(chunks, 0, step, stop):
+            results[index] = result
+    except BaseException:
+        stop[0] = 1
+        raise
+    finally:
+        sent = [_join(pid, reader) for pid, reader in children]
+        stop.close()
     for data, status in sent:
         if status:
             raise WorkerDiedError(

@@ -109,6 +109,12 @@ class TestIntRows:
         assert all(type(v) is int for row in r.pivots.values()
                    for v in row.values())
 
+    def test_a_scaled_row_has_its_content_taken_out(self):
+        # 2*(x0 + 5*x1) - (2*x0 + x1) = 9*x1, which is x1 up to content
+        r = RowReducer()
+        assert r.add_row({0: 2, 1: 1})
+        assert r.reduce({0: 1, 1: 5}) == {1: 1}
+
     @given(st.lists(ROWS, max_size=7), ROWS)
     def test_rank_and_row_space_agree_with_plain_elimination(self, rows,
                                                              probe):
