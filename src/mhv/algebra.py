@@ -33,18 +33,19 @@ combination of tables.
 
 basis_sweep drives the sweeps other than biderivations' derivation
 kernel: it evaluates a residual function on every pair or triple of
-window basis vectors.  The function receives the BasisVectors
-themselves, each standing for itself with coefficient one, so a pair
-value such as [x, y] is a direct call to a table.  A residual built from
-such values adds each second-level term, such as f([x, y], z), times its
-factor into one term dict through accumulate_left or accumulate_right,
-and becomes one Element at the end; no sweep calls bilinear.  bilinear
-itself is accumulate_right once per term of its left operand.  Every
-term dict is filled before an Element takes it, and none is written
-after, so a table's cached Elements are only ever read.  The kernels use
-coefficients only through +, -, *, unary - and `not c` (ONE, MINUS_ONE
-are identity fast paths), so an int table sums ints and a Scalar table
-Scalars.
+window basis vectors, or, given the residual's twins, on one member of
+each orbit and emits that value for every member.  The function receives
+the BasisVectors themselves, each standing for itself with coefficient
+one, so a pair value such as [x, y] is a direct call to a table.  A
+residual built from such values adds each second-level term, such as
+f([x, y], z), times its factor into one term dict through
+accumulate_left or accumulate_right, and becomes one Element at the end;
+no sweep calls bilinear.  bilinear itself is accumulate_right once per
+term of its left operand.  Every term dict is filled before an Element
+takes it, and none is written after, so a table's cached Elements are
+only ever read.  The kernels use coefficients only through +, -, *,
+unary - and `not c` (ONE, MINUS_ONE are identity fast paths), so an int
+table sums ints and a Scalar table Scalars.
 """
 
 from __future__ import annotations
@@ -501,15 +502,28 @@ def basis_vectors(window: int, mode: AlgebraMode = FULL) -> list:
     return out
 
 
-def basis_sweep(window: int, arity: int, residuals,
-                first: slice = slice(None)) -> Iterator[tuple]:
+def basis_sweep(window: int, arity: int, residuals, rows=None,
+                twins=None) -> Iterator[tuple]:
     """Yield (inputs, equation_id, residual) for every arity-tuple of the
-    full-mode window basis whose first entry lies in basis[first].
-
-    residuals(*vectors) returns the [(equation_id, residual)] of one tuple
-    of basis vectors, each meaning itself with coefficient one; inputs is
-    that tuple."""
+    full-mode window basis whose first entry is basis[i], i in rows (all
+    by default).  residuals(*vectors) returns the [(equation_id, residual)]
+    of one tuple of basis vectors; inputs is that tuple.  twins(*t) lists
+    [(twin, sign)] for an index tuple t, the residuals at twin being sign
+    times those at t; only the least tuple of an orbit is evaluated."""
     basis = basis_vectors(window)
-    for xs in product(basis[first], *[basis] * (arity - 1)):
-        for eq_id, residual in residuals(*xs):
-            yield xs, eq_id, residual
+    every = range(len(basis))
+    rows = every if rows is None else rows
+    for t, xs in zip(product(rows, *[every] * (arity - 1)),
+                     product([basis[i] for i in rows],
+                             *[basis] * (arity - 1))):
+        members = twins(*t) if twins else ()
+        if members and min(members)[0] < t:
+            continue
+        values = residuals(*xs)
+        for eq_id, value in values:
+            yield xs, eq_id, value
+        for twin, sign in dict(members).items():
+            if twin != t:
+                twin_xs = tuple(map(basis.__getitem__, twin))
+                for eq_id, value in values:
+                    yield twin_xs, eq_id, value if sign > 0 else -value

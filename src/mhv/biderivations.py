@@ -382,7 +382,7 @@ def post_lie_residuals(params: BiderParams, window: int) -> list:
                 ("postlie.product_bracket", Element(pb, _clean=True))]
 
     return [partial(basis_sweep, window, 2, commutative)] + [
-        partial(basis_sweep, window, 3, triple, slice(i, i + 1))
+        partial(basis_sweep, window, 3, triple, (i,))
         for i in range(len(basis_vectors(window)))]
 
 

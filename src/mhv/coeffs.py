@@ -14,7 +14,8 @@ equations ("star.1" .. "star.13") and seven central ones ("ast.1" ..
 equations verbatim, with one unavoidable repair: the star.10
 transcription arrives with an unbindable index (a coefficient
 "a(a, m+k)") and is completed with the index the identity expansion
-dictates.
+dictates.  Each joins a pair part (star.1-4, ast.1-2, which read only
+m and n), which a sweep takes once per (m, n), and a triple part.
 
 CoeffFns.product is the product of the ansatz as a table on basis pairs,
 memoized for the life of its CoeffFns; on closed_form_fns() it is the
@@ -25,9 +26,10 @@ CoeffFns.pair_relations, the oracle's compatibility components of an
 index pair, follows the same memo rule: it lives and dies with its
 CoeffFns.
 associator_defect and commutator_defect are the two residuals of a
-product table on basis vectors: the left-symmetric identity's defect and
-the commutator minus the bracket.  The lsa-identity and compatibility
-sweeps run them on the closed form, and the oracle on any CoeffFns.
+product table on basis vectors: the left-symmetric identity's defect,
+antisymmetric in its first two vectors, and the commutator minus the
+bracket.  The lsa-identity and compatibility sweeps run them on the
+closed form, and the oracle on any CoeffFns.
 
 residuals_from_identity is the independent oracle: it builds the product
 from the ansatz, expands the left-symmetric identity on the six basis
@@ -36,11 +38,12 @@ returns raw component residuals.  derived_counterparts rearranges those
 raw components into the transcription's shapes (substituting the pair
 relations the same way the equations themselves are arranged), giving a
 per-equation reference value to compare against the transcription.
-cross_check_plan plans the comparison on the closed-form solution and on
-seeded random coefficient tables; it is expected to expose exactly one
-transcription error at runtime (star.12, whose second term repeats
-b(m,k) where the expansion yields b(n,k)) and documents two more
-transcription findings (the star.10 index repair, and ast.4, which
+cross_check_plan plans the comparison on the closed-form solution, by
+unordered index pair so that a defect's swapped twin is negated, not
+recomputed, and on seeded random coefficient tables; it is expected to
+expose exactly one transcription error at runtime (star.12, whose second
+term repeats b(m,k) where the expansion yields b(n,k)) and documents two
+more transcription findings (the star.10 index repair, and ast.4, which
 circulates in two argument-naming conventions that are pointwise
 different instances of the same equation family).
 
@@ -54,6 +57,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, partial
+from operator import itemgetter
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
@@ -190,19 +194,22 @@ def _delta(i: int, j: int) -> Scalar:
 # transcribed equation systems
 # ---------------------------------------------------------------------------
 
-def star_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
-    """The thirteen centerless equations as (id, LHS - RHS) pairs.
-
-    star.1 .. star.4 involve only (m, n); the k argument is ignored there.
-    star.10 carries the index repair described in the module docstring;
-    star.12 is evaluated verbatim.
-    """
+def star_pair_residuals(fns: CoeffFns, m: int, n: int) -> list:
+    """star.1 .. star.4, which involve only (m, n)."""
     f, g, hh, a, b = fns.f, fns.g, fns.h, fns.a, fns.b
     return [
         ("star.1", f(m, n) - f(n, m) - sc(m - n)),
         ("star.2", g(m, n) - hh(n, m) + _half(n)),
         ("star.3", a(m, n) - a(n, m)),
         ("star.4", b(m, n) - b(n, m)),
+    ]
+
+
+def star_triple_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
+    """star.5 .. star.13.  star.10 carries the index repair described in
+    the module docstring; star.12 is evaluated verbatim."""
+    f, g, hh, a, b = fns.f, fns.g, fns.h, fns.a, fns.b
+    return [
         ("star.5", f(m, k) * f(n, m + k) - f(n, k) * f(m, n + k)
          - sc(n - m) * f(m + n, k)),
         ("star.6", g(m, k) * g(n, m + k) - g(n, k) * g(m, n + k)
@@ -221,15 +228,27 @@ def star_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
     ]
 
 
-def ast_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
-    """The seven central equations as (id, LHS - RHS) pairs; ast.1 and
-    ast.2 ignore k."""
-    f, g, hh, a, b = fns.f, fns.g, fns.h, fns.a, fns.b
+def star_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
+    """The thirteen centerless equations as (id, LHS - RHS) pairs."""
+    return star_pair_residuals(fns, m, n) \
+        + star_triple_residuals(fns, m, n, k)
+
+
+def ast_pair_residuals(fns: CoeffFns, m: int, n: int) -> list:
+    """ast.1 and ast.2, which involve only (m, n)."""
     omega, rho = fns.omega, fns.rho
     return [
         ("ast.1", omega(m, n) - omega(n, m)
          - sc(Fraction(m**3 - m, 12)) * _delta(m + n, 0)),
         ("ast.2", rho(m, n) - rho(n, m) - _half(m) * _delta(m + n + 1, 0)),
+    ]
+
+
+def ast_triple_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
+    """ast.3 .. ast.7."""
+    f, g, hh, a, b = fns.f, fns.g, fns.h, fns.a, fns.b
+    omega, rho = fns.omega, fns.rho
+    return [
         ("ast.3", f(n, k) * omega(m, n + k) - f(m, k) * omega(n, m + k)
          - sc(m - n) * omega(m + n, k)),
         ("ast.4", g(m, k) * rho(n, m + k) - _half(n) * rho(m + n, k)),
@@ -237,6 +256,11 @@ def ast_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
         ("ast.6", hh(n, k) * rho(m, n + k) - hh(m, k) * rho(n, m + k)),
         ("ast.7", b(m, k) * rho(n, m + k) - b(n, k) * rho(m, n + k)),
     ]
+
+
+def ast_residuals(fns: CoeffFns, m: int, n: int, k: int) -> list:
+    """The seven central equations as (id, LHS - RHS) pairs."""
+    return ast_pair_residuals(fns, m, n) + ast_triple_residuals(fns, m, n, k)
 
 
 def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
@@ -252,7 +276,8 @@ def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
 def associator_defect(mul, x, y, z) -> Element:
     """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)) for a product mul given as
     a table on basis pairs and basis vectors x, y, z; zero iff the triple
-    satisfies the left-symmetric identity."""
+    satisfies the left-symmetric identity.  By this formula it is exactly
+    antisymmetric in x and y, for any mul."""
     acc: dict = {}
     accumulate_left(acc, ONE, mul, mul(x, y), z)
     accumulate_right(acc, MINUS_ONE, mul, x, mul(y, z))
@@ -267,22 +292,13 @@ def commutator_defect(mul, x, y) -> Element:
     return mul(x, y) - mul(y, x) - BRACKET_TABLES[FULL](x, y)
 
 
-_TRIPLE_TYPES = ("ddd", "ddh", "dhd", "dhh", "hhd", "hhh")
-
-
-def _typed_vector(tag: str, index: int):
-    return d(index) if tag == "d" else h(index)
-
-
 def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
                           k: int) -> dict:
     """Component residuals of the left-symmetric identity for the basis
     triple of type ttype at indices (m, n, k): coefficient of d(m+n+k),
     h(m+n+k), C and L in ((xy)z - x(yz)) - ((yx)z - y(xz))."""
-    defect = associator_defect(fns.product,
-                               _typed_vector(ttype[0], m),
-                               _typed_vector(ttype[1], n),
-                               _typed_vector(ttype[2], k))
+    defect = associator_defect(fns.product, *[
+        (d if tag == "d" else h)(i) for tag, i in zip(ttype, (m, n, k))])
     s = m + n + k
     return {"d": defect.coeff(d(s)), "h": defect.coeff(h(s)),
             "c": defect.coeff(C), "l": defect.coeff(L)}
@@ -318,9 +334,9 @@ def residuals_from_identity(fns: CoeffFns, m: int, n: int, k: int) -> list:
     """The independent oracle: raw identity components for all six triple
     types at (m, n, k) plus the pair compatibility components at (m, n)."""
     out = []
-    for ttype in _TRIPLE_TYPES:
+    for ttype, comps in _TYPE_COMPONENTS.items():
         components = raw_defect_components(fns, ttype, m, n, k)
-        for comp in _TYPE_COMPONENTS[ttype]:
+        for comp in comps:
             out.append((f"identity.{ttype}.{comp}", components[comp]))
     out.extend(compat_residuals(fns, m, n))
     return out
@@ -330,17 +346,17 @@ def residuals_from_identity(fns: CoeffFns, m: int, n: int, k: int) -> list:
 # transcription shapes rebuilt from the oracle
 # ---------------------------------------------------------------------------
 
-def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int) -> dict:
+def derived_counterparts(fns: CoeffFns, m: int, n: int, k: int,
+                         raw=None) -> dict:
     """For every transcribed equation, the combination that produces its
     shape, built from the raw oracle components: the raw defect of the
     instantiating triple with the pair relations substituted out.
     Agreement of these values with star_residuals/ast_residuals is exactly
-    correctness of the transcription."""
+    correctness of the transcription.  raw(ttype, m, n, k) gives the raw
+    components, raw_defect_components of fns unless given."""
     f, g, hh, a, b = fns.f, fns.g, fns.h, fns.a, fns.b
     omega, rho = fns.omega, fns.rho
-
-    def raw(ttype, mm, nn, kk):
-        return raw_defect_components(fns, ttype, mm, nn, kk)
+    raw = raw or partial(raw_defect_components, fns)
 
     # the pair relations (star.1-4, ast.1-2 in the transcription's
     # orientation) are the oracle's compatibility components
@@ -396,63 +412,86 @@ SAMPLE_WINDOW = 2
 LOGGED_WITNESSES = 3  # witnesses logged per documented discrepancy
 
 
-def _compare(fns: CoeffFns, w: int, ms) -> tuple:
-    """One chunk of cross-check over the tuples (m, n, k) of the window
-    [-w, w] with m in ms: (cases, failures, witnesses), where witnesses
-    maps each runtime discrepancy to its first LOGGED_WITNESSES cases."""
+def _pair_defect(fns: CoeffFns, known: dict, ttype: str, m: int, n: int,
+                 k: int) -> dict:
+    """raw_defect_components of fns, remembered in known; a type whose
+    first two vectors share a tag takes minus its known twin (n, m, k)."""
+    if (ttype, m, n, k) not in known:
+        twin = ttype[0] == ttype[1] and known.get((ttype, n, m, k))
+        known[ttype, m, n, k] = {c: -v for c, v in twin.items()} if twin \
+            else raw_defect_components(fns, ttype, m, n, k)
+    return known[ttype, m, n, k]
+
+
+def _compare(fns: CoeffFns, w: int, groups) -> tuple:
+    """One chunk of cross-check over the tuples (m, n, k), k in [-w, w],
+    with (m, n) in groups, lists of index pairs that share one memo of
+    _pair_defect: (cases, failures, witnesses), where witnesses maps each
+    runtime discrepancy to its first LOGGED_WITNESSES ((m, n, k), fns
+    name, transcribed, derived) in (m, n, k) order.  A pair part is taken
+    once, where a plain loop first takes it, so random draws keep order."""
     failures = []
     cases = 0
-    witnesses: dict = {eq_id: [] for eq_id in RUNTIME_DISCREPANCIES}
-    rng = range(-w, w + 1)
-    for m in ms:
-        for n in rng:
-            for k in rng:
-                transcribed = dict(star_residuals(fns, m, n, k))
-                transcribed.update(ast_residuals(fns, m, n, k))
-                derived = derived_counterparts(fns, m, n, k)
+    found: dict = {eq_id: [] for eq_id in RUNTIME_DISCREPANCIES}
+    for group in groups:
+        raw = partial(_pair_defect, fns, {})
+        for m, n in group:
+            star_pair = cache(partial(star_pair_residuals, fns, m, n))
+            ast_pair = cache(partial(ast_pair_residuals, fns, m, n))
+            for k in range(-w, w + 1):
+                transcribed = dict(
+                    star_pair() + star_triple_residuals(fns, m, n, k)
+                    + ast_pair() + ast_triple_residuals(fns, m, n, k))
+                derived = derived_counterparts(fns, m, n, k, raw)
                 for eq_id, t_value in transcribed.items():
                     cases += 1
                     d_value = derived[eq_id]
                     if t_value == d_value:
                         continue
-                    if eq_id not in RUNTIME_DISCREPANCIES:
+                    if eq_id in found:
+                        found[eq_id].append(
+                            ((m, n, k), fns.name, t_value, d_value))
+                    else:
                         failures.append(Failure(
                             f"{fns.name} ({m}, {n}, {k})",
                             f"cross.{eq_id}",
                             f"transcribed {t_value.render()} != "
                             f"derived {d_value.render()}"))
-                    elif len(witnesses[eq_id]) < LOGGED_WITNESSES:
-                        witnesses[eq_id].append({
-                            "fns": fns.name,
-                            "tuple": f"({m}, {n}, {k})",
-                            "transcribed": t_value.render(),
-                            "derived": d_value.render(),
-                        })
-    return cases, failures, witnesses
+    return cases, failures, {
+        eq_id: sorted(entries, key=itemgetter(0))[:LOGGED_WITNESSES]
+        for eq_id, entries in found.items()}
 
 
 def cross_check_plan(window: int, eps) -> tuple:
     """The plan of cross-check under the e-mode eps, an lsa.EpsMode: each
     transcribed residual against its oracle-derived counterpart, on the
-    closed form of eps over the window, by m, and on each seeded random
-    table over a smaller window, whole, since it draws each key on first
-    use.  Disagreement except the documented star.12 fails; of star.12's,
-    the report logs the first LOGGED_WITNESSES."""
+    closed form of eps by unordered pairs {m, n}, m <= n, chunk i taking
+    m = i - w and w - i, so (m, n, k) and (n, m, k) share a chunk; and on
+    each seeded random table over a smaller window, whole and m-major, as
+    it draws each key on first use.  Disagreement except the documented
+    star.12 fails; the report logs the first LOGGED_WITNESSES of star.12,
+    the closed form's in (m, n, k) order, then each random table's."""
     closed = closed_form_fns(eps.eps)
-    chunks = [partial(_compare, closed, window, (m,))
-              for m in window_indices(window)]
-    chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW,
-                       range(-SAMPLE_WINDOW, SAMPLE_WINDOW + 1))
+    chunks = [partial(_compare, closed, window, [
+        sorted({(m, n), (n, m)}) for m in sorted({i - window, window - i})
+        for n in range(m, window + 1)]) for i in range(window + 1)]
+    samples = [[(m, n)] for m in window_indices(SAMPLE_WINDOW)
+               for n in window_indices(SAMPLE_WINDOW)]
+    chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW, samples)
                for seed in SAMPLE_SEEDS]
     return chunks, partial(_cross_check_report, window)
 
 
 def _cross_check_report(window: int, parts: list) -> Report:
     """cross-check's Report from its chunks' (cases, failures, witnesses)."""
-    witnesses: dict = {}
-    for _, _, part_witnesses in parts:
-        for eq_id, entries in part_witnesses.items():
-            witnesses.setdefault(eq_id, []).extend(entries)
+    first = len(parts) - len(SAMPLE_SEEDS)  # the first random table's
+    found = sorted([((max(i - first + 1, 0), key), name, tv, dv)
+                    for i, (_, _, witnesses) in enumerate(parts)
+                    for key, name, tv, dv in witnesses.get("star.12", ())],
+                   key=itemgetter(0))[:LOGGED_WITNESSES]
+    logged = [{"fns": name, "tuple": "({}, {}, {})".format(*key),
+               "transcribed": tv.render(), "derived": dv.render()}
+              for (_, key), name, tv, dv in found]
     ast4_witness = []
     probe = random_fns(SAMPLE_SEEDS[0])
     for (m, n, k) in ((0, 1, 0), (1, 2, -1), (0, 2, 1)):
@@ -475,7 +514,7 @@ def _cross_check_report(window: int, parts: list) -> Report:
         "id": "star.12",
         "note": "transcribed second term repeats b(m,k); the identity "
                 "expansion yields b(n,k)",
-        "witnesses": witnesses.get("star.12", [])[:LOGGED_WITNESSES],
+        "witnesses": logged,
     }, {
         "id": "ast.4",
         "note": "circulates in two argument-naming conventions; the two "

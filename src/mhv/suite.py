@@ -39,13 +39,14 @@ index, each taking every N-th chunk.  A plan's own work (the closed
 form, a product table, bider-family's central cases) runs here, as the
 plan is made, before the fork.  The chunks of each check are
 
-    the five basis sweeps   one first basis vector
+    the five basis sweeps   first basis vectors basis[k], basis[b-1-k]
     bider-family            one first basis vector (centerless)
     commuting               one sample
     postlie-grid, lsa-bider-grid   a piece of the zero point (its pairs,
                             a first basis vector), each other grid point
     star, ast               m
-    cross-check             the closed form by m; each random table whole
+    cross-check             the closed form by unordered pairs {m, n},
+                            m = i - w or w - i; each random table whole
     bider-grid, solve-theta the whole check (bider-grid stops early)
 
 The chunk list depends on the window, the e-mode and the selected checks
@@ -68,9 +69,10 @@ from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
 from .biderivations import (LinearMap, check_bider_converse,
                             commuting_residuals, family_plan, grid_plan,
                             lsa_bider_residuals, post_lie_residuals)
-from .coeffs import (ast_residuals, associator_defect, closed_form_fns,
-                     commutator_defect, cross_check_plan, solve_theta,
-                     star_residuals)
+from .coeffs import (associator_defect, ast_pair_residuals,
+                     ast_triple_residuals, closed_form_fns, commutator_defect,
+                     cross_check_plan, solve_theta, star_pair_residuals,
+                     star_triple_residuals)
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import Failure, Report, chunked, collect, pooled, prefixed
@@ -228,12 +230,16 @@ def _grading(x: BasisVector, y: BasisVector) -> Element:
     return value
 
 
-def _sweep(name: str, eq_id: str, arity: int, residual, window: int) -> tuple:
-    """The plan of a basis sweep, one chunk per first basis vector."""
+def _sweep(name: str, eq_id: str, arity: int, residual, window: int,
+           twins=None) -> tuple:
+    """The plan of a basis sweep of residual and its twins, chunk k taking
+    first entries basis[k] and basis[b-1-k], to even out orbit sweeps."""
+    b = len(basis_vectors(window, FULL))
     return chunked(name, window, [
         partial(basis_sweep, window, arity,
-                lambda *xs: [(eq_id, residual(*xs))], slice(i, i + 1))
-        for i in range(len(basis_vectors(window, FULL)))])
+                lambda *xs: [(eq_id, residual(*xs))], sorted({k, b - 1 - k}),
+                twins)
+        for k in range((b + 1) // 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +273,20 @@ def _commuting_plan(window: int) -> tuple:
             partial(pooled, "commuting", window))
 
 
-def _equation_sweep(name: str, residuals, window: int, eps: EpsMode) -> tuple:
-    """The plan of an equation system, residuals(fns, m, n, k) ->
-    [(id, Scalar)], evaluated on the closed form of the e-mode eps over
-    the window cube, one chunk per m."""
+def _equation_sweep(name: str, pair_residuals, triple_residuals,
+                    window: int, eps: EpsMode) -> tuple:
+    """The plan of an equation system, pair_residuals(fns, m, n) (taken
+    once per m, n, counted at every k) joined to triple_residuals(fns, m,
+    n, k), on the closed form of eps over the window cube, by m."""
     fns = closed_form_fns(eps.eps)
     indices = window_indices(window)
 
     def stream(m: int):
-        return (((m, n, k), eq_id, residual)
-                for n in indices for k in indices
-                for eq_id, residual in residuals(fns, m, n, k))
+        for n in indices:
+            pair = pair_residuals(fns, m, n)
+            for k in indices:
+                for eq_id, residual in pair + triple_residuals(fns, m, n, k):
+                    yield (m, n, k), eq_id, residual
 
     return chunked(name, window, [partial(stream, m) for m in indices])
 
@@ -306,12 +315,16 @@ def _check_solve_theta(window: int) -> Report:
 # grid passes iff its zero point alone satisfies the axioms: the zero
 # product the post-Lie ones, f = 0 the left-symmetric biderivation ones.
 CHECKS = {
-    "jacobi": lambda w, eps: _sweep("jacobi", "jacobi", 3, _jacobi, w),
+    # the twins: Jacobi's sum is cyclic, the associator defect antisymmetric
+    "jacobi": lambda w, eps: _sweep(
+        "jacobi", "jacobi", 3, _jacobi, w,
+        lambda x, y, z: [((y, z, x), 1), ((z, x, y), 1)]),
     "antisym": lambda w, eps: _sweep("antisym", "antisym", 2, _antisym, w),
     "grading": lambda w, eps: _sweep("grading", "grading", 2, _grading, w),
     "lsa-identity": lambda w, eps: _sweep(
         "lsa-identity", "lsa.identity", 3,
-        partial(associator_defect, product_table(eps)), w),
+        partial(associator_defect, product_table(eps)), w,
+        lambda x, y, z: [((y, x, z), -1)]),
     "compatibility": lambda w, eps: _sweep(
         "compatibility", "lsa.compat", 2,
         partial(commutator_defect, product_table(eps)), w),
@@ -324,8 +337,10 @@ CHECKS = {
     "lsa-bider-grid": lambda w, eps: grid_plan(
         "lsa-bider-grid", w, partial(lsa_bider_residuals, window=w,
                                      mul=product_table(eps))),
-    "star": lambda w, eps: _equation_sweep("star", star_residuals, w, eps),
-    "ast": lambda w, eps: _equation_sweep("ast", ast_residuals, w, eps),
+    "star": lambda w, eps: _equation_sweep(
+        "star", star_pair_residuals, star_triple_residuals, w, eps),
+    "ast": lambda w, eps: _equation_sweep(
+        "ast", ast_pair_residuals, ast_triple_residuals, w, eps),
     "cross-check": cross_check_plan,
     "solve-theta": lambda w, eps: ([partial(_check_solve_theta, w)],
                                    itemgetter(0)),

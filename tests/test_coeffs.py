@@ -179,11 +179,30 @@ class TestBridge:
         expected = run_cross_check(2).to_json()
         derived = coeffs.derived_counterparts
 
-        def unmemoized(fns, m, n, k):
+        def unmemoized(fns, m, n, k, raw):
+            fns.pair_relations.cache_clear()
+            return derived(fns, m, n, k, raw)
+
+        monkeypatch.setattr(coeffs, "derived_counterparts", unmemoized)
+        assert run_cross_check(2).to_json() == expected
+
+        # nor do the twin defects and the pair parts taken once per pair:
+        # every defect computed afresh, and every equation at every k,
+        # as the triple parts, give the same report
+        def plain(fns, m, n, k, raw):
             fns.pair_relations.cache_clear()
             return derived(fns, m, n, k)
 
-        monkeypatch.setattr(coeffs, "derived_counterparts", unmemoized)
+        for part in ("star", "ast"):
+            pair = getattr(coeffs, f"{part}_pair_residuals")
+            triple = getattr(coeffs, f"{part}_triple_residuals")
+            monkeypatch.setattr(coeffs, f"{part}_pair_residuals",
+                                lambda fns, m, n: [])
+            monkeypatch.setattr(
+                coeffs, f"{part}_triple_residuals",
+                lambda fns, m, n, k, pair=pair, triple=triple:
+                pair(fns, m, n) + triple(fns, m, n, k))
+        monkeypatch.setattr(coeffs, "derived_counterparts", plain)
         assert run_cross_check(2).to_json() == expected
 
     def test_agreement_except_star12(self):
@@ -246,8 +265,8 @@ class TestBridge:
     @pytest.mark.parametrize("seed", coeffs.SAMPLE_SEEDS)
     def test_a_chunk_keeps_only_the_witnesses_the_report_logs(self, seed):
         w = coeffs.SAMPLE_WINDOW
-        _, failures, witnesses = coeffs._compare(random_fns(seed), w,
-                                                 range(-w, w + 1))
+        pairs = [[(m, n)] for m in range(-w, w + 1) for n in range(-w, w + 1)]
+        _, failures, witnesses = coeffs._compare(random_fns(seed), w, pairs)
         assert failures == []
         assert set(witnesses) == set(coeffs.RUNTIME_DISCREPANCIES)
         assert len(witnesses["star.12"]) == coeffs.LOGGED_WITNESSES
@@ -276,6 +295,40 @@ class TestBridge:
         assert len(every) > coeffs.LOGGED_WITNESSES
         docs = {e["id"]: e for e in
                 run_cross_check(3).extra["documented_discrepancies"]}
+        assert docs["star.12"]["witnesses"] \
+            == every[:coeffs.LOGGED_WITNESSES]
+
+    def test_closed_form_witnesses_are_the_first_in_tuple_order(
+            self, monkeypatch):
+        # a closed form with nonzero a and b disagrees at star.12 where
+        # b(m, k) != b(n, k) and a(m, n + k) != 0: here at (m, n, 0) for
+        # five pairs (m, n), spread so that neither the chunks' order nor
+        # the order within a chunk is (m, n, k) order.  The report still
+        # logs the first witnesses in (m, n, k) order
+        def skewed():
+            pairs = {(0, -2), (-2, 1), (1, -2), (-2, 2), (-1, 0)}
+            return coeffs._closed_form(EPS).replace(
+                a=lambda m, n: ONE if (m, n) in pairs else ZERO,
+                b=lambda m, n: ONE if n == 0 and m in (-2, -1) else ZERO)
+
+        w = 2
+        every = []
+        fns = skewed()
+        for m in range(-w, w + 1):
+            for n in range(-w, w + 1):
+                for k in range(-w, w + 1):
+                    t_value = dict(star_residuals(fns, m, n, k))["star.12"]
+                    d_value = derived_counterparts(fns, m, n, k)["star.12"]
+                    if t_value != d_value:
+                        every.append({
+                            "fns": fns.name,
+                            "tuple": f"({m}, {n}, {k})",
+                            "transcribed": t_value.render(),
+                            "derived": d_value.render()})
+        assert len(every) > coeffs.LOGGED_WITNESSES
+        monkeypatch.setattr(coeffs, "_CLOSED_FORM", skewed())
+        docs = {e["id"]: e for e in
+                run_cross_check(w).extra["documented_discrepancies"]}
         assert docs["star.12"]["witnesses"] \
             == every[:coeffs.LOGGED_WITNESSES]
 

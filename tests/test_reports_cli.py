@@ -536,12 +536,13 @@ class TestSuite:
         assert proc.stderr.startswith("mhv: error: ")
         assert proc.stderr.count("\n") == 1
 
-    def test_sweeps_take_one_chunk_per_first_basis_vector(self):
-        # the chunk list depends on the window alone: chunk i sweeps the
-        # cases whose first basis vector is basis[i]
+    def test_sweeps_take_basis_rows_k_and_b_minus_1_minus_k(self):
+        # the chunk list depends on the window alone: chunk k sweeps the
+        # cases whose first basis vector is basis[k] or basis[b - 1 - k]
         from mhv.algebra import FULL, Element, basis_vectors
         from mhv.suite import _sweep
         basis = basis_vectors(3, FULL)
+        b = len(basis)
         firsts = []
         parts = []
 
@@ -555,9 +556,9 @@ class TestSuite:
             firsts.append(set())
             parts.append(chunk())
         report = finish(parts)
-        assert firsts == [{bv} for bv in basis]
-        assert [p.total_cases for p in parts] == [len(basis)] * len(basis)
-        assert report.passed and report.total_cases == len(basis) ** 2
+        assert firsts == [{basis[k], basis[b - 1 - k]} for k in range(b // 2)]
+        assert [p.total_cases for p in parts] == [2 * b] * (b // 2)
+        assert report.passed and report.total_cases == b ** 2
 
     def test_family_takes_one_chunk_per_first_centerless_vector(
             self, monkeypatch):

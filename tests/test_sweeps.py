@@ -11,6 +11,9 @@ The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
 h, a and b parts the closed form sets to zero.  A whole window-2 suite
 run calls bilinear not once.
+The orbit sweeps of lsa-identity and jacobi evaluate one member of each
+orbit of their residual's twins; their reports are compared with plain
+sweeps of the same residual, passing and failing, at 1, 2 and 3 workers.
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from itertools import product
 
 import pytest
 
-from mhv import algebra, biderivations, lsa
+from mhv import algebra, biderivations, lsa, suite
 from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
                          accumulate_left, accumulate_right, basis_vectors,
                          bilinear, bracket, d, h, project_centerless,
@@ -34,8 +37,10 @@ from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, closed_form_fns,
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
-from mhv.suite import (CHECK_ORDER, RunConfig, _antisym, _commuting_specs,
-                       _grading, _jacobi, run_suite)
+from mhv.reports import render_inputs
+from mhv.suite import (CHECK_ORDER, CHECKS, RunConfig, _antisym,
+                       _commuting_specs, _grading, _jacobi, _sweep,
+                       run_chunks, run_suite)
 
 WINDOW = 2
 E = Element.basis
@@ -104,6 +109,93 @@ class TestSuiteSweeps:
             ex, ey = E(x), E(y)
             assert commutator_defect(mul, x, y) \
                 == p(ex, ey) - p(ey, ex) - bracket(ex, ey), (x, y)
+
+
+# the int bracket with 2(m - n) on d_m d_n replaced by m^2 - n: its
+# Jacobi sum is nonzero, and still the same sum at each rotation
+_SKEWED_INTS = tag_table(
+    dd=lambda m, n: Element({d(m + n): m * m - n}),
+    dh=lambda m, n: Element({h(m + n): -(2 * n + 1)}),
+    hd=lambda m, n: Element({h(m + n): 2 * m + 1}),
+    hh=lambda m, n: Element({L: 0 if m + n + 1 else 2 * m + 1}))
+
+
+def run_plan(plan: tuple, workers: int):
+    chunks, finish = plan
+    return finish(run_chunks(chunks, workers))
+
+
+class TestTwins:
+    """The symmetries the orbit sweeps rest on hold by the residuals' own
+    formulas, on any table."""
+
+    @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+    def test_associator_defect_is_antisymmetric(self, seed):
+        mul = random_fns(seed).product
+        nonzero = 0
+        for x, y, z in tuples(3):
+            value = associator_defect(mul, x, y, z)
+            assert associator_defect(mul, y, x, z) == -value
+            nonzero += not value.is_zero()
+        assert nonzero
+
+    def test_jacobi_is_the_same_at_each_rotation(self, monkeypatch):
+        monkeypatch.setattr(suite, "_ints", _SKEWED_INTS)
+        nonzero = 0
+        for x, y, z in tuples(3):
+            value = _jacobi(x, y, z)
+            assert _jacobi(y, z, x) == value == _jacobi(z, x, y)
+            nonzero += not value.is_zero()
+        assert nonzero
+
+
+class TestOrbitSweeps:
+    """lsa-identity and jacobi evaluate the least member of each orbit of
+    their declared twins and emit its value for every member."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("check", ["lsa-identity", "jacobi"])
+    def test_every_basis_triple_is_one_case(self, check, window,
+                                            monkeypatch):
+        # a residual that never vanishes makes every case a failure
+        one = Element.basis(d(0))
+        monkeypatch.setattr(suite, "associator_defect", lambda *a: one)
+        monkeypatch.setattr(suite, "_jacobi", lambda *a: one)
+        report = run_plan(CHECKS[check](window, SYMBOLIC), 1)
+        b = len(basis_vectors(window, FULL))
+        assert report.total_cases == b ** 3
+        assert sorted(f.inputs for f in report.failures) == sorted(
+            render_inputs(t) for t in product(basis_vectors(window, FULL),
+                                              repeat=3))
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_lsa_identity_reports_as_a_plain_sweep(self, window,
+                                                   monkeypatch):
+        # random_fns(1)'s defects are nonzero, so failure lists are
+        # compared.  Its values are drawn on first use, so the plain sweep
+        # runs first, here, and every later run reads the same table
+        for mul in (product_table(SYMBOLIC), random_fns(1).product):
+            plain = _sweep("lsa-identity", "lsa.identity", 3,
+                           partial(associator_defect, mul), window)
+            expected = run_plan(plain, 1).to_json()
+            monkeypatch.setattr(suite, "product_table", lambda eps: mul)
+            for workers in (1, 2, 3):
+                assert run_plan(plain, workers).to_json() == expected
+                assert run_plan(CHECKS["lsa-identity"](window, SYMBOLIC),
+                                workers).to_json() == expected
+        assert not run_plan(plain, 1).passed
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_jacobi_reports_as_a_plain_sweep(self, window, monkeypatch):
+        for ints in (suite._ints, _SKEWED_INTS):
+            monkeypatch.setattr(suite, "_ints", ints)
+            plain = _sweep("jacobi", "jacobi", 3, _jacobi, window)
+            expected = run_plan(plain, 1).to_json()
+            for workers in (1, 2, 3):
+                assert run_plan(plain, workers).to_json() == expected
+                assert run_plan(CHECKS["jacobi"](window, SYMBOLIC),
+                                workers).to_json() == expected
+        assert not run_plan(plain, 1).passed
 
 
 def axiom_oracle(cand: BilinearTable, mode, x, y, z) -> dict:
