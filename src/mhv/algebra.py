@@ -34,18 +34,20 @@ combination of tables.
 basis_sweep drives the sweeps other than biderivations' derivation
 kernel: it evaluates a residual function on every pair or triple of
 window basis vectors, or, given the residual's twins, on one member of
-each orbit and emits that value for every member.  The function receives
-the BasisVectors themselves, each standing for itself with coefficient
-one, so a pair value such as [x, y] is a direct call to a table.  A
-residual built from such values adds each second-level term, such as
-f([x, y], z), times its factor into one term dict through
-accumulate_left or accumulate_right, and becomes one Element at the end;
-no sweep calls bilinear.  bilinear itself is accumulate_right once per
-term of its left operand.  Every term dict is filled before an Element
-takes it, and none is written after, so a table's cached Elements are
-only ever read.  The kernels use coefficients only through +, -, *,
-unary - and `not c` (ONE, MINUS_ONE are identity fast paths), so an int
-table sums ints and a Scalar table Scalars.
+each orbit and emits that value for every member, yielding only the
+nonzero ones and returning the number of zero cases (see
+reports.collect).  The function receives the BasisVectors themselves,
+each standing for itself with coefficient one, so a pair value such as
+[x, y] is a direct call to a table.  A residual built from such values
+adds each second-level term, such as f([x, y], z), times its factor into
+one term dict through accumulate_left or accumulate_right, and becomes
+one Element at the end; no sweep calls bilinear.  bilinear itself is
+accumulate_right once per term of its left operand.  Every term dict is
+filled before an Element takes it, and none is written after, so a
+table's cached Elements are only ever read.  The kernels use
+coefficients only through +, -, *, unary - and `not c` (ONE, MINUS_ONE
+are identity fast paths), so an int table sums ints and a Scalar table
+Scalars.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, ratio, sc
 
@@ -503,27 +505,30 @@ def basis_vectors(window: int, mode: AlgebraMode = FULL) -> list:
 
 
 def basis_sweep(window: int, arity: int, residuals, rows=None,
-                twins=None) -> Iterator[tuple]:
-    """Yield (inputs, equation_id, residual) for every arity-tuple of the
-    full-mode window basis whose first entry is basis[i], i in rows (all
-    by default).  residuals(*vectors) returns the [(equation_id, residual)]
-    of one tuple of basis vectors; inputs is that tuple.  twins(*t) lists
+                twins=None) -> Generator[tuple, None, int]:
+    """Yield (inputs, equation_id, residual) for every nonzero residual at
+    the arity-tuples of the full-mode window basis whose first entry is
+    basis[i], i in rows (all by default), and return the number of zero
+    ones.  residuals(*vectors) returns the [(equation_id, residual)] of
+    one tuple of basis vectors; inputs is that tuple.  twins(*t) lists
     [(twin, sign)] for an index tuple t, the residuals at twin being sign
     times those at t; only the least tuple of an orbit is evaluated."""
     basis = basis_vectors(window)
     every = range(len(basis))
     rows = every if rows is None else rows
+    zeros = 0
     for t, xs in zip(product(rows, *[every] * (arity - 1)),
                      product([basis[i] for i in rows],
                              *[basis] * (arity - 1))):
         members = twins(*t) if twins else ()
         if members and min(members)[0] < t:
             continue
+        orbit = [(t, 1)] + [m for m in dict(members).items() if m[0] != t]
         values = residuals(*xs)
-        for eq_id, value in values:
-            yield xs, eq_id, value
-        for twin, sign in dict(members).items():
-            if twin != t:
-                twin_xs = tuple(map(basis.__getitem__, twin))
-                for eq_id, value in values:
-                    yield twin_xs, eq_id, value if sign > 0 else -value
+        nonzero = [(eq_id, v) for eq_id, v in values if not v.is_zero()]
+        zeros += (len(values) - len(nonzero)) * len(orbit)
+        for twin, sign in orbit if nonzero else ():
+            twin_xs = tuple(map(basis.__getitem__, twin))
+            for eq_id, value in nonzero:
+                yield twin_xs, eq_id, value if sign > 0 else -value
+    return zeros

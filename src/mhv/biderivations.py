@@ -23,16 +23,18 @@ residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
 Every derivation sweep (check_biderivation, the left-symmetric
 biderivations, bider-family, bider-grid) runs through one kernel,
-derivation_residuals, which takes f(x, .) once per first basis vector x,
-as the sweep reaches it, and f(x, y) and mul(x, y) once per (x, y), and
-projects nothing; the post-Lie and commuting sweeps run through
-algebra.basis_sweep.  Each sweep calls its tables on basis vectors and
-sums each residual into one term dict with algebra.accumulate_left and
-accumulate_right; no sweep uses the element-level bilinear extension of
-bider_eval and BilinearTable.  bider-family and bider-grid sweep each
-table's int_form in ints against 2[., .]: a residual is
-scale(f)*scale(mul) times the true one (4 for the bracket, 2 for
-upsilon[s]), and is divided back only when it is nonzero.
+derivation_residuals, which takes all of a sweep's tables at once, and
+mul(x, y) and mul(y, z) once for all of them, f(x, .) once per first
+basis vector x, as the sweep reaches it, and f(x, y) once per (x, y),
+and projects nothing; the post-Lie and commuting sweeps run through
+algebra.basis_sweep.  A sweep yields only its nonzero residuals (see
+reports.collect), so a passing one builds no Element.  Each sweep calls
+its tables on basis vectors and sums each residual into one term dict
+with algebra.accumulate_left and accumulate_right; no sweep uses the
+element-level bilinear extension of bider_eval and BilinearTable.
+bider-family and bider-grid sweep each table's int_form in ints against
+2[., .]: a residual is scale(f)*scale(mul) times the true one (4 for
+the bracket, 2 for upsilon[s]), and is divided back only when nonzero.
 
 The family arises on the centerless quotient and the derivation axioms
 hold there; that is the default mode of check_biderivation.  Over the
@@ -72,7 +74,7 @@ from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
                       tag_table)
 from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
-from .reports import (Failure, Report, collect, pooled, prefixed,
+from .reports import (Failure, Report, Swept, collect, pooled, prefixed,
                       render_inputs, residual_failure)
 from .scalars import MINUS_ONE, ONE, Scalar, sc
 
@@ -194,83 +196,98 @@ class BilinearTable:
         return bilinear(self.evaluator, x, y)
 
 
-def derivation_residuals(f: PairTable, mul: PairTable, x: BasisVector,
+def derivation_residuals(tables: list, mul: PairTable, x: BasisVector,
                          basis: list):
-    """The two derivation axioms of the table f with respect to the product
-    table mul at the basis triples (x, y, z), y and z in basis:
+    """The two derivation axioms of each table f of tables with respect to
+    the product table mul at the basis triples (x, y, z), y and z in basis:
 
         f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
         f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
 
-    Yields (y, z, left, right) per triple, projecting nothing: on the
-    quotient, f's values must already be centerless.  No empty value
-    reaches an accumulate kernel, and the products come in the order
-    written, so under a numeric e the first pole raises.  f(x, z) is
-    taken at the first y, when the sweep first needs it."""
+    Yields (y, z, lefts, rights), one Element per table, only at the
+    triples where some residual is nonzero, and returns the number of the
+    others.  Nothing is projected: on the quotient, f's values must
+    already be centerless.  No empty value reaches an accumulate kernel,
+    each table's products come in the order written, so under a numeric
+    e the first pole raises, and f(x, z) is taken at the first y."""
     fx = []
+    zeros = 0
     for y in basis:
         mxy = mul(x, y)
-        fxy = f(x, y)
+        fxy = [f(x, y) for f in tables]
         for k, z in enumerate(basis):
             if k == len(fx):
-                fx.append(f(x, z))
-            fxz = fx[k]
-            acc: dict = {}
-            if mxy._terms:
-                accumulate_left(acc, ONE, f, mxy, z)
-            if fxz._terms:
-                accumulate_left(acc, MINUS_ONE, mul, fxz, y)
-            fyz = f(y, z)
-            if fyz._terms:
-                accumulate_right(acc, MINUS_ONE, mul, x, fyz)
-            left = Element(acc, _clean=True)
-            myz = mul(y, z)
-            acc = {}
-            if myz._terms:
-                accumulate_right(acc, ONE, f, x, myz)
-            if fxy._terms:
-                accumulate_left(acc, MINUS_ONE, mul, fxy, z)
-            if fxz._terms:
-                accumulate_right(acc, MINUS_ONE, mul, y, fxz)
-            right = Element(acc, _clean=True)
-            yield y, z, left, right
+                fx.append([f(x, z) for f in tables])
+            myz = None
+            lefts, rights, nonzero = [], [], False
+            for f, fxy_f, fxz_f in zip(tables, fxy, fx[k]):
+                left: dict = {}
+                if mxy._terms:
+                    accumulate_left(left, ONE, f, mxy, z)
+                if fxz_f._terms:
+                    accumulate_left(left, MINUS_ONE, mul, fxz_f, y)
+                fyz = f(y, z)
+                if fyz._terms:
+                    accumulate_right(left, MINUS_ONE, mul, x, fyz)
+                if myz is None:
+                    myz = mul(y, z)
+                right: dict = {}
+                if myz._terms:
+                    accumulate_right(right, ONE, f, x, myz)
+                if fxy_f._terms:
+                    accumulate_left(right, MINUS_ONE, mul, fxy_f, z)
+                if fxz_f._terms:
+                    accumulate_right(right, MINUS_ONE, mul, y, fxz_f)
+                lefts.append(left)
+                rights.append(right)
+                nonzero = nonzero or left or right
+            if nonzero:
+                yield (y, z, [Element(acc, _clean=True) for acc in lefts],
+                       [Element(acc, _clean=True) for acc in rights])
+            else:
+                zeros += 1
+    return zeros
 
 
 def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
                  mode: AlgebraMode, first: slice = slice(None)):
-    """(inputs, equation_id, residual) of the two axioms, name.left and
+    """The sweep (see reports.collect) of the two axioms, name.left and
     name.right, of the table f on the window basis triples with first
     vector in basis[first]; on the quotient (CENTERLESS) f's values are
     projected, as the centerless bracket sends C and L to zero."""
     basis = basis_vectors(window, mode)
     left_id, right_id = f"{name}.left", f"{name}.right"
     g = f if mode is FULL else lambda u, v: project_centerless(f(u, v))
+    zeros = 0
     for x in basis[first]:
-        for y, z, left, right in derivation_residuals(g, mul, x, basis):
-            yield (x, y, z), left_id, left
-            yield (x, y, z), right_id, right
+        triples = Swept(derivation_residuals([g], mul, x, basis))
+        for y, z, (left,), (right,) in triples:
+            if left._terms:
+                yield (x, y, z), left_id, left
+            if right._terms:
+                yield (x, y, z), right_id, right
+            zeros += (not left._terms) + (not right._terms)
+        zeros += 2 * triples.zeros
+    return zeros
+
+
+def _joined(pieces: list):
+    """The sweeps of pieces, zero-argument callables, as one."""
+    zeros = 0
+    for piece in pieces:
+        zeros += (yield from piece()) or 0
+    return zeros
 
 
 # 2[., .] on the quotient, the int table every lane sweeps against
 _ints, _two = BRACKET_TABLES[CENTERLESS].int_form
 
 
-def _lanes(tables: list) -> list:
-    """Per table, with int_form (ints, s), the (ints, 2s) that sweeps it on
-    the quotient against 2[., .], at 2s times the true residual."""
-    return [(ints, _two * s) for ints, s in (f.int_form for f in tables)]
-
-
-def _centerless_triples(lanes: list, xs: list, basis: list):
-    """derivation_residuals of each (ints, scale) of lanes against
-    2[., .] on the quotient, at the triples (x, y, z) with x in xs and y, z
-    in basis, as one ((x, y, z), lefts, rights) per triple; every int
-    table swept here is centerless-valued."""
-    for x in xs:
-        for items in zip(*[derivation_residuals(f, _ints, x, basis)
-                           for f, _ in lanes]):
-            y, z, lefts, rights = zip(*items)
-            yield (x, y[0], z[0]), lefts, rights
+def _lanes(tables: list) -> tuple:
+    """The ints of the tables' int_forms (ints, s), swept on the quotient
+    against 2[., .], and the scales 2s of their residuals."""
+    forms = [f.int_form for f in tables]
+    return [ints for ints, _ in forms], [_two * s for _, s in forms]
 
 
 def check_biderivation(cand: BilinearTable, window: int,
@@ -389,8 +406,7 @@ def post_lie_residuals(params: BiderParams, window: int) -> list:
 def check_post_lie(params: BiderParams, window: int) -> Report:
     """All three commutative post-Lie axioms for x*y := f_params(x, y)."""
     return collect(f"postlie[{params.describe()}]", window, "symbolic",
-                   (case for piece in post_lie_residuals(params, window)
-                    for case in piece()))
+                   _joined(post_lie_residuals(params, window)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +431,7 @@ def check_lsa_biderivation(params: BiderParams, window: int,
     product, on all window basis triples."""
     pieces = lsa_bider_residuals(params, window, product_table(eps))
     return collect(f"lsabider[{params.describe()}]", window, eps.describe(),
-                   (case for piece in pieces for case in piece()))
+                   _joined(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +560,7 @@ def check_bider_converse(window: int) -> Report:
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
-    lanes = _lanes([fn for _, fn in gens])
+    tables, scales = _lanes([fn for _, fn in gens])
     family = {names.index(name) for name in FAMILY_GENERATORS}
     target = len(gens) - len(family)
     basis = basis_vectors(window, CENTERLESS)
@@ -552,14 +568,16 @@ def check_bider_converse(window: int) -> Report:
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    for inputs, lefts, rights in _centerless_triples(lanes, basis, basis):
+    triples = ((x, *item) for x in basis
+               for item in derivation_residuals(tables, _ints, x, basis))
+    for x, y, z, lefts, rights in triples:
         for per_gen in (lefts, rights):
             # each generator's residual walked once: output vector ->
             # [(generator, coefficient)] in generator order
             by_vector: dict = {}
             for g, res in enumerate(per_gen):
                 if g in family:
-                    res = scalar_element(res, lanes[g][1])
+                    res = scalar_element(res, scales[g])
                 for w, coeff in res._terms.items():
                     by_vector.setdefault(w, []).append((g, coeff))
             for w in sorted(by_vector, key=BasisVector.sort_key):
@@ -567,7 +585,7 @@ def check_bider_converse(window: int) -> Report:
                 for g, coeff in by_vector[w]:
                     if g in family:
                         failures.append(Failure(
-                            render_inputs(inputs),
+                            render_inputs((x, y, z)),
                             "converse.family_residual",
                             f"{names[g]}: {coeff.render()}"))
                     else:
@@ -611,33 +629,35 @@ def _central_residuals(params: BiderParams, basis: list):
             yield (central, u, "right"), "bider.central", f(u, central)
 
 
-def _family_sweep(members: list, lanes: list, window: int,
-                  first: slice) -> Report:
-    """Every member's centerless axiom cases on the basis triples whose
-    first vector lies in the centerless basis[first].  members holds
-    (label, [(weight, index into lanes)]).  Each triple takes each
-    table's residuals once; only when one is nonzero is each member's
-    residual formed, as its weighted sum of them divided back."""
+def _family_sweep(members: list, lanes: tuple, window: int,
+                  x: BasisVector) -> Report:
+    """Every member's centerless axiom cases on the basis triples with
+    first vector x.  members holds (label, [(weight, index into lanes)]).
+    Each triple takes each table's residuals once; only when one is
+    nonzero is each member's residual formed, as its weighted sum of them
+    divided back."""
+    tables, scales = lanes
     failures = []
     cases = 0
     basis = basis_vectors(window, CENTERLESS)
-    for inputs, lefts, rights in _centerless_triples(lanes, basis[first],
-                                                     basis):
+    triples = Swept(derivation_residuals(tables, _ints, x, basis))
+    for y, z, lefts, rights in triples:
         for eq_id, per_table in (("bider.left", lefts),
                                  ("bider.right", rights)):
             cases += len(members)
             if not any(per_table):  # every residual is the zero Element
                 continue
             per_table = [scalar_element(res, scale)
-                         for res, (_, scale) in zip(per_table, lanes)]
+                         for res, scale in zip(per_table, scales)]
             for label, weights in members:
                 acc: dict = {}
                 for weight, i in weights:
                     _add_scaled(acc, per_table[i], weight)
                 if acc:
                     failures.append(residual_failure(
-                        f"{label} {render_inputs(inputs)}", eq_id,
+                        f"{label} {render_inputs((x, y, z))}", eq_id,
                         Element(acc, _clean=True)))
+    cases += 2 * len(members) * triples.zeros
     return Report("bider-family", window, "symbolic", cases, failures)
 
 
@@ -657,7 +677,6 @@ def family_plan(window: int) -> tuple:
     central = [prefixed(label, collect("bider-family", window, "symbolic",
                                        _central_residuals(params, basis)))
                for (label, _), params in zip(members, FAMILY_SAMPLES)]
-    return ([partial(_family_sweep, members, _lanes(list(index)), window,
-                     slice(i, i + 1))
-             for i in range(len(basis_vectors(window, CENTERLESS)))],
+    return ([partial(_family_sweep, members, _lanes(list(index)), window, x)
+             for x in basis_vectors(window, CENTERLESS)],
             lambda sweeps: pooled("bider-family", window, central + sweeps))

@@ -10,8 +10,9 @@ are exact decimal strings, never floats.
 
 A Report sorts its failures by (inputs, equation_id) when it is built,
 so the failure order is decided here and nowhere else.  Most checks
-stream (inputs, equation_id, residual) triples into collect, which
-counts each triple as a case and keeps each nonzero residual through
+hand collect a sweep, which yields the (inputs, equation_id, residual)
+of its nonzero residuals only and returns the number of the others;
+collect counts both as cases and keeps each nonzero residual through
 residual_failure, as bider-family's sweep and a grid's zero point do:
 rendered, and as its value when it depends on e.  Free-text Failures
 (converse, cross-check, solve-theta, a grid's unexpected pass) have none.
@@ -139,21 +140,34 @@ def render_inputs(inputs: tuple) -> str:
     return "(" + ", ".join(map(str, inputs)) + ")"
 
 
+class Swept:
+    """A sweep's items, then in zeros the count it returned (0 if none)."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __iter__(self):
+        self.zeros = (yield from self.stream) or 0
+
+
 def collect(check: str, window: int, eps_mode: str, residuals,
             extra: dict | None = None) -> Report:
-    """The sorted Report of a stream of (inputs, equation_id, residual).
+    """The sorted Report of a sweep of (inputs, equation_id, residual).
 
-    Each item is one case.  A residual is an Element or a Scalar; only the
+    Each item is one case, and so is each of the zero cases whose number
+    the sweep returns.  A residual is an Element or a Scalar; only the
     nonzero ones are kept, through residual_failure.  Inputs are rendered
     only for a failure, so a passing sweep never formats its labels."""
     failures = []
     cases = 0
-    for inputs, eq_id, residual in residuals:
+    swept = Swept(residuals)
+    for inputs, eq_id, residual in swept:
         cases += 1
         if not residual.is_zero():
             failures.append(residual_failure(render_inputs(inputs), eq_id,
                                              residual))
-    return Report(check, window, eps_mode, cases, failures, extra)
+    return Report(check, window, eps_mode, cases + swept.zeros, failures,
+                  extra)
 
 
 def pooled(check: str, window: int, parts: list) -> Report:

@@ -50,7 +50,9 @@ plan is made, before the fork.  The chunks of each check are
     bider-grid, solve-theta the whole check (bider-grid stops early)
 
 The chunk list depends on the window, the e-mode and the selected checks
-alone, so output is byte-identical for any worker count.
+alone, so output is byte-identical for any worker count.  Every sweep
+yields only its nonzero residuals and returns the number of its zero
+cases, which reports.collect adds to the cases it reads.
 """
 
 from __future__ import annotations
@@ -282,11 +284,16 @@ def _equation_sweep(name: str, pair_residuals, triple_residuals,
     indices = window_indices(window)
 
     def stream(m: int):
+        zeros = 0
         for n in indices:
             pair = pair_residuals(fns, m, n)
             for k in indices:
                 for eq_id, residual in pair + triple_residuals(fns, m, n, k):
-                    yield (m, n, k), eq_id, residual
+                    if residual.is_zero():
+                        zeros += 1
+                    else:
+                        yield (m, n, k), eq_id, residual
+        return zeros
 
     return chunked(name, window, [partial(stream, m) for m in indices])
 

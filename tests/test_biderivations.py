@@ -8,7 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,14 +21,14 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, BasisVector, C,
 from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                BilinearTable, LinearMap, _axiom_cases,
                                _candidate_generators, _central_residuals,
-                               _first_failure, bider_eval,
+                               _first_failure, _joined, bider_eval,
                                check_bider_converse, check_biderivation,
                                check_commuting, check_lsa_biderivation,
                                check_post_lie, family_parts, family_table,
                                grid_plan, grid_points, lsa_bider_residuals,
                                upsilon)
 from mhv.linalg import RowReducer
-from mhv.lsa import SYMBOLIC, EpsMode, product_table
+from mhv.lsa import SYMBOLIC, EpsMode, lsa_product, product_table
 from mhv.reports import (Failure, Report, collect, pooled, prefixed,
                          render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
@@ -244,11 +244,11 @@ class TestFamilyByLinearity:
         basis = basis_vectors(window, FULL)
         return pooled("bider-family", window, [
             prefixed(f"params=({p.describe()})", collect(
-                "bider-family", window, "symbolic", chain(
-                    _axiom_cases("bider", family_table(p, CENTERLESS),
-                                 BRACKET_TABLES[CENTERLESS], window,
-                                 CENTERLESS),
-                    _central_residuals(p, basis))))
+                "bider-family", window, "symbolic", _joined([
+                    partial(_axiom_cases, "bider",
+                            family_table(p, CENTERLESS),
+                            BRACKET_TABLES[CENTERLESS], window, CENTERLESS),
+                    partial(_central_residuals, p, basis)])))
             for p in biderivations.FAMILY_SAMPLES])
 
     @staticmethod
@@ -527,6 +527,51 @@ class TestGrids:
                     f"(lambda=0, omega={{}}) at ({basis[3]})",
                     "grid.trivial_failed[probe]", "d(0)")]
 
+    @pytest.mark.parametrize("grid", ["postlie-grid", "lsa-bider-grid"])
+    def test_a_broken_zero_point_reports_its_first_nonzero_residual(
+            self, monkeypatch, grid):
+        # the zero point swept on upsilon[0], broken as
+        # TestFamilyByLinearity breaks it: its witness is the first nonzero
+        # residual of the element-level formulas, in the sweep's order
+        TestFamilyByLinearity.break_upsilon_0(monkeypatch)
+        table_of = biderivations.family_table
+        member = BiderParams(0, {0: 1})
+        monkeypatch.setattr(
+            biderivations, "family_table", lambda params, mode=FULL:
+            table_of(member if params.is_zero() else params, mode))
+        f = BilinearTable(table_of(member))
+        mul = partial(lsa_product, eps=SYMBOLIC)
+        basis = basis_vectors(2, FULL)
+
+        def cases():
+            # the pieces' order: post-Lie pairs, then triples by x
+            if grid == "postlie-grid":
+                for x, y in product(basis, repeat=2):
+                    yield (x, y), "postlie.commutative", \
+                        f(E(x), E(y)) - f(E(y), E(x))
+            for x, y, z in product(basis, repeat=3):
+                ex, ey, ez = E(x), E(y), E(z)
+                if grid == "postlie-grid":
+                    yield (x, y, z), "postlie.bracket_product", \
+                        f(bracket(ex, ey), ez) - f(ex, f(ey, ez)) \
+                        + f(ey, f(ex, ez))
+                    yield (x, y, z), "postlie.product_bracket", \
+                        f(ex, bracket(ey, ez)) - bracket(f(ex, ey), ez) \
+                        - bracket(ey, f(ex, ez))
+                else:
+                    yield (x, y, z), "lsabider.left", f(mul(ex, ey), ez) \
+                        - mul(f(ex, ez), ey) - mul(ex, f(ey, ez))
+                    yield (x, y, z), "lsabider.right", f(ex, mul(ey, ez)) \
+                        - mul(f(ex, ey), ez) - mul(ey, f(ex, ez))
+
+        inputs, eq_id, residual = next(c for c in cases()
+                                       if not c[2].is_zero())
+        report = run_check(grid, 2)
+        assert [failure for failure in report.failures
+                if failure.equation_id.startswith("grid.trivial")] == [
+            Failure(f"(lambda=0, omega={{}}) at {render_inputs(inputs)}",
+                    f"grid.trivial_failed[{eq_id}]", residual.render())]
+
     def test_a_zero_point_that_fails_fails_the_grid(self):
         def source(params):
             return [lambda: [((d(0),), "probe", E(d(0)))]]
@@ -558,7 +603,7 @@ class TestGrids:
             assert _first_failure(lsa_bider_residuals(params, 4, mul)) \
                 is not None
         assert len(points) == 161
-        assert len(calls) <= 805
+        assert len(calls) == 805
 
     def test_a_zero_point_witness_keeps_its_value(self):
         def source(params):
@@ -678,6 +723,14 @@ class TestConverse:
         assert report.passed
         assert report.extra["rank"] == report.extra["target_rank"]
         assert report.extra["family_dimension"] == 6
+
+    def test_window_5_stops_at_the_same_row(self):
+        # the sweep skips the triples where every residual vanishes; they
+        # add no row, so it stops where a sweep of every triple stops
+        report = check_bider_converse(5)
+        assert report.passed
+        assert report.total_cases == report.extra["rows_used"] == 2925
+        assert report.extra["rank"] == 40
 
     def test_a_family_generator_with_a_residual_fails(self, monkeypatch):
         monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",

@@ -49,6 +49,18 @@ class TestReports:
                              "total_cases", "passed", "failures"]
         assert doc["passed"] is False
 
+    def test_collect_counts_a_sweeps_items_and_its_returned_zeros(self):
+        # every item is a case, a zero one included, and so is each zero
+        # case the sweep counted without yielding it
+        def sweep():
+            yield ("z",), "eq", Element.zero()
+            yield ("w",), "eq", Element.basis(d(1))
+            return 5
+
+        r = collect("demo", 3, "symbolic", sweep())
+        assert r.total_cases == 7
+        assert r.failures == [Failure("(w)", "eq", "d(1)")]
+
     def test_failures_sorted(self):
         r = Report("demo", 3, "symbolic", 2,
                    [Failure("(d(2))", "b", "0"), Failure("(d(1))", "a", "0")])
@@ -563,18 +575,24 @@ class TestSuite:
     def test_family_takes_one_chunk_per_first_centerless_vector(
             self, monkeypatch):
         # chunk i sweeps every member's centerless triples whose first
-        # basis vector is basis[i]; the central cases run outside the chunks
+        # basis vector is basis[i], with one kernel call for all the
+        # members' distinct generators; the central cases run outside the
+        # chunks
         from mhv import biderivations
         from mhv.algebra import CENTERLESS, FULL, basis_vectors
-        from mhv.biderivations import FAMILY_SAMPLES, family_plan
+        from mhv.biderivations import (FAMILY_SAMPLES, family_parts,
+                                       family_plan)
         basis = basis_vectors(2, CENTERLESS)
+        generators = {table for params in FAMILY_SAMPLES
+                      for _, table in family_parts(params, CENTERLESS)}
         residuals = biderivations.derivation_residuals
         firsts = []
         parts = []
 
-        def record(f, mul, x, basis):
+        def record(tables, mul, x, basis):
+            assert len(tables) == len(generators)
             firsts[-1].add(x)
-            return residuals(f, mul, x, basis)
+            return residuals(tables, mul, x, basis)
 
         monkeypatch.setattr(biderivations, "derivation_residuals", record)
         chunks, finish = family_plan(2)

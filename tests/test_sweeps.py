@@ -5,7 +5,10 @@ residual term by term from the tables on basis pairs.  Here, at window 2
 and on every basis tuple, each swept residual is compared with the same
 formula written with bilinear, bracket, lsa_product and the family's
 BilinearTable on Element.basis operands, which the sweeps no longer use.
-The derivation kernel, which takes one table, is compared table by table
+Every sweep yields only its nonzero residuals and returns the number of
+its zero cases: a case it does not yield must be zero by the formula,
+and the cases it yields and counts must be every case.  The derivation
+kernel, which takes every table at once, is compared table by table
 with that formula, axiom_oracle.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
@@ -29,15 +32,17 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
                          tag_table)
 from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
                                LinearMap, _axiom_cases, _candidate_generators,
-                               check_lsa_biderivation, commuting_residuals,
-                               derivation_residuals, family_table,
-                               lsa_bider_residuals, post_lie_residuals)
+                               _joined, check_biderivation, check_commuting,
+                               check_lsa_biderivation, check_post_lie,
+                               commuting_residuals, derivation_residuals,
+                               family_table, lsa_bider_residuals,
+                               post_lie_residuals)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, closed_form_fns,
                         commutator_defect, random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
 from mhv.scalars import EPS, PoleError
-from mhv.reports import render_inputs
+from mhv.reports import Swept, render_inputs
 from mhv.suite import (CHECK_ORDER, CHECKS, RunConfig, _antisym,
                        _commuting_specs, _grading, _jacobi, _sweep,
                        run_chunks, run_suite)
@@ -52,18 +57,31 @@ def tuples(arity: int, mode=FULL) -> list:
     return list(product(basis_vectors(WINDOW, mode), repeat=arity))
 
 
-def swept_by_tuple(sweep) -> dict:
-    """(inputs, equation_id) -> residual of a sweep; each key once."""
-    out = {}
-    for inputs, eq_id, residual in sweep:
-        assert (inputs, eq_id) not in out
-        out[inputs, eq_id] = residual
-    return out
+class SweptByTuple(dict):
+    """(inputs, equation_id) -> residual of a sweep's yielded cases, each
+    key once and none zero; zeros is the count the sweep returned, and a
+    case it did not yield reads as zero."""
 
+    def __init__(self, sweep):
+        super().__init__()
+        swept = Swept(sweep)
+        for inputs, eq_id, residual in swept:
+            assert (inputs, eq_id) not in self
+            assert not residual.is_zero(), (inputs, eq_id)
+            self[inputs, eq_id] = residual
+        self.zeros = swept.zeros
 
-def joined(pieces: list):
-    """The cases of a grid source's pieces, in turn."""
-    return (case for piece in pieces for case in piece())
+    def __missing__(self, key):
+        return Element.zero()
+
+    def assert_cases(self, *key_sets: tuple) -> None:
+        """Every yielded key is an (inputs, equation_id) of one of the
+        (inputs, eq_ids) key_sets, and the yielded and counted cases are
+        as many as those keys."""
+        keys = {key for inputs, eq_ids in key_sets
+                for key in product(inputs, eq_ids)}
+        assert set(self) <= keys
+        assert len(self) + self.zeros == len(keys)
 
 
 # the e-modes a sweep of the product runs in: symbolic, and over Q
@@ -213,10 +231,10 @@ def axiom_oracle(cand: BilinearTable, mode, x, y, z) -> dict:
 
 
 def assert_axioms_match(cand: BilinearTable, mode) -> None:
-    swept = swept_by_tuple(_axiom_cases("bider", cand.evaluator,
-                                        BRACKET_TABLES[mode], WINDOW, mode))
+    swept = SweptByTuple(_axiom_cases("bider", cand.evaluator,
+                                      BRACKET_TABLES[mode], WINDOW, mode))
     triples = tuples(3, mode)
-    assert len(swept) == 2 * len(triples)
+    swept.assert_cases((triples, ("bider.left", "bider.right")))
     for x, y, z in triples:
         for eq_id, value in axiom_oracle(cand, mode, x, y, z).items():
             assert swept[(x, y, z), eq_id] == value, (x, y, z, eq_id)
@@ -243,20 +261,29 @@ class TestAxiomResiduals:
 
 
 def assert_kernel_matches(tables: list, mode, window: int = WINDOW) -> None:
-    """derivation_residuals of each table, with respect to the bracket,
-    against axiom_oracle; on the quotient the kernel takes the projected
-    table, as axiom_oracle does."""
+    """derivation_residuals of the tables, with respect to the bracket,
+    against axiom_oracle table by table: a triple it yields, in basis
+    order, matches the oracle and has a nonzero residual, one it skips is
+    zero for every table, and with the count it returns it sweeps every
+    triple.  On the quotient the kernel takes the projected tables, as
+    axiom_oracle does."""
     basis = basis_vectors(window, mode)
-    for table in tables:
-        cand = BilinearTable(table)
-        swept = table if mode is FULL else \
-            (lambda u, v, table=table: project_centerless(table(u, v)))
-        for x in basis:
-            items = list(derivation_residuals(swept, BRACKET_TABLES[mode], x,
-                                              basis))
-            assert [(y, z) for y, z, _, _ in items] \
-                == list(product(basis, repeat=2))
-            for y, z, left, right in items:
+    cands = [BilinearTable(table) for table in tables]
+    swept = tables if mode is FULL else \
+        [lambda u, v, table=table: project_centerless(table(u, v))
+         for table in tables]
+    zero = [Element.zero()] * len(tables)
+    for x in basis:
+        triples = Swept(derivation_residuals(swept, BRACKET_TABLES[mode], x,
+                                             basis))
+        items = {(y, z): (lefts, rights) for y, z, lefts, rights in triples}
+        assert list(items) == [t for t in product(basis, repeat=2)
+                               if t in items]
+        assert len(items) + triples.zeros == len(basis) ** 2
+        for y, z in product(basis, repeat=2):
+            lefts, rights = items.get((y, z), (zero, zero))
+            assert (y, z) not in items or any(lefts) or any(rights)
+            for cand, left, right in zip(cands, lefts, rights, strict=True):
                 oracle = axiom_oracle(cand, mode, x, y, z)
                 assert left == oracle["bider.left"], (x, y, z)
                 assert right == oracle["bider.right"], (x, y, z)
@@ -303,8 +330,11 @@ class TestPostLie:
     @pytest.mark.parametrize("params", MEMBERS, ids=repr)
     def test_against_elements(self, params):
         dot = BilinearTable.from_params(params)
-        swept = swept_by_tuple(joined(post_lie_residuals(params, WINDOW)))
-        assert len(swept) == len(tuples(2)) + 2 * len(tuples(3))
+        swept = SweptByTuple(_joined(post_lie_residuals(params, WINDOW)))
+        swept.assert_cases(
+            (tuples(2), ("postlie.commutative",)),
+            (tuples(3), ("postlie.bracket_product",
+                         "postlie.product_bracket")))
         for x, y in tuples(2):
             assert swept[(x, y), "postlie.commutative"] \
                 == dot(E(x), E(y)) - dot(E(y), E(x))
@@ -326,9 +356,9 @@ class TestLsaBiderivation:
     def test_against_elements(self, params, eps):
         f = BilinearTable.from_params(params)
         mul = lambda a, b: lsa_product(a, b, eps)       # noqa: E731
-        swept = swept_by_tuple(joined(lsa_bider_residuals(
+        swept = SweptByTuple(_joined(lsa_bider_residuals(
             params, WINDOW, product_table(eps))))
-        assert len(swept) == 2 * len(tuples(3))
+        swept.assert_cases((tuples(3), ("lsabider.left", "lsabider.right")))
         for x, y, z in tuples(3):
             ex, ey, ez = E(x), E(y), E(z)
             assert swept[(x, y, z), "lsabider.left"] \
@@ -375,12 +405,82 @@ class TestCommuting:
     @pytest.mark.parametrize("phi", _commuting_specs(WINDOW) + [NOT_COMMUTING],
                              ids=lambda phi: phi.name)
     def test_against_elements(self, phi):
-        swept = swept_by_tuple(commuting_residuals(phi, WINDOW))
-        assert len(swept) == len(tuples(2))
+        swept = SweptByTuple(commuting_residuals(phi, WINDOW))
+        swept.assert_cases((tuples(2), ("commuting.polarized",)))
         for x, y in tuples(2):
             ex, ey = E(x), E(y)
             assert swept[(x, y), "commuting.polarized"] \
                 == bracket(phi(ex), ey) + bracket(phi(ey), ex), (x, y)
+
+
+# every run_suite check's total_cases at windows 1, 2 and 3, as a sweep of
+# every case, zero or not, counts them; a numeric e gives the same
+SUITE_CASES = {
+    "jacobi": (512, 1728, 4096),
+    "antisym": (64, 144, 256),
+    "grading": (64, 144, 256),
+    "lsa-identity": (512, 1728, 4096),
+    "compatibility": (64, 144, 256),
+    "bider-family": (2320, 10240, 27760),
+    "bider-grid": (391, 1095, 1165),
+    "commuting": (192, 432, 768),
+    "postlie-grid": (162, 162, 162),
+    "lsa-bider-grid": (162, 162, 162),
+    "star": (351, 1625, 4459),
+    "ast": (189, 875, 2401),
+    "cross-check": (5540, 7500, 11860),
+    "solve-theta": (23, 23, 43),
+}
+
+
+class TestCaseCounts:
+    """A sweep yields only its nonzero cases and counts the rest, so every
+    total_cases is the number of cases, passing or failing."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_public_sweeps(self, window):
+        b = len(basis_vectors(window, FULL))
+        c = len(basis_vectors(window, CENTERLESS))
+        # the inner member passes the biderivation axioms in both modes,
+        # the other fails them over the full algebra; both fail the
+        # post-Lie and left-symmetric biderivation axioms
+        for params, full_passes in ((BiderParams(2, {}), True),
+                                    (BiderParams(1, {0: 1}), False)):
+            cand = BilinearTable.from_params(params, FULL)
+            report = check_biderivation(cand, window)
+            assert (report.total_cases, report.passed) == (2 * c ** 3, True)
+            report = check_biderivation(cand, window, FULL)
+            assert (report.total_cases, report.passed) \
+                == (2 * b ** 3, full_passes)
+            report = check_post_lie(params, window)
+            assert (report.total_cases, report.passed) \
+                == (b ** 2 + 2 * b ** 3, False)
+            for eps in SWEPT_MODES:
+                report = check_lsa_biderivation(params, window, eps)
+                assert (report.total_cases, report.passed) \
+                    == (2 * b ** 3, False)
+        not_commuting = LinearMap.from_table(
+            {d(m): Element.of((m, d(m))) for m in range(-window, window + 1)})
+        for phi, passes in ((_commuting_specs(window)[0], True),
+                            (not_commuting, False)):
+            report = check_commuting(phi, window)
+            assert (report.total_cases, report.passed) == (b ** 2, passes)
+
+    def test_a_joined_sweep_keeps_every_pieces_count(self):
+        # the pieces' zero counts pass through their join
+        report = check_lsa_biderivation(BiderParams(1, {}), 3)
+        assert report.total_cases == 8192
+        assert 0 < len(report.failures) < 8192
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("eps", SWEPT_MODES, ids=repr)
+    def test_suite_checks(self, window, eps, monkeypatch):
+        monkeypatch.setenv("MHV_WORKERS", "1")
+        reports = run_suite(RunConfig(window=window, eps=eps))
+        assert {r.check: r.total_cases for r in reports} \
+            == {name: cases[window - 1]
+                for name, cases in SUITE_CASES.items()}
+        assert all(r.passed for r in reports)
 
 
 def test_a_suite_run_calls_bilinear_nowhere(monkeypatch):
