@@ -350,7 +350,7 @@ class LinearMap:
 
 def commuting_residuals(phi: LinearMap, window: int):
     """The polarized commuting condition [phi(u), v] + [phi(v), u] = 0 on
-    the window basis pairs, as a residual stream."""
+    the window basis pairs, as a sweep (see reports.collect)."""
 
     br = BRACKET_TABLES[FULL]
 
@@ -375,9 +375,9 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 # ---------------------------------------------------------------------------
 
 def post_lie_residuals(params: BiderParams, window: int) -> list:
-    """The three axioms as pieces, zero-argument callables that yield
-    (inputs, equation_id, residual), in canonical order: the pairs, then
-    the triples by first basis vector."""
+    """The three axioms as pieces, zero-argument callables returning
+    sweeps (see reports.collect), in canonical order: the pairs, then the
+    triples by first basis vector."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
 
