@@ -22,16 +22,18 @@ derivation axioms are linear in f, so it takes each distinct generator's
 residuals once per basis triple and checks every member by linearity,
 as the weighted sum of its generators' residuals.
 Every derivation sweep (check_biderivation, the left-symmetric
-biderivations, bider-family, bider-grid) runs through one kernel,
-derivation_residuals, which takes all of a sweep's tables at once, and
-mul(x, y) and mul(y, z) once for all of them, f(x, .) once per first
-basis vector x, as the sweep reaches it, and f(x, y) once per (x, y),
-and projects nothing; the post-Lie and commuting sweeps run through
-algebra.basis_sweep.  A sweep yields only its nonzero residuals (see
-reports.collect), so a passing one builds no Element.  Each sweep calls
-its tables on basis vectors and sums each residual into one term dict
-with algebra.accumulate_left and accumulate_right; no sweep uses the
-element-level bilinear extension of bider_eval and BilinearTable.
+biderivations, bider-family, bider-grid) is one call per chunk of one
+kernel, derivation_residuals, over the chunk's first basis vectors and
+all its tables; it takes mul(x, y) and mul(y, z) once for all tables,
+f(x, .) once per x, as the sweep reaches it, and f(x, y) once per (x, y),
+and projects nothing.  It yields one item per axiom case (one axiom at
+one triple) where some table's residual is nonzero, Element.zero() for
+each one that vanishes, and counts the others (see reports.collect), so
+a passing sweep builds no Element; the post-Lie and commuting sweeps run
+through algebra.basis_sweep.  Each sweep calls its tables on basis
+vectors and sums each residual into one term dict with accumulate_left
+and accumulate_right; no sweep uses bider_eval's or BilinearTable's
+element-level bilinear extension.
 bider-family and bider-grid sweep each table's int_form in ints against
 2[., .]: a residual is scale(f)*scale(mul) times the true one (4 for
 the bracket, 2 for upsilon[s]), and is divided back only when nonzero.
@@ -196,56 +198,62 @@ class BilinearTable:
         return bilinear(self.evaluator, x, y)
 
 
-def derivation_residuals(tables: list, mul: PairTable, x: BasisVector,
+def derivation_residuals(tables: list, mul: PairTable, xs: list,
                          basis: list):
     """The two derivation axioms of each table f of tables with respect to
-    the product table mul at the basis triples (x, y, z), y and z in basis:
+    the product table mul at the basis triples (x, y, z), x in xs and y
+    and z in basis:
 
-        f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
-        f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
+        left:  f(mul(x, y), z) - mul(f(x, z), y) - mul(x, f(y, z))
+        right: f(x, mul(y, z)) - mul(f(x, y), z) - mul(y, f(x, z)).
 
-    Yields (y, z, lefts, rights), one Element per table, only at the
-    triples where some residual is nonzero, and returns the number of the
-    others.  Nothing is projected: on the quotient, f's values must
-    already be centerless.  No empty value reaches an accumulate kernel,
-    each table's products come in the order written, so under a numeric
-    e the first pole raises, and f(x, z) is taken at the first y."""
-    fx = []
+    An axiom case is one axiom at one triple.  Yields ((x, y, z), axiom,
+    residuals), in basis order, only for the cases where some table's
+    residual is nonzero, with one residual per table, Element.zero()
+    where it vanishes; returns the number of the other cases.  Nothing is
+    projected: on the quotient, f's values must already be centerless.  No
+    empty value reaches an accumulate kernel, each table's products come
+    in the order written, so under a numeric e the first pole raises, and
+    f(x, z) is taken at the first y."""
+    zero = Element.zero()
     zeros = 0
-    for y in basis:
-        mxy = mul(x, y)
-        fxy = [f(x, y) for f in tables]
-        for k, z in enumerate(basis):
-            if k == len(fx):
-                fx.append([f(x, z) for f in tables])
-            myz = None
-            lefts, rights, nonzero = [], [], False
-            for f, fxy_f, fxz_f in zip(tables, fxy, fx[k]):
-                left: dict = {}
-                if mxy._terms:
-                    accumulate_left(left, ONE, f, mxy, z)
-                if fxz_f._terms:
-                    accumulate_left(left, MINUS_ONE, mul, fxz_f, y)
-                fyz = f(y, z)
-                if fyz._terms:
-                    accumulate_right(left, MINUS_ONE, mul, x, fyz)
-                if myz is None:
-                    myz = mul(y, z)
-                right: dict = {}
-                if myz._terms:
-                    accumulate_right(right, ONE, f, x, myz)
-                if fxy_f._terms:
-                    accumulate_left(right, MINUS_ONE, mul, fxy_f, z)
-                if fxz_f._terms:
-                    accumulate_right(right, MINUS_ONE, mul, y, fxz_f)
-                lefts.append(left)
-                rights.append(right)
-                nonzero = nonzero or left or right
-            if nonzero:
-                yield (y, z, [Element(acc, _clean=True) for acc in lefts],
-                       [Element(acc, _clean=True) for acc in rights])
-            else:
-                zeros += 1
+    for x in xs:
+        fx = []
+        for y in basis:
+            mxy = mul(x, y)
+            fxy = [f(x, y) for f in tables]
+            for k, z in enumerate(basis):
+                if k == len(fx):
+                    fx.append([f(x, z) for f in tables])
+                myz = None
+                lefts, rights = [], []
+                for f, fxy_f, fxz_f in zip(tables, fxy, fx[k]):
+                    left: dict = {}
+                    if mxy._terms:
+                        accumulate_left(left, ONE, f, mxy, z)
+                    if fxz_f._terms:
+                        accumulate_left(left, MINUS_ONE, mul, fxz_f, y)
+                    fyz = f(y, z)
+                    if fyz._terms:
+                        accumulate_right(left, MINUS_ONE, mul, x, fyz)
+                    if myz is None:
+                        myz = mul(y, z)
+                    right: dict = {}
+                    if myz._terms:
+                        accumulate_right(right, ONE, f, x, myz)
+                    if fxy_f._terms:
+                        accumulate_left(right, MINUS_ONE, mul, fxy_f, z)
+                    if fxz_f._terms:
+                        accumulate_right(right, MINUS_ONE, mul, y, fxz_f)
+                    lefts.append(left)
+                    rights.append(right)
+                for axiom, accs in (("left", lefts), ("right", rights)):
+                    if any(accs):
+                        yield (x, y, z), axiom, [
+                            Element(acc, _clean=True) if acc else zero
+                            for acc in accs]
+                    else:
+                        zeros += 1
     return zeros
 
 
@@ -253,22 +261,15 @@ def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
                  mode: AlgebraMode, first: slice = slice(None)):
     """The sweep (see reports.collect) of the two axioms, name.left and
     name.right, of the table f on the window basis triples with first
-    vector in basis[first]; on the quotient (CENTERLESS) f's values are
-    projected, as the centerless bracket sends C and L to zero."""
+    vector in basis[first]: derivation_residuals' items, relabelled.  On
+    the quotient (CENTERLESS) f's values are projected, as the centerless
+    bracket sends C and L to zero."""
     basis = basis_vectors(window, mode)
-    left_id, right_id = f"{name}.left", f"{name}.right"
     g = f if mode is FULL else lambda u, v: project_centerless(f(u, v))
-    zeros = 0
-    for x in basis[first]:
-        triples = Swept(derivation_residuals([g], mul, x, basis))
-        for y, z, (left,), (right,) in triples:
-            if left._terms:
-                yield (x, y, z), left_id, left
-            if right._terms:
-                yield (x, y, z), right_id, right
-            zeros += (not left._terms) + (not right._terms)
-        zeros += 2 * triples.zeros
-    return zeros
+    items = Swept(derivation_residuals([g], mul, basis[first], basis))
+    for inputs, axiom, (residual,) in items:
+        yield inputs, f"{name}.{axiom}", residual
+    return items.zeros
 
 
 def _joined(pieces: list):
@@ -552,11 +553,12 @@ def check_bider_converse(window: int) -> Report:
     generators satisfy the axioms identically, so their columns are zero in
     every row and the system's solution space always contains the family;
     the certificate is that the rank over the remaining columns is full,
-    leaving nothing else.  The triples are swept in order and every row
-    goes to one RowReducer; the sweep stops after the first triple at which
-    the target rank is reached, unless a family residual was found.  A
-    column swept at a scale changes neither the rank nor the rows that
-    raise it, so only the family columns are divided back.
+    leaving nothing else.  The kernel's axiom cases come in order and every
+    row goes to one RowReducer; unless a family residual was found, the
+    sweep stops after the first triple at which the target rank is reached,
+    at the first case of a later triple.  A column swept at a scale changes
+    neither the rank nor the rows that raise it, so only the family
+    columns are divided back.
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
@@ -568,32 +570,31 @@ def check_bider_converse(window: int) -> Report:
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    triples = ((x, *item) for x in basis
-               for item in derivation_residuals(tables, _ints, x, basis))
-    for x, y, z, lefts, rights in triples:
-        for per_gen in (lefts, rights):
-            # each generator's residual walked once: output vector ->
-            # [(generator, coefficient)] in generator order
-            by_vector: dict = {}
-            for g, res in enumerate(per_gen):
-                if g in family:
-                    res = scalar_element(res, scales[g])
-                for w, coeff in res._terms.items():
-                    by_vector.setdefault(w, []).append((g, coeff))
-            for w in sorted(by_vector, key=BasisVector.sort_key):
-                row = {}
-                for g, coeff in by_vector[w]:
-                    if g in family:
-                        failures.append(Failure(
-                            render_inputs((x, y, z)),
-                            "converse.family_residual",
-                            f"{names[g]}: {coeff.render()}"))
-                    else:
-                        row[g] = coeff
-                reducer.add_row(row)
-            rows_used += len(by_vector)
-        if reducer.rank >= target and not failures:
+    last = None
+    for inputs, _, per_gen in derivation_residuals(tables, _ints, basis,
+                                                   basis):
+        if inputs != last and reducer.rank >= target and not failures:
             break
+        last = inputs
+        # each generator's residual walked once: output vector ->
+        # [(generator, coefficient)] in generator order
+        by_vector: dict = {}
+        for g, res in enumerate(per_gen):
+            if g in family:
+                res = scalar_element(res, scales[g])
+            for w, coeff in res._terms.items():
+                by_vector.setdefault(w, []).append((g, coeff))
+        for w in sorted(by_vector, key=BasisVector.sort_key):
+            row = {}
+            for g, coeff in by_vector[w]:
+                if g in family:
+                    failures.append(Failure(
+                        render_inputs(inputs), "converse.family_residual",
+                        f"{names[g]}: {coeff.render()}"))
+                else:
+                    row[g] = coeff
+            reducer.add_row(row)
+        rows_used += len(by_vector)
     if reducer.rank < target:
         failures.append(Failure(
             f"window={window}", "converse.rank_deficit",
@@ -633,31 +634,27 @@ def _family_sweep(members: list, lanes: tuple, window: int,
                   x: BasisVector) -> Report:
     """Every member's centerless axiom cases on the basis triples with
     first vector x.  members holds (label, [(weight, index into lanes)]).
-    Each triple takes each table's residuals once; only when one is
-    nonzero is each member's residual formed, as its weighted sum of them
-    divided back."""
+    Each axiom case is one case per member; it takes each table's residual
+    once, and only where one is nonzero is each member's residual formed,
+    as its weighted sum of them divided back."""
     tables, scales = lanes
     failures = []
     cases = 0
     basis = basis_vectors(window, CENTERLESS)
-    triples = Swept(derivation_residuals(tables, _ints, x, basis))
-    for y, z, lefts, rights in triples:
-        for eq_id, per_table in (("bider.left", lefts),
-                                 ("bider.right", rights)):
-            cases += len(members)
-            if not any(per_table):  # every residual is the zero Element
-                continue
-            per_table = [scalar_element(res, scale)
-                         for res, scale in zip(per_table, scales)]
-            for label, weights in members:
-                acc: dict = {}
-                for weight, i in weights:
-                    _add_scaled(acc, per_table[i], weight)
-                if acc:
-                    failures.append(residual_failure(
-                        f"{label} {render_inputs((x, y, z))}", eq_id,
-                        Element(acc, _clean=True)))
-    cases += 2 * len(members) * triples.zeros
+    items = Swept(derivation_residuals(tables, _ints, [x], basis))
+    for inputs, axiom, per_table in items:
+        cases += len(members)
+        per_table = [scalar_element(res, scale)
+                     for res, scale in zip(per_table, scales)]
+        for label, weights in members:
+            acc: dict = {}
+            for weight, i in weights:
+                _add_scaled(acc, per_table[i], weight)
+            if acc:
+                failures.append(residual_failure(
+                    f"{label} {render_inputs(inputs)}", f"bider.{axiom}",
+                    Element(acc, _clean=True)))
+    cases += len(members) * items.zeros
     return Report("bider-family", window, "symbolic", cases, failures)
 
 

@@ -542,11 +542,6 @@ class ThetaTable:
     rank: int
     equations: int
 
-    def rho(self, n: int, k: int) -> Scalar:
-        if n + k + 1 != 0 or n not in self.values:
-            return ZERO
-        return sc(self.values[n])
-
 
 def theta_equations(window: int) -> tuple:
     """Rows and right-hand sides of the two constraint families restricted

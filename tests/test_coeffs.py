@@ -347,10 +347,12 @@ class TestTheta:
         assert table.rank == table.unknowns == 9
 
     def test_rho_reproduction(self):
+        # rho(n, k) is theta(n) where n + k + 1 = 0, and zero elsewhere
         table = solve_theta(5)
         for n in range(-5, 6):
             for k in range(-5, 6):
-                assert table.rho(n, k) == FNS.rho(n, k)
+                theta = sc(table.values[n]) if n + k + 1 == 0 else ZERO
+                assert theta == FNS.rho(n, k)
 
     def test_window_minimum(self):
         with pytest.raises(ValueError):

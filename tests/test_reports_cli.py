@@ -589,19 +589,19 @@ class TestSuite:
         firsts = []
         parts = []
 
-        def record(tables, mul, x, basis):
+        def record(tables, mul, xs, basis):
             assert len(tables) == len(generators)
-            firsts[-1].add(x)
-            return residuals(tables, mul, x, basis)
+            firsts[-1].append(list(xs))
+            return residuals(tables, mul, xs, basis)
 
         monkeypatch.setattr(biderivations, "derivation_residuals", record)
         chunks, finish = family_plan(2)
         assert firsts == []
         for chunk in chunks:
-            firsts.append(set())
+            firsts.append([])
             parts.append(chunk())
         report = finish(parts)
-        assert firsts == [{bv} for bv in basis]
+        assert firsts == [[[bv]] for bv in basis]
         assert [p.total_cases for p in parts] \
             == [2 * len(basis)**2 * len(FAMILY_SAMPLES)] * len(basis)
         assert report.passed

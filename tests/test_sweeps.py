@@ -8,8 +8,9 @@ BilinearTable on Element.basis operands, which the sweeps no longer use.
 Every sweep yields only its nonzero residuals and returns the number of
 its zero cases: a case it does not yield must be zero by the formula,
 and the cases it yields and counts must be every case.  The derivation
-kernel, which takes every table at once, is compared table by table
-with that formula, axiom_oracle.
+kernel, which takes every table and every first vector in one call, is
+compared table by table with that formula, axiom_oracle, and builds an
+Element only for a nonzero residual.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
 h, a and b parts the closed form sets to zero.  A whole window-2 suite
@@ -262,31 +263,37 @@ class TestAxiomResiduals:
 
 def assert_kernel_matches(tables: list, mode, window: int = WINDOW) -> None:
     """derivation_residuals of the tables, with respect to the bracket,
-    against axiom_oracle table by table: a triple it yields, in basis
-    order, matches the oracle and has a nonzero residual, one it skips is
-    zero for every table, and with the count it returns it sweeps every
-    triple.  On the quotient the kernel takes the projected tables, as
-    axiom_oracle does."""
+    in one call over every first vector, against axiom_oracle table by
+    table: the axiom cases it yields come in basis order, each once, with
+    some nonzero residual, and match the oracle; one it skips is zero for
+    every table; and with the count it returns it sweeps every case.  On
+    the quotient the kernel takes the projected tables, as axiom_oracle
+    does."""
     basis = basis_vectors(window, mode)
     cands = [BilinearTable(table) for table in tables]
     swept = tables if mode is FULL else \
         [lambda u, v, table=table: project_centerless(table(u, v))
          for table in tables]
+    cases = [(t, axiom) for t in product(basis, repeat=3)
+             for axiom in ("left", "right")]
+    items = Swept(derivation_residuals(swept, BRACKET_TABLES[mode], basis,
+                                       basis))
+    yielded = [((inputs, axiom), residuals)
+               for inputs, axiom, residuals in items]
+    keys = [key for key, _ in yielded]
+    seen = set(keys)
+    assert keys == [case for case in cases if case in seen]
+    assert len(yielded) + items.zeros == len(cases)
+    found = dict(yielded)
     zero = [Element.zero()] * len(tables)
-    for x in basis:
-        triples = Swept(derivation_residuals(swept, BRACKET_TABLES[mode], x,
-                                             basis))
-        items = {(y, z): (lefts, rights) for y, z, lefts, rights in triples}
-        assert list(items) == [t for t in product(basis, repeat=2)
-                               if t in items]
-        assert len(items) + triples.zeros == len(basis) ** 2
-        for y, z in product(basis, repeat=2):
-            lefts, rights = items.get((y, z), (zero, zero))
-            assert (y, z) not in items or any(lefts) or any(rights)
-            for cand, left, right in zip(cands, lefts, rights, strict=True):
-                oracle = axiom_oracle(cand, mode, x, y, z)
-                assert left == oracle["bider.left"], (x, y, z)
-                assert right == oracle["bider.right"], (x, y, z)
+    for x, y, z in product(basis, repeat=3):
+        oracles = [axiom_oracle(cand, mode, x, y, z) for cand in cands]
+        for axiom in ("left", "right"):
+            residuals = found.get(((x, y, z), axiom), zero)
+            assert ((x, y, z), axiom) not in found or any(residuals)
+            for oracle, residual in zip(oracles, residuals, strict=True):
+                assert residual == oracle[f"bider.{axiom}"], \
+                    (x, y, z, axiom)
 
 
 # values of several terms on every tag pair, central ones included
@@ -324,6 +331,40 @@ class TestDerivationKernel:
                                 nonempty(kernel))
         assert_kernel_matches([SEVERAL_TERMS, BRACKET_TABLES[FULL]], FULL,
                               window=1)
+
+    def test_a_vanishing_residual_is_the_shared_zero(self, monkeypatch):
+        # the bracket's residuals vanish and SEVERAL_TERMS' do not: the
+        # kernel builds an Element only for a nonzero residual
+        built = []
+
+        class Recorded(Element):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(biderivations, "Element", Recorded)
+        basis = basis_vectors(WINDOW, FULL)
+        items = list(derivation_residuals(
+            [SEVERAL_TERMS, BRACKET_TABLES[FULL]], BRACKET_TABLES[FULL],
+            basis, basis))
+        assert items and len(built) == len(items)
+        assert all(element._terms for element in built)
+        for (_, _, (several, bracket_residual)), element in zip(items,
+                                                                 built):
+            assert several is element
+            assert bracket_residual is Element.zero()
+
+    def test_one_call_over_several_first_vectors(self):
+        # the same items and count as one call per first vector, joined
+        basis = basis_vectors(WINDOW, FULL)
+        tables = [SEVERAL_TERMS, BRACKET_TABLES[FULL]]
+        sweep = partial(derivation_residuals, tables, BRACKET_TABLES[FULL])
+        for xs in (basis[:1], basis[3:7], basis):
+            whole = Swept(sweep(xs, basis))
+            joined = Swept(_joined([partial(sweep, [x], basis)
+                                    for x in xs]))
+            assert list(whole) == list(joined)
+            assert whole.zeros == joined.zeros > 0
 
 
 class TestPostLie:
