@@ -26,14 +26,13 @@ biderivations, bider-family, bider-grid) is one call per chunk of one
 kernel, derivation_residuals, over the chunk's first basis vectors and
 all its tables; it takes mul(x, y) and mul(y, z) once for all tables,
 f(x, .) once per x, as the sweep reaches it, and f(x, y) once per (x, y),
-and projects nothing.  It yields one item per axiom case (one axiom at
-one triple) where some table's residual is nonzero, Element.zero() for
+and projects nothing.  It yields an axiom case (one axiom at one triple)
+only where some table's residual is nonzero, with Element.zero() for
 each one that vanishes, and counts the others (see reports.collect), so
 a passing sweep builds no Element; the post-Lie and commuting sweeps run
-through algebra.basis_sweep.  Each sweep calls its tables on basis
-vectors and sums each residual into one term dict with accumulate_left
-and accumulate_right; no sweep uses bider_eval's or BilinearTable's
-element-level bilinear extension.
+through algebra.basis_sweep.  Every sweep sums each residual from its
+tables on basis vectors into one term dict with accumulate_left and
+accumulate_right, not with BilinearTable's element-level extension.
 bider-family and bider-grid sweep each table's int_form in ints against
 2[., .]: a residual is scale(f)*scale(mul) times the true one (4 for
 the bracket, 2 for upsilon[s]), and is divided back only when nonzero.
@@ -266,9 +265,10 @@ def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
     bracket sends C and L to zero."""
     basis = basis_vectors(window, mode)
     g = f if mode is FULL else lambda u, v: project_centerless(f(u, v))
+    eq_ids = {axiom: f"{name}.{axiom}" for axiom in ("left", "right")}
     items = Swept(derivation_residuals([g], mul, basis[first], basis))
     for inputs, axiom, (residual,) in items:
-        yield inputs, f"{name}.{axiom}", residual
+        yield inputs, eq_ids[axiom], residual
     return items.zeros
 
 
@@ -641,6 +641,7 @@ def _family_sweep(members: list, lanes: tuple, window: int,
     failures = []
     cases = 0
     basis = basis_vectors(window, CENTERLESS)
+    eq_ids = {axiom: f"bider.{axiom}" for axiom in ("left", "right")}
     items = Swept(derivation_residuals(tables, _ints, [x], basis))
     for inputs, axiom, per_table in items:
         cases += len(members)
@@ -652,7 +653,7 @@ def _family_sweep(members: list, lanes: tuple, window: int,
                 _add_scaled(acc, per_table[i], weight)
             if acc:
                 failures.append(residual_failure(
-                    f"{label} {render_inputs(inputs)}", f"bider.{axiom}",
+                    f"{label} {render_inputs(inputs)}", eq_ids[axiom],
                     Element(acc, _clean=True)))
     cases += len(members) * items.zeros
     return Report("bider-family", window, "symbolic", cases, failures)
