@@ -215,7 +215,7 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
     in the order written, so under a numeric e the first pole raises, and
     f(x, z) is taken at the first y."""
     zero = Element.zero()
-    zeros = 0
+    yielded = 0
     for x in xs:
         fx = []
         for y in basis:
@@ -225,7 +225,7 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
                 if k == len(fx):
                     fx.append([f(x, z) for f in tables])
                 myz = None
-                lefts, rights = [], []
+                accs = []  # each table's left and right in turn
                 for f, fxy_f, fxz_f in zip(tables, fxy, fx[k]):
                     left: dict = {}
                     if mxy._terms:
@@ -244,16 +244,16 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
                         accumulate_left(right, MINUS_ONE, mul, fxy_f, z)
                     if fxz_f._terms:
                         accumulate_right(right, MINUS_ONE, mul, y, fxz_f)
-                    lefts.append(left)
-                    rights.append(right)
-                for axiom, accs in (("left", lefts), ("right", rights)):
-                    if any(accs):
+                    accs += left, right
+                if not any(accs):
+                    continue
+                for i, axiom in enumerate(("left", "right")):
+                    if any(accs[i::2]):
+                        yielded += 1
                         yield (x, y, z), axiom, [
                             Element(acc, _clean=True) if acc else zero
-                            for acc in accs]
-                    else:
-                        zeros += 1
-    return zeros
+                            for acc in accs[i::2]]
+    return 2 * len(xs) * len(basis) ** 2 - yielded
 
 
 def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
