@@ -38,9 +38,9 @@ returns raw component residuals.  derived_counterparts rearranges those
 raw components into the transcription's shapes (substituting the pair
 relations the same way the equations themselves are arranged), giving a
 per-equation reference value to compare against the transcription.
-cross_check_plan plans the comparison on the closed-form solution, by
-unordered index pair so that a defect's swapped twin is negated, not
-recomputed, and on seeded random coefficient tables; it is expected to
+cross_check_plan plans the comparison on the closed-form solution and
+on seeded random coefficient tables, each by unordered index pair so that
+a defect's swapped twin is negated, not recomputed; it is expected to
 expose exactly one transcription error at runtime (star.12, whose second
 term repeats b(m,k) where the expansion yields b(n,k)) and documents two
 more transcription findings (the star.10 index repair, and ast.4, which
@@ -61,7 +61,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, FULL, C, Element, L, accumulate_left,
-                      accumulate_right, d, h, tag_table, window_indices)
+                      accumulate_right, d, h, tag_table)
 from .linalg import solve_unique
 from .reports import Failure, Report
 from .scalars import (EPS, MINUS_ONE, ONE, ZERO, Scalar, nonzero_eps,
@@ -80,6 +80,7 @@ class CoeffFns:
     omega: Callable[[int, int], Scalar]
     rho: Callable[[int, int], Scalar]
     name: str = "fns"
+    FIELDS = ("f", "g", "h", "a", "b", "omega", "rho")  # not a dataclass field
 
     @staticmethod
     def make(f, g, h, a, b, omega, rho, name="fns") -> "CoeffFns":
@@ -87,8 +88,7 @@ class CoeffFns:
                         cache(omega), cache(rho), name)
 
     def replace(self, name=None, **overrides) -> "CoeffFns":
-        fields = {k: getattr(self, k)
-                  for k in ("f", "g", "h", "a", "b", "omega", "rho")}
+        fields = {k: getattr(self, k) for k in self.FIELDS}
         for k, fn in overrides.items():
             fields[k] = cache(fn)
         return CoeffFns(name=name or self.name + "*", **fields)
@@ -96,9 +96,7 @@ class CoeffFns:
     @cached_property
     def product(self):
         """The graded product of the ansatz as a table on basis pairs,
-        memoized per pair for the life of this CoeffFns.  The memo only
-        skips repeated lookups: a table that draws each value on first use
-        (random_fns) draws in the same order and gets the same values."""
+        memoized per pair for the life of this CoeffFns."""
         return lru_cache(maxsize=None)(tag_table(
             dd=lambda m, n: Element.of((self.f(m, n), d(m + n)),
                                        (self.omega(m, n), C)),
@@ -111,9 +109,7 @@ class CoeffFns:
     @cached_property
     def pair_relations(self):
         """compat_residuals of a pair (m, n) as a dict by component id,
-        memoized per pair for the life of this CoeffFns, like product: a
-        pair is expanded on first use, so a table that draws each value on
-        first use draws in the same order."""
+        memoized per pair for the life of this CoeffFns, like product."""
         return lru_cache(maxsize=None)(
             lambda m, n: dict(compat_residuals(self, m, n)))
 
@@ -174,16 +170,15 @@ def zero_fns() -> CoeffFns:
 
 
 def random_fns(seed: int) -> CoeffFns:
-    """Unstructured tables of values p/q with |p| <= 6 and 1 <= q <= 4;
-    deterministic in the seed."""
-    rng = random.Random(seed)
-
-    def draw(m: int, n: int) -> Scalar:
-        # CoeffFns.make memoizes, so each key draws once, on first use
+    """Unstructured tables of values p/q with |p| <= 6 and 1 <= q <= 4,
+    each value a function of its key alone: fn(m, n) comes from
+    random.Random(f"{seed}:{fn}:{m}:{n}")."""
+    def draw(fn: str, m: int, n: int) -> Scalar:
+        rng = random.Random(f"{seed}:{fn}:{m}:{n}")
         return sc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
 
-    return CoeffFns.make(draw, draw, draw, draw, draw, draw, draw,
-                         f"random(seed={seed})")
+    return CoeffFns.make(*(partial(draw, fn) for fn in CoeffFns.FIELDS),
+                         name=f"random(seed={seed})")
 
 
 def _delta(i: int, j: int) -> Scalar:
@@ -428,20 +423,20 @@ def _compare(fns: CoeffFns, w: int, groups) -> tuple:
     with (m, n) in groups, lists of index pairs that share one memo of
     _pair_defect: (cases, failures, witnesses), where witnesses maps each
     runtime discrepancy to its first LOGGED_WITNESSES ((m, n, k), fns
-    name, transcribed, derived) in (m, n, k) order.  A pair part is taken
-    once, where a plain loop first takes it, so random draws keep order."""
+    name, transcribed, derived) in (m, n, k) order.  Each (m, n) takes its
+    pair parts once, for every k."""
     failures = []
     cases = 0
     found: dict = {eq_id: [] for eq_id in RUNTIME_DISCREPANCIES}
     for group in groups:
         raw = partial(_pair_defect, fns, {})
         for m, n in group:
-            star_pair = cache(partial(star_pair_residuals, fns, m, n))
-            ast_pair = cache(partial(ast_pair_residuals, fns, m, n))
+            star_pair = star_pair_residuals(fns, m, n)
+            ast_pair = ast_pair_residuals(fns, m, n)
             for k in range(-w, w + 1):
                 transcribed = dict(
-                    star_pair() + star_triple_residuals(fns, m, n, k)
-                    + ast_pair() + ast_triple_residuals(fns, m, n, k))
+                    star_pair + star_triple_residuals(fns, m, n, k)
+                    + ast_pair + ast_triple_residuals(fns, m, n, k))
                 derived = derived_counterparts(fns, m, n, k, raw)
                 for eq_id, t_value in transcribed.items():
                     cases += 1
@@ -465,33 +460,31 @@ def _compare(fns: CoeffFns, w: int, groups) -> tuple:
 def cross_check_plan(window: int, eps) -> tuple:
     """The plan of cross-check under the e-mode eps, an lsa.EpsMode: each
     transcribed residual against its oracle-derived counterpart, on the
-    closed form of eps by unordered pairs {m, n}, m <= n, chunk i taking
-    m = i - w and w - i, so (m, n, k) and (n, m, k) share a chunk; and on
-    each seeded random table over a smaller window, whole and m-major, as
-    it draws each key on first use.  Disagreement except the documented
-    star.12 fails; the report logs the first LOGGED_WITNESSES of star.12,
-    the closed form's in (m, n, k) order, then each random table's."""
-    closed = closed_form_fns(eps.eps)
-    chunks = [partial(_compare, closed, window, [
-        sorted({(m, n), (n, m)}) for m in sorted({i - window, window - i})
-        for n in range(m, window + 1)]) for i in range(window + 1)]
-    samples = [[(m, n)] for m in window_indices(SAMPLE_WINDOW)
-               for n in window_indices(SAMPLE_WINDOW)]
-    chunks += [partial(_compare, random_fns(seed), SAMPLE_WINDOW, samples)
-               for seed in SAMPLE_SEEDS]
-    return chunks, partial(_cross_check_report, window)
+    closed form of eps over the window and on each seeded random table
+    over SAMPLE_WINDOW.  A table over window w goes by unordered pairs
+    {m, n}, m <= n, chunk i taking m = i - w and w - i, so (m, n, k) and
+    (n, m, k) share a chunk.  Disagreement except the documented star.12
+    fails."""
+    tables = [(closed_form_fns(eps.eps), window)] + [
+        (random_fns(seed), SAMPLE_WINDOW) for seed in SAMPLE_SEEDS]
+    chunks = [partial(_compare, fns, w, [
+        sorted({(m, n), (n, m)}) for m in sorted({i - w, w - i})
+        for n in range(m, w + 1)]) for fns, w in tables for i in range(w + 1)]
+    return chunks, partial(_cross_check_report, window,
+                           [fns.name for fns, _ in tables])
 
 
-def _cross_check_report(window: int, parts: list) -> Report:
-    """cross-check's Report from its chunks' (cases, failures, witnesses)."""
-    first = len(parts) - len(SAMPLE_SEEDS)  # the first random table's
-    found = sorted([((max(i - first + 1, 0), key), name, tv, dv)
-                    for i, (_, _, witnesses) in enumerate(parts)
-                    for key, name, tv, dv in witnesses.get("star.12", ())],
-                   key=itemgetter(0))[:LOGGED_WITNESSES]
+def _cross_check_report(window: int, names: list, parts: list) -> Report:
+    """cross-check's Report from its chunks' (cases, failures, witnesses),
+    with names the plan's tables in order: it logs the first
+    LOGGED_WITNESSES of star.12 by table in that order, each table's in
+    (m, n, k) order."""
+    found = sorted((names.index(name), key, name, tv, dv)
+                   for _, _, witnesses in parts
+                   for key, name, tv, dv in witnesses.get("star.12", ()))
     logged = [{"fns": name, "tuple": "({}, {}, {})".format(*key),
                "transcribed": tv.render(), "derived": dv.render()}
-              for (_, key), name, tv, dv in found]
+              for _, key, name, tv, dv in found[:LOGGED_WITNESSES]]
     ast4_witness = []
     probe = random_fns(SAMPLE_SEEDS[0])
     for (m, n, k) in ((0, 1, 0), (1, 2, -1), (0, 2, 1)):

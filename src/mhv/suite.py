@@ -45,8 +45,8 @@ plan is made, before the fork.  The chunks of each check are
     postlie-grid, lsa-bider-grid   a piece of the zero point (its pairs,
                             a first basis vector), each other grid point
     star, ast               m
-    cross-check             the closed form by unordered pairs {m, n},
-                            m = i - w or w - i; each random table whole
+    cross-check             every table, closed form and random, by
+                            unordered pairs {m, n}, m = i - w or w - i
     bider-grid, solve-theta the whole check (bider-grid stops early)
 
 The chunk list depends on the window, the e-mode and the selected checks

@@ -14,7 +14,7 @@ from mhv.coeffs import (ast4_swapped_form, ast_residuals,
                         residuals_from_identity, solve_theta, star_residuals,
                         closed_form_fns, theta_equations, zero_fns)
 from mhv.linalg import UnderdeterminedSystemError, solve_unique
-from mhv.lsa import _basis_product_numeric
+from mhv.lsa import SYMBOLIC, _basis_product_numeric
 from mhv.scalars import (EPS, EPS_INV, ONE, ZERO, PoleError,
                          ZeroEpsilonError, sc)
 from mhv.suite import RunConfig, run_suite
@@ -162,6 +162,14 @@ class TestIdentityOracle:
         gc.collect()
         assert ref() is None
 
+    def test_a_random_table_is_the_same_in_any_read_order(self):
+        keys = [(fn, m, n) for fn in ("f", "g", "h", "a", "b", "omega", "rho")
+                for m in range(-2, 3) for n in range(-2, 3)]
+        forwards, backwards = random_fns(1), random_fns(1)
+        values = {key: getattr(forwards, key[0])(*key[1:]) for key in keys}
+        assert all(getattr(backwards, key[0])(*key[1:]) == values[key]
+                   for key in reversed(keys))
+
     def test_pair_memo_dies_with_its_fns(self):
         fns = random_fns(1)
         derived_counterparts(fns, 1, 0, -1)
@@ -173,9 +181,10 @@ class TestIdentityOracle:
 
 
 class TestBridge:
-    def test_pair_memo_keeps_the_random_draw_order(self, monkeypatch):
-        # a pair is expanded on first use, as when each call expanded its
-        # own pairs, so the random tables draw the same values
+    def test_memos_and_hoisted_pair_parts_change_no_value(self,
+                                                          monkeypatch):
+        # the pair relations expanded afresh by every call give the same
+        # report as their memo
         expected = run_cross_check(2).to_json()
         derived = coeffs.derived_counterparts
 
@@ -262,6 +271,41 @@ class TestBridge:
         assert first["transcribed"] != first["derived"]
         assert docs["ast.4"]["witnesses"]
 
+    def test_ast4_witnesses_come_from_the_swept_table(self):
+        # read from the seed-1 table of the plan's own chunks, after they ran
+        chunks, finish = coeffs.cross_check_plan(3, SYMBOLIC)
+        docs = {e["id"]: e for e in finish([chunk() for chunk in chunks])
+                .extra["documented_discrepancies"]}
+        swept = next(chunk.args[0] for chunk in chunks
+                     if chunk.args[0].name == random_fns(1).name)
+        assert docs["ast.4"]["witnesses"]
+        for witness in docs["ast.4"]["witnesses"]:
+            m, n, k = map(int, witness["tuple"].strip("()").split(", "))
+            assert witness["fns"] == swept.name
+            assert witness["primary_form"] \
+                == dict(ast_residuals(swept, m, n, k))["ast.4"].render()
+            assert witness["swapped_form"] \
+                == ast4_swapped_form(swept, m, n, k).render()
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_every_table_goes_by_unordered_pairs(self, window):
+        w = coeffs.SAMPLE_WINDOW
+        chunks, _ = coeffs.cross_check_plan(window, SYMBOLIC)
+        assert len(chunks) == window + 1 + len(coeffs.SAMPLE_SEEDS) * (w + 1)
+        chunk_of: dict = {}
+        for i, chunk in enumerate(chunks):
+            fns, _, groups = chunk.args
+            for pair in (pair for group in groups for pair in group):
+                assert (fns.name, pair) not in chunk_of
+                chunk_of[fns.name, pair] = i
+        tables = [(FNS.name, window)] + [
+            (random_fns(seed).name, w) for seed in coeffs.SAMPLE_SEEDS]
+        assert set(chunk_of) == {
+            (name, (m, n)) for name, tw in tables
+            for m in range(-tw, tw + 1) for n in range(-tw, tw + 1)}
+        for (name, (m, n)), i in chunk_of.items():
+            assert chunk_of[name, (n, m)] == i
+
     @pytest.mark.parametrize("seed", coeffs.SAMPLE_SEEDS)
     def test_a_chunk_keeps_only_the_witnesses_the_report_logs(self, seed):
         w = coeffs.SAMPLE_WINDOW
@@ -274,7 +318,7 @@ class TestBridge:
     def test_logged_star12_witnesses_are_the_first_of_every_disagreement(
             self):
         # the uncapped sweep over the random tables, in cross-check's
-        # order; each table is fresh, so it draws its values alike
+        # order
         w = coeffs.SAMPLE_WINDOW
         every = []
         for seed in coeffs.SAMPLE_SEEDS:

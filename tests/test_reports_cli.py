@@ -346,7 +346,8 @@ class TestSuite:
                                                          monkeypatch):
         # the passing report shows only the first star.12 witnesses; as
         # failures, star.12 residuals of every random-table key show, so a
-        # table split across processes (each drawing its own values) would
+        # table whose values depended on the process that read them, once
+        # its chunks are split across processes, would show here
         monkeypatch.setattr("mhv.coeffs.RUNTIME_DISCREPANCIES", ())
         cfg = RunConfig(window=2, checks=("cross-check",))
         serial = run_with(1, cfg)

@@ -191,8 +191,7 @@ class TestOrbitSweeps:
     def test_lsa_identity_reports_as_a_plain_sweep(self, window,
                                                    monkeypatch):
         # random_fns(1)'s defects are nonzero, so failure lists are
-        # compared.  Its values are drawn on first use, so the plain sweep
-        # runs first, here, and every later run reads the same table
+        # compared
         for mul in (product_table(SYMBOLIC), random_fns(1).product):
             plain = _sweep("lsa-identity", "lsa.identity", 3,
                            partial(associator_defect, mul), window)
