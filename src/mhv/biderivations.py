@@ -54,17 +54,17 @@ basis triples in order, in one process, and stops after the triple at
 which its rows certify the rank.
 
 check_post_lie and check_lsa_biderivation test the commutative post-Lie
-axioms and the left-symmetric biderivation axioms for a family member.
-grid_plan sweeps their residuals (post_lie_residuals, lsa_bider_residuals,
-each as pieces) over a parameter grid, one chunk per point, which stops at
-its first nonzero residual, or per piece of the zero point; only the zero
-point's, the one witness a grid reports, becomes a Failure.
+axioms and the left-symmetric biderivation axioms for a family member, as
+pieces by first basis vector.  grid_plan takes each nonzero point of a
+parameter grid, one chunk each, to its first nonzero residual, and reads
+the zero point's table alone (every residual has degree 1 or 2 in f).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from typing import Callable
 
 from .algebra import (BRACKET_TABLES, C, CENTERLESS, FULL, AlgebraMode,
@@ -198,7 +198,7 @@ class BilinearTable:
 
 
 def derivation_residuals(tables: list, mul: PairTable, xs: list,
-                         basis: list):
+                         basis: list, until: Callable[[], bool] = None):
     """The two derivation axioms of each table f of tables with respect to
     the product table mul at the basis triples (x, y, z), x in xs and y
     and z in basis:
@@ -213,7 +213,8 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
     projected: on the quotient, f's values must already be centerless.  No
     empty value reaches an accumulate kernel, each table's products come
     in the order written, so under a numeric e the first pole raises, and
-    f(x, z) is taken at the first y."""
+    f(x, z) is taken at the first y.  A true until(), asked after each
+    triple that yields, ends the sweep there, with no count."""
     zero = Element.zero()
     yielded = 0
     for x in xs:
@@ -253,6 +254,8 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
                         yield (x, y, z), axiom, [
                             Element(acc, _clean=True) if acc else zero
                             for acc in accs[i::2]]
+                if until is not None and until():
+                    return
     return 2 * len(xs) * len(basis) ** 2 - yielded
 
 
@@ -377,8 +380,8 @@ def check_commuting(phi: LinearMap, window: int) -> Report:
 
 def post_lie_residuals(params: BiderParams, window: int) -> list:
     """The three axioms as pieces, zero-argument callables returning
-    sweeps (see reports.collect), in canonical order: the pairs, then the
-    triples by first basis vector."""
+    sweeps (see reports.collect), one per first basis vector x: the pairs
+    (x, .), then the triples (x, ., .)."""
     dot = family_table(params)
     br = BRACKET_TABLES[FULL]
 
@@ -399,9 +402,10 @@ def post_lie_residuals(params: BiderParams, window: int) -> list:
         return [("postlie.bracket_product", Element(bp, _clean=True)),
                 ("postlie.product_bracket", Element(pb, _clean=True))]
 
-    return [partial(basis_sweep, window, 2, commutative)] + [
-        partial(basis_sweep, window, 3, triple, (i,))
-        for i in range(len(basis_vectors(window)))]
+    return [partial(_joined, [partial(basis_sweep, window, arity, axioms, (i,))
+                              for arity, axioms in ((2, commutative),
+                                                    (3, triple))])
+            for i in range(len(basis_vectors(window)))]
 
 
 def check_post_lie(params: BiderParams, window: int) -> Report:
@@ -448,16 +452,9 @@ GRID_SUPPORT = (-1, 0, 1)
 def grid_points() -> list:
     """The finite parameter grid for the two triviality sweeps, the zero
     point first."""
-    points = []
-    for lam in GRID_LAMBDAS:
-        for mu_m1 in GRID_MUS:
-            for mu_0 in GRID_MUS:
-                for mu_1 in GRID_MUS:
-                    omega = {k: mu for k, mu in
-                             zip(GRID_SUPPORT, (mu_m1, mu_0, mu_1))
-                             if mu != 0}
-                    points.append(BiderParams(lam, omega))
-    return points
+    return [BiderParams(lam, {k: mu for k, mu in zip(GRID_SUPPORT, mus)
+                              if mu != 0})
+            for lam in GRID_LAMBDAS for mus in product(GRID_MUS, repeat=3)]
 
 
 def _first_failure(pieces: list) -> tuple | None:
@@ -467,22 +464,30 @@ def _first_failure(pieces: list) -> tuple | None:
                  if not case[2].is_zero()), None)
 
 
+def _table_values(params: BiderParams, window: int):
+    """(pair, "table", value) of the member's table at (u, v), then (v, u),
+    u in the window's basis and v in 2*window's: every pair a grid residual
+    reads, as a product of two window vectors has index at most 2*window."""
+    table = family_table(params)
+    for u, v in product(basis_vectors(window), basis_vectors(2 * window)):
+        yield from (((u, v), "table", table(u, v)),
+                    ((v, u), "table", table(v, u)))
+
+
 def grid_plan(check_name: str, window: int, residual_source) -> tuple:
     """Plan the grid; pass iff the passing set is exactly the zero point.
 
     residual_source(params) gives a point's residuals as pieces (see
     post_lie_residuals).  Each nonzero point is one chunk, which stops at
-    its first nonzero residual.  The zero point, which must sweep every
-    case, is one chunk per piece at the head of the list; its witness is
-    the first piece's, the first nonzero residual of the whole sweep."""
+    its first nonzero residual.  The zero point, at the head of the list,
+    is one chunk that reads no residual, only its table (_table_values),
+    and its witness is the table's first nonzero value."""
     points = grid_points()
-    pieces = residual_source(points[0])
 
     def finish(found: list) -> Report:
         failures = []
         passing = []
-        zero = next((w for w in found[:len(pieces)] if w is not None), None)
-        for params, witness in zip(points, [zero] + found[len(pieces):]):
+        for params, witness in zip(points, found):
             if witness is None:
                 passing.append(params)
                 if not params.is_zero():
@@ -493,14 +498,13 @@ def grid_plan(check_name: str, window: int, residual_source) -> tuple:
                 failures.append(residual_failure(
                     f"({params.describe()}) at {render_inputs(inputs)}",
                     f"grid.trivial_failed[{eq_id}]", residual))
-        extra = {
-            "grid_points": len(points),
-            "passing_points": [p.describe() for p in passing],
-        }
+        extra = {"grid_points": len(points),
+                 "passing_points": [p.describe() for p in passing]}
         return Report(check_name, window, "symbolic", len(points), failures,
                       extra)
 
-    return ([partial(_first_failure, [piece]) for piece in pieces]
+    return ([partial(_first_failure, [partial(_table_values, points[0],
+                                              window)])]
             + [lambda params=params: _first_failure(residual_source(params))
                for params in points[1:]], finish)
 
@@ -555,10 +559,9 @@ def check_bider_converse(window: int) -> Report:
     the certificate is that the rank over the remaining columns is full,
     leaving nothing else.  The kernel's axiom cases come in order and every
     row goes to one RowReducer; unless a family residual was found, the
-    sweep stops after the first triple at which the target rank is reached,
-    at the first case of a later triple.  A column swept at a scale changes
-    neither the rank nor the rows that raise it, so only the family
-    columns are divided back.
+    sweep stops right after the first triple at which the target rank is
+    reached.  A column swept at a scale changes neither the rank nor the
+    rows that raise it, so only the family columns are divided back.
     """
     gens = _candidate_generators()
     names = [name for name, _ in gens]
@@ -570,12 +573,9 @@ def check_bider_converse(window: int) -> Report:
     reducer = RowReducer()
     failures = []
     rows_used = 0
-    last = None
-    for inputs, _, per_gen in derivation_residuals(tables, _ints, basis,
-                                                   basis):
-        if inputs != last and reducer.rank >= target and not failures:
-            break
-        last = inputs
+    for inputs, _, per_gen in derivation_residuals(
+            tables, _ints, basis, basis,
+            until=lambda: reducer.rank >= target and not failures):
         # each generator's residual walked once: output vector ->
         # [(generator, coefficient)] in generator order
         by_vector: dict = {}

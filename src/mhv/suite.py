@@ -42,8 +42,8 @@ plan is made, before the fork.  The chunks of each check are
     the five basis sweeps   first basis vectors basis[k], basis[b-1-k]
     bider-family            one first basis vector (centerless)
     commuting               one sample
-    postlie-grid, lsa-bider-grid   a piece of the zero point (its pairs,
-                            a first basis vector), each other grid point
+    postlie-grid, lsa-bider-grid   each nonzero grid point; the zero
+                            point's table (no residual)
     star, ast               m
     cross-check             every table, closed form and random, by
                             unordered pairs {m, n}, m = i - w or w - i

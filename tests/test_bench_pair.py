@@ -49,3 +49,18 @@ def test_failed_and_wrong_runs_are_flagged():
     assert bench_pair.flagged(results) == [
         "FLAG parent w pair 1 seed 8: correct False, failed 0 of 3",
         "FLAG change w pair 0 seed 7: correct True, failed 2 of 3"]
+
+
+def test_a_dirty_commit_is_flagged():
+    # a series measured on an uncommitted tree says so, first
+    wrong = {"workload": "w", "pair": 0, "seed": 7, "correct": False,
+             "failed": 0, "attempted": 3}
+    results = {"parent": {"commit": "abc", "runs": []},
+               "change": {"commit": "def-dirty", "runs": [wrong]}}
+    assert bench_pair.flagged(results) == [
+        "FLAG change commit def-dirty: tracked files differed from HEAD, "
+        "so the commit does not name the code run",
+        "FLAG change w pair 0 seed 7: correct False, failed 0 of 3"]
+    results["change"]["commit"] = None  # not a git checkout
+    assert bench_pair.flagged(results) == [
+        "FLAG change w pair 0 seed 7: correct False, failed 0 of 3"]

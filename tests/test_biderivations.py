@@ -26,11 +26,11 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                check_commuting, check_lsa_biderivation,
                                check_post_lie, family_parts, family_table,
                                grid_plan, grid_points, lsa_bider_residuals,
-                               upsilon)
+                               post_lie_residuals, upsilon)
 from mhv.linalg import RowReducer
 from mhv.lsa import SYMBOLIC, EpsMode, lsa_product, product_table
-from mhv.reports import (Failure, Report, collect, pooled, prefixed,
-                         render_inputs, residual_failure)
+from mhv.reports import (Failure, Report, Swept, collect, pooled,
+                         prefixed, render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
 from mhv.suite import CHECKS, RunConfig, run_chunks, run_suite
 from test_sweeps import axiom_oracle
@@ -464,16 +464,11 @@ class TestGrids:
     @pytest.mark.parametrize("window", [1, 4])
     def test_each_nonzero_point_and_commuting_sample_is_one_chunk(self,
                                                                   window):
-        # the zero point is its pieces: postlie-grid's pair sweep and its
-        # triples by first basis vector, lsa-bider-grid's triples by first
-        # basis vector
-        nonzero = len(grid_points()) - 1
-        basis = len(basis_vectors(window, FULL))
-        assert len(CHECKS["postlie-grid"](window, SYMBOLIC)[0]) \
-            == 1 + basis + nonzero
+        # the zero point is one more chunk, which reads its table
+        points = len(grid_points())
+        assert len(CHECKS["postlie-grid"](window, SYMBOLIC)[0]) == points
         for eps in (SYMBOLIC, EpsMode.numeric(Fraction(2, 5))):
-            assert len(CHECKS["lsa-bider-grid"](window, eps)[0]) \
-                == basis + nonzero
+            assert len(CHECKS["lsa-bider-grid"](window, eps)[0]) == points
         assert len(CHECKS["commuting"](window, SYMBOLIC)[0]) == 3
 
     def test_post_lie_grid(self):
@@ -508,83 +503,77 @@ class TestGrids:
         assert {f.equation_id for f in report.failures} \
             == {"grid.unexpected_pass"}
 
-    def test_the_zero_point_witness_is_its_first_nonzero_residual(self):
-        # the zero point's chunk sweeps in order and stops at its first
-        # nonzero residual, the witness
-        basis = basis_vectors(2, FULL)
+    @staticmethod
+    def break_zero_table(monkeypatch, table) -> None:
+        """Give the zero point table in place of its own; every other
+        point keeps its family_table."""
+        table_of = biderivations.family_table
+        monkeypatch.setattr(
+            biderivations, "family_table", lambda params, mode=FULL:
+            table if params.is_zero() else table_of(params, mode))
+
+    @staticmethod
+    def failing_source(params):
+        """A probe residual source under which every point fails."""
+        assert not params.is_zero(), "a residual of the zero point"
+        return [lambda: [((d(0),), "probe", E(d(0)))]]
+
+    def test_the_zero_point_witness_is_its_first_nonzero_residual(
+            self, monkeypatch):
+        # the zero point's chunk reads its table at (u, v) and (v, u) in
+        # turn, u in the window's basis and v in that of twice the window,
+        # and stops at its first nonzero value, the witness
+        u, vs = basis_vectors(2, FULL)[0], basis_vectors(4, FULL)
         seen = []
 
-        def piece(params):
-            for i, bv in enumerate(basis):
-                if params.is_zero():
-                    seen.append(bv)
-                yield (bv,), "probe", E(d(0)) if i in (3, 5) else Element()
-        report = run_probe(grid_plan(
-            "probe", 2, lambda params: [partial(piece, params)]))
-        assert seen == basis[:4]
-        assert [f for f in report.failures
-                if f.equation_id != "grid.unexpected_pass"] == [Failure(
-                    f"(lambda=0, omega={{}}) at ({basis[3]})",
-                    "grid.trivial_failed[probe]", "d(0)")]
+        def table(a, b):
+            seen.append((a, b))
+            return E(d(0)) if (a, b) in ((vs[3], u), (u, vs[5])) \
+                else Element()
+
+        self.break_zero_table(monkeypatch, table)
+        report = run_probe(grid_plan("probe", 2, self.failing_source))
+        assert seen == [pair for v in vs[:4] for pair in ((u, v), (v, u))]
+        assert report.failures == [Failure(
+            f"(lambda=0, omega={{}}) at ({vs[3]}, {u})",
+            "grid.trivial_failed[table]", "d(0)")]
 
     @pytest.mark.parametrize("grid", ["postlie-grid", "lsa-bider-grid"])
     def test_a_broken_zero_point_reports_its_first_nonzero_residual(
             self, monkeypatch, grid):
-        # the zero point swept on upsilon[0], broken as
-        # TestFamilyByLinearity breaks it: its witness is the first nonzero
-        # residual of the element-level formulas, in the sweep's order
+        # the zero point given the table of (0, {0: 1}) with upsilon[0]
+        # broken as TestFamilyByLinearity breaks it: its witness is the
+        # first nonzero value of the element-level family on the pairs its
+        # residuals read, in the chunk's order
         TestFamilyByLinearity.break_upsilon_0(monkeypatch)
-        table_of = biderivations.family_table
         member = BiderParams(0, {0: 1})
-        monkeypatch.setattr(
-            biderivations, "family_table", lambda params, mode=FULL:
-            table_of(member if params.is_zero() else params, mode))
-        f = BilinearTable(table_of(member))
-        mul = partial(lsa_product, eps=SYMBOLIC)
-        basis = basis_vectors(2, FULL)
-
-        def cases():
-            # the pieces' order: post-Lie pairs, then triples by x
-            if grid == "postlie-grid":
-                for x, y in product(basis, repeat=2):
-                    yield (x, y), "postlie.commutative", \
-                        f(E(x), E(y)) - f(E(y), E(x))
-            for x, y, z in product(basis, repeat=3):
-                ex, ey, ez = E(x), E(y), E(z)
-                if grid == "postlie-grid":
-                    yield (x, y, z), "postlie.bracket_product", \
-                        f(bracket(ex, ey), ez) - f(ex, f(ey, ez)) \
-                        + f(ey, f(ex, ez))
-                    yield (x, y, z), "postlie.product_bracket", \
-                        f(ex, bracket(ey, ez)) - bracket(f(ex, ey), ez) \
-                        - bracket(ey, f(ex, ez))
-                else:
-                    yield (x, y, z), "lsabider.left", f(mul(ex, ey), ez) \
-                        - mul(f(ex, ez), ey) - mul(ex, f(ey, ez))
-                    yield (x, y, z), "lsabider.right", f(ex, mul(ey, ez)) \
-                        - mul(f(ex, ey), ez) - mul(ey, f(ex, ez))
-
-        inputs, eq_id, residual = next(c for c in cases()
-                                       if not c[2].is_zero())
+        self.break_zero_table(monkeypatch, family_table(member))
+        pairs = [pair for u in basis_vectors(2, FULL)
+                 for v in basis_vectors(4, FULL) for pair in ((u, v), (v, u))]
+        inputs, value = next((pair, value) for pair in pairs
+                             if not (value := bider_eval(
+                                 member, E(pair[0]), E(pair[1]))).is_zero())
+        assert set(value.support()) == {d(-6), h(-6)}
         report = run_check(grid, 2)
         assert [failure for failure in report.failures
                 if failure.equation_id.startswith("grid.trivial")] == [
             Failure(f"(lambda=0, omega={{}}) at {render_inputs(inputs)}",
-                    f"grid.trivial_failed[{eq_id}]", residual.render())]
+                    "grid.trivial_failed[table]", value.render())]
 
-    def test_a_zero_point_that_fails_fails_the_grid(self):
-        def source(params):
-            return [lambda: [((d(0),), "probe", E(d(0)))]]
-
-        report = run_probe(grid_plan("probe", 1, source))
+    def test_a_zero_point_that_fails_fails_the_grid(self, monkeypatch):
+        self.break_zero_table(
+            monkeypatch, lambda u, v: E(d(0)) if u == v == d(0)
+            else Element())
+        report = run_probe(grid_plan("probe", 1, self.failing_source))
         assert report.failures == [Failure(
-            "(lambda=0, omega={}) at (d(0))", "grid.trivial_failed[probe]",
-            "d(0)")]
+            "(lambda=0, omega={}) at (d(0), d(0))",
+            "grid.trivial_failed[table]", "d(0)")]
+        assert report.extra["passing_points"] == []
 
-    def test_failing_points_take_only_the_values_they_use(self,
-                                                          monkeypatch):
-        # every nonzero point fails at its first triple, which uses five
-        # values of its table; taking all of f(x, .) up front made 3,864
+    @staticmethod
+    def count_table_calls(monkeypatch) -> list:
+        """The list to which every family_table's table appends each pair
+        it is called at."""
         calls = []
         table_of = biderivations.family_table
 
@@ -597,6 +586,13 @@ class TestGrids:
             return counted
 
         monkeypatch.setattr(biderivations, "family_table", counting)
+        return calls
+
+    def test_failing_points_take_only_the_values_they_use(self,
+                                                          monkeypatch):
+        # every nonzero point fails at its first triple, which uses five
+        # values of its table; taking all of f(x, .) up front made 3,864
+        calls = self.count_table_calls(monkeypatch)
         points = grid_points()[1:]
         mul = product_table(SYMBOLIC)
         for params in points:
@@ -605,38 +601,63 @@ class TestGrids:
         assert len(points) == 161
         assert len(calls) == 805
 
-    def test_a_zero_point_witness_keeps_its_value(self):
-        def source(params):
-            return [lambda: [((d(0),), "probe", E(d(0)).scale(EPS))]]
+    def test_a_lambda_0_post_lie_point_fails_in_its_first_piece(
+            self, monkeypatch):
+        # every upsilon[s] is symmetric, so the 26 lambda = 0 points pass
+        # the commutative pairs and fail at a triple; the piece of basis[0]
+        # sweeps its 20 pairs and then its triples, so no point sweeps the
+        # pairs of another first vector (24,584 calls when the first piece
+        # was every pair)
+        calls = self.count_table_calls(monkeypatch)
+        first = basis_vectors(4, FULL)[0]
+        points = [p for p in grid_points()[1:] if p.lam.is_zero()]
+        for params in points:
+            inputs, eq_id, _ = _first_failure(post_lie_residuals(params, 4))
+            assert inputs[0] == first
+            assert eq_id == "postlie.bracket_product"
+        assert len(points) == 26
+        assert len(calls) == 4824
 
-        report = run_probe(grid_plan("probe", 1, source))
+    @pytest.mark.parametrize("source, cases", [
+        (lambda: post_lie_residuals(BiderParams(0, {}), 3),
+         16**2 + 2 * 16**3),
+        (lambda: lsa_bider_residuals(BiderParams(0, {}), 3,
+                                     product_table(SYMBOLIC)), 2 * 16**3),
+        (lambda: lsa_bider_residuals(
+            BiderParams(0, {}), 3, product_table(EpsMode.numeric(
+                Fraction(2, 5)))), 2 * 16**3),
+    ], ids=["post_lie", "lsa_bider_symbolic", "lsa_bider_2_5"])
+    def test_every_residual_of_the_zero_point_vanishes(self, source, cases):
+        # the grids decide the zero point from its table, which is sound
+        # only while every residual term reads f; a term that does not
+        # shows here, in a sweep of every case at window 3
+        swept = Swept(_joined(source()))
+        assert list(swept) == []
+        assert swept.zeros == cases
+
+    def test_a_zero_point_witness_keeps_its_value(self, monkeypatch):
+        self.break_zero_table(monkeypatch,
+                              lambda u, v: E(d(0)).scale(EPS))
+        report = run_probe(grid_plan("probe", 1, self.failing_source))
         assert report.failures[0].residual == "(e)*d(0)"
         assert report.evaluated_at(Fraction(2, 5)).failures[0].residual \
             == "2/5*d(0)"
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_the_earlier_failing_piece_holds_the_witness(self, workers):
-        # the zero point fails in the triple pieces of d(-1) and d(1), with
-        # different values; the earlier piece's residual is the witness,
-        # in any process, as in the unsplit sweep
-        def source(params):
-            def pair_piece():
-                return [((d(0), d(0)), "probe.pair", Element())]
-
-            def triple_piece(x):
-                value = {d(-1): E(d(5)), d(1): E(h(3)).scale(EPS)}
-                return [((x, d(0), d(0)), "probe.triple",
-                         value.get(x, Element()) if params.is_zero()
-                         else E(d(0)))]
-            return [pair_piece] + [partial(triple_piece, x)
-                                   for x in basis_vectors(1, FULL)]
-
-        chunks, finish = grid_plan("probe", 1, source)
-        assert len(chunks) == 1 + len(basis_vectors(1, FULL)) + 161
+    def test_the_earlier_failing_piece_holds_the_witness(self, monkeypatch,
+                                                         workers):
+        # the zero point's table is nonzero at (d(2), d(-1)), read with
+        # u = d(-1), and at (d(1), d(0)), read later, with different
+        # values; the earlier pair's value is the witness, in any process
+        values = {(d(2), d(-1)): E(d(5)), (d(1), d(0)): E(h(3)).scale(EPS)}
+        self.break_zero_table(monkeypatch, lambda u, v: values.get(
+            (u, v), Element()))
+        chunks, finish = grid_plan("probe", 1, self.failing_source)
+        assert len(chunks) == len(grid_points())
         report = finish(run_chunks(chunks, workers))
         assert report.failures == [Failure(
-            "(lambda=0, omega={}) at (d(-1), d(0), d(0))",
-            "grid.trivial_failed[probe.triple]", "d(5)")]
+            "(lambda=0, omega={}) at (d(2), d(-1))",
+            "grid.trivial_failed[table]", "d(5)")]
 
 
 def sequential_converse(window: int) -> Report:
@@ -731,6 +752,25 @@ class TestConverse:
         assert report.passed
         assert report.total_cases == report.extra["rows_used"] == 2925
         assert report.extra["rank"] == 40
+
+    @pytest.mark.parametrize("window, rows, calls",
+                             [(3, 1165, 6925), (5, 2925, 17029)])
+    def test_the_sweep_stops_right_after_the_certifying_triple(
+            self, monkeypatch, window, rows, calls):
+        # at both windows the certifying triple's right axiom vanishes;
+        # the sweep ran on to the next nonzero case, 44 products later
+        count = [0]
+        ints = biderivations._ints
+
+        def counted(u, v):
+            count[0] += 1
+            return ints(u, v)
+
+        monkeypatch.setattr(biderivations, "_ints", counted)
+        report = check_bider_converse(window)
+        assert report.passed
+        assert (report.extra["rows_used"], report.extra["rank"]) == (rows, 40)
+        assert count[0] == calls
 
     def test_a_family_generator_with_a_residual_fails(self, monkeypatch):
         monkeypatch.setattr(biderivations, "FAMILY_GENERATORS",

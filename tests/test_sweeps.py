@@ -365,6 +365,27 @@ class TestDerivationKernel:
             assert list(whole) == list(joined)
             assert whole.zeros == joined.zeros > 0
 
+    def test_until_ends_the_sweep_after_a_whole_triple(self):
+        # d(-1)'s first triple yields its left axiom, its second both: the
+        # second ask, after the second triple, ends the sweep
+        basis = basis_vectors(WINDOW, FULL)
+        sweep = partial(derivation_residuals,
+                        [SEVERAL_TERMS, BRACKET_TABLES[FULL]],
+                        BRACKET_TABLES[FULL], [d(-1)], basis)
+        items = list(sweep())
+        assert [(inputs[1:], axiom) for inputs, axiom, _ in items[:4]] == [
+            ((d(-2), d(-2)), "left"), ((d(-2), d(-1)), "left"),
+            ((d(-2), d(-1)), "right"), ((d(-2), d(0)), "left")]
+        asked = []
+
+        def until():
+            asked.append(None)
+            return len(asked) == 2
+
+        stopped = Swept(sweep(until=until))
+        assert list(stopped) == items[:3]
+        assert len(asked) == 2 and stopped.zeros == 0
+
 
 class TestPostLie:
     @pytest.mark.parametrize("params", MEMBERS, ids=repr)

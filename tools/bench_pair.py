@@ -35,8 +35,8 @@ the change won, and a verdict, the first of these that holds:
     unresolved  the parent's interquartile range exceeds that bound;
     same        otherwise.
 
-Every run whose result is not correct, or that failed an operation, is
-printed as a FLAG line.
+A side whose commit is dirty, and every run whose result is not correct
+or that failed an operation, is printed as a FLAG line.
 
 perfbench keeps its own records of every round in perfbench/out/ of each
 checkout.
@@ -122,12 +122,17 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
 
 
 def flagged(results: dict) -> list:
-    """A line for every run that was not correct or failed an operation."""
-    return [f"FLAG {side} {run['workload']} pair {run['pair']} seed "
-            f"{run['seed']}: correct {run['correct']}, failed "
-            f"{run['failed']} of {run['attempted']}"
-            for side in SIDES for run in results[side]["runs"]
-            if not run["correct"] or run["failed"] > 0]
+    """A line for every side whose commit is dirty, then for every run
+    that was not correct or failed an operation."""
+    dirty = [f"FLAG {side} commit {results[side]['commit']}: tracked "
+             "files differed from HEAD, so the commit does not name the "
+             "code run" for side in SIDES
+             if (results[side].get("commit") or "").endswith("-dirty")]
+    return dirty + [f"FLAG {side} {run['workload']} pair {run['pair']} seed "
+                    f"{run['seed']}: correct {run['correct']}, failed "
+                    f"{run['failed']} of {run['attempted']}"
+                    for side in SIDES for run in results[side]["runs"]
+                    if not run["correct"] or run["failed"] > 0]
 
 
 def write(path: str, side: dict, mode: str = "w") -> None:
