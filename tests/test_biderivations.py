@@ -28,7 +28,7 @@ from mhv.biderivations import (FAMILY_GENERATORS, FAMILY_SAMPLES, BiderParams,
                                grid_plan, grid_points, lsa_bider_residuals,
                                post_lie_residuals, upsilon)
 from mhv.linalg import RowReducer
-from mhv.lsa import SYMBOLIC, EpsMode, lsa_product, product_table
+from mhv.lsa import SYMBOLIC, EpsMode, product_table
 from mhv.reports import (Failure, Report, Swept, collect, pooled,
                          prefixed, render_inputs, residual_failure)
 from mhv.scalars import EPS, ONE, sc
