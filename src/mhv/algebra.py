@@ -40,11 +40,11 @@ reports.collect).  The function receives the BasisVectors themselves,
 each standing for itself with coefficient one, so a pair value such as
 [x, y] is a direct call to a table.  A residual built from such values
 adds each second-level term, such as f([x, y], z), times its factor into
-one term dict through accumulate_left or accumulate_right, and becomes
-one Element at the end; no sweep calls bilinear.  bilinear itself is
-accumulate_right once per term of its left operand.  Every term dict is
-filled before an Element takes it, and none is written after, so a
-table's cached Elements are only ever read.  The kernels use
+one term dict through accumulate_left or accumulate_right (never
+bilinear), and stays that dict, here and in the derivation kernel, until
+a report needs a nonzero one as an Element.  A term dict is written only
+while it is filled, so a table's cached Elements are only ever read, and
+may lend a residual their _terms.  The kernels use
 coefficients only through +, -, *, unary - and `not c` (ONE, MINUS_ONE
 are identity fast paths), so an int table sums ints and a Scalar table
 Scalars.
@@ -509,8 +509,8 @@ def basis_sweep(window: int, arity: int, residuals, rows=None,
     """Yield (inputs, equation_id, residual) for every nonzero residual at
     the arity-tuples of the full-mode window basis whose first entry is
     basis[i], i in rows (all by default), and return the number of zero
-    ones.  residuals(*vectors) returns the [(equation_id, residual)] of
-    one tuple of basis vectors; inputs is that tuple.  twins(*t) lists
+    ones.  residuals(*inputs) returns [(equation_id, terms)], terms a term
+    dict; the residual is Element(terms), made only if terms.  twins(*t) lists
     [(twin, sign)] for an index tuple t, the residuals at twin being sign
     times those at t; only the least tuple of an orbit is evaluated."""
     basis = basis_vectors(window)
@@ -525,7 +525,8 @@ def basis_sweep(window: int, arity: int, residuals, rows=None,
             continue
         orbit = [(t, 1)] + [m for m in dict(members).items() if m[0] != t]
         values = residuals(*xs)
-        nonzero = [(eq_id, v) for eq_id, v in values if not v.is_zero()]
+        nonzero = [(eq_id, Element(terms, _clean=True))
+                   for eq_id, terms in values if terms]
         zeros += (len(values) - len(nonzero)) * len(orbit)
         for twin, sign in orbit if nonzero else ():
             twin_xs = tuple(map(basis.__getitem__, twin))

@@ -27,11 +27,11 @@ kernel, derivation_residuals, over the chunk's first basis vectors and
 all its tables; it takes mul(x, y) and mul(y, z) once for all tables,
 f(x, .) once per x, as the sweep reaches it, and f(x, y) once per (x, y),
 and projects nothing.  It yields an axiom case (one axiom at one triple)
-only where some table's residual is nonzero, with Element.zero() for
-each one that vanishes, and counts the others (see reports.collect), so
-a passing sweep builds no Element; the post-Lie and commuting sweeps run
-through algebra.basis_sweep.  Every sweep sums each residual from its
-tables on basis vectors into one term dict with accumulate_left and
+only where some table's residual is nonzero, each table's residual a
+term dict, {} where it vanishes, and counts the others (see
+reports.collect), so it builds no Element; the post-Lie and commuting
+sweeps run through algebra.basis_sweep.  Every residual is a term dict,
+summed from its tables on basis vectors with accumulate_left and
 accumulate_right, not with BilinearTable's element-level extension.
 bider-family and bider-grid sweep each table's int_form in ints against
 2[., .]: a residual is scale(f)*scale(mul) times the true one (4 for
@@ -77,7 +77,7 @@ from .linalg import RowReducer
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import (Failure, Report, Swept, collect, pooled, prefixed,
                       render_inputs, residual_failure)
-from .scalars import MINUS_ONE, ONE, Scalar, sc
+from .scalars import MINUS_ONE, ONE, Scalar, ratio, sc
 
 
 class BiderParams:
@@ -208,14 +208,13 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
 
     An axiom case is one axiom at one triple.  Yields ((x, y, z), axiom,
     residuals), in basis order, only for the cases where some table's
-    residual is nonzero, with one residual per table, Element.zero()
-    where it vanishes; returns the number of the other cases.  Nothing is
+    residual is nonzero, with one term dict per table, {} where it
+    vanishes; returns the number of the other cases.  Nothing is
     projected: on the quotient, f's values must already be centerless.  No
     empty value reaches an accumulate kernel, each table's products come
     in the order written, so under a numeric e the first pole raises, and
     f(x, z) is taken at the first y.  A true until(), asked after each
     triple that yields, ends the sweep there, with no count."""
-    zero = Element.zero()
     yielded = 0
     for x in xs:
         fx = []
@@ -251,9 +250,7 @@ def derivation_residuals(tables: list, mul: PairTable, xs: list,
                 for i, axiom in enumerate(("left", "right")):
                     if any(accs[i::2]):
                         yielded += 1
-                        yield (x, y, z), axiom, [
-                            Element(acc, _clean=True) if acc else zero
-                            for acc in accs[i::2]]
+                        yield (x, y, z), axiom, accs[i::2]
                 if until is not None and until():
                     return
     return 2 * len(xs) * len(basis) ** 2 - yielded
@@ -271,7 +268,7 @@ def _axiom_cases(name: str, f: PairTable, mul: PairTable, window: int,
     eq_ids = {axiom: f"{name}.{axiom}" for axiom in ("left", "right")}
     items = Swept(derivation_residuals([g], mul, basis[first], basis))
     for inputs, axiom, (residual,) in items:
-        yield inputs, eq_ids[axiom], residual
+        yield inputs, eq_ids[axiom], Element(residual, _clean=True)
     return items.zeros
 
 
@@ -335,10 +332,9 @@ class LinearMap:
                         f"tau({bv.render()}) = {image.render()} "
                         "is not central")
 
+        @lru_cache(maxsize=None)  # one image per basis vector and map
         def evaluate(u: BasisVector) -> Element:
-            out = Element.basis(u).scale(lam)
-            extra = tau.get(u)
-            return out + extra if extra is not None else out
+            return Element.basis(u).scale(lam) + tau.get(u, Element.zero())
 
         return LinearMap(evaluate, name or f"lambda*id+tau (lambda={lam})")
 
@@ -362,7 +358,7 @@ def commuting_residuals(phi: LinearMap, window: int):
         acc: dict = {}
         accumulate_left(acc, ONE, br, phi.evaluator(u), v)
         accumulate_left(acc, ONE, br, phi.evaluator(v), u)
-        return [("commuting.polarized", Element(acc, _clean=True))]
+        return [("commuting.polarized", acc)]
 
     return basis_sweep(window, 2, polarized)
 
@@ -386,7 +382,7 @@ def post_lie_residuals(params: BiderParams, window: int) -> list:
     br = BRACKET_TABLES[FULL]
 
     def commutative(x: BasisVector, y: BasisVector) -> list:
-        return [("postlie.commutative", dot(x, y) - dot(y, x))]
+        return [("postlie.commutative", (dot(x, y) - dot(y, x))._terms)]
 
     def triple(x: BasisVector, y: BasisVector, z: BasisVector) -> list:
         # [x, y]*z - x*(y*z) + y*(x*z)
@@ -399,8 +395,8 @@ def post_lie_residuals(params: BiderParams, window: int) -> list:
         accumulate_right(pb, ONE, dot, x, br(y, z))
         accumulate_left(pb, MINUS_ONE, br, dot(x, y), z)
         accumulate_right(pb, MINUS_ONE, br, y, dot(x, z))
-        return [("postlie.bracket_product", Element(bp, _clean=True)),
-                ("postlie.product_bracket", Element(pb, _clean=True))]
+        return [("postlie.bracket_product", bp),
+                ("postlie.product_bracket", pb)]
 
     return [partial(_joined, [partial(basis_sweep, window, arity, axioms, (i,))
                               for arity, axioms in ((2, commutative),
@@ -580,9 +576,7 @@ def check_bider_converse(window: int) -> Report:
         # [(generator, coefficient)] in generator order
         by_vector: dict = {}
         for g, res in enumerate(per_gen):
-            if g in family:
-                res = scalar_element(res, scales[g])
-            for w, coeff in res._terms.items():
+            for w, coeff in res.items():
                 by_vector.setdefault(w, []).append((g, coeff))
         for w in sorted(by_vector, key=BasisVector.sort_key):
             row = {}
@@ -590,7 +584,7 @@ def check_bider_converse(window: int) -> Report:
                 if g in family:
                     failures.append(Failure(
                         render_inputs(inputs), "converse.family_residual",
-                        f"{names[g]}: {coeff.render()}"))
+                        f"{names[g]}: {ratio(coeff, scales[g]).render()}"))
                 else:
                     row[g] = coeff
             reducer.add_row(row)
@@ -645,7 +639,7 @@ def _family_sweep(members: list, lanes: tuple, window: int,
     items = Swept(derivation_residuals(tables, _ints, [x], basis))
     for inputs, axiom, per_table in items:
         cases += len(members)
-        per_table = [scalar_element(res, scale)
+        per_table = [scalar_element(Element(res, _clean=True), scale)
                      for res, scale in zip(per_table, scales)]
         for label, weights in members:
             acc: dict = {}

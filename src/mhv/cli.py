@@ -61,7 +61,11 @@ def _parse_omega(text: str) -> dict:
         if "=" not in chunk:
             raise ValueError(f"omega entry {chunk!r} is not of the form k=mu")
         key, value = chunk.split("=", 1)
-        shift = int(key)
+        try:
+            shift = int(key)
+        except ValueError:
+            raise ValueError(
+                f"omega shift {key.strip()!r} is not an integer") from None
         if shift in omega:
             raise ValueError(f"omega shift {shift} is given more than once")
         omega[shift] = parse_scalar(value)

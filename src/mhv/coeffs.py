@@ -26,10 +26,10 @@ CoeffFns.pair_relations, the oracle's compatibility components of an
 index pair, follows the same memo rule: it lives and dies with its
 CoeffFns.
 associator_defect and commutator_defect are the two residuals of a
-product table on basis vectors: the left-symmetric identity's defect,
-antisymmetric in its first two vectors, and the commutator minus the
-bracket.  The lsa-identity and compatibility sweeps run them on the
-closed form, and the oracle on any CoeffFns.
+product table on basis vectors, as term dicts: the left-symmetric
+identity's defect, antisymmetric in its first two vectors, and the
+commutator minus the bracket.  The lsa-identity and compatibility sweeps
+run them on the closed form, and the oracle on any CoeffFns.
 
 residuals_from_identity is the independent oracle: it builds the product
 from the ansatz, expands the left-symmetric identity on the six basis
@@ -268,9 +268,9 @@ def ast4_swapped_form(fns: CoeffFns, m: int, n: int, k: int) -> Scalar:
 # the identity-derived oracle
 # ---------------------------------------------------------------------------
 
-def associator_defect(mul, x, y, z) -> Element:
+def associator_defect(mul, x, y, z) -> dict:
     """((x*y)*z - x*(y*z)) - ((y*x)*z - y*(x*z)) for a product mul given as
-    a table on basis pairs and basis vectors x, y, z; zero iff the triple
+    a table on basis pairs and basis vectors x, y, z; empty iff the triple
     satisfies the left-symmetric identity.  By this formula it is exactly
     antisymmetric in x and y, for any mul."""
     acc: dict = {}
@@ -278,13 +278,13 @@ def associator_defect(mul, x, y, z) -> Element:
     accumulate_right(acc, MINUS_ONE, mul, x, mul(y, z))
     accumulate_left(acc, MINUS_ONE, mul, mul(y, x), z)
     accumulate_right(acc, ONE, mul, y, mul(x, z))
-    return Element(acc, _clean=True)
+    return acc
 
 
-def commutator_defect(mul, x, y) -> Element:
+def commutator_defect(mul, x, y) -> dict:
     """x*y - y*x - [x, y] for a product mul given as a table on basis pairs
-    and basis vectors x, y; zero iff the commutator gives the bracket."""
-    return mul(x, y) - mul(y, x) - BRACKET_TABLES[FULL](x, y)
+    and basis vectors x, y; empty iff the commutator gives the bracket."""
+    return (mul(x, y) - mul(y, x) - BRACKET_TABLES[FULL](x, y))._terms
 
 
 def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
@@ -295,8 +295,8 @@ def raw_defect_components(fns: CoeffFns, ttype: str, m: int, n: int,
     defect = associator_defect(fns.product, *[
         (d if tag == "d" else h)(i) for tag, i in zip(ttype, (m, n, k))])
     s = m + n + k
-    return {"d": defect.coeff(d(s)), "h": defect.coeff(h(s)),
-            "c": defect.coeff(C), "l": defect.coeff(L)}
+    return {"d": defect.get(d(s), ZERO), "h": defect.get(h(s), ZERO),
+            "c": defect.get(C, ZERO), "l": defect.get(L, ZERO)}
 
 
 def compat_residuals(fns: CoeffFns, m: int, n: int) -> list:
@@ -304,14 +304,14 @@ def compat_residuals(fns: CoeffFns, m: int, n: int) -> list:
     mul = fns.product
     out = []
     r = commutator_defect(mul, d(m), d(n))
-    out.append(("compat.dd.d", r.coeff(d(m + n))))
-    out.append(("compat.dd.c", r.coeff(C)))
+    out.append(("compat.dd.d", r.get(d(m + n), ZERO)))
+    out.append(("compat.dd.c", r.get(C, ZERO)))
     r = commutator_defect(mul, d(m), h(n))
-    out.append(("compat.dh.h", r.coeff(h(m + n))))
+    out.append(("compat.dh.h", r.get(h(m + n), ZERO)))
     r = commutator_defect(mul, h(m), h(n))
-    out.append(("compat.hh.d", r.coeff(d(m + n))))
-    out.append(("compat.hh.h", r.coeff(h(m + n))))
-    out.append(("compat.hh.l", r.coeff(L)))
+    out.append(("compat.hh.d", r.get(d(m + n), ZERO)))
+    out.append(("compat.hh.h", r.get(h(m + n), ZERO)))
+    out.append(("compat.hh.l", r.get(L, ZERO)))
     return out
 
 

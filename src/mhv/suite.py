@@ -67,7 +67,7 @@ from operator import itemgetter
 
 from .algebra import (BRACKET_TABLES, FULL, BasisVector, C, Element, L,
                       accumulate_right, basis_sweep, basis_vectors,
-                      grading_degree, scalar_element, window_indices)
+                      grading_degree, window_indices)
 from .biderivations import (LinearMap, check_bider_converse,
                             commuting_residuals, family_plan, grid_plan,
                             lsa_bider_residuals, post_lie_residuals)
@@ -78,7 +78,7 @@ from .coeffs import (associator_defect, ast_pair_residuals,
 from .linalg import InconsistentSystemError, UnderdeterminedSystemError
 from .lsa import SYMBOLIC, EpsMode, product_table
 from .reports import Failure, Report, chunked, collect, pooled, prefixed
-from .scalars import ONE, sc
+from .scalars import ONE, ratio, sc
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +210,26 @@ _bracket = BRACKET_TABLES[FULL]
 _ints, _scale = _bracket.int_form
 
 
-def _jacobi(x: BasisVector, y: BasisVector, z: BasisVector) -> Element:
+def _jacobi(x: BasisVector, y: BasisVector, z: BasisVector) -> dict:
     """[x, [y, z]] + [y, [z, x]] + [z, [x, y]], summed on the int form,
     whose two bracket factors make it _scale**2 times the true one."""
     acc: dict = {}
     accumulate_right(acc, ONE, _ints, x, _ints(y, z))
     accumulate_right(acc, ONE, _ints, y, _ints(z, x))
     accumulate_right(acc, ONE, _ints, z, _ints(x, y))
-    return scalar_element(Element(acc, _clean=True), _scale * _scale)
+    return {bv: ratio(c, _scale * _scale) for bv, c in acc.items()}
 
 
-def _antisym(x: BasisVector, y: BasisVector) -> Element:
-    return _bracket(x, y) + _bracket(y, x)
+def _antisym(x: BasisVector, y: BasisVector) -> dict:
+    return (_bracket(x, y) + _bracket(y, x))._terms
 
 
-def _grading(x: BasisVector, y: BasisVector) -> Element:
+def _grading(x: BasisVector, y: BasisVector) -> dict:
     """The bracket where it is not homogeneous of degree deg x + deg y."""
     value = _bracket(x, y)
     if value.is_zero() or grading_degree(value) == x.degree() + y.degree():
-        return Element.zero()
-    return value
+        return {}
+    return value._terms
 
 
 def _sweep(name: str, eq_id: str, arity: int, residual, window: int,

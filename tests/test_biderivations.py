@@ -403,6 +403,21 @@ class TestCommuting:
         with pytest.raises(ValueError):
             LinearMap.from_spec(sc(1), {d(0): E(d(1))})
 
+    def test_each_image_is_built_once_per_map(self, monkeypatch):
+        # the sweep asks for phi(u) at every pair; from_spec builds it once
+        built = []
+        basis = Element.basis
+        monkeypatch.setattr(Element, "basis", staticmethod(
+            lambda u: built.append(u) or basis(u)))
+        window = 2
+        every = basis_vectors(window, FULL)
+        for phi in (LinearMap.from_spec(sc(5), {d(0): E(C)}),
+                    LinearMap.from_spec(sc(5), {d(0): E(C)})):
+            built.clear()
+            assert check_commuting(phi, window).passed
+            assert sorted(built) == every
+            assert phi.evaluator(d(0)) is phi.evaluator(d(0))
+
 
 class TestPostLie:
     def test_zero_passes(self):

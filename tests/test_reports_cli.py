@@ -242,9 +242,10 @@ class TestSuite:
         # numeric run computes it over Q, so symbolic runs carry the values;
         # one lost on the way back from a child would stay symbolic
         from mhv import suite
+        table = product_table(SYMBOLIC)
         monkeypatch.setitem(suite.CHECKS, "lsa-identity", lambda w, eps:
                             suite._sweep("lsa-identity", "lsa.identity", 2,
-                                         product_table(SYMBOLIC), w))
+                                         lambda x, y: table(x, y)._terms, w))
         eps = Fraction(2, 5)
         config = RunConfig(window=2, checks=("lsa-identity",))
         symbolic = run_with(1, config)
@@ -800,6 +801,15 @@ class TestCli:
                                   "0=1,0=-1", "--window", "1", "--full")
         assert code == 2 and out == ""
         assert "omega shift 0" in err
+
+    @pytest.mark.parametrize("omega, shift", [("1.5=1", "'1.5'"),
+                                              ("a=1", "'a'"), ("=1", "''")])
+    def test_bider_check_non_integer_omega_shift_is_a_usage_error(
+            self, capsys, omega, shift):
+        code, out, err = self.run(capsys, "bider-check", "--omega", omega,
+                                  "--window", "1")
+        assert code == 2 and out == ""
+        assert err == f"mhv: error: omega shift {shift} is not an integer\n"
 
     @pytest.mark.parametrize("command", sorted(ALIASES))
     def test_alias_runs_its_one_check(self, capsys, command):

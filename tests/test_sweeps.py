@@ -9,8 +9,9 @@ Every sweep yields only its nonzero residuals and returns the number of
 its zero cases: a case it does not yield must be zero by the formula,
 and the cases it yields and counts must be every case.  The derivation
 kernel, which takes every table and every first vector in one call, is
-compared table by table with that formula, axiom_oracle, and builds an
-Element only for a nonzero residual.
+compared table by table with that formula, axiom_oracle.  A residual
+function of a basis sweep, and the kernel, return term dicts and build
+no Element: a basis sweep builds one only for a nonzero residual.
 The two product residuals, associator_defect and commutator_defect, are
 also compared at window 1 on the oracle's seeded random tables, whose
 h, a and b parts the closed form sets to zero.  A whole window-2 suite
@@ -31,18 +32,19 @@ from mhv.algebra import (BRACKET_TABLES, CENTERLESS, FULL, C, Element, L,
                          accumulate_left, accumulate_right, basis_vectors,
                          bilinear, bracket, d, h, project_centerless,
                          tag_table)
-from mhv.biderivations import (FAMILY_SAMPLES, BiderParams, BilinearTable,
-                               LinearMap, _axiom_cases, _candidate_generators,
-                               _joined, check_biderivation, check_commuting,
-                               check_lsa_biderivation, check_post_lie,
-                               commuting_residuals, derivation_residuals,
-                               family_table, lsa_bider_residuals,
-                               post_lie_residuals)
+from mhv.biderivations import (FAMILY_SAMPLES, UPSILON_SHIFTS, BiderParams,
+                               BilinearTable, LinearMap, _axiom_cases,
+                               _candidate_generators, _joined,
+                               _upsilon_generator, check_biderivation,
+                               check_commuting, check_lsa_biderivation,
+                               check_post_lie, commuting_residuals,
+                               derivation_residuals, family_table,
+                               lsa_bider_residuals, post_lie_residuals)
 from mhv.coeffs import (SAMPLE_SEEDS, associator_defect, closed_form_fns,
                         commutator_defect, random_fns)
 from mhv.lsa import (SYMBOLIC, EpsMode, lsa_associator_defect, lsa_commutator,
                      lsa_product, product_table)
-from mhv.scalars import EPS, PoleError
+from mhv.scalars import EPS, ONE, PoleError
 from mhv.reports import Swept, render_inputs
 from mhv.suite import (CHECK_ORDER, CHECKS, RunConfig, _antisym,
                        _commuting_specs, _grading, _jacobi, _sweep,
@@ -93,7 +95,8 @@ class TestSuiteSweeps:
     def test_jacobi(self):
         for x, y, z in tuples(3):
             ex, ey, ez = E(x), E(y), E(z)
-            assert _jacobi(x, y, z) == bracket(ex, bracket(ey, ez)) \
+            assert Element(_jacobi(x, y, z)) \
+                == bracket(ex, bracket(ey, ez)) \
                 + bracket(ey, bracket(ez, ex)) + bracket(ez, bracket(ex, ey))
 
     def test_lsa_identity(self):
@@ -101,17 +104,17 @@ class TestSuiteSweeps:
         for eps in SWEPT_MODES:
             mul = product_table(eps)
             for x, y, z in tuples(3):
-                assert associator_defect(mul, x, y, z) \
+                assert Element(associator_defect(mul, x, y, z)) \
                     == lsa_associator_defect(E(x), E(y), E(z), eps)
 
     def test_pair_sweeps(self):
         for x, y in tuples(2):
             ex, ey = E(x), E(y)
             value = bracket(ex, ey)
-            assert _antisym(x, y) == value + bracket(ey, ex)
-            assert _grading(x, y).is_zero()
+            assert Element(_antisym(x, y)) == value + bracket(ey, ex)
+            assert Element(_grading(x, y)).is_zero()
             for eps in SWEPT_MODES:
-                assert commutator_defect(product_table(eps), x, y) \
+                assert Element(commutator_defect(product_table(eps), x, y)) \
                     == lsa_commutator(ex, ey, eps) - value
 
     @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
@@ -121,12 +124,12 @@ class TestSuiteSweeps:
         p = partial(bilinear, mul)
         for x, y, z in product(basis_vectors(1, FULL), repeat=3):
             ex, ey, ez = E(x), E(y), E(z)
-            assert associator_defect(mul, x, y, z) \
+            assert Element(associator_defect(mul, x, y, z)) \
                 == p(p(ex, ey), ez) - p(ex, p(ey, ez)) \
                 - (p(p(ey, ex), ez) - p(ey, p(ex, ez))), (x, y, z)
         for x, y in product(basis_vectors(1, FULL), repeat=2):
             ex, ey = E(x), E(y)
-            assert commutator_defect(mul, x, y) \
+            assert Element(commutator_defect(mul, x, y)) \
                 == p(ex, ey) - p(ey, ex) - bracket(ex, ey), (x, y)
 
 
@@ -153,8 +156,8 @@ class TestTwins:
         mul = random_fns(seed).product
         nonzero = 0
         for x, y, z in tuples(3):
-            value = associator_defect(mul, x, y, z)
-            assert associator_defect(mul, y, x, z) == -value
+            value = Element(associator_defect(mul, x, y, z))
+            assert Element(associator_defect(mul, y, x, z)) == -value
             nonzero += not value.is_zero()
         assert nonzero
 
@@ -162,8 +165,9 @@ class TestTwins:
         monkeypatch.setattr(suite, "_ints", _SKEWED_INTS)
         nonzero = 0
         for x, y, z in tuples(3):
-            value = _jacobi(x, y, z)
-            assert _jacobi(y, z, x) == value == _jacobi(z, x, y)
+            value = Element(_jacobi(x, y, z))
+            assert Element(_jacobi(y, z, x)) == value \
+                == Element(_jacobi(z, x, y))
             nonzero += not value.is_zero()
         assert nonzero
 
@@ -177,7 +181,7 @@ class TestOrbitSweeps:
     def test_every_basis_triple_is_one_case(self, check, window,
                                             monkeypatch):
         # a residual that never vanishes makes every case a failure
-        one = Element.basis(d(0))
+        one = {d(0): ONE}
         monkeypatch.setattr(suite, "associator_defect", lambda *a: one)
         monkeypatch.setattr(suite, "_jacobi", lambda *a: one)
         report = run_plan(CHECKS[check](window, SYMBOLIC), 1)
@@ -284,14 +288,14 @@ def assert_kernel_matches(tables: list, mode, window: int = WINDOW) -> None:
     assert keys == [case for case in cases if case in seen]
     assert len(yielded) + items.zeros == len(cases)
     found = dict(yielded)
-    zero = [Element.zero()] * len(tables)
+    zero = [{}] * len(tables)
     for x, y, z in product(basis, repeat=3):
         oracles = [axiom_oracle(cand, mode, x, y, z) for cand in cands]
         for axiom in ("left", "right"):
             residuals = found.get(((x, y, z), axiom), zero)
             assert ((x, y, z), axiom) not in found or any(residuals)
             for oracle, residual in zip(oracles, residuals, strict=True):
-                assert residual == oracle[f"bider.{axiom}"], \
+                assert Element(residual) == oracle[f"bider.{axiom}"], \
                     (x, y, z, axiom)
 
 
@@ -331,9 +335,10 @@ class TestDerivationKernel:
         assert_kernel_matches([SEVERAL_TERMS, BRACKET_TABLES[FULL]], FULL,
                               window=1)
 
-    def test_a_vanishing_residual_is_the_shared_zero(self, monkeypatch):
+    def test_a_vanishing_residual_is_an_empty_dict(self, monkeypatch):
         # the bracket's residuals vanish and SEVERAL_TERMS' do not: the
-        # kernel builds an Element only for a nonzero residual
+        # kernel yields term dicts, {} in a vanishing slot, and constructs
+        # no Element
         built = []
 
         class Recorded(Element):
@@ -346,12 +351,10 @@ class TestDerivationKernel:
         items = list(derivation_residuals(
             [SEVERAL_TERMS, BRACKET_TABLES[FULL]], BRACKET_TABLES[FULL],
             basis, basis))
-        assert items and len(built) == len(items)
-        assert all(element._terms for element in built)
-        for (_, _, (several, bracket_residual)), element in zip(items,
-                                                                 built):
-            assert several is element
-            assert bracket_residual is Element.zero()
+        assert items and not built
+        for _, _, (several, bracket_residual) in items:
+            assert type(several) is dict and several
+            assert bracket_residual == {} and type(bracket_residual) is dict
 
     def test_one_call_over_several_first_vectors(self):
         # the same items and count as one call per first vector, joined
@@ -385,6 +388,51 @@ class TestDerivationKernel:
         stopped = Swept(sweep(until=until))
         assert list(stopped) == items[:3]
         assert len(asked) == 2 and stopped.zeros == 0
+
+
+def elements_built(monkeypatch, run) -> int:
+    """The number of Elements constructed while run() runs."""
+    built = []
+    init = Element.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Element, "__init__", counted)
+        run()
+    return len(built)
+
+
+class TestTermDicts:
+    """A residual is a term dict until a report needs it: a basis sweep's
+    residual functions and the derivation kernel construct no Element, so
+    a passing sweep on warm tables constructs none."""
+
+    def test_a_passing_basis_sweep_builds_no_element(self, monkeypatch):
+        for eps in SWEPT_MODES:
+            mul = product_table(eps)  # one table, both sweeps
+            monkeypatch.setattr(suite, "product_table", lambda eps: mul)
+            for check in ("lsa-identity", "jacobi"):
+                sweep = partial(run_plan, CHECKS[check](WINDOW, eps), 1)
+                assert sweep().passed  # fills the tables' memos
+                assert elements_built(monkeypatch, sweep) == 0, (eps, check)
+
+    def test_the_derivation_kernel_builds_no_element(self, monkeypatch):
+        tables, _ = biderivations._lanes(
+            [BRACKET_TABLES[CENTERLESS]]
+            + [_upsilon_generator(s) for s in UPSILON_SHIFTS])
+        basis = basis_vectors(WINDOW, CENTERLESS)
+
+        def sweep():
+            items = Swept(derivation_residuals(tables, biderivations._ints,
+                                               basis, basis))
+            assert not list(items)
+            assert items.zeros == 2 * len(basis) ** 3
+
+        sweep()  # fills the tables' memos
+        assert elements_built(monkeypatch, sweep) == 0
 
 
 class TestPostLie:
